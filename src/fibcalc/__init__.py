@@ -11,8 +11,8 @@ from .laurent import LaurentPoly, laurent_gcd, normalize_alexander
 from .matrices import (IntMatrix, block_diag, char_poly, in_row_span, laurent_det,
                        smith_diagonal, smith_normal_form, solve_int)
 from .words import (FreeGroupMap, FreeWord, abelianize, apply_map, compose,
-                    handlebody_names, reduce, surface_names, word_from_text,
-                    word_to_text)
+                    check_generator_names, handlebody_names, surface_names,
+                    word_from_text, word_to_text)
 from .mcg import (CompatibilityReport, CurveSpec, HandlebodyMonodromy,
                   SurfaceMonodromy, boundary_connected_sum, catalog_names,
                   cg_compatibility, compose_monodromy, curated_payload,
@@ -36,6 +36,6 @@ from .two_knot import (ContractibilityReport, FiberedTwoKnot, FillingDescriptor,
                        seifert_filling_multiplicity, spin, torus_surgery_plan,
                        torus_twist, two_knot_group)
 from .script import (InvariantReport, Statement, SurgeryScript, build_report,
-                     execute, parse_script, print_script)
+                     execute, parse_script)
 
 __version__ = "0.1.0"

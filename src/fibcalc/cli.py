@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import serialize
 from .errors import FibcalcError, ScriptError
-from .invariants import default_hom_budget, group_catalog_names
+from .invariants import DEFAULT_HOM_BUDGET, group_catalog_names
 from .mcg import CurveSpec, catalog_names, curated_payload
 from .script import (DEFAULT_REPORT_GROUPS, build_report, execute, parse_script,
                      reports_to_json)
@@ -19,10 +18,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="emit the canonical machine-readable report form")
     parser.add_argument("--hom-budget", type=int, default=None, metavar="N",
                         help="cap on |G|^generators for homomorphism counting "
-                             "(default: FIBCALC_HOM_BUDGET or %d)" % default_hom_budget())
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="partition count for homomorphism enumeration "
-                             "(results are independent of it)")
+                             "(default: FIBCALC_HOM_BUDGET or %d)" % DEFAULT_HOM_BUDGET)
 
 
 def _emit(reports, as_json: bool) -> None:
@@ -34,15 +30,22 @@ def _emit(reports, as_json: bool) -> None:
             print()
 
 
+def _read(path: str) -> str:
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _cmd_run(args) -> int:
     try:
-        source = sys.stdin.read() if args.script == "-" else open(args.script).read()
-    except OSError as exc:
+        source = _read(args.script)
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
         script = parse_script(source)
-        reports = execute(script, DEFAULT_REPORT_GROUPS, args.hom_budget, args.workers)
+        reports = execute(script, DEFAULT_REPORT_GROUPS, args.hom_budget)
     except ScriptError as exc:
         _emit(getattr(exc, "reports", []), args.json)
         print(f"error: {exc}", file=sys.stderr)
@@ -73,11 +76,9 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_report(args) -> int:
     try:
-        with open(args.object) as fh:
-            data = json.load(fh)
-        obj = serialize.deserialize(data)
-        report = build_report(obj, DEFAULT_REPORT_GROUPS, args.hom_budget, args.workers)
-    except (OSError, json.JSONDecodeError, FibcalcError) as exc:
+        obj = serialize.loads(_read(args.object))
+        report = build_report(obj, DEFAULT_REPORT_GROUPS, args.hom_budget)
+    except (OSError, UnicodeDecodeError, FibcalcError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit([report], args.json)

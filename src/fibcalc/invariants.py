@@ -305,20 +305,17 @@ def finite_group(name: str) -> FiniteGroupTable:
 
 
 def count_homs(presentation: GroupPresentation, group: FiniteGroupTable,
-               budget: int | None = None, workers: int = 1) -> int:
+               budget: int | None = None) -> int:
     """Exact number of homomorphisms from the presented group into `group`.
 
     Enumeration is deterministic: the meridian generator (named "t") is fixed
     first when present, then the remaining generators in presentation order;
     a relator is checked as soon as all its generators are assigned.  The
     nominal budget check |G|^n <= budget happens before any enumeration and
-    failure raises, never returning a partial count.  `workers` partitions the
-    outer loop into that many chunks; the result does not depend on it.
+    failure raises, never returning a partial count.
     """
     if budget is None:
         budget = default_hom_budget()
-    if workers < 1:
-        raise MalformedInputError("workers must be >= 1")
     n = presentation.n_generators
     order = group.order
     if order**n > budget:
@@ -361,17 +358,15 @@ def count_homs(presentation: GroupPresentation, group: FiniteGroupTable,
             acc = table[acc][x if sign > 0 else invs[x]]
         return acc == identity
 
-    def search(pos: int, lo: int, hi: int) -> int:
+    def search(pos: int) -> int:
         total = 0
-        for value in range(lo, hi):
+        for value in range(order):
             assignment[pos] = value
             if all(relator_holds(rel) for rel in buckets[pos]):
                 if pos + 1 == n:
                     total += 1
                 else:
-                    total += search(pos + 1, 0, order)
+                    total += search(pos + 1)
         return total
 
-    workers = min(workers, order)
-    bounds = [round(i * order / workers) for i in range(workers + 1)]
-    return sum(search(0, bounds[i], bounds[i + 1]) for i in range(workers))
+    return search(0)

@@ -5,26 +5,14 @@ Grammar (one statement per line, `#` starts a comment):
 
     [NAME =] verb arg1 arg2 ...
 
-Verbs and arities:
-
-    load NAME                  bind a catalog knot or curve
-    spin K                     spin a fibered knot
-    halfspin K                 half-spin (the ribbon disk for K # -K)
-    double D K_INT             double a disk with 2-handle framing k
-    disktwist D E M_INT        twist a disk along a catalog disk boundary
-    stallingstwist K C M_INT   Stallings twist along a curve
-    glucktwist S               Gluck twist a 2-knot
-    torustwist S C             torus twist a spun 2-knot
-    connectsum K1 K2           connected sum of knots
-    plan K1 K2                 torus-surgery plan between spins
-    report X                   emit the invariant report of a bound object
+The verbs, their arguments and what they do are in `_verb_table`.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 from . import serialize
@@ -43,13 +31,6 @@ from .two_knot import (FiberedTwoKnot, SurgeryPlan, double_disk, gluck, spin,
 from .words import abelianize
 
 DEFAULT_REPORT_GROUPS = ("Z2", "Z3", "Z5", "S3", "D4")
-
-_VERBS = {
-    "load": 1, "spin": 1, "halfspin": 1, "double": 2, "disktwist": 3,
-    "stallingstwist": 3, "glucktwist": 1, "torustwist": 2, "connectsum": 2,
-    "plan": 2, "report": 1,
-}
-_INT_ARGS = {"double": (1,), "disktwist": (2,), "stallingstwist": (2,)}
 
 
 @dataclass(frozen=True)
@@ -88,25 +69,12 @@ def parse_script(source: str) -> SurgeryScript:
             tokens = tokens[2:]
             if not tokens:
                 raise ScriptError("binding without a verb", lineno, col)
-        verb, col = tokens[0]
-        if verb not in _VERBS:
-            raise ScriptError(f"unknown verb {verb!r}", lineno, col)
-        args = tokens[1:]
-        if len(args) != _VERBS[verb]:
-            raise ScriptError(
-                f"verb {verb!r} takes {_VERBS[verb]} argument(s), got {len(args)}",
-                lineno, col)
-        for pos in _INT_ARGS.get(verb, ()):
-            text, acol = args[pos]
-            if not re.fullmatch(r"[+-]?\d+", text):
-                raise ScriptError(f"argument {pos + 1} of {verb!r} must be an integer",
-                                  lineno, acol)
-        statements.append(Statement(verb, tuple(t for t, _ in args), target, lineno))
+        verb, args = tokens[0][0], tuple(t for t, _ in tokens[1:])
+        problem = _signature_problem(verb, args)
+        if problem is not None:
+            raise ScriptError(problem[1], lineno, tokens[problem[0]][1])
+        statements.append(Statement(verb, args, target, lineno))
     return SurgeryScript(tuple(statements))
-
-
-def print_script(script: SurgeryScript) -> str:
-    return script.text()
 
 
 @dataclass(frozen=True)
@@ -125,21 +93,14 @@ class InvariantReport:
     plan: tuple[dict, ...] | None = None
 
     def to_jsonable(self) -> dict:
-        return {
-            "kind": self.kind,
-            "label": self.label,
-            "genus_or_rank": self.genus_or_rank,
-            "alexander": None if self.alexander is None else list(self.alexander),
-            "h1_diagonal": None if self.h1_diagonal is None else list(self.h1_diagonal),
-            "hom_counts": None if self.hom_counts is None
-            else {name: n for name, n in self.hom_counts},
-            "ambient": self.ambient,
-            "is_homotopy_ribbon": self.is_homotopy_ribbon,
-            "gluck_parity": self.gluck_parity,
-            "provenance": list(self.provenance),
-            "notes": list(self.notes),
-            "plan": None if self.plan is None else list(self.plan),
-        }
+        """Every field, with tuples as lists and the hom counts as a dict."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, value in out.items():
+            if type(value) is tuple:
+                out[name] = list(value)
+        if self.hom_counts is not None:
+            out["hom_counts"] = dict(self.hom_counts)
+        return out
 
     def text(self) -> str:
         lines = [f"[{self.kind}] {self.label or '(unnamed)'}"]
@@ -176,19 +137,18 @@ def _twist_word_note(word) -> tuple[str, ...]:
     return tuple(f"{c.name or list(c.homology_class)}^{m}" for c, m in word)
 
 
-def _presentation_invariants(pres: GroupPresentation, groups, budget, workers):
-    counts = tuple((name, count_homs(pres, finite_group(name), budget, workers))
+def _presentation_invariants(pres: GroupPresentation, groups, budget):
+    counts = tuple((name, count_homs(pres, finite_group(name), budget))
                    for name in groups)
     return tuple(h1(pres)), counts
 
 
 def build_report(obj: Any, groups: tuple[str, ...] = DEFAULT_REPORT_GROUPS,
-                 budget: int | None = None, workers: int = 1) -> InvariantReport:
+                 budget: int | None = None) -> InvariantReport:
     if isinstance(obj, FiberedKnot):
         diag = counts = None
         if obj.has_pi1:
-            diag, counts = _presentation_invariants(knot_group(obj), groups,
-                                                    budget, workers)
+            diag, counts = _presentation_invariants(knot_group(obj), groups, budget)
         alex = alexander_poly(obj)
         notes = ()
         if abs(alex.evaluate(1)) != 1:
@@ -204,8 +164,7 @@ def build_report(obj: Any, groups: tuple[str, ...] = DEFAULT_REPORT_GROUPS,
         diag = counts = None
         notes = ()
         if obj.fiber.is_handlebody:
-            diag, counts = _presentation_invariants(exterior_presentation(obj),
-                                                    groups, budget, workers)
+            diag, counts = _presentation_invariants(exterior_presentation(obj), groups, budget)
         else:
             notes = (f"fiber carries summand {obj.fiber.summand_label!r}",)
         return InvariantReport(
@@ -215,8 +174,7 @@ def build_report(obj: Any, groups: tuple[str, ...] = DEFAULT_REPORT_GROUPS,
             provenance=_twist_word_note(obj.twist_history), notes=notes)
     if isinstance(obj, FiberedTwoKnot):
         alex = normalize_alexander(char_poly(abelianize(obj.monodromy_pi1)))
-        diag, counts = _presentation_invariants(two_knot_group(obj), groups,
-                                                budget, workers)
+        diag, counts = _presentation_invariants(two_knot_group(obj), groups, budget)
         return InvariantReport(
             kind="fibered_two_knot", label=obj.label, genus_or_rank=obj.fiber_rank,
             alexander=tuple(alex.dense_coeffs()), h1_diagonal=diag, hom_counts=counts,
@@ -242,13 +200,54 @@ def _load(name: str):
     try:
         return catalog_knot(name)
     except CatalogError:
-        pass
-    entry = curated_payload(name)
-    return entry
+        return curated_payload(name)
+
+
+def _verb_table(report=None) -> dict:
+    """verb -> (function, argument types): a bound object's type, `str` for a
+    catalog name or `int` for an integer literal.  Built per call, so that a
+    module function replaced at run time is the one called."""
+    return {
+        "load": (_load, (str,)),  # bind a catalog knot or curve
+        "spin": (spin, (FiberedKnot,)),  # spin a fibered knot
+        "halfspin": (half_spin, (FiberedKnot,)),  # the ribbon disk for K # -K
+        "double": (double_disk, (FiberedDisk, int)),  # double with 2-handle framing k
+        "disktwist": (disk_twist, (FiberedDisk, CurveSpec, int)),  # along a disk boundary
+        "stallingstwist": (stallings_twist, (FiberedKnot, CurveSpec, int)),  # twist m times
+        "glucktwist": (gluck, (FiberedTwoKnot,)),  # Gluck twist a 2-knot
+        "torustwist": (torus_twist, (FiberedTwoKnot, CurveSpec)),  # on a spun 2-knot
+        "connectsum": (connected_sum, (FiberedKnot, FiberedKnot)),  # K1 # K2
+        "plan": (torus_surgery_plan, (FiberedKnot, FiberedKnot)),  # between the spins
+        "report": (report, (object,)),  # emit the invariant report of an object
+    }
+
+
+def _signature_problem(verb: str, args: tuple[str, ...]):
+    """(index of the token at fault, 0 for the verb, and a message) if `verb
+    args` does not fit the verb table; None if it does."""
+    table = _verb_table()
+    if verb not in table:
+        return 0, f"unknown verb {verb!r}"
+    types = table[verb][1]
+    if len(args) != len(types):
+        return 0, f"verb {verb!r} takes {len(types)} argument(s), got {len(args)}"
+    for pos, (text, typ) in enumerate(zip(args, types), start=1):
+        if typ is int and not re.fullmatch(r"[+-]?\d+", text):
+            return pos, f"argument {pos} of {verb!r} must be an integer"
+
+
+def _argument(text: str, typ: type, env: dict):
+    if typ in (int, str):
+        return typ(text)
+    if text not in env:
+        raise ScriptError(f"name {text!r} is not bound")
+    if not isinstance(env[text], typ):
+        raise ScriptError(f"{text!r} is a {type(env[text]).__name__}, not a {typ.__name__}")
+    return env[text]
 
 
 def execute(script: "SurgeryScript | str", groups: tuple[str, ...] = DEFAULT_REPORT_GROUPS,
-            budget: int | None = None, workers: int = 1) -> list[InvariantReport]:
+            budget: int | None = None) -> list[InvariantReport]:
     """Run a script; reports are emitted in statement order.  The first
     failing statement aborts with a ScriptError carrying its index (reports
     produced so far are attached to the error as `.reports`)."""
@@ -257,73 +256,21 @@ def execute(script: "SurgeryScript | str", groups: tuple[str, ...] = DEFAULT_REP
     env: dict[str, Any] = {}
     reports: list[InvariantReport] = []
 
-    def lookup(name: str, index: int):
-        if name not in env:
-            raise ScriptError(f"name {name!r} is not bound", statement=index)
-        return env[name]
+    def report(obj):
+        reports.append(build_report(obj, groups, budget))
+        return obj
 
-    def expect(value, types, index: int, what: str):
-        if not isinstance(value, types):
-            names = types.__name__ if isinstance(types, type) else \
-                "/".join(t.__name__ for t in types)
-            raise ScriptError(f"{what} must be a {names}, got {type(value).__name__}",
-                              statement=index)
-        return value
-
+    table = _verb_table(report)
     for index, stmt in enumerate(script.statements):
         try:
-            if stmt.verb == "load":
-                result = _load(stmt.args[0])
-            elif stmt.verb == "spin":
-                result = spin(expect(lookup(stmt.args[0], index), FiberedKnot,
-                                     index, "spin argument"))
-            elif stmt.verb == "halfspin":
-                result = half_spin(expect(lookup(stmt.args[0], index), FiberedKnot,
-                                          index, "halfspin argument"))
-            elif stmt.verb == "double":
-                disk = expect(lookup(stmt.args[0], index), FiberedDisk,
-                              index, "double argument")
-                result = double_disk(disk, int(stmt.args[1]))
-            elif stmt.verb == "disktwist":
-                disk = expect(lookup(stmt.args[0], index), FiberedDisk,
-                              index, "disktwist argument")
-                curve = expect(lookup(stmt.args[1], index), CurveSpec,
-                               index, "disktwist curve")
-                result = disk_twist(disk, curve, int(stmt.args[2]))
-            elif stmt.verb == "stallingstwist":
-                knot = expect(lookup(stmt.args[0], index), FiberedKnot,
-                              index, "stallingstwist argument")
-                curve = expect(lookup(stmt.args[1], index), CurveSpec,
-                               index, "stallingstwist curve")
-                result = stallings_twist(knot, curve, int(stmt.args[2]))
-            elif stmt.verb == "glucktwist":
-                result = gluck(expect(lookup(stmt.args[0], index), FiberedTwoKnot,
-                                      index, "glucktwist argument"))
-            elif stmt.verb == "torustwist":
-                two = expect(lookup(stmt.args[0], index), FiberedTwoKnot,
-                             index, "torustwist argument")
-                curve = expect(lookup(stmt.args[1], index), CurveSpec,
-                               index, "torustwist curve")
-                result = torus_twist(two, curve)
-            elif stmt.verb == "connectsum":
-                k1 = expect(lookup(stmt.args[0], index), FiberedKnot,
-                            index, "connectsum argument")
-                k2 = expect(lookup(stmt.args[1], index), FiberedKnot,
-                            index, "connectsum argument")
-                result = connected_sum(k1, k2)
-            elif stmt.verb == "plan":
-                k1 = expect(lookup(stmt.args[0], index), FiberedKnot,
-                            index, "plan argument")
-                k2 = expect(lookup(stmt.args[1], index), FiberedKnot,
-                            index, "plan argument")
-                result = torus_surgery_plan(k1, k2)
-            else:  # report
-                result = lookup(stmt.args[0], index)
-                reports.append(build_report(result, groups, budget, workers))
+            problem = _signature_problem(stmt.verb, stmt.args)
+            if problem is not None:
+                raise ScriptError(problem[1])
+            function, types = table[stmt.verb]
+            args = [_argument(text, typ, env) for text, typ in zip(stmt.args, types)]
+            result = function(*args)
             if stmt.target is not None:
                 env[stmt.target] = result
-        except ScriptError:
-            raise
         except FibcalcError as exc:
             err = ScriptError(f"{stmt.verb}: {exc}", statement=index)
             err.reports = reports

@@ -4,14 +4,20 @@ Serialized files look like {"schema_version": 1, "object": {...}} where every
 object dict carries a "kind" discriminator.  Free-group data uses the word
 text syntax (whitespace-separated tokens, uppercase first letter = inverse)
 together with the generator names in use, so round trips are exact.
+
+One table, `_KINDS`, drives both directions.  Loading takes JSON types
+exactly (a bool is not an integer, nor is a float or a digit string), and
+every failure is a SchemaError naming the JSON path of the offending value.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from itertools import repeat
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple
 
-from .errors import SchemaError
+from .errors import FibcalcError, SchemaError
 from .fibered import Ambient, FiberedKnot
 from .laurent import LaurentPoly
 from .matrices import IntMatrix
@@ -19,228 +25,211 @@ from .mcg import CurveSpec, HandlebodyMonodromy, SurfaceMonodromy
 from .presentation import GroupPresentation
 from .ribbon_disk import FiberedDisk, FiberType
 from .two_knot import FiberedTwoKnot, FillingDescriptor, PlanEntry, SurgeryPlan
-from .words import (FreeGroupMap, handlebody_names, surface_names,
+from .words import (FreeGroupMap, check_generator_names, handlebody_names, surface_names,
                     word_from_text, word_to_text)
 
 SCHEMA_VERSION = 1
+_REQUIRED = object()  # the default of a field whose key must be present
 
 
-def _names_for_rank(rank: int, flavor: str) -> tuple[str, ...]:
-    if flavor == "surface":
-        if rank % 2:
-            raise SchemaError("surface word rank must be even")
-        return surface_names(rank // 2)
-    return handlebody_names(rank)
+class _Invalid(Exception):
+    """A load failure.  Its JSON path is prefixed segment by segment while
+    the error unwinds, so input that loads builds no path at all."""
+
+    def __init__(self, message: str, where: str = ""):
+        super().__init__(message)
+        self.where = where
 
 
-def _map_to_json(f: FreeGroupMap, flavor: str) -> dict:
-    names = _names_for_rank(f.rank, flavor)
-    out = {
-        "kind": "free_group_map",
-        "names": list(names),
-        "images": [word_to_text(w, names) for w in f.images],
-        "inverse_images": None,
-    }
-    if f.inverse_images is not None:
-        out["inverse_images"] = [word_to_text(w, names) for w in f.inverse_images]
+def _checked(function, *args, **kwargs):
+    """The call, with a library error turned into a load failure."""
+    try:
+        return function(*args, **kwargs)
+    except FibcalcError as exc:
+        raise _Invalid(str(exc)) from exc
+
+
+def _plain(value, _=None):
+    """JSON for a value that needs no context: objects by the table, sequences as lists."""
+    if type(value) in (tuple, list):
+        return [_plain(x) for x in value]
+    return to_jsonable(value) if type(value) in _KIND_OF else value
+
+
+class _Codec(NamedTuple):
+    load: Callable[[Any, dict], Any]  # (JSON, the fields loaded before it) -> value
+    dump: Callable[[Any, Any], Any] = _plain  # (value, the object holding it) -> JSON
+
+
+def _exact(typ: type, what: str) -> _Codec:
+    def load(value, _):
+        if type(value) is not typ:
+            raise _Invalid(f"expected {what}")
+        return value
+    return _Codec(load)
+
+
+_INT = _exact(int, "an integer")
+_STR = _exact(str, "a string")
+_BOOL = _exact(bool, "a boolean")
+
+
+def _list(item: "_Codec | tuple", length: "int | str | None" = None) -> _Codec:
+    """A list of items, or of one item per codec when `item` is a tuple.
+    `length` is a count, or the key of an earlier integer field."""
+    items = item if type(item) is tuple else repeat(item)
+
+    def load(value, loaded):
+        n = loaded[length] if type(length) is str else length
+        if type(value) is not list or n is not None and len(value) != n:
+            raise _Invalid("expected a list" + ("" if n is None else f" of {n}"))
+        if item is _INT and all(type(x) is int for x in value):
+            return tuple(value)
+        out = []
+        for i, (codec, x) in enumerate(zip(items, value)):
+            try:
+                out.append(codec.load(x, loaded))
+            except _Invalid as bad:
+                bad.where = f"[{i}]{bad.where}"
+                raise
+        return tuple(out)
+    return _Codec(load)
+
+
+def _object(kind: str | None) -> _Codec:
+    """A nested object of one kind (None: a plan entry)."""
+    return _Codec(lambda value, _: _load(kind, value))
+
+
+def _load_names(value, loaded):
+    names = _STRS.load(value, loaded)
+    _checked(check_generator_names, names)
+    return names
+
+
+def _words(names: str) -> _Codec:
+    """Words in the text syntax over the generator names held by `names`."""
+    word = _Codec(lambda text, loaded: _checked(word_from_text, _STR.load(text, loaded),
+                                                loaded[names]))
+    return _Codec(_list(word).load, lambda value, owner: None if value is None else [
+        word_to_text(w, getattr(owner, names)) for w in value])
+
+
+def _map(names_of_rank: Callable[[int], tuple]) -> _Codec:
+    """A free-group map, written with the generator names `names_of_rank`."""
+    def dump(f, _):
+        if f is None:
+            return None
+        return _dump("free_group_map", SimpleNamespace(
+            names=names_of_rank(f.rank), images=f.images, inverse_images=f.inverse_images))
+    return _Codec(_object("free_group_map").load, dump)
+
+
+def _free_group_map(names, images, inverse_images) -> FreeGroupMap:
+    return FreeGroupMap(len(names), images, inverse_images)
+
+
+def _field(key: str, codec: _Codec, default: Any = _REQUIRED, attr: str | None = None):
+    """(JSON key, attribute, codec, default).  A missing key takes the
+    default; a key whose default is None may also be null."""
+    return key, attr or key, codec, default
+
+
+_STRS = _list(_STR)
+_NAMES = _Codec(_load_names)
+_SURFACE_MAP = _map(lambda rank: surface_names(rank // 2))
+_HANDLEBODY_MAP = _map(handlebody_names)
+_TWIST_WORD = _list(_list((_object("curve_spec"), _INT), 2))
+_AMBIENT = _field("ambient", _object("ambient"))
+_GENUS = _field("genus", _INT)
+_LABEL = _field("label", _STR, None)
+
+# kind -> (class, fields).  Fields load in order, so a codec may read an
+# earlier field of the same object.
+_KINDS: dict[str | None, tuple[Callable, tuple]] = {
+    "laurent_poly": (LaurentPoly, (_field("terms", _list(_list(_INT, 2))),)),
+    "int_matrix": (IntMatrix, (_field("rows", _INT), _field("cols", _INT),
+                               _field("entries", _list(_list(_INT, "cols"), "rows")))),
+    "ambient": (Ambient, (_field("tag", _STR, attr="kind"), _field("descriptor", _STR, None))),
+    "free_group_map": (_free_group_map, (
+        _field("names", _NAMES), _field("images", _words("names")),
+        _field("inverse_images", _words("names"), None))),
+    "curve_spec": (CurveSpec, (
+        _GENUS, _field("homology_class", _list(_INT)),
+        _field("pi1_payload", _SURFACE_MAP, None),
+        _field("bounds_disk_in_handlebody", _BOOL, False),
+        _field("unknotted_in_ambient", _BOOL, False),
+        _field("fiber_framing_zero", _BOOL, False), _field("name", _STR, None))),
+    "surface_monodromy": (SurfaceMonodromy, (
+        _GENUS, _field("action", _object("int_matrix")),
+        _field("pi1_action", _SURFACE_MAP, None), _field("provenance", _TWIST_WORD))),
+    "handlebody_monodromy": (HandlebodyMonodromy, (
+        _GENUS, _field("pi1_action", _HANDLEBODY_MAP),
+        _field("boundary", _object("surface_monodromy")))),
+    "fibered_knot": (FiberedKnot, (
+        _AMBIENT, _GENUS, _field("monodromy", _object("surface_monodromy")), _LABEL)),
+    "fiber_type": (FiberType, (_GENUS, _field("summand_label", _STR, None))),
+    "fibered_disk": (FiberedDisk, (
+        _AMBIENT, _field("fiber", _object("fiber_type")),
+        _field("monodromy", _object("handlebody_monodromy")),
+        _field("twist_history", _TWIST_WORD), _LABEL)),
+    "fibered_two_knot": (FiberedTwoKnot, (
+        _AMBIENT, _field("fiber_rank", _INT), _field("monodromy_pi1", _HANDLEBODY_MAP),
+        _field("gluck_parity", _INT), _field("provenance", _STRS), _LABEL)),
+    "group_presentation": (GroupPresentation, (
+        _field("generators", _NAMES), _field("relators", _words("generators")))),
+    "filling_descriptor": (FillingDescriptor, (
+        _field("base", _STR), _field("slope", _list(_INT, 2)))),
+    "surgery_plan": (SurgeryPlan, (
+        _field("source_genus", _INT), _field("target_genus", _INT),
+        _field("entries", _list(_object(None))))),
+    # Plan entries are the one record written without a "kind" key.
+    None: (PlanEntry, (
+        _field("phase", _INT), _field("torus_id", _STR),
+        _field("curve", _object("curve_spec"), None), _field("twist_sign", _INT))),
+}
+_KIND_OF = {cls: kind for kind, (cls, _) in _KINDS.items()}
+
+
+def _dump(kind: str | None, obj: Any) -> dict:
+    out = {key: codec.dump(getattr(obj, attr), obj) for key, attr, codec, _ in _KINDS[kind][1]}
+    if kind is not None:
+        out["kind"] = kind
     return out
 
 
-def _map_from_json(d: dict, path: str) -> FreeGroupMap:
-    names = _expect(d, "names", list, path)
-    images = [word_from_text(s, names) for s in _expect(d, "images", list, path)]
-    invs = d.get("inverse_images")
-    inverse_images = None
-    if invs is not None:
-        inverse_images = tuple(word_from_text(s, names) for s in invs)
-    return FreeGroupMap(len(names), tuple(images), inverse_images)
-
-
-def _expect(d: dict, key: str, typ, path: str):
-    if key not in d:
-        raise SchemaError(f"missing key {key!r}", path)
-    value = d[key]
-    if typ is not None and not isinstance(value, typ):
-        raise SchemaError(f"key {key!r} must be {typ.__name__}", f"{path}.{key}")
-    return value
+def _load(kind: str | None, data: Any) -> Any:
+    if type(data) is not dict:
+        raise _Invalid("expected an object")
+    if kind is not None and data.get("kind") != kind:
+        raise _Invalid(f"expected kind {kind!r}", ".kind")
+    loaded: dict[str, Any] = {}
+    for key, attr, codec, default in _KINDS[kind][1]:
+        value = data.get(key, default)
+        if value is _REQUIRED:
+            raise _Invalid(f"missing key {key!r}", f".{key}")
+        try:
+            loaded[attr] = value if value is default else codec.load(value, loaded)
+        except _Invalid as bad:
+            bad.where = f".{key}{bad.where}"
+            raise
+    return _checked(_KINDS[kind][0], **loaded)
 
 
 def to_jsonable(obj: Any) -> Any:
-    if isinstance(obj, LaurentPoly):
-        return {"kind": "laurent_poly", "terms": [[e, c] for e, c in obj.terms]}
-    if isinstance(obj, IntMatrix):
-        return {"kind": "int_matrix", "rows": obj.rows, "cols": obj.cols,
-                "entries": [list(row) for row in obj.entries]}
-    if isinstance(obj, Ambient):
-        return {"kind": "ambient", "tag": obj.kind, "descriptor": obj.descriptor}
-    if isinstance(obj, CurveSpec):
-        return {
-            "kind": "curve_spec",
-            "genus": obj.genus,
-            "homology_class": list(obj.homology_class),
-            "pi1_payload": None if obj.pi1_payload is None
-            else _map_to_json(obj.pi1_payload, "surface"),
-            "bounds_disk_in_handlebody": obj.bounds_disk_in_handlebody,
-            "unknotted_in_ambient": obj.unknotted_in_ambient,
-            "fiber_framing_zero": obj.fiber_framing_zero,
-            "name": obj.name,
-        }
-    if isinstance(obj, SurfaceMonodromy):
-        return {
-            "kind": "surface_monodromy",
-            "genus": obj.genus,
-            "action": to_jsonable(obj.action),
-            "pi1_action": None if obj.pi1_action is None
-            else _map_to_json(obj.pi1_action, "surface"),
-            "provenance": [[to_jsonable(c), m] for c, m in obj.provenance],
-        }
-    if isinstance(obj, HandlebodyMonodromy):
-        return {
-            "kind": "handlebody_monodromy",
-            "genus": obj.genus,
-            "pi1_action": _map_to_json(obj.pi1_action, "handlebody"),
-            "boundary": to_jsonable(obj.boundary),
-        }
-    if isinstance(obj, FiberedKnot):
-        return {"kind": "fibered_knot", "ambient": to_jsonable(obj.ambient),
-                "genus": obj.genus, "monodromy": to_jsonable(obj.monodromy),
-                "label": obj.label}
-    if isinstance(obj, FiberType):
-        return {"kind": "fiber_type", "genus": obj.genus,
-                "summand_label": obj.summand_label}
-    if isinstance(obj, FiberedDisk):
-        return {
-            "kind": "fibered_disk",
-            "ambient": to_jsonable(obj.ambient),
-            "fiber": to_jsonable(obj.fiber),
-            "monodromy": to_jsonable(obj.monodromy),
-            "twist_history": [[to_jsonable(c), m] for c, m in obj.twist_history],
-            "label": obj.label,
-        }
-    if isinstance(obj, FiberedTwoKnot):
-        return {
-            "kind": "fibered_two_knot",
-            "ambient": to_jsonable(obj.ambient),
-            "fiber_rank": obj.fiber_rank,
-            "monodromy_pi1": _map_to_json(obj.monodromy_pi1, "handlebody"),
-            "gluck_parity": obj.gluck_parity,
-            "provenance": list(obj.provenance),
-            "label": obj.label,
-        }
-    if isinstance(obj, GroupPresentation):
-        return {"kind": "group_presentation", "generators": list(obj.generators),
-                "relators": [word_to_text(r, obj.generators) for r in obj.relators]}
-    if isinstance(obj, FillingDescriptor):
-        return {"kind": "filling_descriptor", "base": obj.base,
-                "slope": list(obj.slope)}
-    if isinstance(obj, PlanEntry):
-        return {"phase": obj.phase, "torus_id": obj.torus_id,
-                "curve": None if obj.curve is None else to_jsonable(obj.curve),
-                "twist_sign": obj.twist_sign}
-    if isinstance(obj, SurgeryPlan):
-        return {"kind": "surgery_plan", "source_genus": obj.source_genus,
-                "target_genus": obj.target_genus,
-                "entries": [to_jsonable(e) for e in obj.entries]}
-    raise SchemaError(f"cannot serialize {type(obj).__name__}")
+    if type(obj) not in _KIND_OF:
+        raise SchemaError(f"cannot serialize {type(obj).__name__}")
+    return _dump(_KIND_OF[type(obj)], obj)
 
 
 def from_jsonable(data: Any, path: str = "$") -> Any:
-    if not isinstance(data, dict):
-        raise SchemaError("expected an object", path)
-    kind = _expect(data, "kind", str, path)
-    if kind == "laurent_poly":
-        terms = _expect(data, "terms", list, path)
-        return LaurentPoly(tuple((int(e), int(c)) for e, c in terms))
-    if kind == "int_matrix":
-        rows = _expect(data, "rows", int, path)
-        cols = _expect(data, "cols", int, path)
-        entries = _expect(data, "entries", list, path)
-        if len(entries) != rows:
-            raise SchemaError("entry row count mismatch", f"{path}.entries")
-        for i, row in enumerate(entries):
-            if not isinstance(row, list) or len(row) != cols:
-                raise SchemaError("ragged matrix row", f"{path}.entries[{i}]")
-        return IntMatrix(rows, cols, tuple(tuple(int(x) for x in row) for row in entries))
-    if kind == "ambient":
-        return Ambient(_expect(data, "tag", str, path), data.get("descriptor"))
-    if kind == "free_group_map":
-        return _map_from_json(data, path)
-    if kind == "curve_spec":
-        payload = data.get("pi1_payload")
-        return CurveSpec(
-            _expect(data, "genus", int, path),
-            tuple(_expect(data, "homology_class", list, path)),
-            None if payload is None else _map_from_json(payload, f"{path}.pi1_payload"),
-            bool(data.get("bounds_disk_in_handlebody", False)),
-            bool(data.get("unknotted_in_ambient", False)),
-            bool(data.get("fiber_framing_zero", False)),
-            data.get("name"),
-        )
-    if kind == "surface_monodromy":
-        payload = data.get("pi1_action")
-        prov = tuple((from_jsonable(c, f"{path}.provenance[{i}]"), int(m))
-                     for i, (c, m) in enumerate(_expect(data, "provenance", list, path)))
-        return SurfaceMonodromy(
-            _expect(data, "genus", int, path),
-            from_jsonable(_expect(data, "action", dict, path), f"{path}.action"),
-            None if payload is None else _map_from_json(payload, f"{path}.pi1_action"),
-            prov,
-        )
-    if kind == "handlebody_monodromy":
-        return HandlebodyMonodromy(
-            _expect(data, "genus", int, path),
-            _map_from_json(_expect(data, "pi1_action", dict, path), f"{path}.pi1_action"),
-            from_jsonable(_expect(data, "boundary", dict, path), f"{path}.boundary"),
-        )
-    if kind == "fibered_knot":
-        return FiberedKnot(
-            from_jsonable(_expect(data, "ambient", dict, path), f"{path}.ambient"),
-            _expect(data, "genus", int, path),
-            from_jsonable(_expect(data, "monodromy", dict, path), f"{path}.monodromy"),
-            data.get("label"),
-        )
-    if kind == "fiber_type":
-        return FiberType(_expect(data, "genus", int, path), data.get("summand_label"))
-    if kind == "fibered_disk":
-        history = tuple((from_jsonable(c, f"{path}.twist_history[{i}]"), int(m))
-                        for i, (c, m) in enumerate(_expect(data, "twist_history", list, path)))
-        return FiberedDisk(
-            from_jsonable(_expect(data, "ambient", dict, path), f"{path}.ambient"),
-            from_jsonable(_expect(data, "fiber", dict, path), f"{path}.fiber"),
-            from_jsonable(_expect(data, "monodromy", dict, path), f"{path}.monodromy"),
-            history,
-            data.get("label"),
-        )
-    if kind == "fibered_two_knot":
-        return FiberedTwoKnot(
-            from_jsonable(_expect(data, "ambient", dict, path), f"{path}.ambient"),
-            _expect(data, "fiber_rank", int, path),
-            _map_from_json(_expect(data, "monodromy_pi1", dict, path),
-                           f"{path}.monodromy_pi1"),
-            _expect(data, "gluck_parity", int, path),
-            tuple(_expect(data, "provenance", list, path)),
-            data.get("label"),
-        )
-    if kind == "group_presentation":
-        gens = tuple(_expect(data, "generators", list, path))
-        relators = tuple(word_from_text(s, gens)
-                         for s in _expect(data, "relators", list, path))
-        return GroupPresentation(gens, relators)
-    if kind == "filling_descriptor":
-        slope = _expect(data, "slope", list, path)
-        return FillingDescriptor(_expect(data, "base", str, path),
-                                 (int(slope[0]), int(slope[1])))
-    if kind == "surgery_plan":
-        entries = []
-        for i, e in enumerate(_expect(data, "entries", list, path)):
-            curve = e.get("curve")
-            entries.append(PlanEntry(
-                int(e["phase"]), str(e["torus_id"]),
-                None if curve is None else from_jsonable(curve, f"{path}.entries[{i}].curve"),
-                int(e["twist_sign"])))
-        return SurgeryPlan(_expect(data, "source_genus", int, path),
-                           _expect(data, "target_genus", int, path), tuple(entries))
-    raise SchemaError(f"unknown kind {kind!r}", path)
+    kind = data.get("kind") if type(data) is dict else None
+    try:
+        if type(data) is dict and not (type(kind) is str and kind in _KINDS):
+            raise _Invalid(f"unknown kind {kind!r}", ".kind")
+        return _load(kind, data)
+    except _Invalid as bad:
+        raise SchemaError(str(bad), path + bad.where) from bad.__cause__
 
 
 def serialize(obj: Any) -> dict:
@@ -248,12 +237,12 @@ def serialize(obj: Any) -> dict:
 
 
 def deserialize(data: dict) -> Any:
-    if not isinstance(data, dict):
+    if type(data) is not dict:
         raise SchemaError("expected a top-level object")
     version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {version!r}", "$.schema_version")
-    return from_jsonable(_expect(data, "object", dict, "$"), "$.object")
+    return from_jsonable(data.get("object"), "$.object")
 
 
 def dumps(obj: Any) -> str:
@@ -262,4 +251,8 @@ def dumps(obj: Any) -> str:
 
 
 def loads(text: str) -> Any:
-    return deserialize(json.loads(text))
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from exc
+    return deserialize(data)

@@ -9,6 +9,7 @@ construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import MalformedInputError, RankMismatchError
@@ -84,11 +85,6 @@ class FreeWord:
 
     def __repr__(self):
         return f"FreeWord({self.rank}, {list(self.letters)})"
-
-
-def reduce(word: FreeWord) -> FreeWord:
-    """Free reduction (words are stored reduced, so this is a no-op check)."""
-    return FreeWord(word.rank, word.letters)
 
 
 @dataclass(frozen=True)
@@ -212,21 +208,39 @@ def handlebody_names(genus: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, genus + 1))
 
 
+def check_generator_names(names: Sequence[str]) -> None:
+    """Each name must be nonempty, free of whitespace and start with a
+    lowercase letter, and the names and their inverse tokens must all differ;
+    any other name would read back as a different word."""
+    _token_tables(tuple(names))
+
+
+@lru_cache(maxsize=64)
+def _token_tables(names: tuple[str, ...]) -> tuple[dict[str, int], dict[int, str]]:
+    """(token -> letter, letter -> token) for the text syntax over `names`;
+    shared between callers, so never mutated."""
+    tokens = {}
+    for i, name in enumerate(names):
+        if name.split() != [name] or not name[0].islower():
+            raise MalformedInputError(
+                f"generator name {name!r} must start with a lowercase letter "
+                "and contain no whitespace")
+        tokens[name] = i + 1
+        tokens[name[0].upper() + name[1:]] = -(i + 1)
+    if len(tokens) != 2 * len(names):
+        raise MalformedInputError(f"generator names {list(names)} collide")
+    return tokens, {letter: token for token, letter in tokens.items()}
+
+
 def word_to_text(word: FreeWord, names: Sequence[str]) -> str:
     if len(names) != word.rank:
         raise RankMismatchError("need one name per generator")
-    parts = []
-    for letter in word.letters:
-        name = names[abs(letter) - 1]
-        parts.append(name if letter > 0 else name[0].upper() + name[1:])
-    return " ".join(parts)
+    text = _token_tables(tuple(names))[1]
+    return " ".join(text[letter] for letter in word.letters)
 
 
 def word_from_text(text: str, names: Sequence[str]) -> FreeWord:
-    lookup = {}
-    for i, name in enumerate(names):
-        lookup[name] = i + 1
-        lookup[name[0].upper() + name[1:]] = -(i + 1)
+    lookup = _token_tables(tuple(names))[0]
     letters = []
     for token in text.split():
         if token not in lookup:

@@ -16,7 +16,7 @@ from fibcalc.matrices import IntMatrix, char_poly, smith_normal_form
 from fibcalc.mcg import SurfaceMonodromy, catalog_names, curated_payload
 from fibcalc.ribbon_disk import (boundary_knot, disk_twist, exterior_presentation,
                                  half_spin)
-from fibcalc.script import execute, parse_script, print_script, reports_to_json
+from fibcalc.script import execute, parse_script, reports_to_json
 from fibcalc.two_knot import (double_disk, execute_plan, gluck, halving_family,
                               seifert_filling_multiplicity, spin,
                               torus_surgery_plan, torus_twist, two_knot_group)
@@ -220,9 +220,8 @@ def test_criterion_9_cli_round_trip():
         text = ("K = load trefoil_R\nreport K\nS = spin K\nreport S\n"
                 "Q = load square_knot\nreport Q\n")
         script = parse_script(text)
-        assert print_script(script) == text
-        assert parse_script(print_script(script)) == script
-        run1 = reports_to_json(execute(text, workers=1))
-        run2 = reports_to_json(execute(text, workers=1))
-        run4 = reports_to_json(execute(text, workers=4))
-        assert run1 == run2 == run4
+        assert script.text() == text
+        assert parse_script(script.text()) == script
+        run1 = reports_to_json(execute(text))
+        run2 = reports_to_json(execute(text))
+        assert run1 == run2

@@ -185,15 +185,6 @@ def test_count_homs_budget():
         count_homs(p, finite_group("S4"), budget=1000)
 
 
-def test_count_homs_worker_independence():
-    p = knot_group(catalog_knot("trefoil_R"))
-    for name in ("S3", "A4"):
-        g = finite_group(name)
-        baseline = count_homs(p, g, workers=1)
-        for workers in (2, 3, 4, 7, 50):
-            assert count_homs(p, g, workers=workers) == baseline
-
-
 def test_count_homs_random_small_presentations():
     rng = random.Random(13)
     s3 = finite_group("S3")

@@ -4,8 +4,7 @@ import pytest
 
 from fibcalc.cli import main
 from fibcalc.errors import ScriptError
-from fibcalc.script import (build_report, execute, parse_script, print_script,
-                            reports_to_json)
+from fibcalc.script import build_report, execute, parse_script, reports_to_json
 
 
 def test_parse_simple_script():
@@ -38,8 +37,8 @@ def test_parse_errors_carry_location():
 def test_parse_print_identity():
     text = "K = load trefoil_R\nS = spin K\nreport S\n"
     script = parse_script(text)
-    assert print_script(script) == text
-    assert parse_script(print_script(script)) == script
+    assert script.text() == text
+    assert parse_script(script.text()) == script
 
 
 def test_execute_pipeline():
@@ -104,10 +103,9 @@ report P
 
 def test_reports_deterministic_json():
     text = "K = load square_knot\nreport K\nS = spin K\nreport S\n"
-    one = reports_to_json(execute(text, workers=1))
-    two = reports_to_json(execute(text, workers=1))
-    four = reports_to_json(execute(text, workers=4))
-    assert one == two == four
+    one = reports_to_json(execute(text))
+    two = reports_to_json(execute(text))
+    assert one == two
     parsed = json.loads(one)
     assert parsed[0]["kind"] == "fibered_knot"
     # meridian-matched pairs of trefoil homs: 1*1 + 3*(3*3) + 2*(1*1)
@@ -172,3 +170,62 @@ def test_report_warns_on_non_unit_alexander_at_one():
     clean = build_report(__import__("fibcalc.fibered", fromlist=["catalog_knot"])
                          .catalog_knot("trefoil_R"))
     assert clean.notes == ()
+
+
+def test_cli_failing_statement_keeps_earlier_reports(tmp_path, capsys):
+    path = tmp_path / "script.fib"
+    path.write_text("K = load trefoil_R\nreport K\nreport Z\n")
+    assert main(["run", str(path), "--json"]) == 1
+    captured = capsys.readouterr()
+    parsed = json.loads(captured.out)
+    assert [r["label"] for r in parsed] == ["trefoil_R"]
+    assert "not bound" in captured.err and "statement 2" in captured.err
+
+
+def test_execute_wrong_type_keeps_reports():
+    with pytest.raises(ScriptError) as err:
+        execute("K = load trefoil_R\nreport K\nC = load g1_a1\nS = spin C\n")
+    assert err.value.statement == 3
+    assert [r.label for r in err.value.reports] == ["trefoil_R"]
+
+
+def test_execute_checks_hand_built_statements():
+    from fibcalc.script import Statement, SurgeryScript
+    for stmt in (Statement("frobnicate", ("K",)), Statement("spin", ()),
+                 Statement("double", ("D", "x"))):
+        with pytest.raises(ScriptError) as err:
+            execute(SurgeryScript((Statement("load", ("unknot",), "D"), stmt)))
+        assert err.value.statement == 1
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_cli_rejects_non_utf8_file(tmp_path, capsys, command):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"\xff\xfe")
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_report_rejects_malformed_object(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"schema_version": 1, "object": {"kind": "filling_descriptor", '
+                    '"base": "Y", "slope": [1]}}')
+    assert main(["report", str(path)]) == 1
+    assert "$.object.slope" in capsys.readouterr().err
+
+
+def test_bad_budget_env_fails_only_hom_counts(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FIBCALC_HOM_BUDGET", "abc")
+    assert main(["catalog"]) == 0
+    path = tmp_path / "script.fib"
+    path.write_text("K = load trefoil_R\nreport K\n")
+    assert main(["run", str(path)]) == 1
+    assert "FIBCALC_HOM_BUDGET must be an integer" in capsys.readouterr().err
+
+
+def test_cli_has_no_workers_option(tmp_path):
+    path = tmp_path / "script.fib"
+    path.write_text("K = load unknot\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path), "--workers", "2"])
+    assert exc.value.code == 2

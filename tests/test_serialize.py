@@ -1,9 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibcalc import serialize
-from fibcalc.errors import SchemaError
+from fibcalc.errors import FibcalcError, SchemaError
 from fibcalc.fibered import catalog_knot
 from fibcalc.mcg import catalog_names, curated_payload
 from fibcalc.ribbon_disk import disk_twist, half_spin
@@ -78,3 +79,193 @@ def test_canonical_bytes_are_stable():
     parsed = json.loads(serialize.dumps(k))
     assert parsed["schema_version"] == 1
     assert parsed["object"]["kind"] == "fibered_knot"
+
+
+_DROP = object()
+
+
+def _trefoil():
+    return catalog_knot("trefoil_R")
+
+
+def _filling():
+    from fibcalc.two_knot import FillingDescriptor
+    return FillingDescriptor("Y", (-1, 3))
+
+
+def _laurent():
+    from fibcalc.laurent import LaurentPoly
+    return LaurentPoly(((0, 1), (1, -1), (2, 1)))
+
+
+def _knot_group():
+    from fibcalc.fibered import knot_group
+    return knot_group(_trefoil())
+
+
+def _plan():
+    return torus_surgery_plan(_trefoil(), catalog_knot("figure8"))
+
+
+# Each case changes one field of a valid serialized object; the load must
+# fail with a SchemaError whose path is that field's.
+PROBES = [
+    (_laurent, ("terms", 0), [0], "$.object.terms[0]"),
+    (_plan, ("entries", 0, "phase"), _DROP, "$.object.entries[0].phase"),
+    (_filling, ("slope",), [1], "$.object.slope"),
+    (_filling, ("slope",), [-1.9, 3], "$.object.slope[0]"),
+    (_knot_group, ("generators",), [1, 2, 3], "$.object.generators[0]"),
+    (_knot_group, ("generators", 1), "", "$.object.generators"),
+    (lambda: curated_payload("trefoil_R"), ("provenance", 0), [1], "$.object.provenance[0]"),
+    (_trefoil, ("monodromy", "action", "entries", 0, 1), "x",
+     "$.object.monodromy.action.entries[0][1]"),
+    (_trefoil, ("monodromy", "action", "entries", 0, 1), 1.0,
+     "$.object.monodromy.action.entries[0][1]"),
+    (lambda: spin(_trefoil()), ("gluck_parity",), True, "$.object.gluck_parity"),
+    (lambda: curated_payload("g1_a1"), ("bounds_disk_in_handlebody",), "false",
+     "$.object.bounds_disk_in_handlebody"),
+    (lambda: curated_payload("g1_a1"), ("homology_class",), ["1", "0"],
+     "$.object.homology_class[0]"),
+    (_trefoil, ("label",), 7, "$.object.label"),
+    (lambda: spin(_trefoil()), ("provenance",), [1, 2], "$.object.provenance[0]"),
+    (lambda: half_spin(_trefoil()), ("ambient", "descriptor"), 5,
+     "$.object.ambient.descriptor"),
+    (lambda: spin(_trefoil()), ("monodromy_pi1", "images"), "x1",
+     "$.object.monodromy_pi1.images"),
+    (lambda: spin(_trefoil()), ("monodromy_pi1", "images"), [1],
+     "$.object.monodromy_pi1.images[0]"),
+]
+
+
+def _mutated(obj, keys, value):
+    data = serialize.serialize(obj)
+    node = data["object"]
+    for key in keys[:-1]:
+        node = node[key]
+    if value is _DROP:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("make, keys, value, path", PROBES,
+                         ids=[f"{p[3]}:={'drop' if p[2] is _DROP else repr(p[2])}"
+                              for p in PROBES])
+def test_malformed_field_is_schema_error_at_its_path(make, keys, value, path):
+    with pytest.raises(SchemaError) as err:
+        serialize.deserialize(_mutated(make(), keys, value))
+    assert err.value.path == path
+
+
+def test_constructor_error_keeps_cause_and_object_path():
+    data = _mutated(_trefoil(), ("monodromy", "action", "entries", 0, 1), 5)
+    with pytest.raises(SchemaError) as err:
+        serialize.deserialize(data)
+    assert err.value.path == "$.object.monodromy"
+    assert "symplectic" in str(err.value)
+    assert isinstance(err.value.__cause__, FibcalcError)
+
+
+def test_optional_keys_keep_their_defaults():
+    curve = curated_payload("g1_a1")
+    data = serialize.serialize(curve)
+    for key in ("pi1_payload", "bounds_disk_in_handlebody", "unknotted_in_ambient",
+                "fiber_framing_zero", "name"):
+        del data["object"][key]
+    back = serialize.deserialize(data)
+    assert back.pi1_payload is None and back.name is None
+    assert not (back.bounds_disk_in_handlebody or back.unknotted_in_ambient
+                or back.fiber_framing_zero)
+
+
+@pytest.mark.parametrize("text", ["{not json", "[" * 100000 + "]" * 100000,
+                                  '{"schema_version": 1' + "0" * 5000 + "}"])
+def test_loads_rejects_bad_json_text(text):
+    with pytest.raises(SchemaError):
+        serialize.loads(text)
+
+
+def test_schema_version_is_an_exact_integer():
+    with pytest.raises(SchemaError) as err:
+        serialize.loads('{"schema_version": true, "object": {}}')
+    assert err.value.path == "$.schema_version"
+
+
+def _sample_objects():
+    from fibcalc.fibered import Ambient
+    from fibcalc.matrices import IntMatrix
+    from fibcalc.ribbon_disk import FiberType
+    k = _trefoil()
+    d = half_spin(k)
+    return [_laurent(), IntMatrix.from_rows([[1, 2], [0, -1]]),
+            Ambient("homology_sphere", "Y"), curated_payload("square_knot_stallings_c1"),
+            curated_payload("trefoil_R"), d.monodromy, k, FiberType(1, "T"),
+            disk_twist(d, curated_payload("square_knot_stallings_c1"), 1), spin(k),
+            _knot_group(), _filling(), _plan()]
+
+
+SAMPLES = [serialize.serialize(obj) for obj in _sample_objects()]
+
+
+def _nodes(node, keys=()):
+    yield keys, node
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _nodes(child, keys + (key,))
+
+
+def _mutations(node, in_dict):
+    """(name, new value) pairs; _DROP deletes a dict entry."""
+    out = [("drop", _DROP)] if in_dict else []
+    if type(node) is bool:
+        out.append(("bool->int", int(node)))
+    elif type(node) is int:
+        out += [("int->bool", bool(node)), ("int->float", float(node)),
+                ("int->digits", str(node))]
+    elif type(node) is str:
+        out.append(("str->int", 1))
+    elif type(node) is list:
+        out.append(("lengthen", node + node[-1:] if node else [0]))
+        if node:
+            out.append(("shorten", node[:-1]))
+    return out
+
+
+def _covers(dumped, mutated):
+    """Every value of `mutated` is in `dumped`, with the same JSON type;
+    `dumped` may add the keys a mutation dropped."""
+    if isinstance(mutated, dict):
+        return isinstance(dumped, dict) and all(
+            k in dumped and _covers(dumped[k], v) for k, v in mutated.items())
+    if isinstance(mutated, list):
+        return isinstance(dumped, list) and len(dumped) == len(mutated) and all(
+            _covers(a, b) for a, b in zip(dumped, mutated))
+    return type(dumped) is type(mutated) and dumped == mutated
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_objects_load_exactly_or_fail_cleanly(data):
+    original = data.draw(st.sampled_from(SAMPLES))
+    mutated = json.loads(json.dumps(original))
+    sites = []
+    for keys, node in _nodes(mutated):
+        if keys:
+            parent = mutated
+            for key in keys[:-1]:
+                parent = parent[key]
+            sites += [(keys, parent, m) for m in _mutations(node, isinstance(parent, dict))]
+    keys, parent, (name, value) = data.draw(st.sampled_from(sites))
+    if value is _DROP:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    try:
+        obj = serialize.loads(json.dumps(mutated))
+    except FibcalcError:
+        return
+    text = serialize.dumps(obj)
+    assert _covers(json.loads(text), mutated), (keys, name)
+    assert serialize.dumps(serialize.loads(text)) == text

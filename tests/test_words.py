@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 from fibcalc.errors import MalformedInputError, RankMismatchError
 from fibcalc.matrices import IntMatrix
 from fibcalc.words import (FreeGroupMap, FreeWord, abelianize, apply_map, compose,
-                           reduce, surface_names, word_from_text, word_to_text)
+                           handlebody_names, surface_names, word_from_text,
+                           word_to_text)
 
 
 def letters(rank, max_len=12):
@@ -40,12 +41,6 @@ def test_out_of_range_letter_rejected():
 @given(letters(3))
 def test_reduction_matches_naive_stack(seq):
     assert FreeWord(3, tuple(seq)).letters == naive_reduce(seq)
-
-
-@given(letters(3))
-def test_reduce_idempotent(seq):
-    w = FreeWord(3, tuple(seq))
-    assert reduce(w) == w
 
 
 @given(letters(3))
@@ -142,3 +137,21 @@ def test_shift_embedding():
 def test_compose_rank_mismatch():
     with pytest.raises(RankMismatchError):
         compose(sample_map(), FreeGroupMap.identity(3))
+
+
+@pytest.mark.parametrize("names", [["x", "X"], ["T", "u"], ["x", ""], ["a b"], ["x", "x"],
+                                   ["1"], ["ªx"]])
+def test_unreadable_generator_names_rejected(names):
+    word = FreeWord(len(names), (1,))
+    with pytest.raises(MalformedInputError):
+        word_to_text(word, names)
+    with pytest.raises(MalformedInputError):
+        word_from_text(names[0], names)
+
+
+@pytest.mark.parametrize("names", [surface_names(3), handlebody_names(3), ("t",),
+                                   ("u", "v"), ("a1", "b1", "t")])
+def test_internal_generator_names_round_trip(names):
+    n = len(names)
+    word = FreeWord(n, tuple(s * i for i in range(1, n + 1) for s in (1, -1, 1)))
+    assert word_from_text(word_to_text(word, names), names) == word
