@@ -111,6 +111,25 @@ def ring_to_laurent(element: GroupRingElement, exponents: tuple[int, ...]) -> La
     return LaurentPoly.from_dict(acc)
 
 
+def abelian_fox_row(word: FreeWord, exponents: tuple[int, ...]) -> list[LaurentPoly]:
+    """The abelianized Fox derivatives of a word by every generator, in one
+    pass: equal to ring_to_laurent(fox_derivative(word, j + 1), exponents)
+    for each j.  Generator i maps to t^exponents[i]; at a prefix of exponent
+    e, a letter x_i adds t^e to column i and x_i^-1 adds -t^(e - exponents[i])."""
+    columns: list[dict[int, int]] = [{} for _ in range(word.rank)]
+    e = 0
+    for letter in word.letters:
+        i = abs(letter) - 1
+        column = columns[i]
+        if letter > 0:
+            column[e] = column.get(e, 0) + 1
+            e += exponents[i]
+        else:
+            e -= exponents[i]
+            column[e] = column.get(e, 0) - 1
+    return [LaurentPoly.from_dict(column) for column in columns]
+
+
 def infinite_cyclic_exponents(presentation: GroupPresentation) -> tuple[int, ...]:
     """Exponents e_i with generator_i -> t^(e_i) inducing H1 ~ Z, if H1 is Z."""
     n = presentation.n_generators
@@ -175,8 +194,7 @@ def alexander_from_presentation(presentation: GroupPresentation,
             break
     if meridian is None:
         raise AbelianizationError("no generator maps onto t^(+-1)")
-    grid = [[ring_to_laurent(fox_derivative(rel, j + 1), exps)
-             for j in range(n) if j != meridian]
+    grid = [[p for j, p in enumerate(abelian_fox_row(rel, exps)) if j != meridian]
             for rel in presentation.relators]
     r, k = len(grid), n - 1
     size = min(r, k)

@@ -192,6 +192,25 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
+def exact_div(a: list[int], b: list[int]) -> list[int]:
+    """The quotient a / b in Z[t] of dense coefficient lists (lowest degree
+    first).  Raises unless b is nonzero and divides a exactly."""
+    a, b = _strip(list(a)), _strip(list(b))
+    if not b:
+        raise MalformedInputError("division by the zero polynomial")
+    lead, nb = b[-1], len(b)
+    q = [0] * max(len(a) - nb + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = a[k + nb - 1] // lead  # a remainder stays in a and fails the check below
+        if c:
+            q[k] = c
+            for i, bc in enumerate(b):
+                a[k + i] -= c * bc
+    if any(a):
+        raise MalformedInputError("polynomial division is not exact")
+    return q
+
+
 def _gcd_dense(a: list[int], b: list[int]) -> list[int]:
     a, b = _strip(list(a)), _strip(list(b))
     if not a:

@@ -16,13 +16,13 @@ from dataclasses import dataclass, fields
 from typing import Any
 
 from . import serialize
-from .errors import CatalogError, FibcalcError, ScriptError
-from .fibered import (FiberedKnot, alexander_poly, catalog_knot, connected_sum,
-                      knot_group, stallings_twist)
+from .errors import FibcalcError, ScriptError
+from .fibered import (Ambient, FiberedKnot, alexander_poly, connected_sum, knot_group,
+                      stallings_twist)
 from .invariants import count_homs, finite_group, h1
 from .laurent import normalize_alexander
 from .matrices import char_poly
-from .mcg import CurveSpec, curated_payload
+from .mcg import CurveSpec, SurfaceMonodromy, curated_payload
 from .presentation import GroupPresentation
 from .ribbon_disk import (FiberedDisk, disk_twist, exterior_presentation, half_spin,
                           is_homotopy_ribbon)
@@ -197,10 +197,11 @@ def build_report(obj: Any, groups: tuple[str, ...] = DEFAULT_REPORT_GROUPS,
 
 
 def _load(name: str):
-    try:
-        return catalog_knot(name)
-    except CatalogError:
-        return curated_payload(name)
+    """The catalog entry of that name: a knot for a monodromy, else the curve."""
+    entry = curated_payload(name)
+    if isinstance(entry, SurfaceMonodromy):
+        return FiberedKnot(Ambient.s3(), entry.genus, entry, name)
+    return entry
 
 
 def _verb_table(report=None) -> dict:

@@ -176,6 +176,14 @@ class PlanEntry:
     curve: CurveSpec | None
     twist_sign: int
 
+    def __post_init__(self):
+        if self.phase not in (1, 2):
+            raise MalformedInputError("plan phase must be 1 or 2")
+        if self.curve is None and self.twist_sign != 0:
+            raise MalformedInputError("a stabilization entry has twist sign 0")
+        if self.curve is not None and self.twist_sign not in (1, -1):
+            raise MalformedInputError("a twist entry has twist sign +1 or -1")
+
     @property
     def is_stabilization(self) -> bool:
         return self.curve is None
@@ -186,6 +194,9 @@ class SurgeryPlan:
     source_genus: int
     target_genus: int
     entries: tuple[PlanEntry, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
 
     def phase_entries(self, phase: int) -> tuple[PlanEntry, ...]:
         return tuple(e for e in self.entries if e.phase == phase)

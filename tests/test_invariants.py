@@ -6,15 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from fibcalc.errors import (AbelianizationError, BudgetExceededError, CatalogError,
                             MalformedInputError)
-from fibcalc.fibered import catalog_knot, knot_group, trefoil_two_bridge_presentation
-from fibcalc.invariants import (FiniteGroupTable, GroupRingElement,
+from fibcalc.fibered import (catalog_knot, connected_sum, knot_group,
+                             trefoil_two_bridge_presentation)
+from fibcalc.invariants import (FiniteGroupTable, GroupRingElement, abelian_fox_row,
                                 alexander_from_presentation, count_homs,
                                 finite_group, fox_derivative, fox_matrix,
                                 group_catalog_names, h1, infinite_cyclic_exponents,
                                 ring_to_laurent)
-from fibcalc.laurent import LaurentPoly
+from fibcalc.laurent import LaurentPoly, normalize_alexander
+from fibcalc.matrices import IntMatrix, char_poly
+from fibcalc.mcg import symplectic_form, transvection
 from fibcalc.presentation import GroupPresentation, hnn_presentation
-from fibcalc.words import FreeWord
+from fibcalc.words import FreeGroupMap, FreeWord, abelianize, compose, surface_names
 
 
 def test_fox_derivative_examples():
@@ -50,6 +53,14 @@ def test_fox_fundamental_identity(seq):
             3, {word * xj: c for word, c in d.coeffs.items()}) - d
     expected = GroupRingElement.of_word(w) - GroupRingElement.of_word(one)
     assert total == expected
+
+
+@given(letters(3, max_len=30), st.tuples(*[st.integers(-3, 3)] * 3))
+@settings(max_examples=150)
+def test_abelian_fox_row_matches_fox_derivative(seq, exponents):
+    w = FreeWord(3, tuple(seq))
+    assert abelian_fox_row(w, exponents) == \
+        [ring_to_laurent(fox_derivative(w, j), exponents) for j in (1, 2, 3)]
 
 
 def test_infinite_cyclic_exponents():
@@ -227,3 +238,51 @@ def test_spin_group_counts_match_knot_group_all_catalog():
         for gname in ("Z2", "Z3", "Z4", "Z5", "S3", "D4"):
             g = finite_group(gname)
             assert count_homs(two_knot_group(s), g) == count_homs(knot_group(k), g)
+
+
+_FACTORS = {"trefoil_R": {0: 1, 1: -1, 2: 1}, "trefoil_L": {0: 1, 1: -1, 2: 1},
+            "figure8": {0: 1, 1: -3, 2: 1}}
+
+
+def _dense_conjugated_knot(rng, genus):
+    """(known Alexander polynomial, homology action, free-group action) of a
+    connected sum of genus-1 catalog knots: the action is conjugated by a
+    symplectic matrix with no zero entry left in it, and the free-group
+    action by random Nielsen moves until its images hold 4 g^2 letters."""
+    names = [rng.choice(sorted(_FACTORS)) for _ in range(genus)]
+    knot = catalog_knot(names[0])
+    for name in names[1:]:
+        knot = connected_sum(knot, catalog_knot(name))
+    expected = LaurentPoly.one()
+    for name in names:
+        expected = expected * LaurentPoly.from_dict(_FACTORS[name])
+    j = symplectic_form(genus)
+    while True:
+        p = IntMatrix.identity(2 * genus)
+        for _ in range(genus + 2):
+            p = p.mul(transvection([rng.choice((-1, 0, 1)) for _ in range(2 * genus)],
+                                   rng.choice((-1, 1))))
+        action = p.mul(knot.monodromy.action).mul(j.mul(p.transpose()).mul(j).neg())
+        if all(x for row in action.entries for x in row):
+            break
+    f = conjugated = knot.monodromy.pi1_action
+    rank = f.rank
+    nielsen = FreeGroupMap.identity(rank)
+    while sum(len(w) for w in conjugated.images) < 4 * genus * genus:
+        a, b = rng.sample(range(1, rank + 1), 2)
+        sign = rng.choice((1, -1))
+        images = [[x] for x in range(1, rank + 1)]
+        inverses = [[x] for x in range(1, rank + 1)]
+        images[a - 1], inverses[a - 1] = [a, sign * b], [a, -sign * b]
+        nielsen = compose(nielsen, FreeGroupMap.from_letters(rank, images, inverses))
+        conjugated = compose(compose(nielsen, f), nielsen.inverse())
+    return expected, action, conjugated
+
+
+@pytest.mark.parametrize("genus", [7, 8, 9])
+def test_route_equivalence_dense_conjugated_knots(genus):
+    expected, action, conjugated = _dense_conjugated_knot(random.Random(genus), genus)
+    assert normalize_alexander(char_poly(action)) == expected
+    assert normalize_alexander(char_poly(abelianize(conjugated))) == expected
+    presentation = hnn_presentation(conjugated, surface_names(genus))
+    assert alexander_from_presentation(presentation) == expected

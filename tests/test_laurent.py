@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fibcalc.errors import MalformedInputError
-from fibcalc.laurent import LaurentPoly, laurent_gcd, normalize_alexander
+from fibcalc.laurent import LaurentPoly, exact_div, laurent_gcd, normalize_alexander
 
 
 def poly(d):
@@ -102,3 +102,34 @@ def test_gcd_common_divisor_property(a, b, c):
 def test_dense_coeffs():
     assert poly({0: 1, 2: 3}).dense_coeffs() == [1, 0, 3]
     assert LaurentPoly.zero().dense_coeffs() == []
+
+
+def test_exact_div_examples():
+    assert exact_div([-1, 0, 1], [-1, 1]) == [1, 1]  # (t^2 - 1) / (t - 1)
+    assert exact_div([0, 0, 6], [0, 3]) == [0, 2]
+    assert exact_div([], [5]) == []
+    assert exact_div([4, 0, 0], [2, 0]) == [2]  # trailing zeros are ignored
+
+
+@pytest.mark.parametrize("a, b", [
+    ([1, 0, 1], [1, 1]),  # t^2 + 1 is not a multiple of t + 1
+    ([3], [2]),  # the integer quotient is not exact
+    ([1, 2], [0, 1, 1]),  # divisor of higher degree
+    ([2, 4], [0, 2]),  # quotient terms are integers, remainder is not zero
+    ([1, 1], []),
+    ([1, 1], [0, 0]),
+])
+def test_exact_div_raises_on_inexact_input(a, b):
+    with pytest.raises(MalformedInputError):
+        exact_div(a, b)
+
+
+@given(st.lists(st.integers(-20, 20), max_size=6),
+       st.lists(st.integers(-20, 20), min_size=1, max_size=5).filter(lambda b: b[-1]))
+def test_exact_div_inverts_multiplication(a, b):
+    product = (poly(dict(enumerate(a))) * poly(dict(enumerate(b)))).terms
+    dense = [0] * (len(a) + len(b))
+    for e, c in product:
+        dense[e] = c
+    quotient = exact_div(dense, b)
+    assert poly(dict(enumerate(quotient))) == poly(dict(enumerate(a)))

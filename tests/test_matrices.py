@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from fibcalc.errors import RankMismatchError
+from fibcalc.errors import MalformedInputError, RankMismatchError
 from fibcalc.laurent import LaurentPoly
 from fibcalc.matrices import (IntMatrix, block_diag, char_poly, in_row_span,
                               laurent_det, smith_diagonal, smith_normal_form,
                               solve_int)
+from fibcalc.mcg import symplectic_form, transvection
 
 
 def fraction_det(m: IntMatrix) -> Fraction:
@@ -78,6 +79,92 @@ def test_laurent_det_small():
     grid = [[t, one], [one, t]]
     assert laurent_det(grid) == t * t - one
     assert laurent_det([]) == one
+
+
+def test_char_poly_matches_sympy_up_to_18x18():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(2024)
+    for n in list(range(1, 19)) + [18, 18]:
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        expected = sympy.Matrix(rows).charpoly(t).all_coeffs()  # det(tI - A)
+        assert char_poly(IntMatrix.from_rows(rows)) == LaurentPoly.from_dict(
+            {n - i: int(c) for i, c in enumerate(expected)})
+
+
+def _random_laurent(rng, zero_share=0.3):
+    if rng.random() < zero_share:
+        return LaurentPoly.zero()
+    return LaurentPoly.from_dict({rng.randint(-3, 3): rng.randint(-4, 4)
+                                  for _ in range(rng.randint(1, 3))})
+
+
+def test_laurent_det_matches_sympy_with_negative_exponents_and_zero_pivots():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    t = sympy.Symbol("t")
+    ring = sympy.ZZ[t]
+    rng = random.Random(7)
+    for case in range(60):
+        n = 1 + case % 8
+        grid = [[_random_laurent(rng) for _ in range(n)] for _ in range(n)]
+        if case % 3 == 1:
+            grid[0][0] = LaurentPoly.zero()  # zero first pivot
+        if case % 3 == 2 and n >= 2:
+            # second row a multiple of the first in the first two columns:
+            # the leading 2x2 minor, the second pivot, vanishes
+            c = _random_laurent(rng, zero_share=0)
+            grid[1][0], grid[1][1] = c * grid[0][0], c * grid[0][1]
+        # oracle: t^(6n) det(grid) = det(t^6 grid), a determinant over Z[t]
+        shifted = DomainMatrix(
+            [[ring.from_sympy(sum((c * t**(e + 6) for e, c in p.terms), sympy.Integer(0)))
+              for p in row] for row in grid], (n, n), ring)
+        expected = sympy.Poly(ring.to_sympy(shifted.det()), t)
+        got = laurent_det(grid).shift(6 * n)
+        assert got == LaurentPoly.from_dict({e: int(c) for (e,), c in expected.terms()})
+
+
+def test_laurent_det_row_swaps_and_singular_grids():
+    t, one, zero = LaurentPoly.t(), LaurentPoly.one(), LaurentPoly.zero()
+    # zero pivots at every step: an anti-diagonal permutation grid
+    assert laurent_det([[zero, zero, t], [zero, one, zero], [t.reverse(), zero, zero]]) \
+        == -one
+    assert laurent_det([[zero, t], [t, zero]]) == -(t * t)
+    assert laurent_det([[t, one], [t, one]]).is_zero
+    assert laurent_det([[t, one], [zero, zero]]).is_zero
+    with pytest.raises(RankMismatchError):
+        laurent_det([[t, one]])
+
+
+def _dense_symplectic(rng, genus):
+    """A product of random transvections, redrawn until no entry is zero."""
+    while True:
+        p = IntMatrix.identity(2 * genus)
+        for _ in range(genus + 2):
+            p = p.mul(transvection([rng.choice((-1, 0, 1)) for _ in range(2 * genus)],
+                                   rng.choice((-1, 1))))
+        if all(x for row in p.entries for x in row):
+            return p
+
+
+def test_inverse_unimodular_dense_genus_6_symplectic():
+    p = _dense_symplectic(random.Random(6), 6)
+    inverse = p.inverse_unimodular()
+    j = symplectic_form(6)
+    assert inverse == j.mul(p.transpose()).mul(j).neg()  # P^-1 = -J P^T J
+    assert p.mul(inverse).is_identity() and inverse.mul(p).is_identity()
+    assert p.power(-3).mul(p.power(3)).is_identity()
+
+
+def test_inverse_unimodular_rejects_other_matrices():
+    for rows in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[0]], [[3, 1], [3, 1]]):
+        with pytest.raises(MalformedInputError):
+            IntMatrix.from_rows(rows).inverse_unimodular()
+    with pytest.raises(RankMismatchError):
+        IntMatrix.zeros(2, 3).inverse_unimodular()
+    assert IntMatrix.identity(0).inverse_unimodular() == IntMatrix.identity(0)
+    m = IntMatrix.from_rows([[0, -1], [1, 0]])
+    assert m.inverse_unimodular() == m.neg()
 
 
 def check_snf_contract(a: IntMatrix):

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -229,3 +230,22 @@ def test_cli_has_no_workers_option(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", str(path), "--workers", "2"])
     assert exc.value.code == 2
+
+
+def test_load_raises_nothing_for_curves_or_knots():
+    # every exception raised in a fibcalc frame, even one caught again
+    raised = []
+
+    def tracer(frame, event, arg):
+        if event == "exception" and frame.f_globals.get("__name__", "").startswith("fibcalc"):
+            raised.append((frame.f_code.co_name, arg[0].__name__))
+        return tracer
+
+    source = "c = load square_knot_stallings_c1\nd = load g2_b1\nK = load square_knot\nreport c"
+    sys.settrace(tracer)
+    try:
+        reports = execute(source)
+    finally:
+        sys.settrace(None)
+    assert raised == []
+    assert [r.label for r in reports] == ["square_knot_stallings_c1"]

@@ -134,6 +134,10 @@ PROBES = [
      "$.object.monodromy_pi1.images"),
     (lambda: spin(_trefoil()), ("monodromy_pi1", "images"), [1],
      "$.object.monodromy_pi1.images[0]"),
+    (_plan, ("entries", 0, "twist_sign"), 7, "$.object.entries[0]"),
+    (_plan, ("entries", 1, "phase"), -3, "$.object.entries[1]"),
+    (lambda: torus_surgery_plan(_trefoil(), catalog_knot("square_knot")),
+     ("entries", 0, "twist_sign"), 1, "$.object.entries[0]"),
 ]
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from fibcalc.errors import (MissingPayloadError, PreconditionError,
+from fibcalc.errors import (MalformedInputError, MissingPayloadError, PreconditionError,
                             UnsupportedFiberError)
 from fibcalc.fibered import alexander_poly, catalog_knot, connected_sum, stallings_twist
 from fibcalc.invariants import count_homs, finite_group, h1
@@ -8,9 +8,10 @@ from fibcalc.laurent import normalize_alexander
 from fibcalc.matrices import char_poly
 from fibcalc.mcg import curated_payload
 from fibcalc.ribbon_disk import FiberType, FiberedDisk, disk_twist, half_spin
-from fibcalc.two_knot import (FillingDescriptor, double_disk, execute_plan, gluck,
-                              halving_family, seifert_filling_multiplicity, spin,
-                              torus_surgery_plan, torus_twist, two_knot_group)
+from fibcalc.two_knot import (FillingDescriptor, PlanEntry, SurgeryPlan, double_disk,
+                              execute_plan, gluck, halving_family,
+                              seifert_filling_multiplicity, spin, torus_surgery_plan,
+                              torus_twist, two_knot_group)
 from fibcalc.words import FreeGroupMap, abelianize
 
 
@@ -179,6 +180,29 @@ def test_plan_rejects_monodromies_without_twist_words():
         torus_surgery_plan(bare, k)
     with pytest.raises(PreconditionError):
         torus_surgery_plan(catalog_knot("square_knot"), k)  # decreasing genus
+
+
+def test_every_catalog_plan_constructs():
+    from fibcalc.mcg import SurfaceMonodromy, catalog_names
+    knots = [catalog_knot(name) for name in catalog_names()
+             if isinstance(curated_payload(name), SurfaceMonodromy)]
+    for k1 in knots:
+        for k2 in knots:
+            if k1.genus <= k2.genus:
+                plan = torus_surgery_plan(k1, k2)
+                assert type(plan.entries) is tuple
+                assert SurgeryPlan(plan.source_genus, plan.target_genus,
+                                   list(plan.entries)) == plan
+
+
+def test_plan_entry_validation():
+    c = curated_payload("g1_a1")
+    for phase, curve, sign in ((0, c, 1), (3, c, 1), (-3, None, 0), (1, c, 7), (1, c, 0),
+                               (2, c, -2), (1, None, 1), (2, None, -1)):
+        with pytest.raises(MalformedInputError):
+            PlanEntry(phase, "T1", curve, sign)
+    assert PlanEntry(2, "T1", c, -1).twist_sign == -1
+    assert PlanEntry(1, "U1", None, 0).is_stabilization
 
 
 def test_doubling_inherits_homotopy_ball_ambient():
