@@ -18,7 +18,13 @@ class LaurentPoly:
     terms: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        fixed = tuple(sorted((int(e), int(c)) for e, c in self.terms if c != 0))
+        nonzero = []
+        for e, c in self.terms:
+            if type(e) is not int or type(c) is not int:
+                raise MalformedInputError(f"Laurent term {(e, c)!r} is not a pair of integers")
+            if c:
+                nonzero.append((e, c))
+        fixed = tuple(sorted(nonzero))
         exps = [e for e, _ in fixed]
         if len(set(exps)) != len(exps):
             raise MalformedInputError("duplicate exponents in Laurent polynomial")

@@ -24,20 +24,26 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if type(self.rows) is not int or type(self.cols) is not int:
+            raise MalformedInputError("matrix dimensions must be integers")
         if self.rows < 0 or self.cols < 0:
             raise MalformedInputError("negative matrix dimension")
         if len(self.entries) != self.rows:
             raise MalformedInputError("row count mismatch")
         fixed = []
         for row in self.entries:
+            row = tuple(row)
             if len(row) != self.cols:
                 raise MalformedInputError("ragged matrix rows")
-            fixed.append(tuple(int(x) for x in row))
+            for x in row:
+                if type(x) is not int:
+                    raise MalformedInputError(f"matrix entry {x!r} is not an integer")
+            fixed.append(row)
         object.__setattr__(self, "entries", tuple(fixed))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(row) for row in rows)
         ncols = len(data[0]) if data else 0
         return cls(len(data), ncols, data)
 

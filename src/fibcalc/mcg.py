@@ -81,7 +81,9 @@ class CurveSpec:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        vec = tuple(int(x) for x in self.homology_class)
+        vec = tuple(self.homology_class)
+        if any(type(x) is not int for x in vec):
+            raise MalformedInputError("homology class entries must be integers")
         if len(vec) != 2 * self.genus:
             raise MalformedInputError("homology class must have length 2*genus")
         object.__setattr__(self, "homology_class", vec)
@@ -220,13 +222,7 @@ def boundary_connected_sum(m1: SurfaceMonodromy, m2: SurfaceMonodromy) -> Surfac
     payload = None
     if m1.pi1_action is not None and m2.pi1_action is not None:
         n = 2 * genus
-        images = tuple(w.shift(n, 0) for w in m1.pi1_action.images) + \
-            tuple(w.shift(n, 2 * m1.genus) for w in m2.pi1_action.images)
-        invs = None
-        if m1.pi1_action.has_witness and m2.pi1_action.has_witness:
-            invs = tuple(w.shift(n, 0) for w in m1.pi1_action.inverse_images) + \
-                tuple(w.shift(n, 2 * m1.genus) for w in m2.pi1_action.inverse_images)
-        payload = FreeGroupMap(n, images, invs)
+        payload = compose(m1.pi1_action.extend(n, 0), m2.pi1_action.extend(n, 2 * m1.genus))
     prov = _merge_twist_words(
         tuple((c.extend(genus, 0), k) for c, k in m1.provenance),
         tuple((c.extend(genus, m1.genus), k) for c, k in m2.provenance))

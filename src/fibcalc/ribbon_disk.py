@@ -122,12 +122,7 @@ def doubled_boundary(monodromy: SurfaceMonodromy) -> SurfaceMonodromy:
     f = monodromy.pi1_action
     if f is not None and f.has_witness:
         rank = 4 * g
-        two_copies = FreeGroupMap(
-            rank,
-            tuple(w.shift(rank, 0) for w in f.images)
-            + tuple(w.shift(rank, 2 * g) for w in f.images),
-            tuple(w.shift(rank, 0) for w in f.inverse_images)
-            + tuple(w.shift(rank, 2 * g) for w in f.inverse_images))
+        two_copies = compose(f.extend(rank, 0), f.extend(rank, 2 * g))
         c, cinv = _doubling_change_of_basis(g)
         payload = compose(compose(cinv, two_copies), c)
     return SurfaceMonodromy(2 * g, action, payload)

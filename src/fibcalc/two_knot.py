@@ -83,10 +83,14 @@ class FillingDescriptor:
     slope: tuple[int, int]
 
     def __post_init__(self):
-        p, q = self.slope
+        slope = self.slope
+        if not (type(slope) in (tuple, list) and len(slope) == 2
+                and all(type(x) is int for x in slope)):
+            raise MalformedInputError(f"filling slope {slope!r} is not a pair of integers")
+        p, q = slope
         if gcd(p, q) != 1:
             raise MalformedInputError("filling slope must be a coprime pair")
-        object.__setattr__(self, "slope", (int(p), int(q)))
+        object.__setattr__(self, "slope", (p, q))
 
     def __str__(self):
         p, q = self.slope

@@ -2,8 +2,22 @@
 
 Letters are nonzero signed integers: +i is the i-th generator (1-indexed),
 -i its inverse.  Words are stored freely reduced; maps that claim to be
-automorphisms must carry an inverse witness, which is verified at
-construction time.
+automorphisms must carry an inverse witness.
+
+Words and maps are checked where they enter the system: the `FreeWord` and
+`FreeGroupMap` constructors (and `from_letters`, which calls them) check
+ranks, letter types and ranges, the witness (f(f^-1(x_i)) = x_i and
+f^-1(f(x_i)) = x_i for every generator) and det +-1 of the abelianization.
+The JSON loader and the catalog builders go through these constructors.
+`identity`, `inverse`, `compose`, `extend` and `power` build their results
+from checked maps without a second check, because the facts it would prove
+hold by construction: the identity is its own witness; f^-1 is witnessed by
+f; if f and g are witnessed, g^-1 o f^-1 witnesses f o g and the
+determinants of their abelianizations multiply; an extension is witnessed by
+the extended witness and keeps the determinant; and powers are compositions.
+
+All substitution runs through one kernel, `_expand`, which writes each
+letter's image after cancelling it against the reduced output so far.
 """
 
 from __future__ import annotations
@@ -26,18 +40,25 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_int(value, what: str) -> None:
+    if type(value) is not int:
+        raise MalformedInputError(f"{what} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class FreeWord:
     rank: int
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
+        _check_int(self.rank, "rank")
         if self.rank < 0:
             raise MalformedInputError("negative rank")
-        letters = tuple(int(x) for x in self.letters)
+        letters = tuple(self.letters)
         for letter in letters:
-            if letter == 0 or abs(letter) > self.rank:
-                raise MalformedInputError(f"letter {letter} out of range for rank {self.rank}")
+            if type(letter) is not int or letter == 0 or abs(letter) > self.rank:
+                raise MalformedInputError(
+                    f"letter {letter!r} is not an integer in +-1..+-{self.rank}")
         object.__setattr__(self, "letters", _reduce(letters))
 
     @classmethod
@@ -53,14 +74,15 @@ class FreeWord:
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if self.rank != other.rank:
             raise RankMismatchError("word product across different ranks")
-        return FreeWord(self.rank, self.letters + other.letters)
+        return _word(self.rank, _reduce(self.letters + other.letters))
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(self.rank, tuple(-x for x in reversed(self.letters)))
+        return _word(self.rank, tuple(-x for x in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "FreeWord":
+        _check_int(n, "exponent")
         base = self if n >= 0 else self.inverse()
-        return FreeWord(self.rank, base.letters * abs(n))
+        return _word(self.rank, _reduce(base.letters * abs(n)))
 
     @property
     def is_identity(self) -> bool:
@@ -78,13 +100,52 @@ class FreeWord:
     def shift(self, new_rank: int, offset: int = 0) -> "FreeWord":
         """The same word viewed in a larger free group, generators moved up by
         `offset`."""
+        _check_int(new_rank, "rank")
+        _check_int(offset, "offset")
         if offset < 0 or self.rank + offset > new_rank:
             raise RankMismatchError("shift does not fit in the target rank")
-        sgn = lambda x: 1 if x > 0 else -1
-        return FreeWord(new_rank, tuple(sgn(x) * (abs(x) + offset) for x in self.letters))
+        return _word(new_rank, tuple(x + offset if x > 0 else x - offset
+                                     for x in self.letters))
 
     def __repr__(self):
         return f"FreeWord({self.rank}, {list(self.letters)})"
+
+
+def _word(rank: int, letters: tuple[int, ...]) -> FreeWord:
+    """A word from letters already reduced and in range, made without the
+    constructor's check."""
+    w = object.__new__(FreeWord)
+    object.__setattr__(w, "rank", rank)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
+def _table(words: Sequence[FreeWord]) -> list[tuple[int, ...]]:
+    """Substitution table of the map x_i -> words[i-1], indexed by letter:
+    entry i holds the image of x_i and entry -i (counted from the end) the
+    image of x_i^-1, its inverse word."""
+    table = [()] + [w.letters for w in words]
+    table.extend(tuple(-x for x in reversed(w.letters)) for w in reversed(words))
+    return table
+
+
+def _expand(table: Sequence[tuple[int, ...]], letters: Iterable[int]) -> list[int]:
+    """The freely reduced letters of the word `letters` with each letter
+    replaced by its entry in `table`.  Each entry is reduced, so appending it
+    after cancelling its longest prefix that inverts the tail of the output
+    keeps the output reduced."""
+    out: list[int] = []
+    for letter in letters:
+        image = table[letter]
+        if out and image and out[-1] == -image[0]:
+            k, n = 1, min(len(out), len(image))
+            while k < n and out[-1 - k] == -image[k]:
+                k += 1
+            del out[-k:]
+            out.extend(image[k:])
+        else:
+            out.extend(image)
+    return out
 
 
 @dataclass(frozen=True)
@@ -94,6 +155,7 @@ class FreeGroupMap:
     inverse_images: tuple[FreeWord, ...] | None = None
 
     def __post_init__(self):
+        _check_int(self.rank, "rank")
         if len(self.images) != self.rank:
             raise RankMismatchError("one image per generator is required")
         for w in self.images:
@@ -105,17 +167,21 @@ class FreeGroupMap:
             if len(inv) != self.rank or any(w.rank != self.rank for w in inv):
                 raise RankMismatchError("inverse witness rank mismatch")
             object.__setattr__(self, "inverse_images", inv)
+            forward, backward = _table(self.images), _table(inv)
             for i in range(self.rank):
-                gen = FreeWord.generator(self.rank, i + 1)
-                if _apply(self.images, inv[i]) != gen or _apply(inv, self.images[i]) != gen:
+                if (_expand(forward, inv[i].letters) != [i + 1]
+                        or _expand(backward, self.images[i].letters) != [i + 1]):
                     raise MalformedInputError("inverse witness does not invert the map")
             if abelianize(self).det() not in (1, -1):
                 raise MalformedInputError("witnessed map must abelianize to det +-1")
 
     @classmethod
     def identity(cls, rank: int) -> "FreeGroupMap":
-        gens = tuple(FreeWord.generator(rank, i + 1) for i in range(rank))
-        return cls(rank, gens, gens)
+        _check_int(rank, "rank")
+        if rank < 0:
+            raise MalformedInputError("negative rank")
+        gens = tuple(_word(rank, (i + 1,)) for i in range(rank))
+        return _map(rank, gens, gens)
 
     @classmethod
     def from_letters(cls, rank: int, images: Sequence[Sequence[int]],
@@ -133,58 +199,71 @@ class FreeGroupMap:
     def inverse(self) -> "FreeGroupMap":
         if self.inverse_images is None:
             raise MalformedInputError("map has no inverse witness")
-        return FreeGroupMap(self.rank, self.inverse_images, self.images)
+        return _map(self.rank, self.inverse_images, self.images)
 
     def extend(self, new_rank: int, offset: int = 0) -> "FreeGroupMap":
         """Act as before on a block of generators, identically elsewhere."""
+        _check_int(new_rank, "rank")
+        _check_int(offset, "offset")
         if offset < 0 or offset + self.rank > new_rank:
             raise RankMismatchError("extension does not fit in the target rank")
-        imgs = [FreeWord.generator(new_rank, i + 1) for i in range(new_rank)]
-        for i, w in enumerate(self.images):
-            imgs[offset + i] = w.shift(new_rank, offset)
-        invs = None
-        if self.inverse_images is not None:
-            invs = [FreeWord.generator(new_rank, i + 1) for i in range(new_rank)]
-            for i, w in enumerate(self.inverse_images):
-                invs[offset + i] = w.shift(new_rank, offset)
-            invs = tuple(invs)
-        return FreeGroupMap(new_rank, tuple(imgs), invs)
+
+        def extended(words):
+            out = [_word(new_rank, (i + 1,)) for i in range(new_rank)]
+            out[offset:offset + self.rank] = (w.shift(new_rank, offset) for w in words)
+            return tuple(out)
+        invs = None if self.inverse_images is None else extended(self.inverse_images)
+        return _map(new_rank, extended(self.images), invs)
 
     def power(self, n: int) -> "FreeGroupMap":
+        """f^n by repeated squaring; f^-n needs the inverse witness."""
+        _check_int(n, "exponent")
         base = self if n >= 0 else self.inverse()
         out = FreeGroupMap.identity(self.rank)
-        for _ in range(abs(n)):
-            out = compose(out, base)
+        n = abs(n)
+        while n:
+            if n & 1:
+                out = compose(out, base)
+            n >>= 1
+            if n:
+                base = compose(base, base)
         return out
 
     def __repr__(self):
         return f"FreeGroupMap({self.rank}, {[list(w.letters) for w in self.images]})"
 
 
-def _apply(images: Sequence[FreeWord], word: FreeWord) -> FreeWord:
-    rank = len(images)
-    letters: list[int] = []
-    for letter in word.letters:
-        img = images[abs(letter) - 1]
-        letters.extend(img.letters if letter > 0 else tuple(-x for x in reversed(img.letters)))
-    return FreeWord(rank, tuple(letters))
+def _map(rank: int, images: tuple[FreeWord, ...],
+         inverse_images: tuple[FreeWord, ...] | None) -> FreeGroupMap:
+    """A map derived from checked maps, made without the constructor's check
+    (see the module docstring for why none is needed)."""
+    f = object.__new__(FreeGroupMap)
+    object.__setattr__(f, "rank", rank)
+    object.__setattr__(f, "images", images)
+    object.__setattr__(f, "inverse_images", inverse_images)
+    return f
+
+
+def _substitute(f_images: Sequence[FreeWord], words: Sequence[FreeWord]) -> tuple[FreeWord, ...]:
+    """The words f(w) for w in `words`, where f is x_i -> f_images[i-1]."""
+    table, rank = _table(f_images), len(f_images)
+    return tuple(_word(rank, tuple(_expand(table, w.letters))) for w in words)
 
 
 def apply_map(f: FreeGroupMap, word: FreeWord) -> FreeWord:
     if f.rank != word.rank:
         raise RankMismatchError("map and word ranks differ")
-    return _apply(f.images, word)
+    return _substitute(f.images, (word,))[0]
 
 
 def compose(f: FreeGroupMap, g: FreeGroupMap) -> FreeGroupMap:
     """(f o g)(x) = f(g(x)); witnesses compose in the opposite order."""
     if f.rank != g.rank:
         raise RankMismatchError("composed maps must share a rank")
-    images = tuple(_apply(f.images, w) for w in g.images)
     invs = None
     if f.inverse_images is not None and g.inverse_images is not None:
-        invs = tuple(_apply(g.inverse_images, w) for w in f.inverse_images)
-    return FreeGroupMap(f.rank, images, invs)
+        invs = _substitute(g.inverse_images, f.inverse_images)
+    return _map(f.rank, _substitute(f.images, g.images), invs)
 
 
 def abelianize(f: FreeGroupMap) -> IntMatrix:

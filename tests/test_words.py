@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fibcalc.errors import MalformedInputError, RankMismatchError
+from fibcalc.fibered import catalog_knot
 from fibcalc.matrices import IntMatrix
-from fibcalc.words import (FreeGroupMap, FreeWord, abelianize, apply_map, compose,
-                           handlebody_names, surface_names, word_from_text,
+from fibcalc.mcg import CurveSpec, catalog_names, curated_payload
+from fibcalc.words import (FreeGroupMap, FreeWord, _reduce, abelianize, apply_map,
+                           compose, handlebody_names, surface_names, word_from_text,
                            word_to_text)
 
 
@@ -155,3 +157,111 @@ def test_internal_generator_names_round_trip(names):
     n = len(names)
     word = FreeWord(n, tuple(s * i for i in range(1, n + 1) for s in (1, -1, 1)))
     assert word_from_text(word_to_text(word, names), names) == word
+
+
+def catalog_maps():
+    """The free-group map of every catalog entry: knot monodromies, the
+    standard curves and the Stallings curves."""
+    out = []
+    for name in catalog_names():
+        entry = curated_payload(name)
+        f = entry.pi1_payload if isinstance(entry, CurveSpec) else entry.pi1_action
+        if f is not None:
+            out.append(pytest.param(f, id=name))
+    return out
+
+
+@pytest.mark.parametrize("f", catalog_maps())
+def test_power_equals_repeated_compose(f):
+    for n in range(-9, 10):
+        base = f if n >= 0 else f.inverse()
+        naive = FreeGroupMap.identity(f.rank)
+        for _ in range(abs(n)):
+            naive = compose(naive, base)
+        assert f.power(n) == naive, n
+
+
+@pytest.mark.parametrize("f", catalog_maps())
+def test_power_zero_is_identity(f):
+    assert f.power(0) == FreeGroupMap.identity(f.rank)
+    unwitnessed = FreeGroupMap(f.rank, f.images)
+    assert unwitnessed.power(0) == FreeGroupMap.identity(f.rank)
+
+
+def test_power_of_unwitnessed_map():
+    f = FreeGroupMap.from_letters(2, [[1, 2], [2, 2]])
+    assert f.power(2) == compose(f, f)
+    assert not f.power(2).has_witness
+    for n in (-1, -2):
+        with pytest.raises(MalformedInputError):
+            f.power(n)
+
+
+def test_figure8_power_10():
+    f = catalog_knot("figure8").monodromy.pi1_action
+    power = f.power(10)
+    assert sum(len(w) for w in power.images) == 28657
+    assert abelianize(power) == abelianize(f).power(10)
+    assert power.inverse_images == f.inverse().power(10).images
+
+
+def naive_apply(f, word):
+    expanded = []
+    for letter in word.letters:
+        image = f.images[abs(letter) - 1].letters
+        expanded.extend(image if letter > 0 else [-x for x in reversed(image)])
+    return _reduce(expanded)
+
+
+def cancelling(rank, pieces=4):
+    """Letter lists built as u v v^-1 w w^-1 ..., heavy in w w^-1 pairs once
+    substituted."""
+    piece = letters(rank, 5)
+    return st.lists(st.tuples(piece, piece), max_size=pieces).map(
+        lambda pairs: [x for u, v in pairs for x in u + v + [-y for y in reversed(v)]])
+
+
+@given(st.data())
+def test_apply_map_matches_naive_substitution(data):
+    rank = data.draw(st.integers(1, 4))
+    conjugator = data.draw(letters(rank, 6))
+    images = []
+    for _ in range(rank):
+        core = data.draw(letters(rank, 4))
+        if data.draw(st.booleans()):  # conjugate: images sharing a prefix and its inverse
+            core = conjugator + core + [-x for x in reversed(conjugator)]
+        images.append(FreeWord(rank, tuple(core)))
+    f = FreeGroupMap(rank, tuple(images))
+    word = FreeWord(rank, tuple(data.draw(st.one_of(letters(rank, 20), cancelling(rank)))))
+    assert apply_map(f, word).letters == naive_apply(f, word)
+    assert apply_map(f, word) == FreeWord(rank, naive_apply(f, word))
+
+
+def nielsen(rank, i, j, sign):
+    """x_i -> x_i x_j^sign, with its witness."""
+    images = [[x] for x in range(1, rank + 1)]
+    inverses = [[x] for x in range(1, rank + 1)]
+    images[i - 1] = [i, sign * j]
+    inverses[i - 1] = [i, -sign * j]
+    return FreeGroupMap.from_letters(rank, images, inverses)
+
+
+@given(st.data())
+def test_derived_maps_pass_the_full_check(data):
+    f = FreeGroupMap.identity(data.draw(st.integers(2, 3)))
+    for _ in range(data.draw(st.integers(1, 8))):
+        step = data.draw(st.sampled_from(("move", "move", "inverse", "power", "extend")))
+        if step == "move":
+            i, j = data.draw(st.permutations(range(1, f.rank + 1)))[:2]
+            g = nielsen(f.rank, i, j, data.draw(st.sampled_from((1, -1))))
+            f = compose(f, g) if data.draw(st.booleans()) else compose(g, f)
+        elif step == "inverse":
+            f = f.inverse()
+        elif step == "power":
+            if sum(len(w) for w in f.images + f.inverse_images) < 60:  # keep words short
+                f = f.power(data.draw(st.integers(-3, 3)))
+        elif f.rank < 5:
+            f = f.extend(f.rank + 1, data.draw(st.integers(0, 1)))
+        assert FreeGroupMap(f.rank, f.images, f.inverse_images) == f
+        for w in f.images + f.inverse_images:
+            assert FreeWord(w.rank, w.letters) == w
