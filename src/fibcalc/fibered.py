@@ -18,7 +18,7 @@ from .matrices import char_poly
 from .mcg import (CurveSpec, SurfaceMonodromy, boundary_connected_sum,
                   compose_monodromy, curated_payload, mirror, twist_monodromy)
 from .presentation import GroupPresentation, hnn_presentation
-from .words import FreeWord, surface_names
+from .words import FreeWord, _check_int, _check_type, surface_names
 
 
 _KNOT_AMBIENTS = ("S3", "homology_sphere")
@@ -64,8 +64,10 @@ class FiberedKnot:
     label: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.ambient.kind not in _KNOT_AMBIENTS:
+        if not isinstance(self.ambient, Ambient) or self.ambient.kind not in _KNOT_AMBIENTS:
             raise MalformedInputError("a 1-knot ambient must be S3 or a homology sphere")
+        _check_int(self.genus, "genus")
+        _check_type(self.monodromy, SurfaceMonodromy, "knot monodromy")
         if self.monodromy.genus != self.genus:
             raise RankMismatchError("monodromy genus must equal the knot genus")
 
@@ -92,6 +94,7 @@ def alexander_poly(knot: FiberedKnot) -> LaurentPoly:
 def stallings_twist(knot: FiberedKnot, curve: CurveSpec, m: int) -> FiberedKnot:
     """Recut the fibration along a framing-zero curve in a fiber and twist m
     times: the monodromy becomes phi o tau_c^m."""
+    _check_int(m, "twist count")
     if not curve.fiber_framing_zero:
         raise PreconditionError("Stallings twist needs a curve with fiber framing zero")
     if curve.genus != knot.genus:
@@ -109,6 +112,8 @@ def distinctness_bound(m: int, g: int) -> bool:
     """True when twisting m times along a Stallings curve on a genus-g fiber
     (g >= 2) provably changes the knot: |m| = 1 or |m| > 9g - 3.  False means
     the criterion is silent, not that the knots agree."""
+    _check_int(m, "twist count")
+    _check_int(g, "genus")
     if g < 2:
         raise InapplicableError("the distinctness criterion assumes genus >= 2")
     return abs(m) == 1 or abs(m) > 9 * g - 3
@@ -132,6 +137,7 @@ def mirror_knot(knot: FiberedKnot) -> FiberedKnot:
 def dual_knot_surgery_descriptor(knot: FiberedKnot, n: int) -> FiberedKnot:
     """The dual knot of (1/n)-surgery: same exterior, so identical monodromy
     data, retagged into the surgered homology sphere."""
+    _check_int(n, "surgery denominator")
     if knot.ambient.kind != "S3":
         raise PreconditionError("surgery descriptor is defined for knots in S3")
     if n == 0:

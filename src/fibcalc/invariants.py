@@ -171,7 +171,10 @@ def alexander_from_presentation(presentation: GroupPresentation,
     if assignment is None:
         exps = infinite_cyclic_exponents(presentation)
     else:
-        exps = tuple(int(x) for x in assignment)
+        if (type(assignment) not in (tuple, list)
+                or any(type(x) is not int for x in assignment)):
+            raise MalformedInputError("assignment must be a tuple or a list of integers")
+        exps = tuple(assignment)
         if len(exps) != n:
             raise MalformedInputError("assignment length must match generator count")
         for rel in presentation.relators:
@@ -334,6 +337,8 @@ def count_homs(presentation: GroupPresentation, group: FiniteGroupTable,
     """
     if budget is None:
         budget = default_hom_budget()
+    elif type(budget) is not int:
+        raise MalformedInputError(f"homomorphism budget must be an integer, not {budget!r}")
     n = presentation.n_generators
     order = group.order
     if order**n > budget:

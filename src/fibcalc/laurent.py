@@ -18,12 +18,15 @@ class LaurentPoly:
     terms: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        if type(self.terms) not in (tuple, list):
+            raise MalformedInputError(f"Laurent terms {self.terms!r} are not a tuple or a list")
         nonzero = []
-        for e, c in self.terms:
-            if type(e) is not int or type(c) is not int:
-                raise MalformedInputError(f"Laurent term {(e, c)!r} is not a pair of integers")
-            if c:
-                nonzero.append((e, c))
+        for term in self.terms:
+            if not (type(term) in (tuple, list) and len(term) == 2
+                    and type(term[0]) is int and type(term[1]) is int):
+                raise MalformedInputError(f"Laurent term {term!r} is not a pair of integers")
+            if term[1]:
+                nonzero.append(tuple(term))
         fixed = tuple(sorted(nonzero))
         exps = [e for e, _ in fixed]
         if len(set(exps)) != len(exps):

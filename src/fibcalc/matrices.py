@@ -28,10 +28,12 @@ class IntMatrix:
             raise MalformedInputError("matrix dimensions must be integers")
         if self.rows < 0 or self.cols < 0:
             raise MalformedInputError("negative matrix dimension")
-        if len(self.entries) != self.rows:
-            raise MalformedInputError("row count mismatch")
+        if type(self.entries) not in (tuple, list) or len(self.entries) != self.rows:
+            raise MalformedInputError("entries must be a tuple or a list of `rows` rows")
         fixed = []
         for row in self.entries:
+            if type(row) not in (tuple, list):
+                raise MalformedInputError(f"matrix row {row!r} is not a tuple or a list")
             row = tuple(row)
             if len(row) != self.cols:
                 raise MalformedInputError("ragged matrix rows")
@@ -108,6 +110,8 @@ class IntMatrix:
         return self.add(other.neg())
 
     def power(self, n: int) -> "IntMatrix":
+        if type(n) is not int:
+            raise MalformedInputError(f"exponent must be an integer, not {n!r}")
         if self.rows != self.cols:
             raise RankMismatchError("power of a non-square matrix")
         if n < 0:

@@ -10,6 +10,22 @@ derived from curve diagrams.
 The handlebody convention: the inclusion of the boundary surface kills the
 b-classes and sends [ai] to the i-th handlebody generator, so the standard
 Lagrangian is span{[b1], ..., [bg]}.
+
+Curves and monodromies are checked where they enter: the `CurveSpec`,
+`SurfaceMonodromy` and `HandlebodyMonodromy` constructors (used by the JSON
+loader, the catalog builders and callers) check shapes and types, that the
+action is symplectic, that a pi1 payload abelianizes to the homological
+action, and Lagrangian compatibility.  `SurfaceMonodromy.identity`,
+`twist_monodromy`, `compose_monodromy`, `mirror`, `boundary_connected_sum`
+and `CurveSpec.extend` derive their results from checked values and build
+them without a second check, because each fact holds by construction:
+transvections, products, unimodular inverses and block sums of symplectic
+matrices are symplectic; abelianization is a homomorphism, so it carries a
+power, composite, inverse or block extension of payloads to the same
+operation on their actions (a payload's m-th power abelianizes to the m-th
+transvection, since c c^T J squares to zero); and extending a curve keeps its
+a-coordinates zero and its payload's abelianization the transvection of the
+extended class.
 """
 
 from __future__ import annotations
@@ -21,7 +37,8 @@ from typing import Sequence
 from .errors import (CatalogError, MalformedInputError, MissingPayloadError,
                      RankMismatchError)
 from .matrices import IntMatrix, block_diag, in_row_span, smith_diagonal
-from .words import FreeGroupMap, abelianize, compose
+from .words import (FreeGroupMap, _check_int, _check_sequence, _check_type, _unchecked,
+                    abelianize, compose)
 
 
 def symplectic_form(genus: int) -> IntMatrix:
@@ -81,16 +98,23 @@ class CurveSpec:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        _check_int(self.genus, "genus")
+        _check_sequence(self.homology_class, "homology class")
         vec = tuple(self.homology_class)
         if any(type(x) is not int for x in vec):
             raise MalformedInputError("homology class entries must be integers")
         if len(vec) != 2 * self.genus:
             raise MalformedInputError("homology class must have length 2*genus")
         object.__setattr__(self, "homology_class", vec)
+        flags = (self.bounds_disk_in_handlebody, self.unknotted_in_ambient,
+                 self.fiber_framing_zero)
+        if any(type(flag) is not bool for flag in flags):
+            raise MalformedInputError("curve flags must be booleans")
         if self.bounds_disk_in_handlebody and any(vec[2 * i] for i in range(self.genus)):
             raise MalformedInputError(
                 "a curve bounding a disk in the handlebody must lie in span{[b_i]}")
         if self.pi1_payload is not None:
+            _check_type(self.pi1_payload, FreeGroupMap, "pi1 payload")
             if self.pi1_payload.rank != 2 * self.genus:
                 raise RankMismatchError("pi1 payload must have rank 2*genus")
             if abelianize(self.pi1_payload) != transvection(self):
@@ -99,6 +123,8 @@ class CurveSpec:
 
     def extend(self, new_genus: int, handle_offset: int = 0) -> "CurveSpec":
         """The same curve viewed on a larger surface (handles shifted up)."""
+        _check_int(new_genus, "genus")
+        _check_int(handle_offset, "handle offset")
         if new_genus == self.genus and handle_offset == 0:
             return self
         if handle_offset < 0 or handle_offset + self.genus > new_genus:
@@ -112,9 +138,19 @@ class CurveSpec:
         name = self.name
         if name is not None and handle_offset:
             name = f"{name}+{handle_offset}"
-        return CurveSpec(new_genus, tuple(vec), payload,
-                         self.bounds_disk_in_handlebody, self.unknotted_in_ambient,
-                         self.fiber_framing_zero, name)
+        return _unchecked(CurveSpec, new_genus, tuple(vec), payload,
+                          self.bounds_disk_in_handlebody, self.unknotted_in_ambient,
+                          self.fiber_framing_zero, name)
+
+
+def _twist_word(word, what: str) -> tuple[tuple[CurveSpec, int], ...]:
+    """`word` as a tuple of (curve, multiplier) pairs, checked for shape."""
+    _check_sequence(word, what)
+    for entry in word:
+        if not (type(entry) in (tuple, list) and len(entry) == 2
+                and isinstance(entry[0], CurveSpec) and type(entry[1]) is int):
+            raise MalformedInputError(f"{what} entry {entry!r} is not a (curve, int) pair")
+    return tuple(tuple(entry) for entry in word)
 
 
 def transvection(curve: "CurveSpec | Sequence[int]", multiplier: int = 1) -> IntMatrix:
@@ -140,21 +176,26 @@ class SurfaceMonodromy:
     provenance: tuple[tuple[CurveSpec, int], ...] = ()
 
     def __post_init__(self):
+        _check_int(self.genus, "genus")
+        _check_type(self.action, IntMatrix, "homological action")
         n = 2 * self.genus
         if (self.action.rows, self.action.cols) != (n, n):
             raise RankMismatchError("homological action must be 2g x 2g")
         if not is_symplectic(self.action):
             raise MalformedInputError("homological action must be symplectic")
         if self.pi1_action is not None:
+            _check_type(self.pi1_action, FreeGroupMap, "pi1 action")
             if self.pi1_action.rank != n:
                 raise RankMismatchError("pi1 action must have rank 2g")
             if abelianize(self.pi1_action) != self.action:
                 raise MalformedInputError("pi1 action must abelianize to the homological action")
-        object.__setattr__(self, "provenance", tuple(self.provenance))
+        object.__setattr__(self, "provenance", _twist_word(self.provenance, "provenance"))
 
     @classmethod
     def identity(cls, genus: int) -> "SurfaceMonodromy":
-        return cls(genus, IntMatrix.identity(2 * genus), FreeGroupMap.identity(2 * genus))
+        _check_int(genus, "genus")
+        pi1 = FreeGroupMap.identity(2 * genus)
+        return _unchecked(cls, genus, IntMatrix.identity(2 * genus), pi1, ())
 
     @classmethod
     def from_twist_word(cls, genus: int,
@@ -186,11 +227,12 @@ def _merge_twist_words(*words):
 
 
 def twist_monodromy(curve: CurveSpec, multiplier: int = 1) -> SurfaceMonodromy:
+    _check_int(multiplier, "twist multiplier")
     payload = None
     if curve.pi1_payload is not None:
         payload = curve.pi1_payload.power(multiplier)
-    return SurfaceMonodromy(curve.genus, transvection(curve, multiplier), payload,
-                            ((curve, multiplier),) if multiplier else ())
+    return _unchecked(SurfaceMonodromy, curve.genus, transvection(curve, multiplier), payload,
+                      ((curve, multiplier),) if multiplier else ())
 
 
 def compose_monodromy(m1: SurfaceMonodromy, m2: SurfaceMonodromy) -> SurfaceMonodromy:
@@ -201,8 +243,8 @@ def compose_monodromy(m1: SurfaceMonodromy, m2: SurfaceMonodromy) -> SurfaceMono
     payload = None
     if m1.pi1_action is not None and m2.pi1_action is not None:
         payload = compose(m1.pi1_action, m2.pi1_action)
-    return SurfaceMonodromy(m1.genus, m1.action.mul(m2.action), payload,
-                            _merge_twist_words(m1.provenance, m2.provenance))
+    return _unchecked(SurfaceMonodromy, m1.genus, m1.action.mul(m2.action), payload,
+                      _merge_twist_words(m1.provenance, m2.provenance))
 
 
 def mirror(m: SurfaceMonodromy) -> SurfaceMonodromy:
@@ -213,7 +255,7 @@ def mirror(m: SurfaceMonodromy) -> SurfaceMonodromy:
             raise MissingPayloadError("mirror needs an inverse witness on the pi1 payload")
         payload = m.pi1_action.inverse()
     prov = tuple((c, -k) for c, k in reversed(m.provenance))
-    return SurfaceMonodromy(m.genus, m.action.inverse_unimodular(), payload, prov)
+    return _unchecked(SurfaceMonodromy, m.genus, m.action.inverse_unimodular(), payload, prov)
 
 
 def boundary_connected_sum(m1: SurfaceMonodromy, m2: SurfaceMonodromy) -> SurfaceMonodromy:
@@ -226,7 +268,7 @@ def boundary_connected_sum(m1: SurfaceMonodromy, m2: SurfaceMonodromy) -> Surfac
     prov = _merge_twist_words(
         tuple((c.extend(genus, 0), k) for c, k in m1.provenance),
         tuple((c.extend(genus, m1.genus), k) for c, k in m2.provenance))
-    return SurfaceMonodromy(genus, action, payload, prov)
+    return _unchecked(SurfaceMonodromy, genus, action, payload, prov)
 
 
 @dataclass(frozen=True)
@@ -293,6 +335,9 @@ class HandlebodyMonodromy:
     boundary: SurfaceMonodromy
 
     def __post_init__(self):
+        _check_int(self.genus, "genus")
+        _check_type(self.pi1_action, FreeGroupMap, "handlebody pi1 action")
+        _check_type(self.boundary, SurfaceMonodromy, "boundary monodromy")
         if self.pi1_action.rank != self.genus:
             raise RankMismatchError("handlebody pi1 action must have rank g")
         if not self.pi1_action.has_witness:

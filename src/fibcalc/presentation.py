@@ -6,8 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import MalformedInputError, RankMismatchError
-from .words import FreeGroupMap, FreeWord, word_to_text
+from .errors import RankMismatchError
+from .words import (FreeGroupMap, FreeWord, _check_sequence, _check_type,
+                    check_generator_names, word_to_text)
 
 
 @dataclass(frozen=True)
@@ -16,11 +17,13 @@ class GroupPresentation:
     relators: tuple[FreeWord, ...]
 
     def __post_init__(self):
+        _check_sequence(self.generators, "generators")
         object.__setattr__(self, "generators", tuple(self.generators))
-        if len(set(self.generators)) != len(self.generators):
-            raise MalformedInputError("duplicate generator names")
+        check_generator_names(self.generators)
+        _check_sequence(self.relators, "relators")
         n = len(self.generators)
         for rel in self.relators:
+            _check_type(rel, FreeWord, "relator")
             if rel.rank != n:
                 raise RankMismatchError("relator rank must match the generator count")
         object.__setattr__(self, "relators", tuple(self.relators))

@@ -20,11 +20,12 @@ from dataclasses import dataclass, field
 from .errors import (MalformedInputError, MissingPayloadError, PreconditionError,
                      RankMismatchError, UnsupportedFiberError)
 from .matrices import IntMatrix, smith_diagonal
-from .mcg import (CurveSpec, HandlebodyMonodromy, SurfaceMonodromy,
+from .mcg import (CurveSpec, HandlebodyMonodromy, SurfaceMonodromy, _twist_word,
                   compose_monodromy, twist_monodromy)
 from .fibered import Ambient, FiberedKnot
 from .presentation import GroupPresentation, hnn_presentation
-from .words import FreeGroupMap, FreeWord, compose, handlebody_names
+from .words import (FreeGroupMap, FreeWord, _check_int, _check_type, _unchecked, compose,
+                    handlebody_names)
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,7 @@ class FiberType:
     summand_label: str | None = None
 
     def __post_init__(self):
+        _check_int(self.genus, "fiber genus")
         if self.genus < 0:
             raise MalformedInputError("fiber genus must be nonnegative")
 
@@ -50,11 +52,14 @@ class FiberedDisk:
     label: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.ambient.kind not in ("B4", "homotopy_B4", "contractible"):
+        if (not isinstance(self.ambient, Ambient)
+                or self.ambient.kind not in ("B4", "homotopy_B4", "contractible")):
             raise MalformedInputError("a disk ambient must be B4, homotopy_B4 or contractible")
+        _check_type(self.fiber, FiberType, "disk fiber")
+        _check_type(self.monodromy, HandlebodyMonodromy, "disk monodromy")
         if self.fiber.genus != self.monodromy.genus:
             raise RankMismatchError("fiber genus must match the monodromy genus")
-        object.__setattr__(self, "twist_history", tuple(self.twist_history))
+        object.__setattr__(self, "twist_history", _twist_word(self.twist_history, "twist history"))
 
 
 def _doubling_change_of_basis(genus: int) -> tuple[FreeGroupMap, FreeGroupMap]:
@@ -162,7 +167,14 @@ def disk_twist(disk: FiberedDisk, curve: CurveSpec, m: int) -> FiberedDisk:
     only the boundary monodromy picks up the twist.  If the disk is not known
     to be unknotted in the ambient 4-ball, the ambient degrades to a homotopy
     4-ball instead of erroring.
+
+    The twisted handlebody monodromy is built without re-checking Lagrangian
+    compatibility: the curve's class c lies in the isotropic span{[b_i]}, so
+    the transvection x -> x + m <x, c> c fixes that span pointwise and moves
+    every class by a multiple of c, which induces the identity on the
+    quotient; the composite is compatible exactly when the old boundary is.
     """
+    _check_int(m, "twist count")
     if not curve.bounds_disk_in_handlebody:
         raise PreconditionError("disk twist needs a curve bounding a disk in the handlebody")
     if curve.genus != disk.monodromy.genus:
@@ -170,7 +182,8 @@ def disk_twist(disk: FiberedDisk, curve: CurveSpec, m: int) -> FiberedDisk:
     if m == 0:
         return disk
     boundary = compose_monodromy(disk.monodromy.boundary, twist_monodromy(curve, m))
-    hb = HandlebodyMonodromy(disk.monodromy.genus, disk.monodromy.pi1_action, boundary)
+    hb = _unchecked(HandlebodyMonodromy, disk.monodromy.genus, disk.monodromy.pi1_action,
+                    boundary)
     ambient = disk.ambient
     if not curve.unknotted_in_ambient and ambient.kind == "B4":
         ambient = Ambient("homotopy_B4")

@@ -21,7 +21,8 @@ from .invariants import count_homs, finite_group, group_catalog_names, h1
 from .mcg import CurveSpec, SurfaceMonodromy
 from .presentation import GroupPresentation, hnn_presentation
 from .ribbon_disk import FiberedDisk, half_spin
-from .words import FreeGroupMap, FreeWord, compose, handlebody_names
+from .words import (FreeGroupMap, FreeWord, _check_int, _check_sequence, _check_type,
+                    compose, handlebody_names)
 
 
 @dataclass(frozen=True)
@@ -34,10 +35,12 @@ class FiberedTwoKnot:
     label: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.ambient.kind not in ("S4", "homotopy_S4"):
+        if not isinstance(self.ambient, Ambient) or self.ambient.kind not in ("S4", "homotopy_S4"):
             raise MalformedInputError("a 2-knot ambient must be S4 or homotopy_S4")
-        if self.gluck_parity not in (0, 1):
-            raise MalformedInputError("Gluck parity must be 0 or 1")
+        _check_int(self.fiber_rank, "fiber rank")
+        if type(self.gluck_parity) is not int or self.gluck_parity not in (0, 1):
+            raise MalformedInputError("Gluck parity must be the integer 0 or 1")
+        _check_type(self.monodromy_pi1, FreeGroupMap, "two-knot monodromy")
         if self.monodromy_pi1.rank != self.fiber_rank:
             raise RankMismatchError("monodromy rank must equal the fiber rank")
         if not self.monodromy_pi1.has_witness:
@@ -52,6 +55,7 @@ class FiberedTwoKnot:
 def double_disk(disk: FiberedDisk, framing: int) -> FiberedTwoKnot:
     """Double a fibered disk along its boundary; the 2-handle framing only
     matters mod 2 and is recorded as the Gluck parity."""
+    _check_int(framing, "framing")
     if not disk.fiber.is_handlebody:
         raise UnsupportedFiberError("doubling needs a handlebody fiber")
     ambient = Ambient.s4() if disk.ambient.kind == "B4" else Ambient("homotopy_S4")
@@ -181,8 +185,13 @@ class PlanEntry:
     twist_sign: int
 
     def __post_init__(self):
+        _check_int(self.phase, "plan phase")
+        _check_int(self.twist_sign, "twist sign")
         if self.phase not in (1, 2):
             raise MalformedInputError("plan phase must be 1 or 2")
+        _check_type(self.torus_id, str, "torus id")
+        if self.curve is not None:
+            _check_type(self.curve, CurveSpec, "plan entry curve")
         if self.curve is None and self.twist_sign != 0:
             raise MalformedInputError("a stabilization entry has twist sign 0")
         if self.curve is not None and self.twist_sign not in (1, -1):
@@ -200,6 +209,11 @@ class SurgeryPlan:
     entries: tuple[PlanEntry, ...]
 
     def __post_init__(self):
+        _check_int(self.source_genus, "source genus")
+        _check_int(self.target_genus, "target genus")
+        _check_sequence(self.entries, "plan entries")
+        for entry in self.entries:
+            _check_type(entry, PlanEntry, "plan entry")
         object.__setattr__(self, "entries", tuple(self.entries))
 
     def phase_entries(self, phase: int) -> tuple[PlanEntry, ...]:

@@ -6,15 +6,18 @@ automorphisms must carry an inverse witness.
 
 Words and maps are checked where they enter the system: the `FreeWord` and
 `FreeGroupMap` constructors (and `from_letters`, which calls them) check
-ranks, letter types and ranges, the witness (f(f^-1(x_i)) = x_i and
-f^-1(f(x_i)) = x_i for every generator) and det +-1 of the abelianization.
-The JSON loader and the catalog builders go through these constructors.
-`identity`, `inverse`, `compose`, `extend` and `power` build their results
-from checked maps without a second check, because the facts it would prove
-hold by construction: the identity is its own witness; f^-1 is witnessed by
-f; if f and g are witnessed, g^-1 o f^-1 witnesses f o g and the
-determinants of their abelianizations multiply; an extension is witnessed by
-the extended witness and keeps the determinant; and powers are compositions.
+ranks, letter types and ranges, and the witness g of a map f in one
+direction only: f(g(x_i)) = x_i for every generator.  That is enough.  It
+says f o g = id, so f is onto; free groups of finite rank are Hopfian, so an
+onto endomorphism is an automorphism, hence g = f^-1 and g o f = id as well;
+and abelianizing f o g = id gives det(f) det(g) = 1 over the integers, so
+det(f) = +-1.  The JSON loader and the catalog builders go through these
+constructors.  `identity`, `inverse`, `compose`, `extend` and `power` build
+their results from checked maps through `_unchecked`, without a second
+check, because the facts it would prove hold by construction: the identity
+is its own witness; f^-1 is witnessed by f; if f and g are witnessed,
+g^-1 o f^-1 witnesses f o g; an extension is witnessed by the extended
+witness; and powers are compositions.
 
 All substitution runs through one kernel, `_expand`, which writes each
 letter's image after cancelling it against the reduced output so far.
@@ -40,9 +43,30 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _unchecked(cls, *values):
+    """An instance of the frozen dataclass `cls` with its fields set to
+    `values`, which are already known valid: the constructor's check and
+    normalization do not run.  Shared by every module that derives checked
+    values from checked values."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _check_int(value, what: str) -> None:
     if type(value) is not int:
         raise MalformedInputError(f"{what} must be an integer, not {value!r}")
+
+
+def _check_type(value, cls, what: str) -> None:
+    if not isinstance(value, cls):
+        raise MalformedInputError(f"{what} must be a {cls.__name__}, not {value!r}")
+
+
+def _check_sequence(value, what: str) -> None:
+    if type(value) not in (tuple, list):
+        raise MalformedInputError(f"{what} must be a tuple or a list, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +78,7 @@ class FreeWord:
         _check_int(self.rank, "rank")
         if self.rank < 0:
             raise MalformedInputError("negative rank")
+        _check_sequence(self.letters, "letters")
         letters = tuple(self.letters)
         for letter in letters:
             if type(letter) is not int or letter == 0 or abs(letter) > self.rank:
@@ -74,15 +99,15 @@ class FreeWord:
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if self.rank != other.rank:
             raise RankMismatchError("word product across different ranks")
-        return _word(self.rank, _reduce(self.letters + other.letters))
+        return _unchecked(FreeWord, self.rank, _reduce(self.letters + other.letters))
 
     def inverse(self) -> "FreeWord":
-        return _word(self.rank, tuple(-x for x in reversed(self.letters)))
+        return _unchecked(FreeWord, self.rank, tuple(-x for x in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "FreeWord":
         _check_int(n, "exponent")
         base = self if n >= 0 else self.inverse()
-        return _word(self.rank, _reduce(base.letters * abs(n)))
+        return _unchecked(FreeWord, self.rank, _reduce(base.letters * abs(n)))
 
     @property
     def is_identity(self) -> bool:
@@ -104,20 +129,24 @@ class FreeWord:
         _check_int(offset, "offset")
         if offset < 0 or self.rank + offset > new_rank:
             raise RankMismatchError("shift does not fit in the target rank")
-        return _word(new_rank, tuple(x + offset if x > 0 else x - offset
-                                     for x in self.letters))
+        return _unchecked(FreeWord, new_rank,
+                          tuple(x + offset if x > 0 else x - offset for x in self.letters))
 
     def __repr__(self):
         return f"FreeWord({self.rank}, {list(self.letters)})"
 
 
-def _word(rank: int, letters: tuple[int, ...]) -> FreeWord:
-    """A word from letters already reduced and in range, made without the
-    constructor's check."""
-    w = object.__new__(FreeWord)
-    object.__setattr__(w, "rank", rank)
-    object.__setattr__(w, "letters", letters)
-    return w
+def _image_words(words, rank: int, what: str) -> tuple[FreeWord, ...]:
+    """`words` as a tuple, checked to hold one rank-`rank` FreeWord per
+    generator."""
+    _check_sequence(words, what)
+    if len(words) != rank:
+        raise RankMismatchError(f"{what}: one word per generator is required")
+    for w in words:
+        _check_type(w, FreeWord, what)
+        if w.rank != rank:
+            raise RankMismatchError(f"{what}: word rank mismatch")
+    return tuple(words)
 
 
 def _table(words: Sequence[FreeWord]) -> list[tuple[int, ...]]:
@@ -156,32 +185,22 @@ class FreeGroupMap:
 
     def __post_init__(self):
         _check_int(self.rank, "rank")
-        if len(self.images) != self.rank:
-            raise RankMismatchError("one image per generator is required")
-        for w in self.images:
-            if w.rank != self.rank:
-                raise RankMismatchError("image rank mismatch")
-        object.__setattr__(self, "images", tuple(self.images))
+        object.__setattr__(self, "images", _image_words(self.images, self.rank, "images"))
         if self.inverse_images is not None:
-            inv = tuple(self.inverse_images)
-            if len(inv) != self.rank or any(w.rank != self.rank for w in inv):
-                raise RankMismatchError("inverse witness rank mismatch")
+            inv = _image_words(self.inverse_images, self.rank, "inverse witness")
             object.__setattr__(self, "inverse_images", inv)
-            forward, backward = _table(self.images), _table(inv)
-            for i in range(self.rank):
-                if (_expand(forward, inv[i].letters) != [i + 1]
-                        or _expand(backward, self.images[i].letters) != [i + 1]):
+            table = _table(self.images)
+            for i, w in enumerate(inv):
+                if _expand(table, w.letters) != [i + 1]:
                     raise MalformedInputError("inverse witness does not invert the map")
-            if abelianize(self).det() not in (1, -1):
-                raise MalformedInputError("witnessed map must abelianize to det +-1")
 
     @classmethod
     def identity(cls, rank: int) -> "FreeGroupMap":
         _check_int(rank, "rank")
         if rank < 0:
             raise MalformedInputError("negative rank")
-        gens = tuple(_word(rank, (i + 1,)) for i in range(rank))
-        return _map(rank, gens, gens)
+        gens = tuple(_unchecked(FreeWord, rank, (i + 1,)) for i in range(rank))
+        return _unchecked(FreeGroupMap, rank, gens, gens)
 
     @classmethod
     def from_letters(cls, rank: int, images: Sequence[Sequence[int]],
@@ -199,7 +218,7 @@ class FreeGroupMap:
     def inverse(self) -> "FreeGroupMap":
         if self.inverse_images is None:
             raise MalformedInputError("map has no inverse witness")
-        return _map(self.rank, self.inverse_images, self.images)
+        return _unchecked(FreeGroupMap, self.rank, self.inverse_images, self.images)
 
     def extend(self, new_rank: int, offset: int = 0) -> "FreeGroupMap":
         """Act as before on a block of generators, identically elsewhere."""
@@ -209,11 +228,11 @@ class FreeGroupMap:
             raise RankMismatchError("extension does not fit in the target rank")
 
         def extended(words):
-            out = [_word(new_rank, (i + 1,)) for i in range(new_rank)]
+            out = [_unchecked(FreeWord, new_rank, (i + 1,)) for i in range(new_rank)]
             out[offset:offset + self.rank] = (w.shift(new_rank, offset) for w in words)
             return tuple(out)
         invs = None if self.inverse_images is None else extended(self.inverse_images)
-        return _map(new_rank, extended(self.images), invs)
+        return _unchecked(FreeGroupMap, new_rank, extended(self.images), invs)
 
     def power(self, n: int) -> "FreeGroupMap":
         """f^n by repeated squaring; f^-n needs the inverse witness."""
@@ -233,21 +252,10 @@ class FreeGroupMap:
         return f"FreeGroupMap({self.rank}, {[list(w.letters) for w in self.images]})"
 
 
-def _map(rank: int, images: tuple[FreeWord, ...],
-         inverse_images: tuple[FreeWord, ...] | None) -> FreeGroupMap:
-    """A map derived from checked maps, made without the constructor's check
-    (see the module docstring for why none is needed)."""
-    f = object.__new__(FreeGroupMap)
-    object.__setattr__(f, "rank", rank)
-    object.__setattr__(f, "images", images)
-    object.__setattr__(f, "inverse_images", inverse_images)
-    return f
-
-
 def _substitute(f_images: Sequence[FreeWord], words: Sequence[FreeWord]) -> tuple[FreeWord, ...]:
     """The words f(w) for w in `words`, where f is x_i -> f_images[i-1]."""
     table, rank = _table(f_images), len(f_images)
-    return tuple(_word(rank, tuple(_expand(table, w.letters))) for w in words)
+    return tuple(_unchecked(FreeWord, rank, tuple(_expand(table, w.letters))) for w in words)
 
 
 def apply_map(f: FreeGroupMap, word: FreeWord) -> FreeWord:
@@ -263,7 +271,7 @@ def compose(f: FreeGroupMap, g: FreeGroupMap) -> FreeGroupMap:
     invs = None
     if f.inverse_images is not None and g.inverse_images is not None:
         invs = _substitute(g.inverse_images, f.inverse_images)
-    return _map(f.rank, _substitute(f.images, g.images), invs)
+    return _unchecked(FreeGroupMap, f.rank, _substitute(f.images, g.images), invs)
 
 
 def abelianize(f: FreeGroupMap) -> IntMatrix:
@@ -291,7 +299,10 @@ def check_generator_names(names: Sequence[str]) -> None:
     """Each name must be nonempty, free of whitespace and start with a
     lowercase letter, and the names and their inverse tokens must all differ;
     any other name would read back as a different word."""
-    _token_tables(tuple(names))
+    names = tuple(names)
+    if any(type(name) is not str for name in names):
+        raise MalformedInputError(f"generator names {list(names)} must be strings")
+    _token_tables(names)
 
 
 @lru_cache(maxsize=64)

@@ -1,14 +1,32 @@
 """Library constructors take integers exactly: a float, a bool or a digit
-string is an error, never coerced."""
+string is an error, never coerced.  Malformed shapes are library errors too,
+never a raw AttributeError, TypeError or ValueError."""
+
+from dataclasses import replace
 
 import pytest
 
-from fibcalc.errors import MalformedInputError
+from fibcalc.errors import MalformedInputError, RankMismatchError
+from fibcalc.fibered import (Ambient, FiberedKnot, catalog_knot, distinctness_bound,
+                             dual_knot_surgery_descriptor, knot_group, stallings_twist)
+from fibcalc.invariants import alexander_from_presentation, count_homs, finite_group
 from fibcalc.laurent import LaurentPoly
 from fibcalc.matrices import IntMatrix
-from fibcalc.mcg import CurveSpec
-from fibcalc.two_knot import FillingDescriptor
+from fibcalc.mcg import CurveSpec, SurfaceMonodromy, curated_payload
+from fibcalc.presentation import GroupPresentation
+from fibcalc.ribbon_disk import FiberedDisk, FiberType, disk_twist, half_spin
+from fibcalc.two_knot import (FiberedTwoKnot, FillingDescriptor, PlanEntry, SurgeryPlan,
+                              spin)
 from fibcalc.words import FreeGroupMap, FreeWord
+
+
+def _trefoil_group():
+    return knot_group(catalog_knot("trefoil_R"))
+
+
+def _stallings_curve():
+    return curated_payload("square_knot_stallings_c1")
+
 
 PROBES = {
     "word letters": lambda: FreeWord(2, (1.0, True, "2")),
@@ -41,6 +59,45 @@ PROBES = {
     "slope bool": lambda: FillingDescriptor("Y", (True, 0)),
     "slope string": lambda: FillingDescriptor("Y", ("1", 2)),
     "slope int": lambda: FillingDescriptor("Y", 3),
+    "monodromy bool genus": lambda: SurfaceMonodromy(True, IntMatrix.identity(2)),
+    "monodromy float genus": lambda: SurfaceMonodromy(1.0, IntMatrix.identity(2)),
+    "knot float genus": lambda: FiberedKnot(Ambient.s3(), 1.0,
+                                            catalog_knot("trefoil_R").monodromy),
+    "two-knot bool parity": lambda: replace(spin(catalog_knot("trefoil_R")),
+                                            gluck_parity=True),
+    "assignment float": lambda: alexander_from_presentation(_trefoil_group(), (0, 0, 1.9)),
+    "assignment string": lambda: alexander_from_presentation(_trefoil_group(), (0, 0, "1")),
+    "stallings float count": lambda: stallings_twist(catalog_knot("square_knot"),
+                                                     _stallings_curve(), 0.0),
+    "disk bool count": lambda: disk_twist(half_spin(catalog_knot("trefoil_R")),
+                                          _stallings_curve(), False),
+    "distinctness float count": lambda: distinctness_bound(1.0, 2),
+    "surgery float denominator": lambda: dual_knot_surgery_descriptor(
+        catalog_knot("trefoil_R"), 1.0),
+    "plan bool phase": lambda: PlanEntry(True, "U1", None, 0),
+    "plan float genus": lambda: SurgeryPlan(1.0, 1, ()),
+}
+
+# Malformed shapes, each of which used to escape as a raw Python exception.
+SHAPE_PROBES = {
+    "map tuple image": lambda: FreeGroupMap(1, ((1,),)),
+    "map no images": lambda: FreeGroupMap(2, None),
+    "word int letters": lambda: FreeWord(2, 5),
+    "matrix int row": lambda: IntMatrix(1, 1, (5,)),
+    "laurent triple term": lambda: LaurentPoly(((1, 2, 3),)),
+    "monodromy string action": lambda: SurfaceMonodromy(1, "x"),
+    "curve int payload": lambda: CurveSpec(1, (1, 0), 5),
+    "fiber string genus": lambda: FiberType("1"),
+    "matrix float power": lambda: IntMatrix.identity(2).power(2.0),
+    "string hom budget": lambda: count_homs(_trefoil_group(), finite_group("Z2"), budget="x"),
+    "knot string monodromy": lambda: FiberedKnot(Ambient.s3(), 1, "x"),
+    "disk string monodromy": lambda: FiberedDisk(Ambient.b4(), FiberType(2), "x"),
+    "disk int history": lambda: replace(half_spin(catalog_knot("trefoil_R")), twist_history=5),
+    "two-knot string monodromy": lambda: FiberedTwoKnot(Ambient.s4(), 1, "x", 0),
+    "plan string curve": lambda: PlanEntry(1, "T1", "x", 1),
+    "plan int entries": lambda: SurgeryPlan(1, 1, 5),
+    "monodromy unpaired provenance": lambda: SurfaceMonodromy(0, IntMatrix.identity(0),
+                                                              None, (5,)),
 }
 
 
@@ -50,6 +107,26 @@ def test_constructor_rejects_non_integers(build):
         build()
 
 
+@pytest.mark.parametrize("build", SHAPE_PROBES.values(), ids=SHAPE_PROBES.keys())
+def test_malformed_shape_is_a_library_error(build):
+    with pytest.raises((MalformedInputError, RankMismatchError)):
+        build()
+
+
+def test_group_presentation_checks_generator_names():
+    with pytest.raises(MalformedInputError):
+        GroupPresentation("ab", ())
+    with pytest.raises(MalformedInputError):
+        GroupPresentation(("a b",), ())
+    with pytest.raises(MalformedInputError):
+        GroupPresentation(("x", "x"), ())
+    with pytest.raises(MalformedInputError):
+        GroupPresentation(("x", 1), ())
+    p = GroupPresentation(["x", "y"], (FreeWord(2, (1, 2)),))
+    assert p.generators == ("x", "y")
+    assert p.text() == "< x y | x y >"
+
+
 def test_integer_inputs_still_build():
     assert FreeWord(2, [1, -2, 2]).letters == (1,)
     assert IntMatrix.from_rows([[1, 0], [0, 1]]) == IntMatrix.identity(2)
@@ -57,3 +134,7 @@ def test_integer_inputs_still_build():
     assert LaurentPoly(((2, 1), (0, -1), (1, 0))).terms == ((0, -1), (2, 1))
     assert CurveSpec(1, [1, 0]).homology_class == (1, 0)
     assert FillingDescriptor("Y", [-1, 3]).slope == (-1, 3)
+    assert LaurentPoly([[1, 2], (0, 0)]).terms == ((1, 2),)
+    assert IntMatrix(1, 1, [[5]]).entries == ((5,),)
+    assert alexander_from_presentation(_trefoil_group(), [0, 0, 1]) == \
+        alexander_from_presentation(_trefoil_group())

@@ -265,3 +265,44 @@ def test_derived_maps_pass_the_full_check(data):
         assert FreeGroupMap(f.rank, f.images, f.inverse_images) == f
         for w in f.images + f.inverse_images:
             assert FreeWord(w.rank, w.letters) == w
+
+
+def two_sided_check(rank, images, inverses):
+    """The witness check the constructor used to run, kept as an oracle:
+    f(g(x_i)) = x_i and g(f(x_i)) = x_i for every generator, and det +-1."""
+    f = FreeGroupMap.from_letters(rank, images)
+    g = FreeGroupMap.from_letters(rank, inverses)
+    gens = [FreeWord(rank, (i + 1,)) for i in range(rank)]
+    return (all(apply_map(f, w) == x for w, x in zip(g.images, gens))
+            and all(apply_map(g, w) == x for w, x in zip(f.images, gens))
+            and abelianize(f).det() in (1, -1))
+
+
+@given(st.data())
+def test_one_sided_witness_check_matches_the_two_sided_oracle(data):
+    rank = data.draw(st.integers(1, 3))
+    f = FreeGroupMap.identity(rank)
+    for _ in range(data.draw(st.integers(0, 6))):
+        i = data.draw(st.integers(1, rank))
+        if rank == 1 or data.draw(st.booleans()):
+            flip = [[x] for x in range(1, rank + 1)]
+            flip[i - 1] = [-i]  # x_i -> x_i^-1, its own witness
+            g = FreeGroupMap.from_letters(rank, flip, flip)
+        else:
+            j = data.draw(st.integers(1, rank).filter(lambda j: j != i))
+            g = nielsen(rank, i, j, data.draw(st.sampled_from((1, -1))))
+        f = compose(f, g)
+    images = [list(w.letters) for w in f.images]
+    inverses = [list(w.letters) for w in f.inverse_images]
+    # change one letter of the witness or of an image, possibly to itself
+    words = data.draw(st.sampled_from((images, inverses)))
+    k = data.draw(st.integers(0, rank - 1))
+    position = data.draw(st.integers(0, len(words[k]) - 1))
+    words[k][position] = data.draw(st.integers(-rank, rank).filter(lambda x: x != 0))
+    expected = two_sided_check(rank, images, inverses)
+    try:
+        FreeGroupMap.from_letters(rank, images, inverses)
+    except MalformedInputError:
+        assert not expected
+    else:
+        assert expected
