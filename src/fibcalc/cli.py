@@ -17,7 +17,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true",
                         help="emit the canonical machine-readable report form")
     parser.add_argument("--hom-budget", type=int, default=None, metavar="N",
-                        help="cap on |G|^generators for homomorphism counting "
+                        help="cap on the search nodes (values tried for one generator) "
+                             "of each homomorphism count "
                              "(default: FIBCALC_HOM_BUDGET or %d)" % DEFAULT_HOM_BUDGET)
 
 

@@ -18,7 +18,7 @@ from .matrices import char_poly
 from .mcg import (CurveSpec, SurfaceMonodromy, boundary_connected_sum,
                   compose_monodromy, curated_payload, mirror, twist_monodromy)
 from .presentation import GroupPresentation, hnn_presentation
-from .words import FreeWord, _check_int, _check_type, surface_names
+from .words import FreeWord, _check_int, _check_optional_str, _check_type, surface_names
 
 
 _KNOT_AMBIENTS = ("S3", "homology_sphere")
@@ -32,6 +32,7 @@ class Ambient:
     descriptor: str | None = None
 
     def __post_init__(self):
+        _check_optional_str(self.descriptor, "ambient descriptor")
         if self.kind not in _KNOT_AMBIENTS + _DISK_AMBIENTS + _TWO_KNOT_AMBIENTS:
             raise MalformedInputError(f"unknown ambient tag {self.kind!r}")
         needs_descriptor = self.kind in ("homology_sphere", "contractible")
@@ -68,6 +69,7 @@ class FiberedKnot:
             raise MalformedInputError("a 1-knot ambient must be S3 or a homology sphere")
         _check_int(self.genus, "genus")
         _check_type(self.monodromy, SurfaceMonodromy, "knot monodromy")
+        _check_optional_str(self.label, "knot label")
         if self.monodromy.genus != self.genus:
             raise RankMismatchError("monodromy genus must equal the knot genus")
 
@@ -120,6 +122,8 @@ def distinctness_bound(m: int, g: int) -> bool:
 
 
 def connected_sum(k1: FiberedKnot, k2: FiberedKnot) -> FiberedKnot:
+    _check_type(k1, FiberedKnot, "summand")
+    _check_type(k2, FiberedKnot, "summand")
     if k1.ambient != k2.ambient:
         raise PreconditionError("connected sum needs matching ambient manifolds")
     label = None

@@ -6,8 +6,9 @@ homomorphisms into small finite groups.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import gcd
 
@@ -16,7 +17,7 @@ from .errors import (AbelianizationError, BudgetExceededError, CatalogError,
 from .laurent import LaurentPoly, laurent_gcd, normalize_alexander
 from .matrices import IntMatrix, laurent_det, smith_diagonal, smith_normal_form
 from .presentation import GroupPresentation
-from .words import FreeWord
+from .words import FreeWord, _check_int, _check_sequence, _check_type
 
 DEFAULT_HOM_BUDGET = 10**8
 _BUDGET_ENV = "FIBCALC_HOM_BUDGET"
@@ -153,13 +154,22 @@ def infinite_cyclic_exponents(presentation: GroupPresentation) -> tuple[int, ...
 def h1(presentation: GroupPresentation) -> list[int]:
     """Invariant factors of H1 of the presented group: torsion orders followed
     by one 0 per free Z summand; the empty list means the trivial group."""
+    _check_type(presentation, GroupPresentation, "presentation")
+    return list(_invariant_factors(presentation))
+
+
+# One report asks for H1 and then counts homs into several abelian groups,
+# all from the same Smith form; a few entries cover that reuse without
+# letting the cache grow with the number of presentations seen.
+@lru_cache(maxsize=8)
+def _invariant_factors(presentation: GroupPresentation) -> tuple[int, ...]:
     n = presentation.n_generators
     rows = presentation.relator_matrix_rows()
     if not rows:
-        return [0] * n
+        return (0,) * n
     diag = smith_diagonal(IntMatrix.from_rows(rows))
     rank = sum(1 for x in diag if x != 0)
-    return [x for x in diag if x > 1] + [0] * (n - rank)
+    return tuple(x for x in diag if x > 1) + (0,) * (n - rank)
 
 
 def alexander_from_presentation(presentation: GroupPresentation,
@@ -224,6 +234,14 @@ def alexander_from_presentation(presentation: GroupPresentation,
 
 @dataclass(frozen=True)
 class FiniteGroupTable:
+    """A finite group by its multiplication table on the elements 0..order-1.
+
+    The constructor finds the identity and the inverses and checks
+    associativity.  What `count_homs` reads besides is computed on first
+    use: whether the group is abelian, the order of each element, and for
+    each element h the orbits of its centralizer acting on the group by
+    conjugation, as (representative, orbit size) pairs.  The orbits of the
+    identity's centralizer are the conjugacy classes."""
     label: str
     order: int
     table: tuple[tuple[int, ...], ...]
@@ -232,33 +250,73 @@ class FiniteGroupTable:
     inverses: tuple[int, ...] = ()
 
     def __post_init__(self):
+        _check_type(self.label, str, "group label")
+        _check_int(self.order, "group order")
         n = self.order
-        if len(self.table) != n or any(len(row) != n for row in self.table):
+        _check_sequence(self.table, "multiplication table")
+        _check_sequence(self.names, "element names")
+        if len(self.table) != n or any(type(row) not in (tuple, list) or len(row) != n
+                                       for row in self.table):
             raise MalformedInputError("multiplication table must be n x n")
-        if len(self.names) != n:
-            raise MalformedInputError("need one name per element")
+        if any(type(x) is not int or not 0 <= x < n for row in self.table for x in row):
+            raise MalformedInputError("multiplication table entries must be elements 0..n-1")
+        if len(self.names) != n or any(type(name) is not str for name in self.names):
+            raise MalformedInputError("need one name (a string) per element")
+        table = tuple(tuple(row) for row in self.table)
         identity = None
         for e in range(n):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(n)):
+            if all(table[e][x] == x and table[x][e] == x for x in range(n)):
                 identity = e
                 break
         if identity is None:
             raise MalformedInputError("no identity element")
         inverses = []
         for x in range(n):
-            inv = next((y for y in range(n) if self.table[x][y] == identity
-                        and self.table[y][x] == identity), None)
+            inv = next((y for y in range(n) if table[x][y] == identity
+                        and table[y][x] == identity), None)
             if inv is None:
                 raise MalformedInputError(f"element {x} has no inverse")
             inverses.append(inv)
         for a in range(n):
             for b in range(n):
-                ab = self.table[a][b]
+                ab = table[a][b]
                 for c in range(n):
-                    if self.table[ab][c] != self.table[a][self.table[b][c]]:
+                    if table[ab][c] != table[a][table[b][c]]:
                         raise MalformedInputError("multiplication is not associative")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverses", tuple(inverses))
+
+    @cached_property
+    def is_abelian(self) -> bool:
+        t = self.table
+        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
+
+    @cached_property
+    def element_orders(self) -> tuple[int, ...]:
+        orders = []
+        for x in range(self.order):
+            k, power = 1, x
+            while power != self.identity:
+                k, power = k + 1, self.table[power][x]
+            orders.append(k)
+        return tuple(orders)
+
+    @cached_property
+    def orbits(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        t, n = self.table, self.order
+        out = []
+        for h in range(n):
+            centralizer = [g for g in range(n) if t[g][h] == t[h][g]]
+            reps, seen = [], set()
+            for x in range(n):
+                if x not in seen:
+                    conjugates = {t[t[g][x]][self.inverses[g]] for g in centralizer}
+                    seen |= conjugates
+                    reps.append((x, len(conjugates)))
+            out.append(tuple(reps))
+        return tuple(out)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -316,8 +374,13 @@ def group_catalog_names() -> tuple[str, ...]:
     return tuple(sorted(_GROUP_BUILDERS))
 
 
-@lru_cache(maxsize=None)
 def finite_group(name: str) -> FiniteGroupTable:
+    _check_type(name, str, "finite group name")
+    return _finite_group(name)
+
+
+@lru_cache(maxsize=None)
+def _finite_group(name: str) -> FiniteGroupTable:
     try:
         builder = _GROUP_BUILDERS[name]
     except KeyError:
@@ -329,67 +392,134 @@ def count_homs(presentation: GroupPresentation, group: FiniteGroupTable,
                budget: int | None = None) -> int:
     """Exact number of homomorphisms from the presented group into `group`.
 
-    Enumeration is deterministic: the meridian generator (named "t") is fixed
-    first when present, then the remaining generators in presentation order;
-    a relator is checked as soon as all its generators are assigned.  The
-    nominal budget check |G|^n <= budget happens before any enumeration and
-    failure raises, never returning a partial count.
+    Abelian targets A are counted through H1: a hom factors through the
+    abelianization, so the count is the product over the invariant factors
+    d_i of H1 of #{a in A : a^d_i = e}, where a free summand (d_i = 0)
+    counts |A|.  This route searches nothing.
+
+    Other targets go through a search with deductions (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005).  A plan fixed by
+    the presentation alone assigns the generators one at a time.  When an
+    unfinished relator u x^s v has x as its only unassigned generator, and x
+    occurs in it once, x is forced: x^s = (v u)^-1.  Otherwise the step
+    enumerates the unassigned generator that occurs in the most unfinished
+    relators.  Conjugating a hom by g matches the homs with x -> y one to
+    one with those with x -> g y g^-1, so the first enumerated generator
+    (the meridian "t" when present) runs over one representative per
+    conjugacy class, weighted by the class size; the second runs over the
+    orbits of the centralizer of the first one's value, weighted by the
+    orbit size.  Each step checks only the relators it completes.
+
+    A node is one candidate value tried for a generator, enumerated or
+    forced.  The budget bounds the nodes visited; going over it raises
+    BudgetExceededError, never returning a partial count.
     """
+    _check_type(presentation, GroupPresentation, "presentation")
+    _check_type(group, FiniteGroupTable, "group")
     if budget is None:
         budget = default_hom_budget()
     elif type(budget) is not int:
         raise MalformedInputError(f"homomorphism budget must be an integer, not {budget!r}")
+    if group.is_abelian:
+        count = 1
+        for d in _invariant_factors(presentation):
+            count *= sum(1 for k in group.element_orders if d % k == 0)
+        return count
+    return _search_homs(presentation, group, budget)
+
+
+# A report searches S3 and then D4 on the same presentation.
+@lru_cache(maxsize=8)
+def _search_plan(presentation: GroupPresentation) -> tuple[tuple, ...]:
+    """The steps of the hom search, one per generator, in order.
+
+    A step is (slot, word, checks).  Generator i has slots 2i (its value)
+    and 2i + 1 (its inverse's), and a word is a tuple of slots.  `word` is
+    None for an enumerated step; for a forced step the value is the product
+    of `word`.  `checks` are the relators, as words, that the step completes
+    and that must multiply out to the identity."""
     n = presentation.n_generators
-    order = group.order
-    if order**n > budget:
-        raise BudgetExceededError(
-            f"|G|^n = {order}**{n} exceeds the homomorphism budget {budget}")
-    if n == 0:
-        return 1 if all(r.is_identity for r in presentation.relators) else 0
-
-    gen_order = list(range(n))
-    for j, name in enumerate(presentation.generators):
-        if name == "t":
-            gen_order = [j] + [i for i in range(n) if i != j]
-            break
-    position = {g: p for p, g in enumerate(gen_order)}
-
-    relators = []
-    for rel in presentation.relators:
-        letters = tuple((position[abs(x) - 1], 1 if x > 0 else -1) for x in rel.letters)
-        ready_at = max((pos for pos, _ in letters), default=-1)
-        relators.append((ready_at, letters))
-    buckets: list[list[tuple[tuple[int, int], ...]]] = [[] for _ in range(n)]
-    immediate_ok = True
-    for ready_at, letters in relators:
-        if ready_at < 0:
-            immediate_ok = immediate_ok and not letters
+    relators = [rel.letters for rel in presentation.relators if rel.letters]
+    slots = [tuple(2 * abs(x) - 2 + (x < 0) for x in rel) for rel in relators]
+    occurrences = [Counter(abs(x) - 1 for x in rel) for rel in relators]
+    pending = [len(rel) for rel in relators]  # letters whose generator is unassigned
+    containing: list[list[int]] = [[] for _ in range(n)]
+    for k, counts in enumerate(occurrences):
+        for g in counts:
+            containing[g].append(k)
+    degree = [len(ks) for ks in containing]  # unfinished relators holding each generator
+    unfinished = list(range(len(relators)))
+    unassigned = set(range(n))
+    first = presentation.generators.index("t") if "t" in presentation.generators else None
+    steps = []
+    while unassigned:
+        # A relator with one pending letter has one unassigned generator, occurring once.
+        forced = next((k for k in unfinished if pending[k] == 1), None)
+        if forced is not None:
+            p = next(p for p, letter in enumerate(relators[forced])
+                     if abs(letter) - 1 in unassigned)
+            x = abs(relators[forced][p]) - 1
+            rest = slots[forced][p + 1:] + slots[forced][:p]  # x^s rest = e
+            word = rest if relators[forced][p] < 0 else tuple(s ^ 1 for s in reversed(rest))
+        elif first in unassigned and all(step[1] is not None for step in steps):
+            x, word = first, None
         else:
-            buckets[ready_at].append(letters)
-    if not immediate_ok:
-        return 0
+            x, word = min(unassigned, key=lambda g: (-degree[g], g)), None
+        unassigned.discard(x)
+        for k in containing[x]:
+            pending[k] -= occurrences[k][x]
+            if not pending[k]:
+                for g in occurrences[k]:
+                    degree[g] -= 1
+        checks = tuple(slots[k] for k in unfinished if not pending[k] and k != forced)
+        unfinished = [k for k in unfinished if pending[k]]
+        steps.append((2 * x, word, checks))
+    return tuple(steps)
 
-    assignment = [0] * n
-    table = group.table
-    invs = group.inverses
-    identity = group.identity
 
-    def relator_holds(letters) -> bool:
-        acc = identity
-        for pos, sign in letters:
-            x = assignment[pos]
-            acc = table[acc][x if sign > 0 else invs[x]]
-        return acc == identity
+def _search_homs(presentation: GroupPresentation, group: FiniteGroupTable,
+                 budget: int) -> int:
+    steps = _search_plan(presentation)
+    table, inverses, e = group.table, group.inverses, group.identity
+    everything = tuple((value, 1) for value in range(group.order))
+    enumerated = iter(k for k, (_, word, _) in enumerate(steps) if word is None)
+    first, second = next(enumerated, None), next(enumerated, None)
+    orbits = group.orbits
+    candidates = [None if word is not None else orbits[e] if k == first else everything
+                  for k, (_, word, _) in enumerate(steps)]
+    values = [e] * (2 * presentation.n_generators)
+    visited = 0
+    last = len(steps)
 
-    def search(pos: int) -> int:
+    def descend(k: int) -> int:
+        nonlocal visited
+        if k == last:
+            return 1
+        slot, word, checks = steps[k]
+        options = candidates[k]
+        if k == second:
+            options = orbits[values[steps[first][0]]]
+        elif options is None:
+            acc = e
+            for s in word:
+                acc = table[acc][values[s]]
+            options = ((acc, 1),)
         total = 0
-        for value in range(order):
-            assignment[pos] = value
-            if all(relator_holds(rel) for rel in buckets[pos]):
-                if pos + 1 == n:
-                    total += 1
-                else:
-                    total += search(pos + 1)
+        for value, weight in options:
+            visited += 1
+            if visited > budget:
+                raise BudgetExceededError(
+                    f"homomorphism search visited {visited} nodes, over the budget {budget}")
+            values[slot] = value
+            values[slot + 1] = inverses[value]
+            for check in checks:
+                acc = e
+                for s in check:
+                    acc = table[acc][values[s]]
+                if acc != e:
+                    break
+            else:
+                total += weight * descend(k + 1)
         return total
 
-    return search(0)
+    return descend(0)

@@ -37,8 +37,8 @@ from typing import Sequence
 from .errors import (CatalogError, MalformedInputError, MissingPayloadError,
                      RankMismatchError)
 from .matrices import IntMatrix, block_diag, in_row_span, smith_diagonal
-from .words import (FreeGroupMap, _check_int, _check_sequence, _check_type, _unchecked,
-                    abelianize, compose)
+from .words import (FreeGroupMap, _check_int, _check_optional_str, _check_sequence,
+                    _check_type, _unchecked, abelianize, compose)
 
 
 def symplectic_form(genus: int) -> IntMatrix:
@@ -99,6 +99,7 @@ class CurveSpec:
 
     def __post_init__(self):
         _check_int(self.genus, "genus")
+        _check_optional_str(self.name, "curve name")
         _check_sequence(self.homology_class, "homology class")
         vec = tuple(self.homology_class)
         if any(type(x) is not int for x in vec):
@@ -157,7 +158,14 @@ def transvection(curve: "CurveSpec | Sequence[int]", multiplier: int = 1) -> Int
     """Homological action of the m-th power of a right-handed Dehn twist:
     x -> x + m <x, c> c.  Computed as I - m (c c^T J); the closed form holds
     because c c^T J is square-zero."""
-    vec = tuple(curve.homology_class) if isinstance(curve, CurveSpec) else tuple(curve)
+    _check_int(multiplier, "twist multiplier")
+    if isinstance(curve, CurveSpec):
+        vec = curve.homology_class
+    else:
+        _check_sequence(curve, "homology class")
+        vec = tuple(curve)
+        if any(type(x) is not int for x in vec):
+            raise MalformedInputError("homology class entries must be integers")
     n = len(vec)
     if n % 2 != 0:
         raise MalformedInputError("homology class must have even length")
@@ -227,6 +235,7 @@ def _merge_twist_words(*words):
 
 
 def twist_monodromy(curve: CurveSpec, multiplier: int = 1) -> SurfaceMonodromy:
+    _check_type(curve, CurveSpec, "twist curve")
     _check_int(multiplier, "twist multiplier")
     payload = None
     if curve.pi1_payload is not None:

@@ -50,6 +50,8 @@ def hnn_presentation(monodromy: FreeGroupMap, fiber_names: Sequence[str],
                      stable_name: str = "t") -> GroupPresentation:
     """Presentation of the mapping-torus group: generators the fiber group
     generators plus the stable letter t, relators t x_i t^-1 f(x_i)^-1."""
+    _check_type(monodromy, FreeGroupMap, "monodromy")
+    _check_sequence(fiber_names, "fiber generator names")
     n = monodromy.rank
     if len(fiber_names) != n:
         raise RankMismatchError("need one name per fiber generator")

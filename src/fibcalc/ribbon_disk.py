@@ -24,8 +24,8 @@ from .mcg import (CurveSpec, HandlebodyMonodromy, SurfaceMonodromy, _twist_word,
                   compose_monodromy, twist_monodromy)
 from .fibered import Ambient, FiberedKnot
 from .presentation import GroupPresentation, hnn_presentation
-from .words import (FreeGroupMap, FreeWord, _check_int, _check_type, _unchecked, compose,
-                    handlebody_names)
+from .words import (FreeGroupMap, FreeWord, _check_int, _check_optional_str, _check_type,
+                    _unchecked, compose, handlebody_names)
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,7 @@ class FiberType:
 
     def __post_init__(self):
         _check_int(self.genus, "fiber genus")
+        _check_optional_str(self.summand_label, "fiber summand label")
         if self.genus < 0:
             raise MalformedInputError("fiber genus must be nonnegative")
 
@@ -57,6 +58,7 @@ class FiberedDisk:
             raise MalformedInputError("a disk ambient must be B4, homotopy_B4 or contractible")
         _check_type(self.fiber, FiberType, "disk fiber")
         _check_type(self.monodromy, HandlebodyMonodromy, "disk monodromy")
+        _check_optional_str(self.label, "disk label")
         if self.fiber.genus != self.monodromy.genus:
             raise RankMismatchError("fiber genus must match the monodromy genus")
         object.__setattr__(self, "twist_history", _twist_word(self.twist_history, "twist history"))

@@ -138,9 +138,11 @@ def _twist_word_note(word) -> tuple[str, ...]:
 
 
 def _presentation_invariants(pres: GroupPresentation, groups, budget):
+    # H1 first: the counts into abelian groups read its cached Smith form.
+    diag = tuple(h1(pres))
     counts = tuple((name, count_homs(pres, finite_group(name), budget))
                    for name in groups)
-    return tuple(h1(pres)), counts
+    return diag, counts
 
 
 def build_report(obj: Any, groups: tuple[str, ...] = DEFAULT_REPORT_GROUPS,

@@ -21,8 +21,8 @@ from .invariants import count_homs, finite_group, group_catalog_names, h1
 from .mcg import CurveSpec, SurfaceMonodromy
 from .presentation import GroupPresentation, hnn_presentation
 from .ribbon_disk import FiberedDisk, half_spin
-from .words import (FreeGroupMap, FreeWord, _check_int, _check_sequence, _check_type,
-                    compose, handlebody_names)
+from .words import (FreeGroupMap, FreeWord, _check_int, _check_optional_str,
+                    _check_sequence, _check_type, compose, handlebody_names)
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,11 @@ class FiberedTwoKnot:
             raise RankMismatchError("monodromy rank must equal the fiber rank")
         if not self.monodromy_pi1.has_witness:
             raise MissingPayloadError("two-knot monodromy needs an inverse witness")
+        _check_sequence(self.provenance, "provenance")
+        if any(type(entry) is not str for entry in self.provenance):
+            raise MalformedInputError("provenance entries must be strings")
         object.__setattr__(self, "provenance", tuple(self.provenance))
+        _check_optional_str(self.label, "two-knot label")
 
     @property
     def arose_from_spinning(self) -> bool:
@@ -87,6 +91,7 @@ class FillingDescriptor:
     slope: tuple[int, int]
 
     def __post_init__(self):
+        _check_type(self.base, str, "filling base")
         slope = self.slope
         if not (type(slope) in (tuple, list) and len(slope) == 2
                 and all(type(x) is int for x in slope)):

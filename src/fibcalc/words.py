@@ -69,6 +69,11 @@ def _check_sequence(value, what: str) -> None:
         raise MalformedInputError(f"{what} must be a tuple or a list, not {value!r}")
 
 
+def _check_optional_str(value, what: str) -> None:
+    if value is not None and type(value) is not str:
+        raise MalformedInputError(f"{what} must be a string or None, not {value!r}")
+
+
 @dataclass(frozen=True)
 class FreeWord:
     rank: int
@@ -205,10 +210,12 @@ class FreeGroupMap:
     @classmethod
     def from_letters(cls, rank: int, images: Sequence[Sequence[int]],
                      inverse_images: Sequence[Sequence[int]] | None = None) -> "FreeGroupMap":
-        imgs = tuple(FreeWord(rank, tuple(w)) for w in images)
+        _check_sequence(images, "images")
+        imgs = tuple(FreeWord(rank, w) for w in images)
         invs = None
         if inverse_images is not None:
-            invs = tuple(FreeWord(rank, tuple(w)) for w in inverse_images)
+            _check_sequence(inverse_images, "inverse witness")
+            invs = tuple(FreeWord(rank, w) for w in inverse_images)
         return cls(rank, imgs, invs)
 
     @property
@@ -299,10 +306,16 @@ def check_generator_names(names: Sequence[str]) -> None:
     """Each name must be nonempty, free of whitespace and start with a
     lowercase letter, and the names and their inverse tokens must all differ;
     any other name would read back as a different word."""
-    names = tuple(names)
-    if any(type(name) is not str for name in names):
-        raise MalformedInputError(f"generator names {list(names)} must be strings")
-    _token_tables(names)
+    _tokens(names)
+
+
+def _tokens(names: Sequence[str]) -> tuple[dict[str, int], dict[int, str]]:
+    """The token tables of `names`, a tuple or list of valid generator names."""
+    _check_sequence(names, "generator names")
+    try:
+        return _token_tables(tuple(names))
+    except TypeError:  # an unhashable name
+        raise MalformedInputError(f"generator names {list(names)} must be strings") from None
 
 
 @lru_cache(maxsize=64)
@@ -311,6 +324,8 @@ def _token_tables(names: tuple[str, ...]) -> tuple[dict[str, int], dict[int, str
     shared between callers, so never mutated."""
     tokens = {}
     for i, name in enumerate(names):
+        if type(name) is not str:
+            raise MalformedInputError(f"generator names {list(names)} must be strings")
         if name.split() != [name] or not name[0].islower():
             raise MalformedInputError(
                 f"generator name {name!r} must start with a lowercase letter "
@@ -330,7 +345,8 @@ def word_to_text(word: FreeWord, names: Sequence[str]) -> str:
 
 
 def word_from_text(text: str, names: Sequence[str]) -> FreeWord:
-    lookup = _token_tables(tuple(names))[0]
+    _check_type(text, str, "word text")
+    lookup = _tokens(names)[0]
     letters = []
     for token in text.split():
         if token not in lookup:

@@ -7,17 +7,19 @@ from dataclasses import replace
 import pytest
 
 from fibcalc.errors import MalformedInputError, RankMismatchError
-from fibcalc.fibered import (Ambient, FiberedKnot, catalog_knot, distinctness_bound,
-                             dual_knot_surgery_descriptor, knot_group, stallings_twist)
-from fibcalc.invariants import alexander_from_presentation, count_homs, finite_group
+from fibcalc.fibered import (Ambient, FiberedKnot, catalog_knot, connected_sum,
+                             distinctness_bound, dual_knot_surgery_descriptor, knot_group,
+                             stallings_twist)
+from fibcalc.invariants import (FiniteGroupTable, alexander_from_presentation, count_homs,
+                                finite_group, h1)
 from fibcalc.laurent import LaurentPoly
 from fibcalc.matrices import IntMatrix
-from fibcalc.mcg import CurveSpec, SurfaceMonodromy, curated_payload
-from fibcalc.presentation import GroupPresentation
+from fibcalc.mcg import CurveSpec, SurfaceMonodromy, curated_payload, transvection, twist_monodromy
+from fibcalc.presentation import GroupPresentation, hnn_presentation
 from fibcalc.ribbon_disk import FiberedDisk, FiberType, disk_twist, half_spin
 from fibcalc.two_knot import (FiberedTwoKnot, FillingDescriptor, PlanEntry, SurgeryPlan,
                               spin)
-from fibcalc.words import FreeGroupMap, FreeWord
+from fibcalc.words import FreeGroupMap, FreeWord, word_from_text
 
 
 def _trefoil_group():
@@ -76,6 +78,8 @@ PROBES = {
         catalog_knot("trefoil_R"), 1.0),
     "plan bool phase": lambda: PlanEntry(True, "U1", None, 0),
     "plan float genus": lambda: SurgeryPlan(1.0, 1, ()),
+    "group float order": lambda: FiniteGroupTable("x", 1.0, ((0,),), ("a",)),
+    "transvection bool multiplier": lambda: transvection((1, 0), True),
 }
 
 # Malformed shapes, each of which used to escape as a raw Python exception.
@@ -98,6 +102,33 @@ SHAPE_PROBES = {
     "plan int entries": lambda: SurgeryPlan(1, 1, 5),
     "monodromy unpaired provenance": lambda: SurfaceMonodromy(0, IntMatrix.identity(0),
                                                               None, (5,)),
+    "hom count string presentation": lambda: count_homs("x", finite_group("S3")),
+    "hom count string group": lambda: count_homs(_trefoil_group(), "S3"),
+    "group table no rows": lambda: FiniteGroupTable("x", 2, None, ("a", "b")),
+    "group table entry out of range": lambda: FiniteGroupTable(
+        "x", 3, ((0, 1, 2), (1, 0, 5), (2, 5, 0)), ("a", "b", "c")),
+    "group list name": lambda: finite_group([1]),
+    "transvection string": lambda: transvection("ab"),
+    "twist string curve": lambda: twist_monodromy("x", 1),
+    "connected sum string": lambda: connected_sum(catalog_knot("trefoil_R"), "x"),
+    "hnn string monodromy": lambda: hnn_presentation("x", ["a"]),
+    "h1 string": lambda: h1("x"),
+    "word int text": lambda: word_from_text(5, ["a"]),
+    "map int images": lambda: FreeGroupMap.from_letters(1, 5),
+}
+
+# String fields that `serialize.loads` reads as JSON strings: a constructor
+# that took another type would build an object whose dump does not load.
+STRING_PROBES = {
+    "knot label": lambda: FiberedKnot(Ambient.s3(), 1, catalog_knot("trefoil_R").monodromy,
+                                      label=5),
+    "ambient descriptor": lambda: Ambient("contractible", 7),
+    "curve name": lambda: CurveSpec(1, (1, 0), name=3),
+    "fiber summand label": lambda: FiberType(1, 2),
+    "disk label": lambda: replace(half_spin(catalog_knot("trefoil_R")), label=5),
+    "two-knot label": lambda: replace(spin(catalog_knot("trefoil_R")), label=5),
+    "two-knot provenance": lambda: replace(spin(catalog_knot("trefoil_R")), provenance=(5,)),
+    "filling base": lambda: FillingDescriptor(5, (1, 0)),
 }
 
 
@@ -110,6 +141,12 @@ def test_constructor_rejects_non_integers(build):
 @pytest.mark.parametrize("build", SHAPE_PROBES.values(), ids=SHAPE_PROBES.keys())
 def test_malformed_shape_is_a_library_error(build):
     with pytest.raises((MalformedInputError, RankMismatchError)):
+        build()
+
+
+@pytest.mark.parametrize("build", STRING_PROBES.values(), ids=STRING_PROBES.keys())
+def test_string_field_rejects_other_types(build):
+    with pytest.raises(MalformedInputError):
         build()
 
 

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,8 @@ from fibcalc.errors import (AbelianizationError, BudgetExceededError, CatalogErr
                             MalformedInputError)
 from fibcalc.fibered import (catalog_knot, connected_sum, knot_group,
                              trefoil_two_bridge_presentation)
-from fibcalc.invariants import (FiniteGroupTable, GroupRingElement, abelian_fox_row,
+from fibcalc.invariants import (DEFAULT_HOM_BUDGET, FiniteGroupTable, GroupRingElement,
+                                _search_homs, abelian_fox_row,
                                 alexander_from_presentation, count_homs,
                                 finite_group, fox_derivative, fox_matrix,
                                 group_catalog_names, h1, infinite_cyclic_exponents,
@@ -17,6 +19,8 @@ from fibcalc.laurent import LaurentPoly, normalize_alexander
 from fibcalc.matrices import IntMatrix, char_poly
 from fibcalc.mcg import symplectic_form, transvection
 from fibcalc.presentation import GroupPresentation, hnn_presentation
+from fibcalc.ribbon_disk import exterior_presentation, half_spin
+from fibcalc.two_knot import double_disk, halving_family, spin, two_knot_group
 from fibcalc.words import FreeGroupMap, FreeWord, abelianize, compose, surface_names
 
 
@@ -191,9 +195,9 @@ def test_count_homs_cross_presentation_all_catalog_groups():
 
 
 def test_count_homs_budget():
-    p = knot_group(catalog_knot("square_knot"))  # 5 generators
+    p = knot_group(catalog_knot("square_knot"))  # 5 generators, 475 search nodes
     with pytest.raises(BudgetExceededError):
-        count_homs(p, finite_group("S4"), budget=1000)
+        count_homs(p, finite_group("S4"), budget=400)
 
 
 def test_count_homs_random_small_presentations():
@@ -212,14 +216,138 @@ def test_count_homs_random_small_presentations():
 
 def test_budget_env_var(monkeypatch):
     from fibcalc.invariants import default_hom_budget
-    monkeypatch.setenv("FIBCALC_HOM_BUDGET", "123")
-    assert default_hom_budget() == 123
+    monkeypatch.setenv("FIBCALC_HOM_BUDGET", "20")
+    assert default_hom_budget() == 20
     p = knot_group(catalog_knot("trefoil_R"))
     with pytest.raises(BudgetExceededError):
-        count_homs(p, finite_group("S3"))  # 6^3 = 216 > 123
+        count_homs(p, finite_group("S3"))  # the search visits 25 nodes
     monkeypatch.setenv("FIBCALC_HOM_BUDGET", "nonsense")
     with pytest.raises(MalformedInputError):
         default_hom_budget()
+
+
+CATALOG_KNOTS = ("unknot", "trefoil_R", "trefoil_L", "figure8", "square_knot", "granny_knot")
+
+
+def _report_presentations():
+    """The presentations a report counts homs of, for every catalog knot:
+    the knot group, the spin's group, the half-spin exterior and the group
+    of a double."""
+    for name in CATALOG_KNOTS:
+        knot = catalog_knot(name)
+        disk = half_spin(knot)
+        yield knot_group(knot)
+        yield two_knot_group(spin(knot))
+        yield exterior_presentation(disk)
+        yield two_knot_group(double_disk(disk, 1))
+
+
+def test_abelian_route_equals_search_route():
+    for p in _report_presentations():
+        for k in range(1, 13):
+            g = finite_group(f"Z{k}")
+            assert g.is_abelian
+            assert count_homs(p, g) == _search_homs(p, g, DEFAULT_HOM_BUDGET), (p, k)
+
+
+def test_search_matches_brute_force_on_genus_one_report_presentations():
+    for name in ("trefoil_R", "trefoil_L", "figure8"):
+        knot = catalog_knot(name)
+        disk = half_spin(knot)
+        for p in (knot_group(knot), two_knot_group(spin(knot)), exterior_presentation(disk)):
+            for group_name in ("S3", "D4", "A4"):
+                g = finite_group(group_name)
+                assert _search_homs(p, g, DEFAULT_HOM_BUDGET) == brute_force_count(p, g)
+
+
+def _presentation(names, *relators):
+    return GroupPresentation(names, tuple(FreeWord(len(names), r) for r in relators))
+
+
+# Shapes the search plan must handle, each counted into every non-abelian
+# catalog group against the brute-force oracle.
+SEARCH_EDGE_CASES = {
+    "no generators": _presentation(()),
+    "no relators": _presentation(("x", "y")),
+    "no t": _presentation(("x", "y"), (1, 2, 1, -2, -1, -2)),
+    "identity relator": _presentation(("t", "x"), (), (1, 2, -1, -2, -2)),
+    "generator twice in a relator": _presentation(("x", "t"), (1, 1, 2, -1, 2)),
+    "generator in no relator": _presentation(("t", "x", "y"), (1, 2, -1, -2, -2)),
+    "forced meridian": _presentation(("x", "t"), (2,), (2, 1, -2, -1, -1)),
+    "trefoil two-bridge": trefoil_two_bridge_presentation(),
+}
+
+
+@pytest.mark.parametrize("group_name", ["S3", "D4", "A4", "S4"])
+@pytest.mark.parametrize("presentation", SEARCH_EDGE_CASES.values(),
+                         ids=SEARCH_EDGE_CASES.keys())
+def test_search_edge_cases_match_brute_force(presentation, group_name):
+    g = finite_group(group_name)
+    assert count_homs(presentation, g) == brute_force_count(presentation, g)
+
+
+# The largest rank per group that keeps the brute-force oracle fast.
+_ORACLE_RANK = {"S3": 4, "D4": 3, "A4": 3, "S4": 2}
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_search_matches_brute_force_on_random_presentations(data):
+    group_name = data.draw(st.sampled_from(sorted(_ORACLE_RANK)))
+    n = data.draw(st.integers(0, _ORACLE_RANK[group_name]))
+    names = [f"x{i}" for i in range(1, n + 1)]
+    if n and data.draw(st.booleans()):
+        names[data.draw(st.integers(0, n - 1))] = "t"
+    relators = data.draw(st.lists(letters(n, max_len=8) if n else st.just([]), max_size=3))
+    p = _presentation(tuple(names), *(tuple(r) for r in relators))
+    g = finite_group(group_name)
+    assert count_homs(p, g) == brute_force_count(p, g)
+
+
+def _spun_sum(*names):
+    knot = catalog_knot(names[0])
+    for name in names[1:]:
+        knot = connected_sum(knot, catalog_knot(name))
+    return two_knot_group(spin(knot))
+
+
+# Work gate: the search visits 8347, 1915, 475 and 301 nodes on these, while
+# |G|^n is up to 24^9 = 2.6e12.  Each budget is about twice the visited
+# nodes, so a search that deduces less fails here.
+@pytest.mark.parametrize("presentation, group_name, homs, budget", [
+    (lambda: _spun_sum("square_knot", "square_knot"), "S4", 9552, 16700),
+    (lambda: _spun_sum("square_knot", "trefoil_R"), "S4", 2016, 3830),
+    (lambda: knot_group(catalog_knot("square_knot")), "S4", 432, 950),
+    (lambda: _spun_sum("square_knot", "square_knot"), "D4", 8, 600),
+], ids=["spin(square#square) S4", "spin(square#trefoil) S4", "square S4",
+        "spin(square#square) D4"])
+def test_search_work_gate(presentation, group_name, homs, budget):
+    assert count_homs(presentation(), finite_group(group_name), budget) == homs
+
+
+def test_spin_square_square_into_s4_at_default_budget():
+    p = _spun_sum("square_knot", "square_knot")  # 9 generators: |S4|^9 = 2.6e12
+    start = perf_counter()
+    assert count_homs(p, finite_group("S4")) == 9552
+    assert perf_counter() - start < 0.2
+
+
+def test_halving_family_genus_3_with_default_groups():
+    family = halving_family(spin(connected_sum(catalog_knot("square_knot"),
+                                               catalog_knot("trefoil_R"))), [0, 1])
+    assert [entry.slope for entry in family] == [0, 1]
+    report = family[0].contractibility_report
+    assert [name for name, _ in report.quotient_checks] == list(group_catalog_names())
+    assert report.contractible_consistent
+
+
+def test_budget_error_reports_nodes_visited():
+    p = knot_group(catalog_knot("trefoil_R"))
+    with pytest.raises(BudgetExceededError, match="visited 11 nodes, over the budget 10"):
+        count_homs(p, finite_group("S3"), budget=10)
+    assert count_homs(p, finite_group("S3"), budget=25) == 12
+    with pytest.raises(BudgetExceededError):
+        count_homs(p, finite_group("S3"), budget=24)
 
 
 def test_route_equivalence_all_catalog_knots():
