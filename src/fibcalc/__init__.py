@@ -16,8 +16,8 @@ from .words import (FreeGroupMap, FreeWord, abelianize, apply_map, compose,
 from .mcg import (CompatibilityReport, CurveSpec, HandlebodyMonodromy,
                   SurfaceMonodromy, boundary_connected_sum, catalog_names,
                   cg_compatibility, compose_monodromy, curated_payload,
-                  intersection, is_symplectic, mirror, standard_lagrangian,
-                  symplectic_form, transvection, twist_monodromy)
+                  intersection, is_symplectic, mirror, symplectic_form,
+                  transvection, twist_monodromy)
 from .presentation import GroupPresentation, hnn_presentation
 from .invariants import (DEFAULT_HOM_BUDGET, FiniteGroupTable, GroupRingElement,
                          alexander_from_presentation, count_homs, finite_group,

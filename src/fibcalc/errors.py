@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the entry-check helpers
+that raise it."""
 
 
 class FibcalcError(Exception):
@@ -62,3 +63,34 @@ class SchemaError(FibcalcError, ValueError):
     def __init__(self, message, path="$"):
         self.path = path
         super().__init__(f"{message} at {path}")
+
+
+def _unchecked(cls, *values):
+    """An instance of the frozen dataclass `cls` with its fields set to
+    `values`, which are already known valid: the constructor's check and
+    normalization do not run.  Shared by every module that derives checked
+    values from checked values."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _check_int(value, what: str) -> None:
+    if type(value) is not int:
+        raise MalformedInputError(f"{what} must be an integer, not {value!r}")
+
+
+def _check_type(value, cls, what: str) -> None:
+    if not isinstance(value, cls):
+        raise MalformedInputError(f"{what} must be a {cls.__name__}, not {value!r}")
+
+
+def _check_sequence(value, what: str) -> None:
+    if type(value) not in (tuple, list):
+        raise MalformedInputError(f"{what} must be a tuple or a list, not {value!r}")
+
+
+def _check_optional_str(value, what: str) -> None:
+    if value is not None and type(value) is not str:
+        raise MalformedInputError(f"{what} must be a string or None, not {value!r}")

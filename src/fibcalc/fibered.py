@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (CatalogError, InapplicableError, MalformedInputError,
-                     MissingPayloadError, PreconditionError, RankMismatchError)
+                     MissingPayloadError, PreconditionError, RankMismatchError,
+                     _check_int, _check_optional_str, _check_type)
 from .laurent import LaurentPoly, normalize_alexander
 from .matrices import char_poly
 from .mcg import (CurveSpec, SurfaceMonodromy, boundary_connected_sum,
                   compose_monodromy, curated_payload, mirror, twist_monodromy)
 from .presentation import GroupPresentation, hnn_presentation
-from .words import FreeWord, _check_int, _check_optional_str, _check_type, surface_names
+from .words import FreeWord, surface_names
 
 
 _KNOT_AMBIENTS = ("S3", "homology_sphere")

@@ -7,17 +7,17 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import gcd
 
 from .errors import (AbelianizationError, BudgetExceededError, CatalogError,
-                     MalformedInputError)
+                     MalformedInputError, _check_int, _check_sequence, _check_type)
 from .laurent import LaurentPoly, laurent_gcd, normalize_alexander
 from .matrices import IntMatrix, laurent_det, smith_diagonal, smith_normal_form
 from .presentation import GroupPresentation
-from .words import FreeWord, _check_int, _check_sequence, _check_type
+from .words import FreeWord
 
 DEFAULT_HOM_BUDGET = 10**8
 _BUDGET_ENV = "FIBCALC_HOM_BUDGET"
@@ -236,18 +236,19 @@ def alexander_from_presentation(presentation: GroupPresentation,
 class FiniteGroupTable:
     """A finite group by its multiplication table on the elements 0..order-1.
 
-    The constructor finds the identity and the inverses and checks
-    associativity.  What `count_homs` reads besides is computed on first
-    use: whether the group is abelian, the order of each element, and for
-    each element h the orbits of its centralizer acting on the group by
-    conjugation, as (representative, orbit size) pairs.  The orbits of the
+    The constructor derives the identity and the inverses, which are not
+    parameters, and checks associativity.  What `count_homs` reads besides
+    is computed on first use: whether the group is abelian, the order of
+    each element, and for each element h the orbits of its centralizer
+    acting on the group by conjugation, as (representative, orbit size)
+    pairs.  The orbits of the
     identity's centralizer are the conjugacy classes."""
     label: str
     order: int
     table: tuple[tuple[int, ...], ...]
     names: tuple[str, ...]
-    identity: int = 0
-    inverses: tuple[int, ...] = ()
+    identity: int = field(init=False)
+    inverses: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         _check_type(self.label, str, "group label")

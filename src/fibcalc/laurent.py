@@ -3,6 +3,13 @@
 A polynomial is stored as a sorted tuple of (exponent, coefficient) pairs with
 no zero coefficients; the empty tuple is 0.  All arithmetic is exact (Python
 integers), which matters because Alexander coefficients grow quickly.
+
+The constructor (and `from_dict`, `const`, `t`, which call it) checks that
+the terms are pairs of exact integers with distinct exponents, and sorts
+them.  Arithmetic checks its operands' types and builds its results from the
+terms of checked polynomials without a second check, keeping them in that
+canonical form: sums and products drop cancelled terms and sort, `scale(0)`
+is zero, and `reverse` re-sorts.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import MalformedInputError
+from .errors import MalformedInputError, _check_int, _check_type, _unchecked
 
 
 @dataclass(frozen=True)
@@ -76,33 +83,39 @@ class LaurentPoly:
         return self.terms[-1][0]
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        _check_type(other, LaurentPoly, "Laurent operand")
         acc = dict(self.terms)
         for e, c in other.terms:
             acc[e] = acc.get(e, 0) + c
-        return LaurentPoly.from_dict(acc)
+        return _collect(acc)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, -c) for e, c in self.terms))
+        return _unchecked(LaurentPoly, tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+        _check_type(other, LaurentPoly, "Laurent operand")
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        _check_type(other, LaurentPoly, "Laurent operand")
         acc: dict[int, int] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly.from_dict(acc)
+        return _collect(acc)
 
     def scale(self, k: int) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, c * k) for e, c in self.terms))
+        _check_int(k, "scale factor")
+        return _unchecked(LaurentPoly, tuple((e, c * k) for e, c in self.terms) if k else ())
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        return LaurentPoly(tuple((e + k, c) for e, c in self.terms))
+        _check_int(k, "shift")
+        return _unchecked(LaurentPoly, tuple((e + k, c) for e, c in self.terms))
 
     def __pow__(self, n: int) -> "LaurentPoly":
+        _check_int(n, "exponent")
         if n < 0:
             raise MalformedInputError("negative power of a Laurent polynomial")
         out = LaurentPoly.one()
@@ -116,7 +129,7 @@ class LaurentPoly:
 
     def reverse(self) -> "LaurentPoly":
         """Exponent reversal t -> t^-1."""
-        return LaurentPoly(tuple((-e, c) for e, c in self.terms))
+        return _unchecked(LaurentPoly, tuple((-e, c) for e, c in reversed(self.terms)))
 
     def evaluate(self, x: int) -> int:
         """Evaluate at a nonzero integer (negative exponents need x = +-1)."""
@@ -153,6 +166,11 @@ class LaurentPoly:
             parts.append(("- " if c < 0 else "+ ") + mono)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
+def _collect(acc: dict[int, int]) -> LaurentPoly:
+    """The polynomial of an exponent -> coefficient dict of exact integers."""
+    return _unchecked(LaurentPoly, tuple(sorted((e, c) for e, c in acc.items() if c)))
 
 
 def normalize_alexander(p: LaurentPoly) -> LaurentPoly:

@@ -6,6 +6,13 @@ polynomials by Berkowitz's division-free algorithm (O(n^4) integer
 operations), determinants over Z and Z[t] by fraction-free Bareiss elimination
 (O(n^3) ring operations, every division exact), and unimodular inverses from
 the Smith-form witnesses.
+
+The constructor (and `from_rows`, `identity`, `zeros`, which call it) checks
+the shape and that every entry is an exact integer, and stores the entries as
+a tuple of tuples.  Arithmetic (`mul`, `add`, `neg`, `sub`, `transpose`,
+`power`, `block_diag`) and the D, U, V of `smith_normal_form` check their
+operands' types and build their results from checked entries without a
+second check, in the same tuple-of-tuples form.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import MalformedInputError, RankMismatchError
+from .errors import MalformedInputError, RankMismatchError, _check_int, _check_type, _unchecked
 from .laurent import LaurentPoly, exact_div
 
 
@@ -68,11 +75,11 @@ class IntMatrix:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
+        return _matrix(self.cols, self.rows, [[row[j] for row in self.entries]
+                                              for j in range(self.cols)])
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
+        _check_type(other, IntMatrix, "matrix operand")
         if self.cols != other.rows:
             raise RankMismatchError("matrix product dimension mismatch")
         out = [[0] * other.cols for _ in range(self.rows)]
@@ -84,7 +91,7 @@ class IntMatrix:
                     rowk = other.entries[k]
                     for j in range(other.cols):
                         out[i][j] += a * rowk[j]
-        return IntMatrix.from_rows(out) if out else IntMatrix.zeros(self.rows, other.cols)
+        return _matrix(self.rows, other.cols, out)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return self.mul(other)
@@ -96,22 +103,21 @@ class IntMatrix:
                      for i in range(self.rows))
 
     def add(self, other: "IntMatrix") -> "IntMatrix":
+        _check_type(other, IntMatrix, "matrix operand")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise RankMismatchError("matrix sum dimension mismatch")
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(a + b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(self.entries, other.entries)))
+        return _matrix(self.rows, self.cols, [[a + b for a, b in zip(r1, r2)]
+                                              for r1, r2 in zip(self.entries, other.entries)])
 
     def neg(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(-a for a in row) for row in self.entries))
+        return _matrix(self.rows, self.cols, [[-a for a in row] for row in self.entries])
 
     def sub(self, other: "IntMatrix") -> "IntMatrix":
+        _check_type(other, IntMatrix, "matrix operand")
         return self.add(other.neg())
 
     def power(self, n: int) -> "IntMatrix":
-        if type(n) is not int:
-            raise MalformedInputError(f"exponent must be an integer, not {n!r}")
+        _check_int(n, "exponent")
         if self.rows != self.cols:
             raise RankMismatchError("power of a non-square matrix")
         if n < 0:
@@ -165,7 +171,15 @@ class IntMatrix:
         return self == IntMatrix.identity(self.rows) if self.rows == self.cols else False
 
 
+def _matrix(rows: int, cols: int, data) -> IntMatrix:
+    """The rows x cols matrix with rows `data`, lists or tuples of exact
+    integers derived from checked matrices."""
+    return _unchecked(IntMatrix, rows, cols, tuple(map(tuple, data)))
+
+
 def block_diag(*blocks: IntMatrix) -> IntMatrix:
+    for b in blocks:
+        _check_type(b, IntMatrix, "block")
     rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
     out = [[0] * cols for _ in range(rows)]
@@ -176,7 +190,7 @@ def block_diag(*blocks: IntMatrix) -> IntMatrix:
                 out[r0 + i][c0 + j] = b.entries[i][j]
         r0 += b.rows
         c0 += b.cols
-    return IntMatrix(rows, cols, tuple(tuple(row) for row in out))
+    return _matrix(rows, cols, out)
 
 
 def _mul_sub(a: list[int], b: list[int], c: list[int], d: list[int]) -> list[int]:
@@ -244,6 +258,7 @@ def char_poly(a: IntMatrix) -> LaurentPoly:
     (1, -a_kk, -S R, -S M R, ..., -S M^(k-1) R), where R is column k above
     the diagonal and S is row k left of it.
     """
+    _check_type(a, IntMatrix, "matrix")
     if a.rows != a.cols:
         raise RankMismatchError("characteristic polynomial of a non-square matrix")
     n, m = a.rows, a.entries
@@ -265,6 +280,7 @@ def char_poly(a: IntMatrix) -> LaurentPoly:
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (D, U, V) with U*A*V = D, D diagonal with d_i | d_{i+1} and
     d_i >= 0, and U, V unimodular."""
+    _check_type(a, IntMatrix, "matrix")
     rows, cols = a.rows, a.cols
     m = [list(r) for r in a.entries]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
@@ -340,9 +356,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             negate_row(k)
         k += 1
 
-    d = IntMatrix.from_rows(m) if rows else IntMatrix.zeros(rows, cols)
-    return d, IntMatrix.from_rows(u) if rows else IntMatrix.identity(0), \
-        IntMatrix.from_rows(v) if cols else IntMatrix.identity(0)
+    return _matrix(rows, cols, m), _matrix(rows, rows, u), _matrix(cols, cols, v)
 
 
 def smith_diagonal(a: IntMatrix) -> list[int]:

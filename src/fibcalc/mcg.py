@@ -15,7 +15,10 @@ Curves and monodromies are checked where they enter: the `CurveSpec`,
 `SurfaceMonodromy` and `HandlebodyMonodromy` constructors (used by the JSON
 loader, the catalog builders and callers) check shapes and types, that the
 action is symplectic, that a pi1 payload abelianizes to the homological
-action, and Lagrangian compatibility.  `SurfaceMonodromy.identity`,
+action, and Lagrangian compatibility.  Only the `HandlebodyMonodromy`
+constructor runs `cg_compatibility`, which in the interleaved basis is a
+read of the a-rows of the action: the b-columns must be zero there, and the
+a-columns must hold the quotient action there.  `SurfaceMonodromy.identity`,
 `twist_monodromy`, `compose_monodromy`, `mirror`, `boundary_connected_sum`
 and `CurveSpec.extend` derive their results from checked values and build
 them without a second check, because each fact holds by construction:
@@ -25,7 +28,9 @@ power, composite, inverse or block extension of payloads to the same
 operation on their actions (a payload's m-th power abelianizes to the m-th
 transvection, since c c^T J squares to zero); and extending a curve keeps its
 a-coordinates zero and its payload's abelianization the transvection of the
-extended class.
+extended class.  The handlebody monodromies of `ribbon_disk.half_spin` and
+`ribbon_disk.disk_twist`, and the doubled boundary, are derived the same way
+(the reasons are given there).
 """
 
 from __future__ import annotations
@@ -35,10 +40,10 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import (CatalogError, MalformedInputError, MissingPayloadError,
-                     RankMismatchError)
-from .matrices import IntMatrix, block_diag, in_row_span, smith_diagonal
-from .words import (FreeGroupMap, _check_int, _check_optional_str, _check_sequence,
-                    _check_type, _unchecked, abelianize, compose)
+                     RankMismatchError, _check_int, _check_optional_str, _check_sequence,
+                     _check_type, _unchecked)
+from .matrices import IntMatrix, block_diag
+from .words import FreeGroupMap, abelianize, compose
 
 
 def symplectic_form(genus: int) -> IntMatrix:
@@ -65,26 +70,6 @@ def intersection(x: Sequence[int], y: Sequence[int]) -> int:
     for i in range(len(x) // 2):
         total += x[2 * i] * y[2 * i + 1] - x[2 * i + 1] * y[2 * i]
     return total
-
-
-def standard_lagrangian(genus: int) -> IntMatrix:
-    """Rows are the classes [b1], ..., [bg]."""
-    rows = []
-    for i in range(genus):
-        v = [0] * (2 * genus)
-        v[2 * i + 1] = 1
-        rows.append(v)
-    return IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, 0)
-
-
-def standard_quotient_basis(genus: int) -> IntMatrix:
-    """Rows are the classes [a1], ..., [ag]; a basis of H1(surface)/Lagrangian."""
-    rows = []
-    for i in range(genus):
-        v = [0] * (2 * genus)
-        v[2 * i] = 1
-        rows.append(v)
-    return IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, 0)
 
 
 @dataclass(frozen=True)
@@ -289,51 +274,27 @@ class CompatibilityReport:
         return self.ok
 
 
-def cg_compatibility(action: IntMatrix, lagrangian: IntMatrix, quotient_action: IntMatrix,
-                     quotient_basis: IntMatrix | None = None) -> CompatibilityReport:
+def cg_compatibility(action: IntMatrix, quotient_action: IntMatrix) -> CompatibilityReport:
     """Necessary homological condition for a surface monodromy to extend over
-    a handlebody: the rows of `lagrangian` span a rank-g isotropic primitive
-    direct summand, the action preserves that span, and the induced map on
-    the quotient equals `quotient_action` under the supplied identification
-    (rows of `quotient_basis`, defaulting to the standard [a_i] classes)."""
+    a handlebody: the action preserves the standard Lagrangian span{[b_i]}
+    and induces `quotient_action` on the quotient, with basis the classes of
+    the [a_i].  In the basis [a1], [b1], ... both are read off the a-rows:
+    column b_i has no a-entries, and the a-entries of column a_j are column j
+    of `quotient_action`."""
+    _check_type(action, IntMatrix, "action")
+    _check_type(quotient_action, IntMatrix, "quotient action")
     if action.rows != action.cols or action.rows % 2 != 0:
         raise RankMismatchError("action must be a square 2g x 2g matrix")
     genus = action.rows // 2
     if not is_symplectic(action):
         raise MalformedInputError("action must be symplectic")
-    if (lagrangian.rows, lagrangian.cols) != (genus, 2 * genus):
-        raise RankMismatchError("lagrangian must be given by g rows of length 2g")
     if (quotient_action.rows, quotient_action.cols) != (genus, genus):
         raise RankMismatchError("quotient action must be g x g")
-    if quotient_basis is None:
-        quotient_basis = standard_quotient_basis(genus)
-    if (quotient_basis.rows, quotient_basis.cols) != (genus, 2 * genus):
-        raise RankMismatchError("quotient basis must be given by g rows of length 2g")
-
-    failures: list[str] = []
-    diag = smith_diagonal(lagrangian)
-    if len([d for d in diag if d != 0]) != genus or any(d not in (0, 1) for d in diag):
-        failures.append("rows do not span a rank-g primitive direct summand")
-    j = symplectic_form(genus)
-    if lagrangian.mul(j).mul(lagrangian.transpose()) != IntMatrix.zeros(genus, genus):
-        failures.append("span is not isotropic")
-    stacked = IntMatrix.from_rows(list(quotient_basis.entries) + list(lagrangian.entries))
-    if abs(stacked.det()) != 1:
-        failures.append("quotient basis and lagrangian do not form a basis")
-    if not failures:
-        for i in range(genus):
-            image = action.mul_vec(lagrangian.row(i))
-            if not in_row_span(lagrangian, image):
-                failures.append(f"action moves lagrangian row {i + 1} out of the span")
-        for jcol in range(genus):
-            image = list(action.mul_vec(quotient_basis.row(jcol)))
-            for i in range(genus):
-                coeff = quotient_action.entries[i][jcol]
-                for k in range(2 * genus):
-                    image[k] -= coeff * quotient_basis.entries[i][k]
-            if not in_row_span(lagrangian, tuple(image)):
-                failures.append(f"induced quotient map differs from the given one "
-                                f"on basis vector {jcol + 1}")
+    a_rows, q = action.entries[::2], quotient_action.entries
+    failures = [f"action moves lagrangian row {i + 1} out of the span"
+                for i in range(genus) if any(row[2 * i + 1] for row in a_rows)]
+    failures += [f"induced quotient map differs from the given one on basis vector {j + 1}"
+                 for j in range(genus) if any(a_rows[i][2 * j] != q[i][j] for i in range(genus))]
     return CompatibilityReport(not failures, tuple(failures))
 
 
@@ -353,8 +314,7 @@ class HandlebodyMonodromy:
             raise MissingPayloadError("handlebody monodromy needs an inverse witness")
         if self.boundary.genus != self.genus:
             raise RankMismatchError("boundary monodromy genus must equal the handlebody genus")
-        report = cg_compatibility(self.boundary.action, standard_lagrangian(self.genus),
-                                  abelianize(self.pi1_action))
+        report = cg_compatibility(self.boundary.action, abelianize(self.pi1_action))
         if not report:
             raise MalformedInputError(
                 "boundary is not compatible with the handlebody action: "

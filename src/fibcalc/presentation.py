@@ -6,9 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import RankMismatchError
-from .words import (FreeGroupMap, FreeWord, _check_sequence, _check_type,
-                    check_generator_names, word_to_text)
+from .errors import RankMismatchError, _check_sequence, _check_type
+from .words import FreeGroupMap, FreeWord, check_generator_names, word_to_text
 
 
 @dataclass(frozen=True)

@@ -9,23 +9,38 @@ of the inclusion is the standard Lagrangian span{[b_i]}:
     a_{2i-1} = alpha_i on the first copy        b_{2i-1} = beta_i^0 - beta_i^1
     a_{2i}   = beta_i on the second copy        b_{2i}   = alpha_i^1 - alpha_i^0
 
-In this basis the doubled action visibly preserves the Lagrangian and induces
-the handlebody action on the quotient.
+The doubled boundary is derived, not assembled: with c the free-group change
+of generators from this adapted basis to the two-copy basis (built once per
+genus through the checked constructor), its payload is c^-1 (phi + phi) c and
+its action abelianize(c^-1) (A + A) abelianize(c).  Abelianization is a
+homomorphism, so the payload abelianizes to the action.  The action is
+symplectic because abelianize(c) is an isometry from the doubled surface's
+form J to the form J + (-J) of the two copies, which A + A preserves because
+A preserves J.
+
+The half-spin's handlebody monodromy is derived too.  phi + phi maps the
+differences beta^0 - beta^1 and alpha^1 - alpha^0, the b-classes, to
+differences, so span{[b_i]} is preserved; and on the quotient, where the
+a-classes are the classes of the knot fiber, it acts by A = abelianize(phi),
+which the knot's checked monodromy guarantees.  So neither value goes
+through `cg_compatibility`; the `HandlebodyMonodromy` constructor, used by
+callers and the JSON loader, still checks it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import (MalformedInputError, MissingPayloadError, PreconditionError,
-                     RankMismatchError, UnsupportedFiberError)
-from .matrices import IntMatrix, smith_diagonal
+                     RankMismatchError, UnsupportedFiberError, _check_int,
+                     _check_optional_str, _check_type, _unchecked)
+from .matrices import IntMatrix, block_diag, smith_diagonal
 from .mcg import (CurveSpec, HandlebodyMonodromy, SurfaceMonodromy, _twist_word,
                   compose_monodromy, twist_monodromy)
 from .fibered import Ambient, FiberedKnot
 from .presentation import GroupPresentation, hnn_presentation
-from .words import (FreeGroupMap, FreeWord, _check_int, _check_optional_str, _check_type,
-                    _unchecked, compose, handlebody_names)
+from .words import FreeGroupMap, FreeWord, abelianize, compose, handlebody_names
 
 
 @dataclass(frozen=True)
@@ -64,6 +79,7 @@ class FiberedDisk:
         object.__setattr__(self, "twist_history", _twist_word(self.twist_history, "twist history"))
 
 
+@lru_cache(maxsize=16)
 def _doubling_change_of_basis(genus: int) -> tuple[FreeGroupMap, FreeGroupMap]:
     """Free-group change of generators between the adapted basis of the
     doubled surface and the two-copy (u, v) bookkeeping basis.
@@ -92,65 +108,36 @@ def _doubling_change_of_basis(genus: int) -> tuple[FreeGroupMap, FreeGroupMap]:
 def doubled_boundary(monodromy: SurfaceMonodromy) -> SurfaceMonodromy:
     """Boundary monodromy of (fiber x I, phi x id): the double of phi on the
     genus-2g surface, written in the adapted basis above."""
-    g = monodromy.genus
-    a = monodromy.action
-    n = 4 * g
-    rows = [[0] * n for _ in range(n)]
-
-    def a_row(j):  # 0-based row/col of the doubled class a_j, j = 1..2g
-        return 2 * (j - 1)
-
-    def b_row(j):
-        return 2 * j - 1
-
-    for i in range(1, g + 1):
-        for k in range(1, g + 1):
-            p = a.entries[2 * k - 2][2 * i - 2]
-            q = a.entries[2 * k - 1][2 * i - 2]
-            r = a.entries[2 * k - 2][2 * i - 1]
-            s = a.entries[2 * k - 1][2 * i - 1]
-            col = a_row(2 * i - 1)
-            rows[a_row(2 * k - 1)][col] += p
-            rows[b_row(2 * k - 1)][col] += q
-            rows[a_row(2 * k)][col] += q
-            col = a_row(2 * i)
-            rows[a_row(2 * k - 1)][col] += r
-            rows[a_row(2 * k)][col] += s
-            rows[b_row(2 * k)][col] += r
-            col = b_row(2 * i - 1)
-            rows[b_row(2 * k - 1)][col] += s
-            rows[b_row(2 * k)][col] += -r
-            col = b_row(2 * i)
-            rows[b_row(2 * k - 1)][col] += -q
-            rows[b_row(2 * k)][col] += p
-    action = IntMatrix.from_rows(rows) if n else IntMatrix.identity(0)
-
+    _check_type(monodromy, SurfaceMonodromy, "monodromy")
+    g, a = monodromy.genus, monodromy.action
+    c, cinv = _doubling_change_of_basis(g)
+    action = abelianize(cinv).mul(block_diag(a, a)).mul(abelianize(c))
     payload = None
     f = monodromy.pi1_action
     if f is not None and f.has_witness:
-        rank = 4 * g
-        two_copies = compose(f.extend(rank, 0), f.extend(rank, 2 * g))
-        c, cinv = _doubling_change_of_basis(g)
+        two_copies = compose(f.extend(4 * g, 0), f.extend(4 * g, 2 * g))
         payload = compose(compose(cinv, two_copies), c)
-    return SurfaceMonodromy(2 * g, action, payload)
+    return _unchecked(SurfaceMonodromy, 2 * g, action, payload, ())
 
 
 def half_spin(knot: FiberedKnot) -> FiberedDisk:
     """The ribbon disk for K # (-K) given by (punctured exterior) x I, with
     fiber the genus-2g handlebody and monodromy phi x id."""
+    _check_type(knot, FiberedKnot, "knot")
     if knot.ambient.kind != "S3":
         raise PreconditionError("half-spin is defined for knots in S3")
     f = knot.monodromy.pi1_action
     if f is None or not f.has_witness:
         raise MissingPayloadError("half-spin needs the knot's pi1 payload with witness")
     g = knot.genus
-    hb = HandlebodyMonodromy(2 * g, f, doubled_boundary(knot.monodromy))
+    hb = _unchecked(HandlebodyMonodromy, 2 * g, f, doubled_boundary(knot.monodromy))
     label = f"half_spin({knot.label})" if knot.label is not None else None
     return FiberedDisk(Ambient.b4(), FiberType(2 * g), hb, (), label)
 
 
 def boundary_knot(disk: FiberedDisk) -> FiberedKnot:
     """The fibered knot on the boundary, with the stored boundary monodromy."""
+    _check_type(disk, FiberedDisk, "disk")
     if disk.ambient.kind == "contractible":
         ambient = Ambient("homology_sphere", f"boundary({disk.ambient.descriptor})")
     else:
@@ -176,6 +163,8 @@ def disk_twist(disk: FiberedDisk, curve: CurveSpec, m: int) -> FiberedDisk:
     every class by a multiple of c, which induces the identity on the
     quotient; the composite is compatible exactly when the old boundary is.
     """
+    _check_type(disk, FiberedDisk, "disk")
+    _check_type(curve, CurveSpec, "twist curve")
     _check_int(m, "twist count")
     if not curve.bounds_disk_in_handlebody:
         raise PreconditionError("disk twist needs a curve bounding a disk in the handlebody")
@@ -204,6 +193,7 @@ def is_homotopy_ribbon(disk: FiberedDisk) -> bool:
 def exterior_presentation(disk: FiberedDisk) -> GroupPresentation:
     """HNN presentation < x_1..x_g, t | t x_i t^-1 = phi(x_i) > of the disk
     exterior group."""
+    _check_type(disk, FiberedDisk, "disk")
     if not disk.fiber.is_handlebody:
         raise UnsupportedFiberError("exterior presentations need a handlebody fiber")
     g = disk.monodromy.genus
@@ -215,6 +205,9 @@ def boundary_surjectivity_check(disk: FiberedDisk,
     """Whether the inclusion-induced map H1(fiber boundary) -> H1(fiber) is
     onto.  The standard identification (a_i -> x_i, b_i -> 0) always is; a
     user-supplied g x 2g matrix is checked by Smith normal form."""
+    _check_type(disk, FiberedDisk, "disk")
+    if identification is not None:
+        _check_type(identification, IntMatrix, "identification")
     if not disk.fiber.is_handlebody:
         raise UnsupportedFiberError("surjectivity check needs a handlebody fiber")
     g = disk.monodromy.genus

@@ -15,14 +15,14 @@ from dataclasses import dataclass, field, replace
 from math import gcd
 
 from .errors import (MalformedInputError, MissingPayloadError, PreconditionError,
-                     RankMismatchError, UnsupportedFiberError)
+                     RankMismatchError, UnsupportedFiberError, _check_int,
+                     _check_optional_str, _check_sequence, _check_type)
 from .fibered import Ambient, FiberedKnot
 from .invariants import count_homs, finite_group, group_catalog_names, h1
 from .mcg import CurveSpec, SurfaceMonodromy
 from .presentation import GroupPresentation, hnn_presentation
 from .ribbon_disk import FiberedDisk, half_spin
-from .words import (FreeGroupMap, FreeWord, _check_int, _check_optional_str,
-                    _check_sequence, _check_type, compose, handlebody_names)
+from .words import FreeGroupMap, FreeWord, compose, handlebody_names
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,7 @@ class FiberedTwoKnot:
 def double_disk(disk: FiberedDisk, framing: int) -> FiberedTwoKnot:
     """Double a fibered disk along its boundary; the 2-handle framing only
     matters mod 2 and is recorded as the Gluck parity."""
+    _check_type(disk, FiberedDisk, "disk")
     _check_int(framing, "framing")
     if not disk.fiber.is_handlebody:
         raise UnsupportedFiberError("doubling needs a handlebody fiber")

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import MalformedInputError, RankMismatchError
+from .errors import (MalformedInputError, RankMismatchError, _check_int, _check_sequence,
+                     _check_type, _unchecked)
 from .matrices import IntMatrix
 
 
@@ -41,37 +42,6 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
         else:
             out.append(letter)
     return tuple(out)
-
-
-def _unchecked(cls, *values):
-    """An instance of the frozen dataclass `cls` with its fields set to
-    `values`, which are already known valid: the constructor's check and
-    normalization do not run.  Shared by every module that derives checked
-    values from checked values."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(obj, name, value)
-    return obj
-
-
-def _check_int(value, what: str) -> None:
-    if type(value) is not int:
-        raise MalformedInputError(f"{what} must be an integer, not {value!r}")
-
-
-def _check_type(value, cls, what: str) -> None:
-    if not isinstance(value, cls):
-        raise MalformedInputError(f"{what} must be a {cls.__name__}, not {value!r}")
-
-
-def _check_sequence(value, what: str) -> None:
-    if type(value) not in (tuple, list):
-        raise MalformedInputError(f"{what} must be a tuple or a list, not {value!r}")
-
-
-def _check_optional_str(value, what: str) -> None:
-    if value is not None and type(value) is not str:
-        raise MalformedInputError(f"{what} must be a string or None, not {value!r}")
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,15 @@ from fibcalc.fibered import (Ambient, FiberedKnot, catalog_knot, connected_sum,
 from fibcalc.invariants import (FiniteGroupTable, alexander_from_presentation, count_homs,
                                 finite_group, h1)
 from fibcalc.laurent import LaurentPoly
-from fibcalc.matrices import IntMatrix
-from fibcalc.mcg import CurveSpec, SurfaceMonodromy, curated_payload, transvection, twist_monodromy
+from fibcalc.matrices import IntMatrix, block_diag, char_poly, smith_normal_form
+from fibcalc.mcg import (CurveSpec, SurfaceMonodromy, cg_compatibility, curated_payload,
+                         transvection, twist_monodromy)
 from fibcalc.presentation import GroupPresentation, hnn_presentation
-from fibcalc.ribbon_disk import FiberedDisk, FiberType, disk_twist, half_spin
+from fibcalc.ribbon_disk import (FiberedDisk, FiberType, boundary_knot,
+                                 boundary_surjectivity_check, disk_twist,
+                                 exterior_presentation, half_spin)
 from fibcalc.two_knot import (FiberedTwoKnot, FillingDescriptor, PlanEntry, SurgeryPlan,
-                              spin)
+                              double_disk, spin)
 from fibcalc.words import FreeGroupMap, FreeWord, word_from_text
 
 
@@ -117,6 +120,39 @@ SHAPE_PROBES = {
     "map int images": lambda: FreeGroupMap.from_letters(1, 5),
 }
 
+# Entry points that take a library object: a wrong-typed argument is a
+# library error, never a raw AttributeError or TypeError, and arithmetic never
+# computes with it.
+T = LaurentPoly.t()
+ENTRY_PROBES = {
+    "half-spin string": lambda: half_spin("x"),
+    "boundary knot string": lambda: boundary_knot("x"),
+    "disk twist string disk": lambda: disk_twist("x", _stallings_curve(), 1),
+    "disk twist string curve": lambda: disk_twist(half_spin(catalog_knot("trefoil_R")), "x", 1),
+    "exterior string": lambda: exterior_presentation("x"),
+    "surjectivity string disk": lambda: boundary_surjectivity_check("x"),
+    "surjectivity string matrix": lambda: boundary_surjectivity_check(
+        half_spin(catalog_knot("trefoil_R")), "x"),
+    "double string": lambda: double_disk("x", 0),
+    "spin string": lambda: spin("x"),
+    "laurent plus int": lambda: T + 1,
+    "laurent minus int": lambda: T - 1,
+    "laurent times int": lambda: T * 2,
+    "laurent float power": lambda: T ** 1.5,
+    "laurent bool power": lambda: T ** True,
+    "laurent bool scale": lambda: T.scale(True),
+    "laurent string scale of zero": lambda: LaurentPoly.zero().scale("ab"),
+    "laurent bool shift": lambda: T.shift(True),
+    "matrix times string": lambda: IntMatrix.identity(1).mul("x"),
+    "matrix plus string": lambda: IntMatrix.identity(1).add("x"),
+    "matrix minus string": lambda: IntMatrix.identity(1).sub("x"),
+    "char poly string": lambda: char_poly("x"),
+    "smith string": lambda: smith_normal_form("x"),
+    "block string": lambda: block_diag(IntMatrix.identity(1), "x"),
+    "compatibility string action": lambda: cg_compatibility("x", IntMatrix.identity(1)),
+    "compatibility string quotient": lambda: cg_compatibility(IntMatrix.identity(2), "x"),
+}
+
 # String fields that `serialize.loads` reads as JSON strings: a constructor
 # that took another type would build an object whose dump does not load.
 STRING_PROBES = {
@@ -141,6 +177,12 @@ def test_constructor_rejects_non_integers(build):
 @pytest.mark.parametrize("build", SHAPE_PROBES.values(), ids=SHAPE_PROBES.keys())
 def test_malformed_shape_is_a_library_error(build):
     with pytest.raises((MalformedInputError, RankMismatchError)):
+        build()
+
+
+@pytest.mark.parametrize("build", ENTRY_PROBES.values(), ids=ENTRY_PROBES.keys())
+def test_entry_point_rejects_wrong_types(build):
+    with pytest.raises(MalformedInputError):
         build()
 
 

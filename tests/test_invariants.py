@@ -147,6 +147,12 @@ def test_group_table_validation():
         FiniteGroupTable("bad", 2, bad, ("e", "x"))
 
 
+def test_group_table_derives_identity_and_inverses():
+    z2 = FiniteGroupTable("Z2", 2, ((1, 0), (0, 1)), ("x", "e"))
+    assert z2.identity == 1
+    assert z2.inverses == (0, 1)
+
+
 def brute_force_count(presentation, group):
     """Independent oracle: plain product enumeration, no pruning."""
     n = presentation.n_generators

@@ -8,8 +8,8 @@ from fibcalc.matrices import IntMatrix, char_poly
 from fibcalc.mcg import (CurveSpec, HandlebodyMonodromy, SurfaceMonodromy,
                          boundary_connected_sum, catalog_names, cg_compatibility,
                          compose_monodromy, curated_payload, intersection,
-                         is_symplectic, mirror, standard_lagrangian, symplectic_form,
-                         transvection, twist_monodromy)
+                         is_symplectic, mirror, symplectic_form, transvection,
+                         twist_monodromy)
 from fibcalc.words import FreeGroupMap, abelianize
 
 
@@ -130,20 +130,19 @@ def test_bcs_pi1_blocks():
 
 def test_cg_compatibility_examples():
     ident = IntMatrix.identity(2)
-    assert cg_compatibility(ident, standard_lagrangian(1), IntMatrix.identity(1)).ok
+    assert cg_compatibility(ident, IntMatrix.identity(1)).ok
     # transvection along b1 preserves span{b1} and induces the identity
     s = IntMatrix.from_rows([[1, 0], [1, 1]])
-    assert cg_compatibility(s, standard_lagrangian(1), IntMatrix.identity(1)).ok
+    assert cg_compatibility(s, IntMatrix.identity(1)).ok
     # transvection along a1 moves b1 out of the Lagrangian
     s_bad = IntMatrix.from_rows([[1, -1], [0, 1]])
-    report = cg_compatibility(s_bad, standard_lagrangian(1), IntMatrix.identity(1))
+    report = cg_compatibility(s_bad, IntMatrix.identity(1))
     assert not report.ok and report.failures
 
 
 def test_cg_compatibility_rejects_nonsymplectic():
     with pytest.raises(MalformedInputError):
-        cg_compatibility(IntMatrix.from_rows([[2, 0], [0, 2]]),
-                         standard_lagrangian(1), IntMatrix.identity(1))
+        cg_compatibility(IntMatrix.from_rows([[2, 0], [0, 2]]), IntMatrix.identity(1))
 
 
 def test_handlebody_monodromy_invariants():

@@ -7,8 +7,7 @@ from fibcalc.errors import (MissingPayloadError, PreconditionError,
 from fibcalc.fibered import alexander_poly, catalog_knot, stallings_twist
 from fibcalc.invariants import h1
 from fibcalc.matrices import IntMatrix
-from fibcalc.mcg import (SurfaceMonodromy, cg_compatibility, curated_payload,
-                         standard_lagrangian)
+from fibcalc.mcg import SurfaceMonodromy, cg_compatibility, curated_payload
 from fibcalc.ribbon_disk import (FiberType, FiberedDisk, boundary_knot,
                                  boundary_surjectivity_check, disk_twist,
                                  doubled_boundary, exterior_presentation, half_spin,
@@ -81,8 +80,7 @@ def test_doubled_boundary_invariant_level_connected_sum():
 def test_every_disk_passes_cg_on_its_own_boundary():
     for name in ("unknot", "trefoil_R", "figure8", "square_knot"):
         d = half_spin(catalog_knot(name))
-        g = d.monodromy.genus
-        report = cg_compatibility(d.monodromy.boundary.action, standard_lagrangian(g),
+        report = cg_compatibility(d.monodromy.boundary.action,
                                   abelianize(d.monodromy.pi1_action))
         assert report.ok
 

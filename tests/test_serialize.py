@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from fibcalc import serialize
 from fibcalc.errors import FibcalcError, SchemaError
-from fibcalc.fibered import catalog_knot
-from fibcalc.mcg import catalog_names, curated_payload
-from fibcalc.ribbon_disk import disk_twist, half_spin
-from fibcalc.two_knot import spin, torus_surgery_plan
+from fibcalc.fibered import (Ambient, FiberedKnot, catalog_knot, connected_sum, mirror_knot,
+                             stallings_twist)
+from fibcalc.mcg import SurfaceMonodromy, catalog_names, curated_payload
+from fibcalc.ribbon_disk import boundary_knot, disk_twist, half_spin
+from fibcalc.two_knot import double_disk, execute_plan, gluck, spin, torus_surgery_plan
 
 
 def roundtrip(obj):
@@ -40,6 +41,67 @@ def test_derived_object_roundtrips():
     roundtrip(knot_group(k))
     from fibcalc.two_knot import FillingDescriptor
     roundtrip(FillingDescriptor("Y", (-1, 3)))
+
+
+GENUS1 = ("trefoil_R", "trefoil_L", "figure8")
+STALLINGS = tuple(curated_payload(f"square_knot_stallings_c{i}{s}")
+                  for i in (1, 2) for s in ("", "_neg"))
+
+
+@st.composite
+def constructed_knots(draw):
+    """A knot reached from the catalog by twist words, sums, mirrors and
+    Stallings twists."""
+    if draw(st.booleans()):
+        knot = catalog_knot(draw(st.sampled_from(GENUS1 + ("unknot", "square_knot"))))
+    else:
+        word = draw(st.lists(st.tuples(st.sampled_from(("g1_a1", "g1_b1")),
+                                       st.integers(-2, 2)), max_size=4))
+        monodromy = SurfaceMonodromy.from_twist_word(
+            1, [(curated_payload(name), m) for name, m in word])
+        knot = FiberedKnot(Ambient.s3(), 1, monodromy, draw(st.sampled_from((None, "k"))))
+    for step in draw(st.lists(st.sampled_from(("sum", "mirror", "stallings")), max_size=2)):
+        if step == "sum" and knot.genus < 2:
+            knot = connected_sum(knot, catalog_knot(draw(st.sampled_from(GENUS1))))
+        elif step == "mirror":
+            knot = mirror_knot(knot)
+        elif step == "stallings" and knot.genus == 2:
+            knot = stallings_twist(knot, draw(st.sampled_from(STALLINGS)),
+                                   draw(st.integers(-3, 3)))
+    return knot
+
+
+@st.composite
+def constructed_objects(draw):
+    """An object reached from the catalog by public constructions: knots,
+    their half-spins, disk twists, doubles, spins, Gluck twists and plans."""
+    knot = draw(constructed_knots())
+    kind = draw(st.sampled_from(("knot", "disk", "double", "spin", "plan")))
+    if kind == "knot":
+        return knot
+    if kind == "spin":
+        two_knot = spin(knot)
+        return gluck(two_knot) if draw(st.booleans()) else two_knot
+    if kind == "plan":
+        source = catalog_knot(draw(st.sampled_from(GENUS1)))
+        plan = torus_surgery_plan(source, knot if knot.genus >= 1 else source)
+        return execute_plan(spin(source), plan) if draw(st.booleans()) else plan
+    disk = half_spin(knot)
+    if disk.monodromy.genus == 2:
+        for _ in range(draw(st.integers(0, 3))):
+            disk = disk_twist(disk, draw(st.sampled_from(STALLINGS)), draw(st.integers(-3, 3)))
+    if kind == "double":
+        return double_disk(disk, draw(st.integers(-2, 2)))
+    return draw(st.sampled_from((disk, disk.monodromy, disk.monodromy.boundary,
+                                 boundary_knot(disk))))
+
+
+@given(constructed_objects())
+@settings(max_examples=100, deadline=None)
+def test_constructed_objects_roundtrip(obj):
+    """The loader's checked constructors re-prove every fact that the
+    constructions established without a check."""
+    roundtrip(obj)
 
 
 def test_labels_survive_roundtrip():
