@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import serialize
 from .errors import FibcalcError, ScriptError
@@ -86,7 +87,10 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    reads it without changing it."""
     parser = argparse.ArgumentParser(
         prog="fibcalc",
         description="monodromy calculator for fibered knots, ribbon disks and 2-knots")
@@ -104,8 +108,11 @@ def main(argv: list[str] | None = None) -> int:
     rep.add_argument("object", help="path to an object JSON file")
     _add_common(rep)
     rep.set_defaults(func=_cmd_report)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -83,6 +83,7 @@ def knot_group(knot: FiberedKnot) -> GroupPresentation:
     """HNN presentation < x_1..x_2g, t | t x_i t^-1 = phi(x_i) > of the knot
     group.  Knots without a pi1 payload run in the homology-only degraded
     mode and do not have a presentation; use alexander_poly there."""
+    _check_type(knot, FiberedKnot, "knot")
     if knot.monodromy.pi1_action is None:
         raise MissingPayloadError(
             "knot carries homological data only; no group presentation available")
@@ -91,12 +92,15 @@ def knot_group(knot: FiberedKnot) -> GroupPresentation:
 
 def alexander_poly(knot: FiberedKnot) -> LaurentPoly:
     """det(tI - A) for the homological monodromy A, unit-normalized."""
+    _check_type(knot, FiberedKnot, "knot")
     return normalize_alexander(char_poly(knot.monodromy.action))
 
 
 def stallings_twist(knot: FiberedKnot, curve: CurveSpec, m: int) -> FiberedKnot:
     """Recut the fibration along a framing-zero curve in a fiber and twist m
     times: the monodromy becomes phi o tau_c^m."""
+    _check_type(knot, FiberedKnot, "knot")
+    _check_type(curve, CurveSpec, "twist curve")
     _check_int(m, "twist count")
     if not curve.fiber_framing_zero:
         raise PreconditionError("Stallings twist needs a curve with fiber framing zero")
@@ -135,6 +139,7 @@ def connected_sum(k1: FiberedKnot, k2: FiberedKnot) -> FiberedKnot:
 
 
 def mirror_knot(knot: FiberedKnot) -> FiberedKnot:
+    _check_type(knot, FiberedKnot, "knot")
     label = f"mirror({knot.label})" if knot.label is not None else None
     return FiberedKnot(knot.ambient, knot.genus, mirror(knot.monodromy), label)
 
@@ -142,6 +147,7 @@ def mirror_knot(knot: FiberedKnot) -> FiberedKnot:
 def dual_knot_surgery_descriptor(knot: FiberedKnot, n: int) -> FiberedKnot:
     """The dual knot of (1/n)-surgery: same exterior, so identical monodromy
     data, retagged into the surgered homology sphere."""
+    _check_type(knot, FiberedKnot, "knot")
     _check_int(n, "surgery denominator")
     if knot.ambient.kind != "S3":
         raise PreconditionError("surgery descriptor is defined for knots in S3")

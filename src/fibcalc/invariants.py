@@ -13,8 +13,9 @@ from itertools import combinations, permutations
 from math import gcd
 
 from .errors import (AbelianizationError, BudgetExceededError, CatalogError,
-                     MalformedInputError, _check_int, _check_sequence, _check_type)
-from .laurent import LaurentPoly, laurent_gcd, normalize_alexander
+                     MalformedInputError, _check_int, _check_sequence, _check_type,
+                     _unchecked)
+from .laurent import LaurentPoly, _collect, laurent_gcd, normalize_alexander
 from .matrices import IntMatrix, laurent_det, smith_diagonal, smith_normal_form
 from .presentation import GroupPresentation
 from .words import FreeWord
@@ -116,7 +117,13 @@ def abelian_fox_row(word: FreeWord, exponents: tuple[int, ...]) -> list[LaurentP
     """The abelianized Fox derivatives of a word by every generator, in one
     pass: equal to ring_to_laurent(fox_derivative(word, j + 1), exponents)
     for each j.  Generator i maps to t^exponents[i]; at a prefix of exponent
-    e, a letter x_i adds t^e to column i and x_i^-1 adds -t^(e - exponents[i])."""
+    e, a letter x_i adds t^e to column i and x_i^-1 adds -t^(e - exponents[i]).
+    The exponents are checked once; the entries are built in canonical form."""
+    _check_type(word, FreeWord, "word")
+    if (type(exponents) not in (tuple, list) or len(exponents) != word.rank
+            or any(type(x) is not int for x in exponents)):
+        raise MalformedInputError(
+            f"exponents must be a tuple or a list of {word.rank} integers, not {exponents!r}")
     columns: list[dict[int, int]] = [{} for _ in range(word.rank)]
     e = 0
     for letter in word.letters:
@@ -128,7 +135,7 @@ def abelian_fox_row(word: FreeWord, exponents: tuple[int, ...]) -> list[LaurentP
         else:
             e -= exponents[i]
             column[e] = column.get(e, 0) - 1
-    return [LaurentPoly.from_dict(column) for column in columns]
+    return [_collect(column) for column in columns]
 
 
 def infinite_cyclic_exponents(presentation: GroupPresentation) -> tuple[int, ...]:
@@ -155,18 +162,30 @@ def h1(presentation: GroupPresentation) -> list[int]:
     """Invariant factors of H1 of the presented group: torsion orders followed
     by one 0 per free Z summand; the empty list means the trivial group."""
     _check_type(presentation, GroupPresentation, "presentation")
-    return list(_invariant_factors(presentation))
+    return list(_invariant_factors(_relator_key(presentation)))
+
+
+def _relator_key(presentation: GroupPresentation) -> tuple:
+    """Everything the Smith form and the hom search read from a presentation:
+    the generator count, the relators' letters, and the position of the
+    meridian "t" (None without one).  Presentations that differ only in the
+    other generator names share it: a knot's group, its spin's group and
+    the Gluck twist's are one HNN extension under different names."""
+    generators = presentation.generators
+    return (len(generators), tuple(rel.letters for rel in presentation.relators),
+            generators.index("t") if "t" in generators else None)
 
 
 # One report asks for H1 and then counts homs into several abelian groups,
-# all from the same Smith form; a few entries cover that reuse without
-# letting the cache grow with the number of presentations seen.
+# all from the same Smith form, and a script reports a knot and its spins;
+# a few entries cover that reuse without letting the cache grow with the
+# number of presentations seen.
 @lru_cache(maxsize=8)
-def _invariant_factors(presentation: GroupPresentation) -> tuple[int, ...]:
-    n = presentation.n_generators
-    rows = presentation.relator_matrix_rows()
-    if not rows:
+def _invariant_factors(key: tuple) -> tuple[int, ...]:
+    n, relators, _ = key
+    if not relators:
         return (0,) * n
+    rows = [_unchecked(FreeWord, n, letters).exponent_vector() for letters in relators]
     diag = smith_diagonal(IntMatrix.from_rows(rows))
     rank = sum(1 for x in diag if x != 0)
     return tuple(x for x in diag if x > 1) + (0,) * (n - rank)
@@ -423,7 +442,7 @@ def count_homs(presentation: GroupPresentation, group: FiniteGroupTable,
         raise MalformedInputError(f"homomorphism budget must be an integer, not {budget!r}")
     if group.is_abelian:
         count = 1
-        for d in _invariant_factors(presentation):
+        for d in _invariant_factors(_relator_key(presentation)):
             count *= sum(1 for k in group.element_orders if d % k == 0)
         return count
     return _search_homs(presentation, group, budget)
@@ -431,7 +450,7 @@ def count_homs(presentation: GroupPresentation, group: FiniteGroupTable,
 
 # A report searches S3 and then D4 on the same presentation.
 @lru_cache(maxsize=8)
-def _search_plan(presentation: GroupPresentation) -> tuple[tuple, ...]:
+def _search_plan(key: tuple) -> tuple[tuple, ...]:
     """The steps of the hom search, one per generator, in order.
 
     A step is (slot, word, checks).  Generator i has slots 2i (its value)
@@ -439,8 +458,8 @@ def _search_plan(presentation: GroupPresentation) -> tuple[tuple, ...]:
     None for an enumerated step; for a forced step the value is the product
     of `word`.  `checks` are the relators, as words, that the step completes
     and that must multiply out to the identity."""
-    n = presentation.n_generators
-    relators = [rel.letters for rel in presentation.relators if rel.letters]
+    n, relators, first = key
+    relators = [letters for letters in relators if letters]
     slots = [tuple(2 * abs(x) - 2 + (x < 0) for x in rel) for rel in relators]
     occurrences = [Counter(abs(x) - 1 for x in rel) for rel in relators]
     pending = [len(rel) for rel in relators]  # letters whose generator is unassigned
@@ -451,7 +470,6 @@ def _search_plan(presentation: GroupPresentation) -> tuple[tuple, ...]:
     degree = [len(ks) for ks in containing]  # unfinished relators holding each generator
     unfinished = list(range(len(relators)))
     unassigned = set(range(n))
-    first = presentation.generators.index("t") if "t" in presentation.generators else None
     steps = []
     while unassigned:
         # A relator with one pending letter has one unassigned generator, occurring once.
@@ -480,7 +498,16 @@ def _search_plan(presentation: GroupPresentation) -> tuple[tuple, ...]:
 
 def _search_homs(presentation: GroupPresentation, group: FiniteGroupTable,
                  budget: int) -> int:
-    steps = _search_plan(presentation)
+    return _completed_search(_relator_key(presentation), group, budget)
+
+
+# The counts of completed searches.  A script reports a knot, its spin and
+# the spin's Gluck twist, whose groups share one key.  The budget is part of
+# the key, so a call with another budget searches again; a search over its
+# budget raises, and lru_cache stores no exception.
+@lru_cache(maxsize=8)
+def _completed_search(key: tuple, group: FiniteGroupTable, budget: int) -> int:
+    steps = _search_plan(key)
     table, inverses, e = group.table, group.inverses, group.identity
     everything = tuple((value, 1) for value in range(group.order))
     enumerated = iter(k for k, (_, word, _) in enumerate(steps) if word is None)
@@ -488,7 +515,7 @@ def _search_homs(presentation: GroupPresentation, group: FiniteGroupTable,
     orbits = group.orbits
     candidates = [None if word is not None else orbits[e] if k == first else everything
                   for k, (_, word, _) in enumerate(steps)]
-    values = [e] * (2 * presentation.n_generators)
+    values = [e] * (2 * key[0])
     visited = 0
     last = len(steps)
 

@@ -120,15 +120,22 @@ def doubled_boundary(monodromy: SurfaceMonodromy) -> SurfaceMonodromy:
     return _unchecked(SurfaceMonodromy, 2 * g, action, payload, ())
 
 
-def half_spin(knot: FiberedKnot) -> FiberedDisk:
-    """The ribbon disk for K # (-K) given by (punctured exterior) x I, with
-    fiber the genus-2g handlebody and monodromy phi x id."""
+def _half_spin_action(knot: FiberedKnot) -> FreeGroupMap:
+    """The pi1 action of the half-spin of `knot`, which is the knot's own:
+    the entry checks of `half_spin`, shared with `two_knot.spin`."""
     _check_type(knot, FiberedKnot, "knot")
     if knot.ambient.kind != "S3":
         raise PreconditionError("half-spin is defined for knots in S3")
     f = knot.monodromy.pi1_action
     if f is None or not f.has_witness:
         raise MissingPayloadError("half-spin needs the knot's pi1 payload with witness")
+    return f
+
+
+def half_spin(knot: FiberedKnot) -> FiberedDisk:
+    """The ribbon disk for K # (-K) given by (punctured exterior) x I, with
+    fiber the genus-2g handlebody and monodromy phi x id."""
+    f = _half_spin_action(knot)
     g = knot.genus
     hb = _unchecked(HandlebodyMonodromy, 2 * g, f, doubled_boundary(knot.monodromy))
     label = f"half_spin({knot.label})" if knot.label is not None else None
@@ -187,6 +194,7 @@ def disk_twist(disk: FiberedDisk, curve: CurveSpec, m: int) -> FiberedDisk:
 def is_homotopy_ribbon(disk: FiberedDisk) -> bool:
     """A fibered disk is homotopy-ribbon exactly when its fiber is a plain
     handlebody (no extra closed summand)."""
+    _check_type(disk, FiberedDisk, "disk")
     return disk.fiber.is_handlebody
 
 

@@ -21,7 +21,7 @@ from .fibered import Ambient, FiberedKnot
 from .invariants import count_homs, finite_group, group_catalog_names, h1
 from .mcg import CurveSpec, SurfaceMonodromy
 from .presentation import GroupPresentation, hnn_presentation
-from .ribbon_disk import FiberedDisk, half_spin
+from .ribbon_disk import FiberedDisk, _half_spin_action
 from .words import FreeGroupMap, FreeWord, compose, handlebody_names
 
 
@@ -70,18 +70,29 @@ def double_disk(disk: FiberedDisk, framing: int) -> FiberedTwoKnot:
 
 
 def spin(knot: FiberedKnot) -> FiberedTwoKnot:
-    """The spun 2-knot, as the double of the half-spin disk with framing 0."""
-    doubled = double_disk(half_spin(knot), 0)
+    """The spun 2-knot: the double of the half-spin disk with framing 0.
+
+    `double_disk` reads only a disk's pi1 action and genus, and the
+    half-spin's are the knot's pi1 action and 2g, so the spin is built
+    directly from those and equals
+
+        replace(double_disk(half_spin(K), 0), provenance=(label,), label=label)
+
+    for its label; the doubled boundary that `half_spin` derives is not
+    needed."""
+    f = _half_spin_action(knot)
     label = f"spin({knot.label})" if knot.label is not None else "spin"
-    return replace(doubled, provenance=(label,), label=label)
+    return FiberedTwoKnot(Ambient.s4(), 2 * knot.genus, f, 0, (label,), label)
 
 
 def gluck(two_knot: FiberedTwoKnot) -> FiberedTwoKnot:
     """Gluck twist: toggles the parity; applying it twice is the identity."""
+    _check_type(two_knot, FiberedTwoKnot, "two-knot")
     return replace(two_knot, gluck_parity=1 - two_knot.gluck_parity)
 
 
 def two_knot_group(two_knot: FiberedTwoKnot) -> GroupPresentation:
+    _check_type(two_knot, FiberedTwoKnot, "two-knot")
     return hnn_presentation(two_knot.monodromy_pi1,
                             handlebody_names(two_knot.fiber_rank))
 
@@ -167,6 +178,8 @@ def torus_twist(two_knot: FiberedTwoKnot, curve: CurveSpec,
     For spun knots the curve's surface twist payload doubles to the fiber
     automorphism; otherwise the caller must supply the induced automorphism
     explicitly."""
+    _check_type(two_knot, FiberedTwoKnot, "two-knot")
+    _check_type(curve, CurveSpec, "torus twist curve")
     if fiber_automorphism is None:
         if not two_knot.arose_from_spinning:
             raise PreconditionError(
@@ -174,6 +187,7 @@ def torus_twist(two_knot: FiberedTwoKnot, curve: CurveSpec,
         if curve.pi1_payload is None:
             raise MissingPayloadError("curve has no pi1 payload")
         fiber_automorphism = curve.pi1_payload
+    _check_type(fiber_automorphism, FreeGroupMap, "fiber automorphism")
     if fiber_automorphism.rank != two_knot.fiber_rank:
         raise RankMismatchError("automorphism rank must equal the fiber rank")
     if not fiber_automorphism.has_witness:
@@ -242,6 +256,8 @@ def torus_surgery_plan(source: FiberedKnot, target: FiberedKnot) -> SurgeryPlan:
     target.  Larger target genus: a first phase of 2(g2 - g1) stabilizing
     surgeries along a 0-framed unlink of tori, then the monodromy phase.
     """
+    _check_type(source, FiberedKnot, "plan source")
+    _check_type(target, FiberedKnot, "plan target")
     word1 = _twist_word_of(source)
     word2 = _twist_word_of(target)
     g1, g2 = source.genus, target.genus
@@ -278,6 +294,8 @@ def _stabilize(two_knot: FiberedTwoKnot) -> FiberedTwoKnot:
 def execute_plan(two_knot: FiberedTwoKnot, plan: SurgeryPlan) -> FiberedTwoKnot:
     """Replay a plan on monodromy data: stabilizations extend the fiber,
     twist entries compose doubled Dehn-twist actions."""
+    _check_type(two_knot, FiberedTwoKnot, "two-knot")
+    _check_type(plan, SurgeryPlan, "surgery plan")
     current = two_knot
     for entry in plan.entries:
         if entry.is_stabilization:

@@ -3,15 +3,19 @@ values are built without a second check.  These tests rebuild every derived
 value through the full checked constructor and require an equal result, so a
 derivation that broke a fact the constructor checks (symplectic action,
 payload abelianizing to the action, Lagrangian compatibility, normalized
-fields) would fail here.  The doubled boundary and the a-row compatibility
-check are also compared with the general routines they replaced."""
+fields) would fail here.  The doubled boundary, the a-row compatibility
+check and `spin` are also compared with the general routines they replaced."""
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibcalc import mcg
 from fibcalc.errors import FibcalcError, MalformedInputError, RankMismatchError
-from fibcalc.fibered import Ambient, FiberedKnot, catalog_knot, stallings_twist
+from fibcalc.fibered import (Ambient, FiberedKnot, catalog_knot, connected_sum,
+                             mirror_knot, stallings_twist)
+from fibcalc.invariants import abelian_fox_row
 from fibcalc.laurent import LaurentPoly
 from fibcalc.matrices import (IntMatrix, block_diag, in_row_span, smith_diagonal,
                               smith_normal_form)
@@ -21,7 +25,9 @@ from fibcalc.mcg import (CurveSpec, HandlebodyMonodromy, SurfaceMonodromy,
                          transvection, twist_monodromy)
 from fibcalc.ribbon_disk import (_doubling_change_of_basis, disk_twist, doubled_boundary,
                                  half_spin)
-from fibcalc.words import FreeGroupMap, abelianize, compose
+from fibcalc.serialize import dumps
+from fibcalc.two_knot import double_disk, spin
+from fibcalc.words import FreeGroupMap, FreeWord, abelianize, compose
 
 STALLINGS = tuple(curated_payload(f"square_knot_stallings_c{i}{s}")
                   for i in (1, 2) for s in ("", "_neg"))
@@ -187,6 +193,43 @@ def test_doubled_boundary_matches_the_hand_assembly(genus_and_word):
 
 
 # --------------------------------------------------------------------------
+# spin against the double of the half-spin it replaced
+# --------------------------------------------------------------------------
+
+CATALOG_KNOTS = ("unknot", "trefoil_R", "trefoil_L", "figure8", "square_knot", "granny_knot")
+
+
+def check_spin(knot):
+    label = f"spin({knot.label})" if knot.label is not None else "spin"
+    expected = replace(double_disk(half_spin(knot), 0), provenance=(label,), label=label)
+    got = spin(knot)
+    assert got == expected
+    assert (got.provenance, got.label) == (expected.provenance, expected.label)
+    assert dumps(got) == dumps(expected)
+
+
+def test_spin_is_the_double_of_the_half_spin_on_the_catalog():
+    knots = [catalog_knot(name) for name in CATALOG_KNOTS]
+    knots += [connected_sum(k1, k2) for k1 in knots[1:4] for k2 in knots[1:4]]
+    for knot in knots:
+        check_spin(knot)
+        check_spin(mirror_knot(knot))
+
+
+@given(st.integers(1, 3).flatmap(lambda g: st.tuples(
+    st.just(g), st.lists(st.tuples(st.sampled_from(genus3_curves() if g == 3 else curves(g)),
+                                   st.integers(-3, 3)), max_size=5))),
+       st.sampled_from(CATALOG_KNOTS), st.sampled_from(["K", None]))
+@settings(max_examples=40, deadline=None)
+def test_spin_is_the_double_of_the_half_spin(genus_and_word, name, label):
+    genus, word = genus_and_word
+    knot = FiberedKnot(Ambient.s3(), genus, SurfaceMonodromy.from_twist_word(genus, word),
+                       label)
+    for k in (knot, mirror_knot(knot), connected_sum(knot, catalog_knot(name))):
+        check_spin(k)
+
+
+# --------------------------------------------------------------------------
 # The a-row compatibility check against the general one it replaced
 # --------------------------------------------------------------------------
 
@@ -335,6 +378,16 @@ def test_matrix_arithmetic_is_canonical(r, k, c, data):
                                                  max_size=2 * r)), 1)
     recheck_matrix(unimodular.power(-data.draw(st.integers(1, 3))))
     recheck_matrix(unimodular.inverse_unimodular())
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-n, n).filter(bool), max_size=30).map(lambda seq: FreeWord(n, seq)),
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
+@settings(max_examples=100, deadline=None)
+def test_abelian_fox_row_entries_are_canonical(word_and_exponents):
+    word, exponents = word_and_exponents
+    for entry in abelian_fox_row(word, exponents):
+        assert LaurentPoly.from_dict(dict(entry.terms)) == entry
 
 
 def polys():

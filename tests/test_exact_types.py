@@ -7,11 +7,11 @@ from dataclasses import replace
 import pytest
 
 from fibcalc.errors import MalformedInputError, RankMismatchError
-from fibcalc.fibered import (Ambient, FiberedKnot, catalog_knot, connected_sum,
-                             distinctness_bound, dual_knot_surgery_descriptor, knot_group,
-                             stallings_twist)
-from fibcalc.invariants import (FiniteGroupTable, alexander_from_presentation, count_homs,
-                                finite_group, h1)
+from fibcalc.fibered import (Ambient, FiberedKnot, alexander_poly, catalog_knot,
+                             connected_sum, distinctness_bound, dual_knot_surgery_descriptor,
+                             knot_group, mirror_knot, stallings_twist)
+from fibcalc.invariants import (FiniteGroupTable, abelian_fox_row,
+                                alexander_from_presentation, count_homs, finite_group, h1)
 from fibcalc.laurent import LaurentPoly
 from fibcalc.matrices import IntMatrix, block_diag, char_poly, smith_normal_form
 from fibcalc.mcg import (CurveSpec, SurfaceMonodromy, cg_compatibility, curated_payload,
@@ -19,9 +19,10 @@ from fibcalc.mcg import (CurveSpec, SurfaceMonodromy, cg_compatibility, curated_
 from fibcalc.presentation import GroupPresentation, hnn_presentation
 from fibcalc.ribbon_disk import (FiberedDisk, FiberType, boundary_knot,
                                  boundary_surjectivity_check, disk_twist,
-                                 exterior_presentation, half_spin)
+                                 exterior_presentation, half_spin, is_homotopy_ribbon)
 from fibcalc.two_knot import (FiberedTwoKnot, FillingDescriptor, PlanEntry, SurgeryPlan,
-                              double_disk, spin)
+                              double_disk, execute_plan, gluck, halving_family, spin,
+                              torus_surgery_plan, torus_twist, two_knot_group)
 from fibcalc.words import FreeGroupMap, FreeWord, word_from_text
 
 
@@ -83,6 +84,8 @@ PROBES = {
     "plan float genus": lambda: SurgeryPlan(1.0, 1, ()),
     "group float order": lambda: FiniteGroupTable("x", 1.0, ((0,),), ("a",)),
     "transvection bool multiplier": lambda: transvection((1, 0), True),
+    "fox row float exponent": lambda: abelian_fox_row(FreeWord(2, (1, 2)), (0, 1.0)),
+    "fox row bool exponent": lambda: abelian_fox_row(FreeWord(2, (1, 2)), (0, True)),
 }
 
 # Malformed shapes, each of which used to escape as a raw Python exception.
@@ -118,6 +121,8 @@ SHAPE_PROBES = {
     "h1 string": lambda: h1("x"),
     "word int text": lambda: word_from_text(5, ["a"]),
     "map int images": lambda: FreeGroupMap.from_letters(1, 5),
+    "fox row short exponents": lambda: abelian_fox_row(FreeWord(2, (1, 2)), (1,)),
+    "fox row int exponents": lambda: abelian_fox_row(FreeWord(1, (1,)), 1),
 }
 
 # Entry points that take a library object: a wrong-typed argument is a
@@ -135,6 +140,25 @@ ENTRY_PROBES = {
         half_spin(catalog_knot("trefoil_R")), "x"),
     "double string": lambda: double_disk("x", 0),
     "spin string": lambda: spin("x"),
+    "knot group string": lambda: knot_group("x"),
+    "alexander string": lambda: alexander_poly("x"),
+    "mirror string": lambda: mirror_knot("x"),
+    "stallings string knot": lambda: stallings_twist("x", _stallings_curve(), 1),
+    "stallings string curve": lambda: stallings_twist(catalog_knot("square_knot"), "x", 1),
+    "dual surgery string": lambda: dual_knot_surgery_descriptor("x", 1),
+    "gluck string": lambda: gluck("x"),
+    "torus twist string two-knot": lambda: torus_twist("x", _stallings_curve()),
+    "torus twist string curve": lambda: torus_twist(spin(catalog_knot("trefoil_R")), "x"),
+    "torus twist string automorphism": lambda: torus_twist(
+        spin(catalog_knot("trefoil_R")), curated_payload("g2_a1"), "x"),
+    "two-knot group string": lambda: two_knot_group("x"),
+    "halving string": lambda: halving_family("x", [0]),
+    "plan string source": lambda: torus_surgery_plan("x", catalog_knot("trefoil_R")),
+    "plan string target": lambda: torus_surgery_plan(catalog_knot("trefoil_R"), "x"),
+    "homotopy ribbon string": lambda: is_homotopy_ribbon("x"),
+    "execute string two-knot": lambda: execute_plan("x", SurgeryPlan(1, 1, ())),
+    "execute string plan": lambda: execute_plan(spin(catalog_knot("trefoil_R")), "x"),
+    "fox row string word": lambda: abelian_fox_row("x", (1,)),
     "laurent plus int": lambda: T + 1,
     "laurent minus int": lambda: T - 1,
     "laurent times int": lambda: T * 2,

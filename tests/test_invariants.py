@@ -5,6 +5,7 @@ from time import perf_counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fibcalc import invariants
 from fibcalc.errors import (AbelianizationError, BudgetExceededError, CatalogError,
                             MalformedInputError)
 from fibcalc.fibered import (catalog_knot, connected_sum, knot_group,
@@ -21,7 +22,8 @@ from fibcalc.mcg import symplectic_form, transvection
 from fibcalc.presentation import GroupPresentation, hnn_presentation
 from fibcalc.ribbon_disk import exterior_presentation, half_spin
 from fibcalc.two_knot import double_disk, halving_family, spin, two_knot_group
-from fibcalc.words import FreeGroupMap, FreeWord, abelianize, compose, surface_names
+from fibcalc.words import (FreeGroupMap, FreeWord, abelianize, compose, handlebody_names,
+                           surface_names)
 
 
 def test_fox_derivative_examples():
@@ -354,6 +356,67 @@ def test_budget_error_reports_nodes_visited():
     assert count_homs(p, finite_group("S3"), budget=25) == 12
     with pytest.raises(BudgetExceededError):
         count_homs(p, finite_group("S3"), budget=24)
+
+
+# H1, the search plan and completed counts are cached per relator set, so
+# the names of the generators other than "t" do not matter.
+def _clear_presentation_caches():
+    for cache in (invariants._invariant_factors, invariants._search_plan,
+                  invariants._completed_search):
+        cache.cache_clear()
+
+
+def test_renamed_presentation_shares_h1_and_counts():
+    _clear_presentation_caches()
+    f = connected_sum(catalog_knot("square_knot"), catalog_knot("figure8")).monodromy.pi1_action
+    knot_names = hnn_presentation(f, surface_names(3))
+    spin_names = hnn_presentation(f, handlebody_names(6))
+    assert knot_names != spin_names
+    diagonal = h1(knot_names)
+    counts = {name: count_homs(knot_names, finite_group(name)) for name in ("S3", "D4", "A4")}
+    searches = invariants._completed_search.cache_info().misses
+    assert invariants._invariant_factors.cache_info().misses == 1
+    assert h1(spin_names) == diagonal
+    assert invariants._invariant_factors.cache_info().misses == 1
+    assert {name: count_homs(spin_names, finite_group(name)) for name in counts} == counts
+    assert invariants._completed_search.cache_info().misses == searches
+
+
+def test_renamed_presentation_runs_no_search(monkeypatch):
+    _clear_presentation_caches()
+    f = catalog_knot("granny_knot").monodromy.pi1_action
+    first = count_homs(hnn_presentation(f, surface_names(2)), finite_group("S4"))
+
+    def refuse(*args):
+        raise AssertionError("a renamed presentation was planned again")
+    monkeypatch.setattr(invariants, "_search_plan", refuse)
+    assert count_homs(hnn_presentation(f, handlebody_names(4)), finite_group("S4")) == first
+
+
+def test_cached_count_keeps_the_budget_contract():
+    p = knot_group(catalog_knot("square_knot"))  # 475 search nodes into S4
+    assert count_homs(p, finite_group("S4")) == 432
+    with pytest.raises(BudgetExceededError, match="over the budget 100"):
+        count_homs(p, finite_group("S4"), budget=100)
+    with pytest.raises(BudgetExceededError):
+        count_homs(hnn_presentation(catalog_knot("square_knot").monodromy.pi1_action,
+                                    handlebody_names(4)), finite_group("S4"), budget=100)
+    assert count_homs(p, finite_group("S4"), budget=950) == 432
+
+
+def test_meridian_position_is_part_of_the_key():
+    _clear_presentation_caches()
+    relators = ((1, 2, -1, -2, -2), (2, 2, 2))
+    t_first = _presentation(("t", "x"), *relators)
+    t_second = _presentation(("x", "t"), *relators)
+    g = finite_group("S3")
+    assert count_homs(t_first, g) == brute_force_count(t_first, g)
+    assert count_homs(t_second, g) == brute_force_count(t_second, g)
+    assert invariants._search_plan.cache_info().misses == 2
+    assert invariants._completed_search.cache_info().misses == 2
+    key_first, key_second = (invariants._relator_key(p) for p in (t_first, t_second))
+    assert invariants._search_plan(key_first)[0][0] == 0
+    assert invariants._search_plan(key_second)[0][0] == 2
 
 
 def test_route_equivalence_all_catalog_knots():

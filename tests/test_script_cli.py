@@ -1,8 +1,10 @@
+import argparse
 import json
 import sys
 
 import pytest
 
+from fibcalc import cli
 from fibcalc.cli import main
 from fibcalc.errors import ScriptError
 from fibcalc.script import build_report, execute, parse_script, reports_to_json
@@ -249,3 +251,42 @@ def test_load_raises_nothing_for_curves_or_knots():
         sys.settrace(None)
     assert raised == []
     assert [r.label for r in reports] == ["square_knot_stallings_c1"]
+
+
+def test_cli_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    path = tmp_path / "script.fib"
+    path.write_text("K = load trefoil_R\nS = spin K\nreport S\n")
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        assert main(["run", str(path)]) == 0
+        first = capsys.readouterr().out
+        assert len(built) == 4  # the parser and its run, catalog and report subparsers
+        assert main(["run", str(path)]) == 0
+        assert capsys.readouterr().out == first
+        assert len(built) == 4
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_cli_help_and_usage_errors_repeat(capsys):
+    outputs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("usage: fibcalc [-h] {run,catalog,report} ...")
+    for argv in (["frobnicate"], ["run"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "usage: fibcalc" in capsys.readouterr().err

@@ -2,11 +2,12 @@ import pytest
 
 from fibcalc.errors import (MalformedInputError, MissingPayloadError, PreconditionError,
                             UnsupportedFiberError)
-from fibcalc.fibered import alexander_poly, catalog_knot, connected_sum, stallings_twist
+from fibcalc.fibered import (Ambient, FiberedKnot, alexander_poly, catalog_knot,
+                             connected_sum, dual_knot_surgery_descriptor, stallings_twist)
 from fibcalc.invariants import count_homs, finite_group, h1
 from fibcalc.laurent import normalize_alexander
 from fibcalc.matrices import char_poly
-from fibcalc.mcg import curated_payload
+from fibcalc.mcg import SurfaceMonodromy, curated_payload, transvection
 from fibcalc.ribbon_disk import FiberType, FiberedDisk, disk_twist, half_spin
 from fibcalc.two_knot import (FillingDescriptor, PlanEntry, SurgeryPlan, double_disk,
                               execute_plan, gluck, halving_family,
@@ -51,6 +52,20 @@ def test_spin_basics():
     got = normalize_alexander(char_poly(abelianize(s.monodromy_pi1)))
     assert got == alexander_poly(k)
     assert h1(two_knot_group(s)) == [0]
+
+
+@pytest.mark.parametrize("knot, error, message", [
+    (lambda: dual_knot_surgery_descriptor(catalog_knot("trefoil_R"), 1), PreconditionError,
+     "half-spin is defined for knots in S3"),
+    (lambda: FiberedKnot(Ambient.s3(), 1, SurfaceMonodromy(1, transvection((1, 0)))),
+     MissingPayloadError, "half-spin needs the knot's pi1 payload with witness"),
+    (lambda: "x", MalformedInputError, "knot must be a FiberedKnot, not 'x'"),
+], ids=["not in S3", "no payload", "not a knot"])
+def test_spin_errors_are_the_half_spin_errors(knot, error, message):
+    for construction in (spin, half_spin):
+        with pytest.raises(error) as exc:
+            construction(knot())
+        assert str(exc.value) == message
 
 
 def test_spin_unknot_is_trivial_sphere():
