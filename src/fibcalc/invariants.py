@@ -84,6 +84,8 @@ class GroupRingElement:
 def fox_derivative(word: FreeWord, index: int) -> GroupRingElement:
     """Fox derivative with respect to the index-th generator:
     d(uv) = du + u dv, d(x_j) = 1, d(x_j^-1) = -x_j^-1."""
+    _check_type(word, FreeWord, "word")
+    _check_int(index, "generator index")
     if not 1 <= index <= word.rank:
         raise MalformedInputError("generator index out of range")
     total = GroupRingElement.zero(word.rank)
@@ -99,13 +101,23 @@ def fox_derivative(word: FreeWord, index: int) -> GroupRingElement:
 
 
 def fox_matrix(presentation: GroupPresentation) -> list[list[GroupRingElement]]:
+    _check_type(presentation, GroupPresentation, "presentation")
     n = presentation.n_generators
     return [[fox_derivative(rel, j + 1) for j in range(n)]
             for rel in presentation.relators]
 
 
+def _check_exponents(exponents, rank: int) -> None:
+    if (type(exponents) not in (tuple, list) or len(exponents) != rank
+            or any(type(x) is not int for x in exponents)):
+        raise MalformedInputError(
+            f"exponents must be a tuple or a list of {rank} integers, not {exponents!r}")
+
+
 def ring_to_laurent(element: GroupRingElement, exponents: tuple[int, ...]) -> LaurentPoly:
     """Abelianize a group-ring element: each word becomes t^(e . exponent vector)."""
+    _check_type(element, GroupRingElement, "group-ring element")
+    _check_exponents(exponents, element.rank)
     acc: dict[int, int] = {}
     for word, coeff in element.coeffs.items():
         e = sum(exponents[i] * v for i, v in enumerate(word.exponent_vector()))
@@ -120,10 +132,7 @@ def abelian_fox_row(word: FreeWord, exponents: tuple[int, ...]) -> list[LaurentP
     e, a letter x_i adds t^e to column i and x_i^-1 adds -t^(e - exponents[i]).
     The exponents are checked once; the entries are built in canonical form."""
     _check_type(word, FreeWord, "word")
-    if (type(exponents) not in (tuple, list) or len(exponents) != word.rank
-            or any(type(x) is not int for x in exponents)):
-        raise MalformedInputError(
-            f"exponents must be a tuple or a list of {word.rank} integers, not {exponents!r}")
+    _check_exponents(exponents, word.rank)
     columns: list[dict[int, int]] = [{} for _ in range(word.rank)]
     e = 0
     for letter in word.letters:
@@ -140,6 +149,7 @@ def abelian_fox_row(word: FreeWord, exponents: tuple[int, ...]) -> list[LaurentP
 
 def infinite_cyclic_exponents(presentation: GroupPresentation) -> tuple[int, ...]:
     """Exponents e_i with generator_i -> t^(e_i) inducing H1 ~ Z, if H1 is Z."""
+    _check_type(presentation, GroupPresentation, "presentation")
     n = presentation.n_generators
     rows = presentation.relator_matrix_rows()
     r = len(rows)
@@ -196,6 +206,7 @@ def alexander_from_presentation(presentation: GroupPresentation,
     """Alexander polynomial from a presentation whose abelianization is Z:
     abelianize the Fox matrix, delete the meridian column, and take the gcd
     of the maximal minors."""
+    _check_type(presentation, GroupPresentation, "presentation")
     n = presentation.n_generators
     if assignment is None:
         exps = infinite_cyclic_exponents(presentation)

@@ -179,6 +179,7 @@ def normalize_alexander(p: LaurentPoly) -> LaurentPoly:
 
     Alexander polynomials are only defined up to such units.
     """
+    _check_type(p, LaurentPoly, "polynomial")
     if p.is_zero:
         raise MalformedInputError("cannot normalize the zero polynomial")
     q = p.shift(-p.min_exp)
@@ -219,25 +220,6 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def exact_div(a: list[int], b: list[int]) -> list[int]:
-    """The quotient a / b in Z[t] of dense coefficient lists (lowest degree
-    first).  Raises unless b is nonzero and divides a exactly."""
-    a, b = _strip(list(a)), _strip(list(b))
-    if not b:
-        raise MalformedInputError("division by the zero polynomial")
-    lead, nb = b[-1], len(b)
-    q = [0] * max(len(a) - nb + 1, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = a[k + nb - 1] // lead  # a remainder stays in a and fails the check below
-        if c:
-            q[k] = c
-            for i, bc in enumerate(b):
-                a[k + i] -= c * bc
-    if any(a):
-        raise MalformedInputError("polynomial division is not exact")
-    return q
-
-
 def _gcd_dense(a: list[int], b: list[int]) -> list[int]:
     a, b = _strip(list(a)), _strip(list(b))
     if not a:
@@ -261,6 +243,8 @@ def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     Result is defined up to units; it is returned with exponent-0 lowest term
     and positive leading coefficient.
     """
+    _check_type(p, LaurentPoly, "polynomial")
+    _check_type(q, LaurentPoly, "polynomial")
     if p.is_zero and q.is_zero:
         return LaurentPoly.zero()
     if p.is_zero:

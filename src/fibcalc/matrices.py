@@ -3,9 +3,12 @@ Smith normal form with unimodular witnesses, and integer linear solving.
 
 Every algorithm is exact and polynomial in the size n: characteristic
 polynomials by Berkowitz's division-free algorithm (O(n^4) integer
-operations), determinants over Z and Z[t] by fraction-free Bareiss elimination
-(O(n^3) ring operations, every division exact), and unimodular inverses from
-the Smith-form witnesses.
+operations), integer determinants by fraction-free Bareiss elimination (O(n^3)
+integer operations, every division exact), and unimodular inverses from the
+Smith-form witnesses.  Determinants over Z[t, t^-1] reduce to one integer
+determinant by Kronecker substitution: the entries are evaluated at t = 2^B,
+with B large enough that the determinant's coefficients are the signed
+base-2^B digits of the integer result.
 
 The constructor (and `from_rows`, `identity`, `zeros`, which call it) checks
 the shape and that every entry is an exact integer, and stores the entries as
@@ -20,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import MalformedInputError, RankMismatchError, _check_int, _check_type, _unchecked
-from .laurent import LaurentPoly, exact_div
+from .errors import (MalformedInputError, RankMismatchError, _check_int, _check_sequence,
+                     _check_type, _unchecked)
+from .laurent import LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -133,29 +137,27 @@ class IntMatrix:
         return out
 
     def det(self) -> int:
-        """Fraction-free (Bareiss) determinant."""
+        """Fraction-free (Bareiss 1968) determinant.  Each step replaces the
+        block below and right of the pivot by the 2 x 2 minors it forms with
+        the pivot, divided by the previous pivot; the division is exact,
+        since each new entry is a minor of the matrix.  A zero pivot swaps in
+        a lower row and flips the sign."""
         if self.rows != self.cols:
             raise RankMismatchError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        m = list(self.entries)
+        sign, prev = 1, 1
+        while len(m) > 1:
+            swap = next((i for i, row in enumerate(m) if row[0]), None)
+            if swap is None:
+                return 0
+            if swap:
+                m[0], m[swap] = m[swap], m[0]
+                sign = -sign
+            pivot, *top = m[0]
+            m = [[(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], top)]
+                 for row in m[1:]]
+            prev = pivot
+        return sign * m[0][0] if m else 1
 
     def inverse_unimodular(self) -> "IntMatrix":
         """Inverse of a matrix with determinant +-1, from the Smith witnesses:
@@ -193,60 +195,51 @@ def block_diag(*blocks: IntMatrix) -> IntMatrix:
     return _matrix(rows, cols, out)
 
 
-def _mul_sub(a: list[int], b: list[int], c: list[int], d: list[int]) -> list[int]:
-    """a*b - c*d for dense coefficient lists, lowest degree first."""
-    out = [0] * max(len(a) + len(b), len(c) + len(d))
-    for sign, (p, q) in ((1, (a, b)), (-1, (c, d))):
-        for i, x in enumerate(p):
-            if x:
-                x *= sign
-                for j, y in enumerate(q):
-                    out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def laurent_det(grid: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Determinant of a square grid of Laurent polynomials.
+    """Determinant of a square grid of Laurent polynomials, by Kronecker
+    substitution: one integer determinant at t = 2^B.
 
     Each row is multiplied by the power of t that moves its lowest exponent
-    to 0; fraction-free Bareiss elimination (Bareiss 1968) then runs over
-    Z[t] on dense coefficient lists, with O(n^3) polynomial products and
-    exact divisions by the previous pivot.  A zero pivot swaps in a lower
-    row and flips the sign; the row shifts come back as one factor t^k.
+    to 0, so every entry p is a polynomial.  H, the product over the rows of
+    the sum of the entries' coefficient norms |p|_1, bounds every
+    coefficient of the determinant, since |det|_1 <= sum over permutations
+    s of prod_i |p_i,s(i)|_1 <= H.  With B = H.bit_length() + 1 each
+    coefficient lies in (-2^(B-1), 2^(B-1)).  Evaluation at 2^B is a ring
+    homomorphism Z[t] -> Z, so the integer determinant of the entries
+    p(2^B) (by `IntMatrix.det`) is det(p)(2^B), and its signed base-2^B
+    digits are the coefficients, read off exactly.  The row shifts come back
+    as one factor t^k.
     """
+    _check_sequence(grid, "grid")
     n = len(grid)
     for row in grid:
+        _check_sequence(row, "grid row")
         if len(row) != n:
             raise RankMismatchError("determinant of a non-square grid")
-    if n == 0:
-        return LaurentPoly.one()
-    shift = 0
-    m = []
+        for p in row:
+            _check_type(p, LaurentPoly, "grid entry")
+    shift, bound, rows = 0, 1, []
     for row in grid:
         live = [p.min_exp for p in row if not p.is_zero]
         if not live:
             return LaurentPoly.zero()
         low = min(live)
         shift += low
-        m.append([[] if p.is_zero else [0] * (p.min_exp - low) + p.dense_coeffs()
-                  for p in row])
-    sign, prev = 1, [1]
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return LaurentPoly.zero()
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot_row, pivot = m[k], m[k][k]
-        for i in range(k + 1, n):
-            row, lead = m[i], m[i][k]
-            for j in range(k + 1, n):
-                row[j] = exact_div(_mul_sub(row[j], pivot, lead, pivot_row[j]), prev)
-        prev = pivot
-    return LaurentPoly(tuple((e + shift, sign * c) for e, c in enumerate(m[n - 1][n - 1])))
+        bound *= sum(abs(c) for p in row for _, c in p.terms)
+        rows.append((low, row))
+    b = bound.bit_length() + 1
+    value = _matrix(n, n, [[sum(c << b * (e - low) for e, c in p.terms) for p in row]
+                           for low, row in rows]).det()
+    half, mask, terms = 1 << (b - 1), (1 << b) - 1, []
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << b
+        if digit:
+            terms.append((shift, digit))
+        value = (value - digit) >> b
+        shift += 1
+    return _unchecked(LaurentPoly, tuple(terms))
 
 
 def char_poly(a: IntMatrix) -> LaurentPoly:

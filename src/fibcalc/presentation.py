@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import RankMismatchError, _check_sequence, _check_type
+from .errors import RankMismatchError, _check_sequence, _check_type, _unchecked
 from .words import FreeGroupMap, FreeWord, check_generator_names, word_to_text
 
 
@@ -48,7 +48,12 @@ class GroupPresentation:
 def hnn_presentation(monodromy: FreeGroupMap, fiber_names: Sequence[str],
                      stable_name: str = "t") -> GroupPresentation:
     """Presentation of the mapping-torus group: generators the fiber group
-    generators plus the stable letter t, relators t x_i t^-1 f(x_i)^-1."""
+    generators plus the stable letter t, relators t x_i t^-1 f(x_i)^-1.
+
+    The relators are built without a second check, since they are reduced:
+    f(x_i)^-1 is the inverse of a word of the checked map, and no two
+    neighbours among t, x_i, t^-1 and its first letter cancel.  The names
+    come from the caller and are checked."""
     _check_type(monodromy, FreeGroupMap, "monodromy")
     _check_sequence(fiber_names, "fiber generator names")
     n = monodromy.rank
@@ -56,9 +61,7 @@ def hnn_presentation(monodromy: FreeGroupMap, fiber_names: Sequence[str],
         raise RankMismatchError("need one name per fiber generator")
     gens = tuple(fiber_names) + (stable_name,)
     t = n + 1
-    relators = []
-    for i in range(n):
-        image = monodromy.images[i].shift(n + 1, 0)
-        letters = (t, i + 1, -t) + image.inverse().letters
-        relators.append(FreeWord(n + 1, letters))
-    return GroupPresentation(gens, tuple(relators))
+    relators = tuple(_unchecked(FreeWord, n + 1,
+                                (t, i + 1, -t) + tuple(-x for x in reversed(image.letters)))
+                     for i, image in enumerate(monodromy.images))
+    return GroupPresentation(gens, relators)

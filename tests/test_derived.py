@@ -1,10 +1,11 @@
-"""Monodromies, curves, disks, matrices and polynomials derived from checked
-values are built without a second check.  These tests rebuild every derived
-value through the full checked constructor and require an equal result, so a
-derivation that broke a fact the constructor checks (symplectic action,
-payload abelianizing to the action, Lagrangian compatibility, normalized
-fields) would fail here.  The doubled boundary, the a-row compatibility
-check and `spin` are also compared with the general routines they replaced."""
+"""Monodromies, curves, disks, matrices, polynomials and presentation
+relators derived from checked values are built without a second check.
+These tests rebuild every derived value through the full checked constructor
+and require an equal result, so a derivation that broke a fact the
+constructor checks (symplectic action, payload abelianizing to the action,
+Lagrangian compatibility, normalized fields, reduced words) would fail here.
+The doubled boundary, the a-row compatibility check and `spin` are also
+compared with the general routines they replaced."""
 
 from dataclasses import replace
 
@@ -23,11 +24,12 @@ from fibcalc.mcg import (CurveSpec, HandlebodyMonodromy, SurfaceMonodromy,
                          boundary_connected_sum, cg_compatibility, compose_monodromy,
                          curated_payload, is_symplectic, mirror, symplectic_form,
                          transvection, twist_monodromy)
+from fibcalc.presentation import GroupPresentation, hnn_presentation
 from fibcalc.ribbon_disk import (_doubling_change_of_basis, disk_twist, doubled_boundary,
-                                 half_spin)
+                                 exterior_presentation, half_spin)
 from fibcalc.serialize import dumps
 from fibcalc.two_knot import double_disk, spin
-from fibcalc.words import FreeGroupMap, FreeWord, abelianize, compose
+from fibcalc.words import FreeGroupMap, FreeWord, abelianize, compose, surface_names
 
 STALLINGS = tuple(curated_payload(f"square_knot_stallings_c{i}{s}")
                   for i in (1, 2) for s in ("", "_neg"))
@@ -72,6 +74,11 @@ def recheck_handlebody(h):
     recheck(h.boundary)
 
 
+def recheck_presentation(p):
+    relators = tuple(FreeWord(r.rank, r.letters) for r in p.relators)
+    assert GroupPresentation(p.generators, relators) == p
+
+
 @given(twist_words(1), twist_words(2), st.data())
 @settings(max_examples=40, deadline=None)
 def test_derived_values_pass_the_full_check(word1, word2, data):
@@ -104,6 +111,9 @@ def test_derived_values_pass_the_full_check(word1, word2, data):
     recheck_handlebody(half_spin(FiberedKnot(Ambient.s3(), 2, m2)).monodromy)
     recheck(doubled_boundary(m2))
     recheck(doubled_boundary(mirror(total)))
+    for m in (m1, m2, total, knot.monodromy):
+        recheck_presentation(hnn_presentation(m.pi1_action, surface_names(m.genus)))
+    recheck_presentation(exterior_presentation(disk))
 
 
 def test_derived_disks_skip_the_compatibility_check(monkeypatch):

@@ -10,10 +10,12 @@ from fibcalc.errors import MalformedInputError, RankMismatchError
 from fibcalc.fibered import (Ambient, FiberedKnot, alexander_poly, catalog_knot,
                              connected_sum, distinctness_bound, dual_knot_surgery_descriptor,
                              knot_group, mirror_knot, stallings_twist)
-from fibcalc.invariants import (FiniteGroupTable, abelian_fox_row,
-                                alexander_from_presentation, count_homs, finite_group, h1)
-from fibcalc.laurent import LaurentPoly
-from fibcalc.matrices import IntMatrix, block_diag, char_poly, smith_normal_form
+from fibcalc.invariants import (FiniteGroupTable, GroupRingElement, abelian_fox_row,
+                                alexander_from_presentation, count_homs, finite_group,
+                                fox_derivative, fox_matrix, h1, infinite_cyclic_exponents,
+                                ring_to_laurent)
+from fibcalc.laurent import LaurentPoly, laurent_gcd, normalize_alexander
+from fibcalc.matrices import IntMatrix, block_diag, char_poly, laurent_det, smith_normal_form
 from fibcalc.mcg import (CurveSpec, SurfaceMonodromy, cg_compatibility, curated_payload,
                          transvection, twist_monodromy)
 from fibcalc.presentation import GroupPresentation, hnn_presentation
@@ -86,6 +88,7 @@ PROBES = {
     "transvection bool multiplier": lambda: transvection((1, 0), True),
     "fox row float exponent": lambda: abelian_fox_row(FreeWord(2, (1, 2)), (0, 1.0)),
     "fox row bool exponent": lambda: abelian_fox_row(FreeWord(2, (1, 2)), (0, True)),
+    "fox derivative float index": lambda: fox_derivative(FreeWord(2, (1, 2)), 1.0),
 }
 
 # Malformed shapes, each of which used to escape as a raw Python exception.
@@ -123,6 +126,8 @@ SHAPE_PROBES = {
     "map int images": lambda: FreeGroupMap.from_letters(1, 5),
     "fox row short exponents": lambda: abelian_fox_row(FreeWord(2, (1, 2)), (1,)),
     "fox row int exponents": lambda: abelian_fox_row(FreeWord(1, (1,)), 1),
+    "ring to laurent short exponents": lambda: ring_to_laurent(
+        GroupRingElement.of_word(FreeWord(2, (1, 2))), (1,)),
 }
 
 # Entry points that take a library object: a wrong-typed argument is a
@@ -159,6 +164,17 @@ ENTRY_PROBES = {
     "execute string two-knot": lambda: execute_plan("x", SurgeryPlan(1, 1, ())),
     "execute string plan": lambda: execute_plan(spin(catalog_knot("trefoil_R")), "x"),
     "fox row string word": lambda: abelian_fox_row("x", (1,)),
+    "laurent det string grid": lambda: laurent_det("x"),
+    "laurent det flat grid": lambda: laurent_det([T]),
+    "laurent det int entry": lambda: laurent_det([[1]]),
+    "laurent gcd string first": lambda: laurent_gcd("x", T),
+    "laurent gcd string second": lambda: laurent_gcd(T, "x"),
+    "normalize string": lambda: normalize_alexander("x"),
+    "fox alexander string": lambda: alexander_from_presentation("x"),
+    "cyclic exponents string": lambda: infinite_cyclic_exponents("x"),
+    "fox matrix string": lambda: fox_matrix("x"),
+    "fox derivative string": lambda: fox_derivative("x", 1),
+    "ring to laurent string": lambda: ring_to_laurent("x", (1,)),
     "laurent plus int": lambda: T + 1,
     "laurent minus int": lambda: T - 1,
     "laurent times int": lambda: T * 2,

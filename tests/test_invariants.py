@@ -476,7 +476,7 @@ def _dense_conjugated_knot(rng, genus):
     return expected, action, conjugated
 
 
-@pytest.mark.parametrize("genus", [7, 8, 9])
+@pytest.mark.parametrize("genus", [7, 8, 9, 12, 15])
 def test_route_equivalence_dense_conjugated_knots(genus):
     expected, action, conjugated = _dense_conjugated_knot(random.Random(genus), genus)
     assert normalize_alexander(char_poly(action)) == expected

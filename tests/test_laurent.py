@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fibcalc.errors import MalformedInputError
-from fibcalc.laurent import LaurentPoly, exact_div, laurent_gcd, normalize_alexander
+from fibcalc.laurent import LaurentPoly, laurent_gcd, normalize_alexander
+from fibcalc.matrices import laurent_det
 
 
 def poly(d):
@@ -104,6 +105,80 @@ def test_dense_coeffs():
     assert LaurentPoly.zero().dense_coeffs() == []
 
 
+# --------------------------------------------------------------------------
+# The Bareiss-over-Z[t] kernel that laurent_det replaced, kept as its oracle
+# --------------------------------------------------------------------------
+
+def _strip(coeffs):
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def exact_div(a, b):
+    """The quotient a / b in Z[t] of dense coefficient lists (lowest degree
+    first).  Raises unless b is nonzero and divides a exactly."""
+    a, b = _strip(list(a)), _strip(list(b))
+    if not b:
+        raise MalformedInputError("division by the zero polynomial")
+    lead, nb = b[-1], len(b)
+    q = [0] * max(len(a) - nb + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = a[k + nb - 1] // lead  # a remainder stays in a and fails the check below
+        if c:
+            q[k] = c
+            for i, bc in enumerate(b):
+                a[k + i] -= c * bc
+    if any(a):
+        raise MalformedInputError("polynomial division is not exact")
+    return q
+
+
+def _mul_sub(a, b, c, d):
+    """a*b - c*d for dense coefficient lists, lowest degree first."""
+    out = [0] * max(len(a) + len(b), len(c) + len(d))
+    for sign, (p, q) in ((1, (a, b)), (-1, (c, d))):
+        for i, x in enumerate(p):
+            if x:
+                x *= sign
+                for j, y in enumerate(q):
+                    out[i + j] += x * y
+    return _strip(out)
+
+
+def bareiss_laurent_det(grid):
+    """Fraction-free Bareiss elimination over Z[t] on dense coefficient
+    lists, after moving each row's lowest exponent to 0."""
+    n = len(grid)
+    if n == 0:
+        return LaurentPoly.one()
+    shift = 0
+    m = []
+    for row in grid:
+        live = [p.min_exp for p in row if not p.is_zero]
+        if not live:
+            return LaurentPoly.zero()
+        low = min(live)
+        shift += low
+        m.append([[] if p.is_zero else [0] * (p.min_exp - low) + p.dense_coeffs()
+                  for p in row])
+    sign, prev = 1, [1]
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return LaurentPoly.zero()
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot_row, pivot = m[k], m[k][k]
+        for i in range(k + 1, n):
+            row, lead = m[i], m[i][k]
+            for j in range(k + 1, n):
+                row[j] = exact_div(_mul_sub(row[j], pivot, lead, pivot_row[j]), prev)
+        prev = pivot
+    return LaurentPoly(tuple((e + shift, sign * c) for e, c in enumerate(m[n - 1][n - 1])))
+
+
 def test_exact_div_examples():
     assert exact_div([-1, 0, 1], [-1, 1]) == [1, 1]  # (t^2 - 1) / (t - 1)
     assert exact_div([0, 0, 6], [0, 3]) == [0, 2]
@@ -133,3 +208,69 @@ def test_exact_div_inverts_multiplication(a, b):
         dense[e] = c
     quotient = exact_div(dense, b)
     assert poly(dict(enumerate(quotient))) == poly(dict(enumerate(a)))
+
+
+ZERO = LaurentPoly.zero()
+ENTRIES = st.one_of(
+    st.just(ZERO),
+    st.dictionaries(st.integers(-4, 4), st.integers(-10**9, 10**9),
+                    min_size=1, max_size=3).map(poly))
+
+
+@st.composite
+def laurent_grids(draw):
+    """Square grids of size 0..7, dense or with a zero row, a zero first
+    column above some row (zero pivots), a vanishing leading 2 x 2 minor (a
+    zero second pivot) or a duplicated row (a singular grid)."""
+    n = draw(st.integers(0, 7))
+    grid = [[draw(ENTRIES) for _ in range(n)] for _ in range(n)]
+    if not n:
+        return grid
+    shape = draw(st.sampled_from(("dense", "zero row", "zero pivots", "vanishing minor",
+                                  "duplicate row")))
+    i = draw(st.integers(0, n - 1))
+    if shape == "zero row":
+        grid[i] = [ZERO] * n
+    elif shape == "zero pivots":
+        for row in grid[:i + 1]:
+            row[0] = ZERO
+    elif shape == "vanishing minor" and n >= 2:
+        c = draw(ENTRIES)
+        grid[1][:2] = [c * grid[0][0], c * grid[0][1]]
+    elif shape == "duplicate row" and n >= 2:
+        j = draw(st.integers(0, n - 1).filter(lambda j: j != i))
+        grid[j] = list(grid[i])
+    return grid
+
+
+def test_laurent_det_digit_unpacking_is_tight():
+    # 1 x 1: the bound H is the coefficient itself, the tightest case
+    for k in range(1, 80):
+        for c in (2**k, -2**k, 2**k - 1, -(2**k - 1)):
+            for e in (-3, 0, 5):
+                grid = [[LaurentPoly.t(e, c)]]
+                assert laurent_det(grid) == LaurentPoly.t(e, c) == bareiss_laurent_det(grid)
+    # a diagonal grid whose determinant's coefficient equals H = 3*5*17*257
+    diagonal = [[LaurentPoly.t(e, c) if i == j else ZERO for j in range(4)]
+                for i, (e, c) in enumerate(((1, 3), (-2, -5), (0, 17), (4, -257)))]
+    assert laurent_det(diagonal) == LaurentPoly.t(3, 2**16 - 1)
+    diagonal[1][1] = LaurentPoly.t(-2, 5)
+    assert laurent_det(diagonal) == LaurentPoly.t(3, -(2**16 - 1))
+    # (1 + t)^6: its coefficient 20 exceeds the product of the row maxima, 1
+    binomial = [[poly({0: 1, 1: 1}) if i == j else ZERO for j in range(6)] for i in range(6)]
+    assert laurent_det(binomial) == poly({0: 1, 1: 1}) ** 6
+    # all coefficients negative
+    negative = [[poly({0: -1, 1: -2}), poly({-1: -3})],
+                [poly({2: -4}), poly({0: -5, 3: -6})]]
+    assert laurent_det(negative) == bareiss_laurent_det(negative) \
+        == poly({0: 5, 1: 10, 3: 6, 4: 12}) - poly({1: 12})
+    # a single term at a negative exponent
+    assert laurent_det([[LaurentPoly.t(-7, -1)]]) == LaurentPoly.t(-7, -1)
+    assert laurent_det([[ZERO, LaurentPoly.t(-2, 3)], [LaurentPoly.t(-1), ZERO]]) \
+        == LaurentPoly.t(-3, -3)
+
+
+@given(laurent_grids())
+@settings(max_examples=200, deadline=None)
+def test_laurent_det_equals_the_bareiss_oracle(grid):
+    assert laurent_det(grid) == bareiss_laurent_det(grid)
