@@ -10,17 +10,16 @@ from . import serialize
 from .errors import FibcalcError, ScriptError
 from .invariants import DEFAULT_HOM_BUDGET, group_catalog_names
 from .mcg import CurveSpec, catalog_names, curated_payload
-from .script import (DEFAULT_REPORT_GROUPS, build_report, execute, parse_script,
-                     reports_to_json)
+from .script import build_report, execute, parse_script, reports_to_json
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true",
                         help="emit the canonical machine-readable report form")
-    parser.add_argument("--hom-budget", type=int, default=None, metavar="N",
+    parser.add_argument("--hom-budget", type=int, default=DEFAULT_HOM_BUDGET, metavar="N",
                         help="cap on the search nodes (values tried for one generator) "
                              "of each homomorphism count "
-                             "(default: FIBCALC_HOM_BUDGET or %d)" % DEFAULT_HOM_BUDGET)
+                             "(default: %d)" % DEFAULT_HOM_BUDGET)
 
 
 def _emit(reports, as_json: bool) -> None:
@@ -47,7 +46,7 @@ def _cmd_run(args) -> int:
         return 1
     try:
         script = parse_script(source)
-        reports = execute(script, DEFAULT_REPORT_GROUPS, args.hom_budget)
+        reports = execute(script, args.hom_budget)
     except ScriptError as exc:
         _emit(getattr(exc, "reports", []), args.json)
         print(f"error: {exc}", file=sys.stderr)
@@ -79,7 +78,7 @@ def _cmd_catalog(args) -> int:
 def _cmd_report(args) -> int:
     try:
         obj = serialize.loads(_read(args.object))
-        report = build_report(obj, DEFAULT_REPORT_GROUPS, args.hom_budget)
+        report = build_report(obj, args.hom_budget)
     except (OSError, UnicodeDecodeError, FibcalcError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -74,10 +74,6 @@ class FiberedKnot:
         if self.monodromy.genus != self.genus:
             raise RankMismatchError("monodromy genus must equal the knot genus")
 
-    @property
-    def has_pi1(self) -> bool:
-        return self.monodromy.has_pi1
-
 
 def knot_group(knot: FiberedKnot) -> GroupPresentation:
     """HNN presentation < x_1..x_2g, t | t x_i t^-1 = phi(x_i) > of the knot

@@ -5,7 +5,6 @@ homomorphisms into small finite groups.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -21,17 +20,6 @@ from .presentation import GroupPresentation
 from .words import FreeWord
 
 DEFAULT_HOM_BUDGET = 10**8
-_BUDGET_ENV = "FIBCALC_HOM_BUDGET"
-
-
-def default_hom_budget() -> int:
-    value = os.environ.get(_BUDGET_ENV)
-    if value is not None:
-        try:
-            return int(value)
-        except ValueError:
-            raise MalformedInputError(f"{_BUDGET_ENV} must be an integer") from None
-    return DEFAULT_HOM_BUDGET
 
 
 class GroupRingElement:
@@ -62,10 +50,6 @@ class GroupRingElement:
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self + (-other)
-
-    def word_mul(self, word: FreeWord) -> "GroupRingElement":
-        """Left-multiply every term by a word."""
-        return GroupRingElement(self.rank, {word * w: c for w, c in self.coeffs.items()})
 
     @property
     def is_zero(self) -> bool:
@@ -420,7 +404,7 @@ def _finite_group(name: str) -> FiniteGroupTable:
 
 
 def count_homs(presentation: GroupPresentation, group: FiniteGroupTable,
-               budget: int | None = None) -> int:
+               budget: int = DEFAULT_HOM_BUDGET) -> int:
     """Exact number of homomorphisms from the presented group into `group`.
 
     Abelian targets A are counted through H1: a hom factors through the
@@ -442,21 +426,21 @@ def count_homs(presentation: GroupPresentation, group: FiniteGroupTable,
     orbit size.  Each step checks only the relators it completes.
 
     A node is one candidate value tried for a generator, enumerated or
-    forced.  The budget bounds the nodes visited; going over it raises
-    BudgetExceededError, never returning a partial count.
+    forced.  The budget (default DEFAULT_HOM_BUDGET, 10**8) bounds the nodes
+    visited; going over it raises BudgetExceededError, never returning a
+    partial count.
     """
     _check_type(presentation, GroupPresentation, "presentation")
     _check_type(group, FiniteGroupTable, "group")
-    if budget is None:
-        budget = default_hom_budget()
-    elif type(budget) is not int:
+    if type(budget) is not int:
         raise MalformedInputError(f"homomorphism budget must be an integer, not {budget!r}")
+    key = _relator_key(presentation)
     if group.is_abelian:
         count = 1
-        for d in _invariant_factors(_relator_key(presentation)):
+        for d in _invariant_factors(key):
             count *= sum(1 for k in group.element_orders if d % k == 0)
         return count
-    return _search_homs(presentation, group, budget)
+    return _completed_search(key, group, budget)
 
 
 # A report searches S3 and then D4 on the same presentation.
@@ -505,11 +489,6 @@ def _search_plan(key: tuple) -> tuple[tuple, ...]:
         unfinished = [k for k in unfinished if pending[k]]
         steps.append((2 * x, word, checks))
     return tuple(steps)
-
-
-def _search_homs(presentation: GroupPresentation, group: FiniteGroupTable,
-                 budget: int) -> int:
-    return _completed_search(_relator_key(presentation), group, budget)
 
 
 # The counts of completed searches.  A script reports a knot, its spin and

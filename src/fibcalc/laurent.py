@@ -60,12 +60,6 @@ class LaurentPoly:
     def t(cls, exponent: int = 1, coeff: int = 1) -> "LaurentPoly":
         return cls(((exponent, coeff),))
 
-    def coeff(self, exponent: int) -> int:
-        for e, c in self.terms:
-            if e == exponent:
-                return c
-        return 0
-
     @property
     def is_zero(self) -> bool:
         return not self.terms

@@ -68,15 +68,8 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i][j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
-
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
 
     def transpose(self) -> "IntMatrix":
         return _matrix(self.cols, self.rows, [[row[j] for row in self.entries]
@@ -359,6 +352,10 @@ def smith_diagonal(a: IntMatrix) -> list[int]:
 
 def solve_int(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """One integer solution x of A x = b, or None if none exists."""
+    _check_type(a, IntMatrix, "matrix")
+    _check_sequence(b, "right-hand side")
+    for x in b:
+        _check_int(x, "right-hand side entry")
     if len(b) != a.rows:
         raise RankMismatchError("right-hand side length mismatch")
     d, u, v = smith_normal_form(a)
@@ -378,6 +375,8 @@ def solve_int(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
 
 def in_row_span(basis: IntMatrix, vector: Sequence[int]) -> bool:
     """Whether the vector lies in the integer row span of `basis`."""
+    _check_type(basis, IntMatrix, "basis")
+    _check_sequence(vector, "vector")
     if len(vector) != basis.cols:
         raise RankMismatchError("vector length mismatch")
     return solve_int(basis.transpose(), tuple(vector)) is not None

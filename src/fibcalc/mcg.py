@@ -57,6 +57,7 @@ def symplectic_form(genus: int) -> IntMatrix:
 
 
 def is_symplectic(a: IntMatrix) -> bool:
+    _check_type(a, IntMatrix, "matrix")
     if a.rows != a.cols or a.rows % 2 != 0:
         return False
     j = symplectic_form(a.rows // 2)
@@ -198,10 +199,6 @@ class SurfaceMonodromy:
             out = compose_monodromy(out, twist_monodromy(curve, m))
         return out
 
-    @property
-    def has_pi1(self) -> bool:
-        return self.pi1_action is not None
-
 
 def _merge_twist_words(*words):
     stack: list[tuple[CurveSpec, int]] = []
@@ -232,6 +229,8 @@ def twist_monodromy(curve: CurveSpec, multiplier: int = 1) -> SurfaceMonodromy:
 def compose_monodromy(m1: SurfaceMonodromy, m2: SurfaceMonodromy) -> SurfaceMonodromy:
     """m1 after m2: homological actions multiply, pi1 payloads compose when
     both are present."""
+    _check_type(m1, SurfaceMonodromy, "monodromy")
+    _check_type(m2, SurfaceMonodromy, "monodromy")
     if m1.genus != m2.genus:
         raise RankMismatchError("monodromies must share a genus")
     payload = None
@@ -243,6 +242,7 @@ def compose_monodromy(m1: SurfaceMonodromy, m2: SurfaceMonodromy) -> SurfaceMono
 
 def mirror(m: SurfaceMonodromy) -> SurfaceMonodromy:
     """Invert the monodromy (the induced data of the reversed knot)."""
+    _check_type(m, SurfaceMonodromy, "monodromy")
     payload = None
     if m.pi1_action is not None:
         if not m.pi1_action.has_witness:
@@ -253,6 +253,8 @@ def mirror(m: SurfaceMonodromy) -> SurfaceMonodromy:
 
 
 def boundary_connected_sum(m1: SurfaceMonodromy, m2: SurfaceMonodromy) -> SurfaceMonodromy:
+    _check_type(m1, SurfaceMonodromy, "monodromy")
+    _check_type(m2, SurfaceMonodromy, "monodromy")
     genus = m1.genus + m2.genus
     action = block_diag(m1.action, m2.action)
     payload = None

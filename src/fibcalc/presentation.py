@@ -45,8 +45,7 @@ class GroupPresentation:
         return f"GroupPresentation({self.text()})"
 
 
-def hnn_presentation(monodromy: FreeGroupMap, fiber_names: Sequence[str],
-                     stable_name: str = "t") -> GroupPresentation:
+def hnn_presentation(monodromy: FreeGroupMap, fiber_names: Sequence[str]) -> GroupPresentation:
     """Presentation of the mapping-torus group: generators the fiber group
     generators plus the stable letter t, relators t x_i t^-1 f(x_i)^-1.
 
@@ -59,7 +58,7 @@ def hnn_presentation(monodromy: FreeGroupMap, fiber_names: Sequence[str],
     n = monodromy.rank
     if len(fiber_names) != n:
         raise RankMismatchError("need one name per fiber generator")
-    gens = tuple(fiber_names) + (stable_name,)
+    gens = tuple(fiber_names) + ("t",)
     t = n + 1
     relators = tuple(_unchecked(FreeWord, n + 1,
                                 (t, i + 1, -t) + tuple(-x for x in reversed(image.letters)))

@@ -38,7 +38,7 @@ from .errors import (MalformedInputError, MissingPayloadError, PreconditionError
 from .matrices import IntMatrix, block_diag, smith_diagonal
 from .mcg import (CurveSpec, HandlebodyMonodromy, SurfaceMonodromy, _twist_word,
                   compose_monodromy, twist_monodromy)
-from .fibered import Ambient, FiberedKnot
+from .fibered import _DISK_AMBIENTS, Ambient, FiberedKnot
 from .presentation import GroupPresentation, hnn_presentation
 from .words import FreeGroupMap, FreeWord, abelianize, compose, handlebody_names
 
@@ -68,8 +68,7 @@ class FiberedDisk:
     label: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if (not isinstance(self.ambient, Ambient)
-                or self.ambient.kind not in ("B4", "homotopy_B4", "contractible")):
+        if not isinstance(self.ambient, Ambient) or self.ambient.kind not in _DISK_AMBIENTS:
             raise MalformedInputError("a disk ambient must be B4, homotopy_B4 or contractible")
         _check_type(self.fiber, FiberType, "disk fiber")
         _check_type(self.monodromy, HandlebodyMonodromy, "disk monodromy")

@@ -16,10 +16,10 @@ from dataclasses import dataclass, fields
 from typing import Any
 
 from . import serialize
-from .errors import FibcalcError, ScriptError
-from .fibered import (Ambient, FiberedKnot, alexander_poly, connected_sum, knot_group,
+from .errors import FibcalcError, ScriptError, _check_type
+from .fibered import (FiberedKnot, alexander_poly, catalog_knot, connected_sum, knot_group,
                       stallings_twist)
-from .invariants import count_homs, finite_group, h1
+from .invariants import DEFAULT_HOM_BUDGET, count_homs, finite_group, h1
 from .laurent import normalize_alexander
 from .matrices import char_poly
 from .mcg import CurveSpec, SurfaceMonodromy, curated_payload
@@ -30,7 +30,7 @@ from .two_knot import (FiberedTwoKnot, SurgeryPlan, double_disk, gluck, spin,
                        torus_surgery_plan, torus_twist, two_knot_group)
 from .words import abelianize
 
-DEFAULT_REPORT_GROUPS = ("Z2", "Z3", "Z5", "S3", "D4")
+REPORT_GROUPS = ("Z2", "Z3", "Z5", "S3", "D4")
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,7 @@ class SurgeryScript:
 
 
 def parse_script(source: str) -> SurgeryScript:
+    _check_type(source, str, "script source")
     statements = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -137,20 +138,19 @@ def _twist_word_note(word) -> tuple[str, ...]:
     return tuple(f"{c.name or list(c.homology_class)}^{m}" for c, m in word)
 
 
-def _presentation_invariants(pres: GroupPresentation, groups, budget):
+def _presentation_invariants(pres: GroupPresentation, budget: int):
     # H1 first: the counts into abelian groups read its cached Smith form.
     diag = tuple(h1(pres))
     counts = tuple((name, count_homs(pres, finite_group(name), budget))
-                   for name in groups)
+                   for name in REPORT_GROUPS)
     return diag, counts
 
 
-def build_report(obj: Any, groups: tuple[str, ...] = DEFAULT_REPORT_GROUPS,
-                 budget: int | None = None) -> InvariantReport:
+def build_report(obj: Any, budget: int = DEFAULT_HOM_BUDGET) -> InvariantReport:
     if isinstance(obj, FiberedKnot):
         diag = counts = None
-        if obj.has_pi1:
-            diag, counts = _presentation_invariants(knot_group(obj), groups, budget)
+        if obj.monodromy.pi1_action is not None:
+            diag, counts = _presentation_invariants(knot_group(obj), budget)
         alex = alexander_poly(obj)
         notes = ()
         if abs(alex.evaluate(1)) != 1:
@@ -166,7 +166,7 @@ def build_report(obj: Any, groups: tuple[str, ...] = DEFAULT_REPORT_GROUPS,
         diag = counts = None
         notes = ()
         if obj.fiber.is_handlebody:
-            diag, counts = _presentation_invariants(exterior_presentation(obj), groups, budget)
+            diag, counts = _presentation_invariants(exterior_presentation(obj), budget)
         else:
             notes = (f"fiber carries summand {obj.fiber.summand_label!r}",)
         return InvariantReport(
@@ -176,7 +176,7 @@ def build_report(obj: Any, groups: tuple[str, ...] = DEFAULT_REPORT_GROUPS,
             provenance=_twist_word_note(obj.twist_history), notes=notes)
     if isinstance(obj, FiberedTwoKnot):
         alex = normalize_alexander(char_poly(abelianize(obj.monodromy_pi1)))
-        diag, counts = _presentation_invariants(two_knot_group(obj), groups, budget)
+        diag, counts = _presentation_invariants(two_knot_group(obj), budget)
         return InvariantReport(
             kind="fibered_two_knot", label=obj.label, genus_or_rank=obj.fiber_rank,
             alexander=tuple(alex.dense_coeffs()), h1_diagonal=diag, hom_counts=counts,
@@ -201,9 +201,7 @@ def build_report(obj: Any, groups: tuple[str, ...] = DEFAULT_REPORT_GROUPS,
 def _load(name: str):
     """The catalog entry of that name: a knot for a monodromy, else the curve."""
     entry = curated_payload(name)
-    if isinstance(entry, SurfaceMonodromy):
-        return FiberedKnot(Ambient.s3(), entry.genus, entry, name)
-    return entry
+    return catalog_knot(name) if isinstance(entry, SurfaceMonodromy) else entry
 
 
 def _verb_table(report=None) -> dict:
@@ -249,18 +247,19 @@ def _argument(text: str, typ: type, env: dict):
     return env[text]
 
 
-def execute(script: "SurgeryScript | str", groups: tuple[str, ...] = DEFAULT_REPORT_GROUPS,
-            budget: int | None = None) -> list[InvariantReport]:
+def execute(script: "SurgeryScript | str",
+            budget: int = DEFAULT_HOM_BUDGET) -> list[InvariantReport]:
     """Run a script; reports are emitted in statement order.  The first
     failing statement aborts with a ScriptError carrying its index (reports
     produced so far are attached to the error as `.reports`)."""
     if isinstance(script, str):
         script = parse_script(script)
+    _check_type(script, SurgeryScript, "script")
     env: dict[str, Any] = {}
     reports: list[InvariantReport] = []
 
     def report(obj):
-        reports.append(build_report(obj, groups, budget))
+        reports.append(build_report(obj, budget))
         return obj
 
     table = _verb_table(report)

@@ -17,8 +17,8 @@ from math import gcd
 from .errors import (MalformedInputError, MissingPayloadError, PreconditionError,
                      RankMismatchError, UnsupportedFiberError, _check_int,
                      _check_optional_str, _check_sequence, _check_type)
-from .fibered import Ambient, FiberedKnot
-from .invariants import count_homs, finite_group, group_catalog_names, h1
+from .fibered import _TWO_KNOT_AMBIENTS, Ambient, FiberedKnot
+from .invariants import DEFAULT_HOM_BUDGET, count_homs, finite_group, group_catalog_names, h1
 from .mcg import CurveSpec, SurfaceMonodromy
 from .presentation import GroupPresentation, hnn_presentation
 from .ribbon_disk import FiberedDisk, _half_spin_action
@@ -35,7 +35,7 @@ class FiberedTwoKnot:
     label: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.ambient, Ambient) or self.ambient.kind not in ("S4", "homotopy_S4"):
+        if not isinstance(self.ambient, Ambient) or self.ambient.kind not in _TWO_KNOT_AMBIENTS:
             raise MalformedInputError("a 2-knot ambient must be S4 or homotopy_S4")
         _check_int(self.fiber_rank, "fiber rank")
         if type(self.gluck_parity) is not int or self.gluck_parity not in (0, 1):
@@ -139,7 +139,7 @@ class HalvingFamilyEntry:
 
 def halving_family(two_knot: FiberedTwoKnot, slopes: list[int],
                    groups: tuple[str, ...] | None = None,
-                   budget: int | None = None) -> list[HalvingFamilyEntry]:
+                   budget: int = DEFAULT_HOM_BUDGET) -> list[HalvingFamilyEntry]:
     """Express the 2-knot as the double of a disk in a contractible manifold,
     one candidate per 2-handle surgery slope m.
 

@@ -65,12 +65,6 @@ class FreeWord:
     def identity(cls, rank: int) -> "FreeWord":
         return cls(rank, ())
 
-    @classmethod
-    def generator(cls, rank: int, index: int, sign: int = 1) -> "FreeWord":
-        if sign not in (1, -1):
-            raise MalformedInputError("sign must be +-1")
-        return cls(rank, (sign * index,))
-
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if self.rank != other.rank:
             raise RankMismatchError("word product across different ranks")
@@ -236,6 +230,8 @@ def _substitute(f_images: Sequence[FreeWord], words: Sequence[FreeWord]) -> tupl
 
 
 def apply_map(f: FreeGroupMap, word: FreeWord) -> FreeWord:
+    _check_type(f, FreeGroupMap, "map")
+    _check_type(word, FreeWord, "word")
     if f.rank != word.rank:
         raise RankMismatchError("map and word ranks differ")
     return _substitute(f.images, (word,))[0]
@@ -243,6 +239,8 @@ def apply_map(f: FreeGroupMap, word: FreeWord) -> FreeWord:
 
 def compose(f: FreeGroupMap, g: FreeGroupMap) -> FreeGroupMap:
     """(f o g)(x) = f(g(x)); witnesses compose in the opposite order."""
+    _check_type(f, FreeGroupMap, "map")
+    _check_type(g, FreeGroupMap, "map")
     if f.rank != g.rank:
         raise RankMismatchError("composed maps must share a rank")
     invs = None
@@ -253,6 +251,7 @@ def compose(f: FreeGroupMap, g: FreeGroupMap) -> FreeGroupMap:
 
 def abelianize(f: FreeGroupMap) -> IntMatrix:
     """Exponent-sum matrix; column j is the exponent vector of images[j]."""
+    _check_type(f, FreeGroupMap, "map")
     cols = [w.exponent_vector() for w in f.images]
     return IntMatrix(f.rank, f.rank,
                      tuple(tuple(cols[j][i] for j in range(f.rank)) for i in range(f.rank)))

@@ -15,17 +15,21 @@ from fibcalc.invariants import (FiniteGroupTable, GroupRingElement, abelian_fox_
                                 fox_derivative, fox_matrix, h1, infinite_cyclic_exponents,
                                 ring_to_laurent)
 from fibcalc.laurent import LaurentPoly, laurent_gcd, normalize_alexander
-from fibcalc.matrices import IntMatrix, block_diag, char_poly, laurent_det, smith_normal_form
-from fibcalc.mcg import (CurveSpec, SurfaceMonodromy, cg_compatibility, curated_payload,
+from fibcalc.matrices import (IntMatrix, block_diag, char_poly, in_row_span, laurent_det,
+                              smith_normal_form, solve_int)
+from fibcalc.mcg import (CurveSpec, SurfaceMonodromy, boundary_connected_sum, cg_compatibility,
+                         compose_monodromy, curated_payload, is_symplectic, mirror,
                          transvection, twist_monodromy)
 from fibcalc.presentation import GroupPresentation, hnn_presentation
 from fibcalc.ribbon_disk import (FiberedDisk, FiberType, boundary_knot,
                                  boundary_surjectivity_check, disk_twist,
                                  exterior_presentation, half_spin, is_homotopy_ribbon)
+from fibcalc.script import execute, parse_script
 from fibcalc.two_knot import (FiberedTwoKnot, FillingDescriptor, PlanEntry, SurgeryPlan,
                               double_disk, execute_plan, gluck, halving_family, spin,
                               torus_surgery_plan, torus_twist, two_knot_group)
-from fibcalc.words import FreeGroupMap, FreeWord, word_from_text
+from fibcalc.words import (FreeGroupMap, FreeWord, abelianize, apply_map, compose,
+                           word_from_text)
 
 
 def _trefoil_group():
@@ -89,6 +93,8 @@ PROBES = {
     "fox row float exponent": lambda: abelian_fox_row(FreeWord(2, (1, 2)), (0, 1.0)),
     "fox row bool exponent": lambda: abelian_fox_row(FreeWord(2, (1, 2)), (0, True)),
     "fox derivative float index": lambda: fox_derivative(FreeWord(2, (1, 2)), 1.0),
+    "hom count None budget": lambda: count_homs(_trefoil_group(), finite_group("S3"), None),
+    "solve float right-hand side": lambda: solve_int(IntMatrix.identity(1), [1.0]),
 }
 
 # Malformed shapes, each of which used to escape as a raw Python exception.
@@ -191,6 +197,17 @@ ENTRY_PROBES = {
     "block string": lambda: block_diag(IntMatrix.identity(1), "x"),
     "compatibility string action": lambda: cg_compatibility("x", IntMatrix.identity(1)),
     "compatibility string quotient": lambda: cg_compatibility(IntMatrix.identity(2), "x"),
+    "compose monodromy string": lambda: compose_monodromy(SurfaceMonodromy.identity(1), "x"),
+    "mirror monodromy string": lambda: mirror("x"),
+    "boundary sum string": lambda: boundary_connected_sum(SurfaceMonodromy.identity(1), "x"),
+    "symplectic string": lambda: is_symplectic("x"),
+    "abelianize string": lambda: abelianize("x"),
+    "apply map string word": lambda: apply_map(FreeGroupMap.identity(1), "x"),
+    "compose string": lambda: compose(FreeGroupMap.identity(1), "x"),
+    "solve int right-hand side": lambda: solve_int(IntMatrix.identity(1), 5),
+    "row span string vector": lambda: in_row_span(IntMatrix.identity(1), "x"),
+    "parse int script": lambda: parse_script(5),
+    "execute int script": lambda: execute(5),
 }
 
 # String fields that `serialize.loads` reads as JSON strings: a constructor

@@ -11,7 +11,7 @@ from fibcalc.errors import (AbelianizationError, BudgetExceededError, CatalogErr
 from fibcalc.fibered import (catalog_knot, connected_sum, knot_group,
                              trefoil_two_bridge_presentation)
 from fibcalc.invariants import (DEFAULT_HOM_BUDGET, FiniteGroupTable, GroupRingElement,
-                                _search_homs, abelian_fox_row,
+                                _completed_search, _relator_key, abelian_fox_row,
                                 alexander_from_presentation, count_homs,
                                 finite_group, fox_derivative, fox_matrix,
                                 group_catalog_names, h1, infinite_cyclic_exponents,
@@ -222,18 +222,6 @@ def test_count_homs_random_small_presentations():
             assert count_homs(p, g) == brute_force_count(p, g)
 
 
-def test_budget_env_var(monkeypatch):
-    from fibcalc.invariants import default_hom_budget
-    monkeypatch.setenv("FIBCALC_HOM_BUDGET", "20")
-    assert default_hom_budget() == 20
-    p = knot_group(catalog_knot("trefoil_R"))
-    with pytest.raises(BudgetExceededError):
-        count_homs(p, finite_group("S3"))  # the search visits 25 nodes
-    monkeypatch.setenv("FIBCALC_HOM_BUDGET", "nonsense")
-    with pytest.raises(MalformedInputError):
-        default_hom_budget()
-
-
 CATALOG_KNOTS = ("unknot", "trefoil_R", "trefoil_L", "figure8", "square_knot", "granny_knot")
 
 
@@ -255,7 +243,8 @@ def test_abelian_route_equals_search_route():
         for k in range(1, 13):
             g = finite_group(f"Z{k}")
             assert g.is_abelian
-            assert count_homs(p, g) == _search_homs(p, g, DEFAULT_HOM_BUDGET), (p, k)
+            assert count_homs(p, g) == _completed_search(_relator_key(p), g,
+                                                         DEFAULT_HOM_BUDGET), (p, k)
 
 
 def test_search_matches_brute_force_on_genus_one_report_presentations():
@@ -265,7 +254,8 @@ def test_search_matches_brute_force_on_genus_one_report_presentations():
         for p in (knot_group(knot), two_knot_group(spin(knot)), exterior_presentation(disk)):
             for group_name in ("S3", "D4", "A4"):
                 g = finite_group(group_name)
-                assert _search_homs(p, g, DEFAULT_HOM_BUDGET) == brute_force_count(p, g)
+                assert (_completed_search(_relator_key(p), g, DEFAULT_HOM_BUDGET)
+                        == brute_force_count(p, g))
 
 
 def _presentation(names, *relators):

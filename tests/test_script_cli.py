@@ -1,9 +1,12 @@
 import argparse
+import ast
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
+import fibcalc
 from fibcalc import cli
 from fibcalc.cli import main
 from fibcalc.errors import ScriptError
@@ -217,13 +220,30 @@ def test_cli_report_rejects_malformed_object(tmp_path, capsys):
     assert "$.object.slope" in capsys.readouterr().err
 
 
-def test_bad_budget_env_fails_only_hom_counts(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FIBCALC_HOM_BUDGET", "abc")
-    assert main(["catalog"]) == 0
+def test_run_does_not_read_a_budget_environment_variable(tmp_path, capsys, monkeypatch):
     path = tmp_path / "script.fib"
     path.write_text("K = load trefoil_R\nreport K\n")
-    assert main(["run", str(path)]) == 1
-    assert "FIBCALC_HOM_BUDGET must be an integer" in capsys.readouterr().err
+    assert main(["run", str(path)]) == 0
+    clean = capsys.readouterr()
+    monkeypatch.setenv("FIBCALC_HOM_BUDGET", "abc")
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr() == clean
+
+
+def test_no_module_reads_the_process_environment():
+    # the CLI flags and the function arguments are the only settings
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(Path(fibcalc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [(path.name, node.lineno) for name in names if name in readers]
+    assert found == []
 
 
 def test_cli_has_no_workers_option(tmp_path):
