@@ -8,8 +8,8 @@ from .errors import (AbelianizationError, BudgetExceededError, CatalogError,
                      MissingPayloadError, PreconditionError, RankMismatchError,
                      SchemaError, ScriptError, UnsupportedFiberError)
 from .laurent import LaurentPoly, laurent_gcd, normalize_alexander
-from .matrices import (IntMatrix, block_diag, char_poly, in_row_span, laurent_det,
-                       smith_diagonal, smith_normal_form, solve_int)
+from .matrices import (IntMatrix, block_diag, char_poly, laurent_det, smith_diagonal,
+                       smith_normal_form)
 from .words import (FreeGroupMap, FreeWord, abelianize, apply_map, compose,
                     check_generator_names, handlebody_names, surface_names,
                     word_from_text, word_to_text)
@@ -22,11 +22,11 @@ from .presentation import GroupPresentation, hnn_presentation
 from .invariants import (DEFAULT_HOM_BUDGET, FiniteGroupTable, GroupRingElement,
                          alexander_from_presentation, count_homs, finite_group,
                          fox_derivative, fox_matrix, group_catalog_names, h1,
-                         infinite_cyclic_exponents, ring_to_laurent)
+                         infinite_cyclic_exponents)
 from .fibered import (Ambient, FiberedKnot, alexander_poly, catalog_knot,
                       connected_sum, distinctness_bound,
                       dual_knot_surgery_descriptor, knot_group, mirror_knot,
-                      stallings_twist, trefoil_two_bridge_presentation)
+                      stallings_twist)
 from .ribbon_disk import (FiberType, FiberedDisk, boundary_knot,
                           boundary_surjectivity_check, disk_twist, doubled_boundary,
                           exterior_presentation, half_spin, is_homotopy_ribbon)

@@ -19,7 +19,7 @@ from .matrices import char_poly
 from .mcg import (CurveSpec, SurfaceMonodromy, boundary_connected_sum,
                   compose_monodromy, curated_payload, mirror, twist_monodromy)
 from .presentation import GroupPresentation, hnn_presentation
-from .words import FreeWord, surface_names
+from .words import surface_names
 
 
 _KNOT_AMBIENTS = ("S3", "homology_sphere")
@@ -161,9 +161,3 @@ def catalog_knot(name: str) -> FiberedKnot:
         raise CatalogError(f"catalog entry {name!r} is not a knot monodromy")
     return FiberedKnot(Ambient.s3(), entry.genus, entry, name)
 
-
-def trefoil_two_bridge_presentation() -> GroupPresentation:
-    """The 2-bridge presentation < u, v | u v u = v u v > of the trefoil
-    group, used as an independent cross-check of the HNN form."""
-    relator = FreeWord(2, (1, 2, 1, -2, -1, -2))
-    return GroupPresentation(("u", "v"), (relator,))

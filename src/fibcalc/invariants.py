@@ -12,10 +12,9 @@ from itertools import combinations, permutations
 from math import gcd
 
 from .errors import (AbelianizationError, BudgetExceededError, CatalogError,
-                     MalformedInputError, _check_int, _check_sequence, _check_type,
-                     _unchecked)
+                     MalformedInputError, _check_int, _check_sequence, _check_type)
 from .laurent import LaurentPoly, _collect, laurent_gcd, normalize_alexander
-from .matrices import IntMatrix, laurent_det, smith_diagonal, smith_normal_form
+from .matrices import IntMatrix, laurent_det, smith_normal_form
 from .presentation import GroupPresentation
 from .words import FreeWord
 
@@ -98,22 +97,11 @@ def _check_exponents(exponents, rank: int) -> None:
             f"exponents must be a tuple or a list of {rank} integers, not {exponents!r}")
 
 
-def ring_to_laurent(element: GroupRingElement, exponents: tuple[int, ...]) -> LaurentPoly:
-    """Abelianize a group-ring element: each word becomes t^(e . exponent vector)."""
-    _check_type(element, GroupRingElement, "group-ring element")
-    _check_exponents(exponents, element.rank)
-    acc: dict[int, int] = {}
-    for word, coeff in element.coeffs.items():
-        e = sum(exponents[i] * v for i, v in enumerate(word.exponent_vector()))
-        acc[e] = acc.get(e, 0) + coeff
-    return LaurentPoly.from_dict(acc)
-
-
 def abelian_fox_row(word: FreeWord, exponents: tuple[int, ...]) -> list[LaurentPoly]:
     """The abelianized Fox derivatives of a word by every generator, in one
-    pass: equal to ring_to_laurent(fox_derivative(word, j + 1), exponents)
-    for each j.  Generator i maps to t^exponents[i]; at a prefix of exponent
-    e, a letter x_i adds t^e to column i and x_i^-1 adds -t^(e - exponents[i]).
+    pass: entry j is the image of fox_derivative(word, j + 1) under the map
+    sending generator i to t^exponents[i].  At a prefix of exponent e, a
+    letter x_i adds t^e to column i and x_i^-1 adds -t^(e - exponents[i]).
     The exponents are checked once; the entries are built in canonical form."""
     _check_type(word, FreeWord, "word")
     _check_exponents(exponents, word.rank)
@@ -132,31 +120,22 @@ def abelian_fox_row(word: FreeWord, exponents: tuple[int, ...]) -> list[LaurentP
 
 
 def infinite_cyclic_exponents(presentation: GroupPresentation) -> tuple[int, ...]:
-    """Exponents e_i with generator_i -> t^(e_i) inducing H1 ~ Z, if H1 is Z."""
+    """Exponents e_i with generator_i -> t^(e_i) inducing H1 ~ Z, if H1 is Z:
+    the one row of U in the Smith form that `_smith_form` caches."""
     _check_type(presentation, GroupPresentation, "presentation")
-    n = presentation.n_generators
-    rows = presentation.relator_matrix_rows()
-    r = len(rows)
-    a = IntMatrix.from_rows([[rows[k][i] for k in range(r)] for i in range(n)]) \
-        if r else IntMatrix.zeros(n, 0)
-    d, u, _ = smith_normal_form(a)
-    free_rows = []
-    for i in range(n):
-        di = d.entries[i][i] if i < min(n, r) else 0
-        if di == 0:
-            free_rows.append(i)
-        elif di != 1:
-            raise AbelianizationError("abelianization has torsion")
+    factors, free_rows = _smith_form(_relator_key(presentation))
+    if any(factors):  # the nonzero invariant factors are the torsion orders
+        raise AbelianizationError("abelianization has torsion")
     if len(free_rows) != 1:
         raise AbelianizationError("abelianization is not infinite cyclic")
-    return tuple(u.entries[free_rows[0]])
+    return free_rows[0]
 
 
 def h1(presentation: GroupPresentation) -> list[int]:
     """Invariant factors of H1 of the presented group: torsion orders followed
     by one 0 per free Z summand; the empty list means the trivial group."""
     _check_type(presentation, GroupPresentation, "presentation")
-    return list(_invariant_factors(_relator_key(presentation)))
+    return list(_smith_form(_relator_key(presentation))[0])
 
 
 def _relator_key(presentation: GroupPresentation) -> tuple:
@@ -175,14 +154,21 @@ def _relator_key(presentation: GroupPresentation) -> tuple:
 # a few entries cover that reuse without letting the cache grow with the
 # number of presentations seen.
 @lru_cache(maxsize=8)
-def _invariant_factors(key: tuple) -> tuple[int, ...]:
+def _smith_form(key: tuple) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The invariant factors of H1 (torsion orders, then one 0 per free Z
+    summand) and the rows of U whose diagonal entry is 0, from the Smith form
+    U A V = D of the generators x relators exponent matrix A.  Those rows of
+    U span the homomorphisms Z^n -> Z that kill every relator: row i of U A
+    is d_i times row i of V^-1."""
     n, relators, _ = key
-    if not relators:
-        return (0,) * n
-    rows = [_unchecked(FreeWord, n, letters).exponent_vector() for letters in relators]
-    diag = smith_diagonal(IntMatrix.from_rows(rows))
-    rank = sum(1 for x in diag if x != 0)
-    return tuple(x for x in diag if x > 1) + (0,) * (n - rank)
+    a = [[0] * len(relators) for _ in range(n)]
+    for k, letters in enumerate(relators):
+        for letter in letters:
+            a[abs(letter) - 1][k] += 1 if letter > 0 else -1
+    d, u, _ = smith_normal_form(IntMatrix(n, len(relators), a))
+    diag = [d.entries[i][i] for i in range(min(n, len(relators)))]
+    rank = sum(1 for x in diag if x)
+    return tuple(x for x in diag if x > 1) + (0,) * (n - rank), u.entries[rank:]
 
 
 def alexander_from_presentation(presentation: GroupPresentation,
@@ -195,12 +181,8 @@ def alexander_from_presentation(presentation: GroupPresentation,
     if assignment is None:
         exps = infinite_cyclic_exponents(presentation)
     else:
-        if (type(assignment) not in (tuple, list)
-                or any(type(x) is not int for x in assignment)):
-            raise MalformedInputError("assignment must be a tuple or a list of integers")
+        _check_exponents(assignment, n)
         exps = tuple(assignment)
-        if len(exps) != n:
-            raise MalformedInputError("assignment length must match generator count")
         for rel in presentation.relators:
             vec = rel.exponent_vector()
             if sum(e * v for e, v in zip(exps, vec)) != 0:
@@ -437,7 +419,7 @@ def count_homs(presentation: GroupPresentation, group: FiniteGroupTable,
     key = _relator_key(presentation)
     if group.is_abelian:
         count = 1
-        for d in _invariant_factors(key):
+        for d in _smith_form(key)[0]:
             count *= sum(1 for k in group.element_orders if d % k == 0)
         return count
     return _completed_search(key, group, budget)

@@ -1,19 +1,18 @@
 """Exact integer matrices: products, determinants, characteristic polynomials,
-Smith normal form with unimodular witnesses, and integer linear solving.
+and Smith normal form with unimodular witnesses.
 
 Every algorithm is exact and polynomial in the size n: characteristic
 polynomials by Berkowitz's division-free algorithm (O(n^4) integer
-operations), integer determinants by fraction-free Bareiss elimination (O(n^3)
-integer operations, every division exact), and unimodular inverses from the
-Smith-form witnesses.  Determinants over Z[t, t^-1] reduce to one integer
-determinant by Kronecker substitution: the entries are evaluated at t = 2^B,
-with B large enough that the determinant's coefficients are the signed
-base-2^B digits of the integer result.
+operations) and integer determinants by fraction-free Bareiss elimination
+(O(n^3) integer operations, every division exact).  Determinants over
+Z[t, t^-1] reduce to one integer determinant by Kronecker substitution: the
+entries are evaluated at t = 2^B, with B large enough that the determinant's
+coefficients are the signed base-2^B digits of the integer result.
 
 The constructor (and `from_rows`, `identity`, `zeros`, which call it) checks
 the shape and that every entry is an exact integer, and stores the entries as
 a tuple of tuples.  Arithmetic (`mul`, `add`, `neg`, `sub`, `transpose`,
-`power`, `block_diag`) and the D, U, V of `smith_normal_form` check their
+`block_diag`) and the D, U, V of `smith_normal_form` check their
 operands' types and build their results from checked entries without a
 second check, in the same tuple-of-tuples form.
 """
@@ -23,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import (MalformedInputError, RankMismatchError, _check_int, _check_sequence,
-                     _check_type, _unchecked)
+from .errors import (MalformedInputError, RankMismatchError, _check_sequence, _check_type,
+                     _unchecked)
 from .laurent import LaurentPoly
 
 
@@ -113,22 +112,6 @@ class IntMatrix:
         _check_type(other, IntMatrix, "matrix operand")
         return self.add(other.neg())
 
-    def power(self, n: int) -> "IntMatrix":
-        _check_int(n, "exponent")
-        if self.rows != self.cols:
-            raise RankMismatchError("power of a non-square matrix")
-        if n < 0:
-            inv = self.inverse_unimodular()
-            return inv.power(-n)
-        out = IntMatrix.identity(self.rows)
-        base = self
-        while n:
-            if n & 1:
-                out = out.mul(base)
-            base = base.mul(base)
-            n >>= 1
-        return out
-
     def det(self) -> int:
         """Fraction-free (Bareiss 1968) determinant.  Each step replaces the
         block below and right of the pivot by the 2 x 2 minors it forms with
@@ -151,20 +134,6 @@ class IntMatrix:
                  for row in m[1:]]
             prev = pivot
         return sign * m[0][0] if m else 1
-
-    def inverse_unimodular(self) -> "IntMatrix":
-        """Inverse of a matrix with determinant +-1, from the Smith witnesses:
-        U A V = I gives A^-1 = V U."""
-        if self.rows != self.cols:
-            raise RankMismatchError("inverse of a non-square matrix")
-        d, u, v = smith_normal_form(self)
-        if not d.is_identity():
-            raise MalformedInputError("matrix is not unimodular")
-        return v.mul(u)
-
-    def is_identity(self) -> bool:
-        return self == IntMatrix.identity(self.rows) if self.rows == self.cols else False
-
 
 def _matrix(rows: int, cols: int, data) -> IntMatrix:
     """The rows x cols matrix with rows `data`, lists or tuples of exact
@@ -348,35 +317,3 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 def smith_diagonal(a: IntMatrix) -> list[int]:
     d, _, _ = smith_normal_form(a)
     return [d.entries[i][i] for i in range(min(a.rows, a.cols))]
-
-
-def solve_int(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One integer solution x of A x = b, or None if none exists."""
-    _check_type(a, IntMatrix, "matrix")
-    _check_sequence(b, "right-hand side")
-    for x in b:
-        _check_int(x, "right-hand side entry")
-    if len(b) != a.rows:
-        raise RankMismatchError("right-hand side length mismatch")
-    d, u, v = smith_normal_form(a)
-    w = u.mul_vec(tuple(b))
-    z = [0] * a.cols
-    for i in range(a.rows):
-        di = d.entries[i][i] if i < min(a.rows, a.cols) else 0
-        if di == 0:
-            if w[i] != 0:
-                return None
-        else:
-            if w[i] % di != 0:
-                return None
-            z[i] = w[i] // di
-    return v.mul_vec(tuple(z))
-
-
-def in_row_span(basis: IntMatrix, vector: Sequence[int]) -> bool:
-    """Whether the vector lies in the integer row span of `basis`."""
-    _check_type(basis, IntMatrix, "basis")
-    _check_sequence(vector, "vector")
-    if len(vector) != basis.cols:
-        raise RankMismatchError("vector length mismatch")
-    return solve_int(basis.transpose(), tuple(vector)) is not None

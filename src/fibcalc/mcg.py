@@ -22,11 +22,11 @@ a-columns must hold the quotient action there.  `SurfaceMonodromy.identity`,
 `twist_monodromy`, `compose_monodromy`, `mirror`, `boundary_connected_sum`
 and `CurveSpec.extend` derive their results from checked values and build
 them without a second check, because each fact holds by construction:
-transvections, products, unimodular inverses and block sums of symplectic
-matrices are symplectic; abelianization is a homomorphism, so it carries a
-power, composite, inverse or block extension of payloads to the same
-operation on their actions (a payload's m-th power abelianizes to the m-th
-transvection, since c c^T J squares to zero); and extending a curve keeps its
+transvections, products, inverses and block sums of symplectic matrices are
+symplectic; abelianization is a homomorphism, so it carries a power,
+composite, inverse or block extension of payloads to the same operation on
+their actions (a payload's m-th power abelianizes to the m-th transvection,
+since c c^T J squares to zero); and extending a curve keeps its
 a-coordinates zero and its payload's abelianization the transvection of the
 extended class.  The handlebody monodromies of `ribbon_disk.half_spin` and
 `ribbon_disk.disk_twist`, and the doubled boundary, are derived the same way
@@ -48,6 +48,7 @@ from .words import FreeGroupMap, abelianize, compose
 
 def symplectic_form(genus: int) -> IntMatrix:
     """Block-diagonal J with one [[0, 1], [-1, 0]] block per handle."""
+    _check_int(genus, "genus")
     n = 2 * genus
     rows = [[0] * n for _ in range(n)]
     for i in range(genus):
@@ -64,7 +65,17 @@ def is_symplectic(a: IntMatrix) -> bool:
     return a.transpose().mul(j).mul(a) == j
 
 
+def _class_vector(value) -> tuple[int, ...]:
+    """`value`, checked to be a tuple or a list of exact integers, as a tuple."""
+    _check_sequence(value, "homology class")
+    vec = tuple(value)
+    if any(type(x) is not int for x in vec):
+        raise MalformedInputError("homology class entries must be integers")
+    return vec
+
+
 def intersection(x: Sequence[int], y: Sequence[int]) -> int:
+    x, y = _class_vector(x), _class_vector(y)
     if len(x) != len(y) or len(x) % 2 != 0:
         raise RankMismatchError("intersection needs two vectors of equal even length")
     total = 0
@@ -86,10 +97,7 @@ class CurveSpec:
     def __post_init__(self):
         _check_int(self.genus, "genus")
         _check_optional_str(self.name, "curve name")
-        _check_sequence(self.homology_class, "homology class")
-        vec = tuple(self.homology_class)
-        if any(type(x) is not int for x in vec):
-            raise MalformedInputError("homology class entries must be integers")
+        vec = _class_vector(self.homology_class)
         if len(vec) != 2 * self.genus:
             raise MalformedInputError("homology class must have length 2*genus")
         object.__setattr__(self, "homology_class", vec)
@@ -148,10 +156,7 @@ def transvection(curve: "CurveSpec | Sequence[int]", multiplier: int = 1) -> Int
     if isinstance(curve, CurveSpec):
         vec = curve.homology_class
     else:
-        _check_sequence(curve, "homology class")
-        vec = tuple(curve)
-        if any(type(x) is not int for x in vec):
-            raise MalformedInputError("homology class entries must be integers")
+        vec = _class_vector(curve)
     n = len(vec)
     if n % 2 != 0:
         raise MalformedInputError("homology class must have even length")
@@ -241,7 +246,8 @@ def compose_monodromy(m1: SurfaceMonodromy, m2: SurfaceMonodromy) -> SurfaceMono
 
 
 def mirror(m: SurfaceMonodromy) -> SurfaceMonodromy:
-    """Invert the monodromy (the induced data of the reversed knot)."""
+    """Invert the monodromy (the induced data of the reversed knot).  The
+    action A is symplectic, A^T J A = J, so A^-1 = J^-1 A^T J = -J A^T J."""
     _check_type(m, SurfaceMonodromy, "monodromy")
     payload = None
     if m.pi1_action is not None:
@@ -249,7 +255,9 @@ def mirror(m: SurfaceMonodromy) -> SurfaceMonodromy:
             raise MissingPayloadError("mirror needs an inverse witness on the pi1 payload")
         payload = m.pi1_action.inverse()
     prov = tuple((c, -k) for c, k in reversed(m.provenance))
-    return _unchecked(SurfaceMonodromy, m.genus, m.action.inverse_unimodular(), payload, prov)
+    j = symplectic_form(m.genus)
+    inverse = j.mul(m.action.transpose()).mul(j).neg()
+    return _unchecked(SurfaceMonodromy, m.genus, inverse, payload, prov)
 
 
 def boundary_connected_sum(m1: SurfaceMonodromy, m2: SurfaceMonodromy) -> SurfaceMonodromy:
@@ -406,8 +414,13 @@ def catalog_names() -> tuple[str, ...]:
     return tuple(sorted(_CATALOG_BUILDERS))
 
 
-@lru_cache(maxsize=None)
 def curated_payload(name: str) -> "CurveSpec | SurfaceMonodromy":
+    _check_type(name, str, "catalog name")
+    return _curated_payload(name)
+
+
+@lru_cache(maxsize=None)
+def _curated_payload(name: str) -> "CurveSpec | SurfaceMonodromy":
     try:
         builder = _CATALOG_BUILDERS[name]
     except KeyError:

@@ -31,9 +31,6 @@ class GroupPresentation:
     def n_generators(self) -> int:
         return len(self.generators)
 
-    def relator_matrix_rows(self) -> list[tuple[int, ...]]:
-        return [rel.exponent_vector() for rel in self.relators]
-
     def with_relator(self, relator: FreeWord) -> "GroupPresentation":
         return GroupPresentation(self.generators, self.relators + (relator,))
 

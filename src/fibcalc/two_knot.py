@@ -166,6 +166,8 @@ def seifert_filling_multiplicity(a: int, b: int, m: int) -> int:
     """Multiplicity of the exceptional fiber a (-1/m)-filling introduces when
     the boundary fibration has induced slope a/b: the intersection number
     a*m - b.  (For a = 0 the 0-filling case is degenerate.)"""
+    for value in (a, b, m):
+        _check_int(value, "slope or filling coefficient")
     if gcd(a, b) != 1:
         raise PreconditionError("slope a/b must be in lowest terms")
     return a * m - b

@@ -261,6 +261,7 @@ def abelianize(f: FreeGroupMap) -> IntMatrix:
 # the same name with its first letter uppercased is the inverse.
 
 def surface_names(genus: int) -> tuple[str, ...]:
+    _check_int(genus, "genus")
     out: list[str] = []
     for i in range(1, genus + 1):
         out.extend((f"a{i}", f"b{i}"))
@@ -268,6 +269,7 @@ def surface_names(genus: int) -> tuple[str, ...]:
 
 
 def handlebody_names(genus: int) -> tuple[str, ...]:
+    _check_int(genus, "genus")
     return tuple(f"x{i}" for i in range(1, genus + 1))
 
 
@@ -307,9 +309,10 @@ def _token_tables(names: tuple[str, ...]) -> tuple[dict[str, int], dict[int, str
 
 
 def word_to_text(word: FreeWord, names: Sequence[str]) -> str:
+    _check_type(word, FreeWord, "word")
+    text = _tokens(names)[1]
     if len(names) != word.rank:
         raise RankMismatchError("need one name per generator")
-    text = _token_tables(tuple(names))[1]
     return " ".join(text[letter] for letter in word.letters)
 
 

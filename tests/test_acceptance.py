@@ -7,8 +7,7 @@ from contextlib import contextmanager
 
 from fibcalc import serialize
 from fibcalc.fibered import (alexander_poly, catalog_knot, connected_sum,
-                             distinctness_bound, knot_group, stallings_twist,
-                             trefoil_two_bridge_presentation)
+                             distinctness_bound, knot_group, stallings_twist)
 from fibcalc.invariants import (alexander_from_presentation, count_homs,
                                 finite_group, fox_derivative, h1)
 from fibcalc.laurent import normalize_alexander
@@ -21,6 +20,7 @@ from fibcalc.two_knot import (double_disk, execute_plan, gluck, halving_family,
                               seifert_filling_multiplicity, spin,
                               torus_surgery_plan, torus_twist, two_knot_group)
 from fibcalc.words import FreeWord, abelianize, compose
+from oracles import trefoil_two_bridge_presentation
 
 CATALOG_KNOTS = ("unknot", "trefoil_R", "trefoil_L", "figure8", "square_knot",
                  "granny_knot")

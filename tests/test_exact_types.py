@@ -2,34 +2,36 @@
 string is an error, never coerced.  Malformed shapes are library errors too,
 never a raw AttributeError, TypeError or ValueError."""
 
+import inspect
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
-from fibcalc.errors import MalformedInputError, RankMismatchError
+import fibcalc
+from fibcalc.errors import FibcalcError, MalformedInputError, RankMismatchError
 from fibcalc.fibered import (Ambient, FiberedKnot, alexander_poly, catalog_knot,
                              connected_sum, distinctness_bound, dual_knot_surgery_descriptor,
                              knot_group, mirror_knot, stallings_twist)
-from fibcalc.invariants import (FiniteGroupTable, GroupRingElement, abelian_fox_row,
-                                alexander_from_presentation, count_homs, finite_group,
-                                fox_derivative, fox_matrix, h1, infinite_cyclic_exponents,
-                                ring_to_laurent)
+from fibcalc.invariants import (FiniteGroupTable, abelian_fox_row, alexander_from_presentation,
+                                count_homs, finite_group, fox_derivative, fox_matrix, h1,
+                                infinite_cyclic_exponents)
 from fibcalc.laurent import LaurentPoly, laurent_gcd, normalize_alexander
-from fibcalc.matrices import (IntMatrix, block_diag, char_poly, in_row_span, laurent_det,
-                              smith_normal_form, solve_int)
+from fibcalc.matrices import IntMatrix, block_diag, char_poly, laurent_det, smith_normal_form
 from fibcalc.mcg import (CurveSpec, SurfaceMonodromy, boundary_connected_sum, cg_compatibility,
-                         compose_monodromy, curated_payload, is_symplectic, mirror,
-                         transvection, twist_monodromy)
+                         compose_monodromy, curated_payload, intersection, is_symplectic,
+                         mirror, symplectic_form, transvection, twist_monodromy)
 from fibcalc.presentation import GroupPresentation, hnn_presentation
 from fibcalc.ribbon_disk import (FiberedDisk, FiberType, boundary_knot,
                                  boundary_surjectivity_check, disk_twist,
                                  exterior_presentation, half_spin, is_homotopy_ribbon)
 from fibcalc.script import execute, parse_script
 from fibcalc.two_knot import (FiberedTwoKnot, FillingDescriptor, PlanEntry, SurgeryPlan,
-                              double_disk, execute_plan, gluck, halving_family, spin,
-                              torus_surgery_plan, torus_twist, two_knot_group)
+                              double_disk, execute_plan, gluck, halving_family,
+                              seifert_filling_multiplicity, spin, torus_surgery_plan,
+                              torus_twist, two_knot_group)
 from fibcalc.words import (FreeGroupMap, FreeWord, abelianize, apply_map, compose,
-                           word_from_text)
+                           handlebody_names, surface_names, word_from_text, word_to_text)
 
 
 def _trefoil_group():
@@ -94,7 +96,6 @@ PROBES = {
     "fox row bool exponent": lambda: abelian_fox_row(FreeWord(2, (1, 2)), (0, True)),
     "fox derivative float index": lambda: fox_derivative(FreeWord(2, (1, 2)), 1.0),
     "hom count None budget": lambda: count_homs(_trefoil_group(), finite_group("S3"), None),
-    "solve float right-hand side": lambda: solve_int(IntMatrix.identity(1), [1.0]),
 }
 
 # Malformed shapes, each of which used to escape as a raw Python exception.
@@ -107,7 +108,6 @@ SHAPE_PROBES = {
     "monodromy string action": lambda: SurfaceMonodromy(1, "x"),
     "curve int payload": lambda: CurveSpec(1, (1, 0), 5),
     "fiber string genus": lambda: FiberType("1"),
-    "matrix float power": lambda: IntMatrix.identity(2).power(2.0),
     "string hom budget": lambda: count_homs(_trefoil_group(), finite_group("Z2"), budget="x"),
     "knot string monodromy": lambda: FiberedKnot(Ambient.s3(), 1, "x"),
     "disk string monodromy": lambda: FiberedDisk(Ambient.b4(), FiberType(2), "x"),
@@ -132,8 +132,6 @@ SHAPE_PROBES = {
     "map int images": lambda: FreeGroupMap.from_letters(1, 5),
     "fox row short exponents": lambda: abelian_fox_row(FreeWord(2, (1, 2)), (1,)),
     "fox row int exponents": lambda: abelian_fox_row(FreeWord(1, (1,)), 1),
-    "ring to laurent short exponents": lambda: ring_to_laurent(
-        GroupRingElement.of_word(FreeWord(2, (1, 2))), (1,)),
 }
 
 # Entry points that take a library object: a wrong-typed argument is a
@@ -180,7 +178,6 @@ ENTRY_PROBES = {
     "cyclic exponents string": lambda: infinite_cyclic_exponents("x"),
     "fox matrix string": lambda: fox_matrix("x"),
     "fox derivative string": lambda: fox_derivative("x", 1),
-    "ring to laurent string": lambda: ring_to_laurent("x", (1,)),
     "laurent plus int": lambda: T + 1,
     "laurent minus int": lambda: T - 1,
     "laurent times int": lambda: T * 2,
@@ -204,8 +201,15 @@ ENTRY_PROBES = {
     "abelianize string": lambda: abelianize("x"),
     "apply map string word": lambda: apply_map(FreeGroupMap.identity(1), "x"),
     "compose string": lambda: compose(FreeGroupMap.identity(1), "x"),
-    "solve int right-hand side": lambda: solve_int(IntMatrix.identity(1), 5),
-    "row span string vector": lambda: in_row_span(IntMatrix.identity(1), "x"),
+    "surface names None genus": lambda: surface_names(None),
+    "handlebody names float genus": lambda: handlebody_names(1.5),
+    "symplectic form string genus": lambda: symplectic_form("x"),
+    "intersection string classes": lambda: intersection("ab", "cd"),
+    "filling multiplicity None slope": lambda: seifert_filling_multiplicity(None, 1, 1),
+    "word to text None word": lambda: word_to_text(None, ("a",)),
+    "word to text string names": lambda: word_to_text(FreeWord(2, (1, 2)), "ab"),
+    "catalog knot list name": lambda: catalog_knot([1]),
+    "curated payload list name": lambda: curated_payload([1]),
     "parse int script": lambda: parse_script(5),
     "execute int script": lambda: execute(5),
 }
@@ -274,3 +278,38 @@ def test_integer_inputs_still_build():
     assert IntMatrix(1, 1, [[5]]).entries == ((5,),)
     assert alexander_from_presentation(_trefoil_group(), [0, 0, 1]) == \
         alexander_from_presentation(_trefoil_group())
+
+
+# The values every required positional parameter of every exported callable
+# is drawn from: wrong types, a bool and a float where integers go, and two
+# library objects.  No large integers, so no call does real work at scale.
+SWEEP_POOL = (None, "x", 1.5, True, [1], IntMatrix.identity(2), catalog_knot("trefoil_R"))
+
+
+def _exported_callables():
+    for name, obj in sorted(vars(fibcalc).items()):
+        if name.startswith("_") or not callable(obj):
+            continue
+        if isinstance(obj, type) and issubclass(obj, BaseException):
+            continue
+        yield name, obj
+
+
+def test_every_export_returns_or_raises_a_library_error():
+    """Every combination of pool values for the required positional
+    parameters either returns or raises a `FibcalcError`; a raw
+    `TypeError`, `KeyError` or the like fails the sweep."""
+    leaks = []
+    for name, obj in _exported_callables():
+        params = inspect.signature(obj).parameters.values()
+        arity = sum(1 for p in params if p.default is p.empty
+                    and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD))
+        for args in product(SWEEP_POOL, repeat=arity):
+            try:
+                obj(*args)
+            except FibcalcError:
+                pass
+            except Exception as exc:
+                leaks.append(f"{name}{args!r}: {exc!r}")
+                break
+    assert not leaks, "\n".join(leaks)

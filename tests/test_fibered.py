@@ -5,10 +5,11 @@ from fibcalc.errors import (InapplicableError, MissingPayloadError,
 from fibcalc.fibered import (Ambient, FiberedKnot, alexander_poly, catalog_knot,
                              connected_sum, distinctness_bound,
                              dual_knot_surgery_descriptor, knot_group, mirror_knot,
-                             stallings_twist, trefoil_two_bridge_presentation)
+                             stallings_twist)
 from fibcalc.invariants import h1
 from fibcalc.laurent import normalize_alexander
 from fibcalc.mcg import CurveSpec, SurfaceMonodromy, curated_payload
+from oracles import trefoil_two_bridge_presentation
 
 
 def trefoil():

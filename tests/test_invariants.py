@@ -8,14 +8,12 @@ from hypothesis import given, settings, strategies as st
 from fibcalc import invariants
 from fibcalc.errors import (AbelianizationError, BudgetExceededError, CatalogError,
                             MalformedInputError)
-from fibcalc.fibered import (catalog_knot, connected_sum, knot_group,
-                             trefoil_two_bridge_presentation)
+from fibcalc.fibered import catalog_knot, connected_sum, knot_group
 from fibcalc.invariants import (DEFAULT_HOM_BUDGET, FiniteGroupTable, GroupRingElement,
                                 _completed_search, _relator_key, abelian_fox_row,
                                 alexander_from_presentation, count_homs,
                                 finite_group, fox_derivative, fox_matrix,
-                                group_catalog_names, h1, infinite_cyclic_exponents,
-                                ring_to_laurent)
+                                group_catalog_names, h1, infinite_cyclic_exponents)
 from fibcalc.laurent import LaurentPoly, normalize_alexander
 from fibcalc.matrices import IntMatrix, char_poly
 from fibcalc.mcg import symplectic_form, transvection
@@ -24,6 +22,18 @@ from fibcalc.ribbon_disk import exterior_presentation, half_spin
 from fibcalc.two_knot import double_disk, halving_family, spin, two_knot_group
 from fibcalc.words import (FreeGroupMap, FreeWord, abelianize, compose, handlebody_names,
                            surface_names)
+from oracles import trefoil_two_bridge_presentation
+
+
+def ring_to_laurent(element, exponents):
+    """Abelianize a group-ring element: each word becomes t^(e . its exponent
+    vector).  The oracle of `abelian_fox_row`, which abelianizes every Fox
+    derivative of a word in one pass."""
+    acc = {}
+    for word, coeff in element.coeffs.items():
+        e = sum(x * v for x, v in zip(exponents, word.exponent_vector()))
+        acc[e] = acc.get(e, 0) + coeff
+    return LaurentPoly.from_dict(acc)
 
 
 def test_fox_derivative_examples():
@@ -348,10 +358,10 @@ def test_budget_error_reports_nodes_visited():
         count_homs(p, finite_group("S3"), budget=24)
 
 
-# H1, the search plan and completed counts are cached per relator set, so
-# the names of the generators other than "t" do not matter.
+# The Smith form, the search plan and completed counts are cached per
+# relator set, so the names of the generators other than "t" do not matter.
 def _clear_presentation_caches():
-    for cache in (invariants._invariant_factors, invariants._search_plan,
+    for cache in (invariants._smith_form, invariants._search_plan,
                   invariants._completed_search):
         cache.cache_clear()
 
@@ -363,12 +373,17 @@ def test_renamed_presentation_shares_h1_and_counts():
     spin_names = hnn_presentation(f, handlebody_names(6))
     assert knot_names != spin_names
     diagonal = h1(knot_names)
-    counts = {name: count_homs(knot_names, finite_group(name)) for name in ("S3", "D4", "A4")}
+    counts = {name: count_homs(knot_names, finite_group(name))
+              for name in ("S3", "D4", "A4", "Z6")}
+    exponents = infinite_cyclic_exponents(knot_names)
     searches = invariants._completed_search.cache_info().misses
-    assert invariants._invariant_factors.cache_info().misses == 1
+    assert invariants._smith_form.cache_info().misses == 1
     assert h1(spin_names) == diagonal
-    assert invariants._invariant_factors.cache_info().misses == 1
+    assert infinite_cyclic_exponents(spin_names) == exponents
     assert {name: count_homs(spin_names, finite_group(name)) for name in counts} == counts
+    # H1, the abelian count and the Fox-route exponents of both presentations
+    # all read one Smith form
+    assert invariants._smith_form.cache_info().misses == 1
     assert invariants._completed_search.cache_info().misses == searches
 
 

@@ -5,10 +5,10 @@ import pytest
 
 from fibcalc.errors import MalformedInputError, RankMismatchError
 from fibcalc.laurent import LaurentPoly
-from fibcalc.matrices import (IntMatrix, block_diag, char_poly, in_row_span,
-                              laurent_det, smith_diagonal, smith_normal_form,
-                              solve_int)
-from fibcalc.mcg import symplectic_form, transvection
+from fibcalc.matrices import (IntMatrix, block_diag, char_poly, laurent_det, smith_diagonal,
+                              smith_normal_form)
+from fibcalc.mcg import SurfaceMonodromy, mirror, symplectic_form, transvection
+from oracles import in_row_span, inverse_unimodular, matrix_power, solve_int
 
 
 def fraction_det(m: IntMatrix) -> Fraction:
@@ -148,23 +148,28 @@ def _dense_symplectic(rng, genus):
 
 
 def test_inverse_unimodular_dense_genus_6_symplectic():
-    p = _dense_symplectic(random.Random(6), 6)
-    inverse = p.inverse_unimodular()
-    j = symplectic_form(6)
-    assert inverse == j.mul(p.transpose()).mul(j).neg()  # P^-1 = -J P^T J
-    assert p.mul(inverse).is_identity() and inverse.mul(p).is_identity()
-    assert p.power(-3).mul(p.power(3)).is_identity()
+    """`mirror` inverts a symplectic action P as -J P^T J; on dense P of
+    genus 1 to 6 that is the Smith-witness inverse."""
+    rng = random.Random(6)
+    for genus in range(1, 7):
+        p = _dense_symplectic(rng, genus)
+        inverse = mirror(SurfaceMonodromy(genus, p)).action
+        assert inverse == inverse_unimodular(p)
+        j, identity = symplectic_form(genus), IntMatrix.identity(2 * genus)
+        assert inverse == j.mul(p.transpose()).mul(j).neg()
+        assert p.mul(inverse) == identity and inverse.mul(p) == identity
+        assert matrix_power(p, -3).mul(matrix_power(p, 3)) == identity
 
 
 def test_inverse_unimodular_rejects_other_matrices():
     for rows in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[0]], [[3, 1], [3, 1]]):
         with pytest.raises(MalformedInputError):
-            IntMatrix.from_rows(rows).inverse_unimodular()
+            inverse_unimodular(IntMatrix.from_rows(rows))
     with pytest.raises(RankMismatchError):
-        IntMatrix.zeros(2, 3).inverse_unimodular()
-    assert IntMatrix.identity(0).inverse_unimodular() == IntMatrix.identity(0)
+        inverse_unimodular(IntMatrix.zeros(2, 3))
+    assert inverse_unimodular(IntMatrix.identity(0)) == IntMatrix.identity(0)
     m = IntMatrix.from_rows([[0, -1], [1, 0]])
-    assert m.inverse_unimodular() == m.neg()
+    assert inverse_unimodular(m) == m.neg()
 
 
 def check_snf_contract(a: IntMatrix):
@@ -227,11 +232,12 @@ def test_solve_int_and_row_span():
 
 def test_inverse_unimodular():
     m = IntMatrix.from_rows([[1, 2], [1, 3]])
-    assert m.mul(m.inverse_unimodular()) == IntMatrix.identity(2)
+    assert m.mul(inverse_unimodular(m)) == IntMatrix.identity(2)
+    assert mirror(SurfaceMonodromy(1, m)).action == inverse_unimodular(m)
     with pytest.raises(Exception):
-        IntMatrix.from_rows([[2, 0], [0, 2]]).inverse_unimodular()
+        inverse_unimodular(IntMatrix.from_rows([[2, 0], [0, 2]]))
 
 
 def test_power_negative():
     m = IntMatrix.from_rows([[1, 1], [0, 1]])
-    assert m.power(-2) == IntMatrix.from_rows([[1, -2], [0, 1]])
+    assert matrix_power(m, -2) == IntMatrix.from_rows([[1, -2], [0, 1]])

@@ -8,6 +8,7 @@ from fibcalc.mcg import CurveSpec, catalog_names, curated_payload
 from fibcalc.words import (FreeGroupMap, FreeWord, _reduce, abelianize, apply_map,
                            compose, handlebody_names, surface_names, word_from_text,
                            word_to_text)
+from oracles import matrix_power
 
 
 def letters(rank, max_len=12):
@@ -201,7 +202,7 @@ def test_figure8_power_10():
     f = catalog_knot("figure8").monodromy.pi1_action
     power = f.power(10)
     assert sum(len(w) for w in power.images) == 28657
-    assert abelianize(power) == abelianize(f).power(10)
+    assert abelianize(power) == matrix_power(abelianize(f), 10)
     assert power.inverse_images == f.inverse().power(10).images
 
 
