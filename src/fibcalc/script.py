@@ -16,7 +16,8 @@ from dataclasses import dataclass, fields
 from typing import Any
 
 from . import serialize
-from .errors import FibcalcError, ScriptError, _check_type
+from .errors import (FibcalcError, ScriptError, _check_int, _check_optional_str,
+                     _check_sequence, _check_type)
 from .fibered import (FiberedKnot, alexander_poly, catalog_knot, connected_sum, knot_group,
                       stallings_twist)
 from .invariants import DEFAULT_HOM_BUDGET, count_homs, finite_group, h1
@@ -40,6 +41,15 @@ class Statement:
     target: str | None = None
     line: int = 0
 
+    def __post_init__(self):
+        _check_type(self.verb, str, "verb")
+        _check_sequence(self.args, "arguments")
+        for arg in self.args:
+            _check_type(arg, str, "argument")
+        object.__setattr__(self, "args", tuple(self.args))
+        _check_optional_str(self.target, "target")
+        _check_int(self.line, "line")
+
     def text(self) -> str:
         head = f"{self.target} = " if self.target else ""
         return head + " ".join((self.verb,) + self.args)
@@ -48,6 +58,12 @@ class Statement:
 @dataclass(frozen=True)
 class SurgeryScript:
     statements: tuple[Statement, ...]
+
+    def __post_init__(self):
+        _check_sequence(self.statements, "statements")
+        for stmt in self.statements:
+            _check_type(stmt, Statement, "statement")
+        object.__setattr__(self, "statements", tuple(self.statements))
 
     def text(self) -> str:
         return "\n".join(s.text() for s in self.statements) + ("\n" if self.statements else "")

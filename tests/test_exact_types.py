@@ -25,7 +25,7 @@ from fibcalc.presentation import GroupPresentation, hnn_presentation
 from fibcalc.ribbon_disk import (FiberedDisk, FiberType, boundary_knot,
                                  boundary_surjectivity_check, disk_twist,
                                  exterior_presentation, half_spin, is_homotopy_ribbon)
-from fibcalc.script import execute, parse_script
+from fibcalc.script import Statement, SurgeryScript, execute, parse_script
 from fibcalc.two_knot import (FiberedTwoKnot, FillingDescriptor, PlanEntry, SurgeryPlan,
                               double_disk, execute_plan, gluck, halving_family,
                               seifert_filling_multiplicity, spin, torus_surgery_plan,
@@ -212,6 +212,9 @@ ENTRY_PROBES = {
     "curated payload list name": lambda: curated_payload([1]),
     "parse int script": lambda: parse_script(5),
     "execute int script": lambda: execute(5),
+    "execute None statements": lambda: execute(SurgeryScript(None)),
+    "execute string statement": lambda: execute(SurgeryScript(("x",))),
+    "execute None arguments": lambda: execute(SurgeryScript((Statement("load", None),))),
 }
 
 # String fields that `serialize.loads` reads as JSON strings: a constructor

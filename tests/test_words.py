@@ -1,13 +1,16 @@
-import pytest
-from hypothesis import given, strategies as st
+import json
 
-from fibcalc.errors import MalformedInputError, RankMismatchError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fibcalc import serialize
+from fibcalc.errors import MalformedInputError, RankMismatchError, SchemaError
 from fibcalc.fibered import catalog_knot
 from fibcalc.matrices import IntMatrix
-from fibcalc.mcg import CurveSpec, catalog_names, curated_payload
-from fibcalc.words import (FreeGroupMap, FreeWord, _reduce, abelianize, apply_map,
-                           compose, handlebody_names, surface_names, word_from_text,
-                           word_to_text)
+from fibcalc.mcg import CurveSpec, SurfaceMonodromy, catalog_names, curated_payload
+from fibcalc.words import (FreeGroupMap, FreeWord, _expand, _reduce, _table, _walker,
+                           abelianize, apply_map, compose, handlebody_names, surface_names,
+                           word_from_text, word_to_text)
 from oracles import matrix_power
 
 
@@ -126,8 +129,9 @@ def test_word_text_round_trip():
     text = word_to_text(w, names)
     assert text == "a1 B1 a2 b2 A1"
     assert word_from_text(text, names) == w
-    with pytest.raises(MalformedInputError):
-        word_from_text("zz", names)
+    assert word_from_text("a1 b1 B1 a2 A2 A1 b2", names).letters == (4,)
+    with pytest.raises(MalformedInputError, match="^unknown generator token 'zz'$"):
+        word_from_text("a1 zz", names)
 
 
 def test_shift_embedding():
@@ -307,3 +311,94 @@ def test_one_sided_witness_check_matches_the_two_sided_oracle(data):
         assert not expected
     else:
         assert expected
+
+
+def both_kernels_agree(images, witness):
+    """Run the segment walk and `_expand` on every witness word, never
+    through the constructor's dispatch: both must give the same reduced
+    letters.  Returns whether the witness inverts the map."""
+    table = _table(images)
+    walk = _walker(table)
+    verdict = True
+    for i, w in enumerate(witness):
+        reduced = _expand(table, w.letters)
+        assert walk(w.letters) == reduced
+        verdict = verdict and reduced == [i + 1]
+    return verdict
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_segment_walk_matches_expand(data):
+    rank = data.draw(st.integers(2, 4))
+    f = FreeGroupMap.identity(rank)
+    for _ in range(data.draw(st.integers(0, 25))):
+        size = sum(len(w) for w in f.images + f.inverse_images)
+        if size > 1000:  # the _expand check is quadratic
+            break
+        if data.draw(st.integers(0, 4)) or size > 40:  # a power of 40 letters stays short
+            i, j = data.draw(st.permutations(range(1, rank + 1)))[:2]
+            g = nielsen(rank, i, j, data.draw(st.sampled_from((1, -1))))
+            f = compose(f, g) if data.draw(st.booleans()) else compose(g, f)
+        else:
+            f = f.power(data.draw(st.sampled_from((-3, -2, -1, 2, 3))))
+    if data.draw(st.booleans()):  # letters past +-127 take two bytes in the walk
+        f = f.extend(rank + 200, 200)
+        rank = f.rank
+    images, witness = list(f.images), list(f.inverse_images)
+    corrupt = data.draw(st.booleans())
+    if corrupt:  # one letter of the witness or of an image, possibly to itself
+        words = data.draw(st.sampled_from((images, witness)))
+        k = data.draw(st.integers(rank - 4, rank - 1).filter(lambda k: k >= 0))
+        letters = list(words[k].letters)
+        if letters:
+            letters[data.draw(st.integers(0, len(letters) - 1))] = data.draw(
+                st.integers(-rank, rank).filter(lambda x: x != 0))
+        words[k] = FreeWord(rank, tuple(letters))
+    verdict = both_kernels_agree(images, witness)
+    assert verdict or corrupt
+    if verdict:
+        assert FreeGroupMap(rank, tuple(images), tuple(witness)).images == tuple(images)
+    else:
+        with pytest.raises(MalformedInputError):
+            FreeGroupMap(rank, tuple(images), tuple(witness))
+
+
+def test_segment_walk_beyond_one_byte_letters():
+    """Rank 130: letters up to +-130 do not fit one signed byte, so the
+    walk compares two bytes per letter."""
+    rank = 130
+    f = catalog_knot("figure8").monodromy.pi1_action.power(6).extend(rank, rank - 2)
+    for i, j in ((1, rank), (rank - 1, 2), (3, rank - 1)):
+        f = compose(nielsen(rank, i, j, 1), compose(f, nielsen(rank, j, i, -1)))
+    assert max(len(w) for w in f.images) > 300
+    assert both_kernels_agree(f.images, f.inverse_images)
+    witness = list(f.inverse_images)
+    w = list(witness[rank - 1].letters)
+    w[len(w) // 2] = rank if w[len(w) // 2] != rank else rank - 1
+    witness[rank - 1] = FreeWord(rank, tuple(w))
+    assert not both_kernels_agree(f.images, witness)
+    # -126 and 130 differ only in one of their two bytes
+    images = [FreeWord(rank, (i + 1,)) for i in range(rank)]
+    images[0], images[1] = FreeWord(rank, (126, 2, 3, 4)), FreeWord(rank, (-4, -3, -2, 130))
+    assert _walker(_table(images))([1, 2]) == _expand(_table(images), [1, 2]) == [126, 130]
+
+
+def test_figure8_power_10_full_check():
+    """The full constructor check and a validating JSON round trip of
+    phi^10 (28657 letters), then one letter changed deep in the witness."""
+    p = catalog_knot("figure8").monodromy.pi1_action.power(10)
+    assert FreeGroupMap(p.rank, p.images, p.inverse_images) == p
+    monodromy = SurfaceMonodromy(1, abelianize(p), p)
+    text = serialize.dumps(monodromy)
+    assert serialize.loads(text) == monodromy
+    w = list(p.inverse_images[0].letters)
+    middle = len(w) // 2
+    w[middle] = 1 if w[middle] == 2 else 2  # the witness is a positive word
+    bad = (FreeWord(2, tuple(w)), p.inverse_images[1])
+    with pytest.raises(MalformedInputError):
+        FreeGroupMap(p.rank, p.images, bad)
+    data = json.loads(text)
+    data["object"]["pi1_action"]["inverse_images"][0] = word_to_text(bad[0], ("a1", "b1"))
+    with pytest.raises(SchemaError):
+        serialize.loads(json.dumps(data))
