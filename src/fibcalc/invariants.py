@@ -1,6 +1,18 @@
 """Presentation-level invariants: Fox calculus, Alexander polynomials from
 presentations, homology via Smith normal form, and exact counting of
 homomorphisms into small finite groups.
+
+The Fox route to the Alexander polynomial builds no intermediate
+polynomial.  One pass per relator (`_fox_columns`) accumulates the
+abelianized Fox derivatives as {exponent: coefficient} dicts; the meridian
+column is deleted; each row is shifted by its lowest exponent and each
+entry evaluated at t = 2^B as the integer sum of c * 2^(B (e - low)).  B
+comes from the product over all rows of max(1, the row's coefficient norm),
+which bounds every maximal minor (see `matrices`).  Each minor is then one
+integer Bareiss determinant, whose signed base-2^B digits are its
+coefficients, up to the unit t^(sum of its rows' lowest exponents), which
+the gcd ignores.  `abelian_fox_row` is the checked `LaurentPoly` view of
+the same pass.
 """
 
 from __future__ import annotations
@@ -14,7 +26,7 @@ from math import gcd
 from .errors import (AbelianizationError, BudgetExceededError, CatalogError,
                      MalformedInputError, _check_int, _check_sequence, _check_type)
 from .laurent import LaurentPoly, _collect, laurent_gcd, normalize_alexander
-from .matrices import IntMatrix, laurent_det, smith_normal_form
+from .matrices import _from_digits, _matrix, _smith
 from .presentation import GroupPresentation
 from .words import FreeWord
 
@@ -98,16 +110,23 @@ def _check_exponents(exponents, rank: int) -> None:
 
 
 def abelian_fox_row(word: FreeWord, exponents: tuple[int, ...]) -> list[LaurentPoly]:
-    """The abelianized Fox derivatives of a word by every generator, in one
-    pass: entry j is the image of fox_derivative(word, j + 1) under the map
-    sending generator i to t^exponents[i].  At a prefix of exponent e, a
-    letter x_i adds t^e to column i and x_i^-1 adds -t^(e - exponents[i]).
-    The exponents are checked once; the entries are built in canonical form."""
+    """The abelianized Fox derivatives of a word by every generator: entry j
+    is the image of fox_derivative(word, j + 1) under the map sending
+    generator i to t^exponents[i].  The exponents are checked once; the
+    entries are built in canonical form from `_fox_columns`."""
     _check_type(word, FreeWord, "word")
     _check_exponents(exponents, word.rank)
-    columns: list[dict[int, int]] = [{} for _ in range(word.rank)]
+    return [_collect(column) for column in _fox_columns(word.letters, exponents)]
+
+
+def _fox_columns(letters: tuple[int, ...], exponents: tuple[int, ...]) -> list[dict[int, int]]:
+    """The abelianized Fox derivatives of the word `letters` by every
+    generator, as {exponent: coefficient} dicts, in one pass: at a prefix
+    of exponent e, a letter x_i adds t^e to column i and x_i^-1 adds
+    -t^(e - exponents[i]).  Cancelled terms stay as zero coefficients."""
+    columns: list[dict[int, int]] = [{} for _ in exponents]
     e = 0
-    for letter in word.letters:
+    for letter in letters:
         i = abs(letter) - 1
         column = columns[i]
         if letter > 0:
@@ -116,7 +135,7 @@ def abelian_fox_row(word: FreeWord, exponents: tuple[int, ...]) -> list[LaurentP
         else:
             e -= exponents[i]
             column[e] = column.get(e, 0) - 1
-    return [_collect(column) for column in columns]
+    return columns
 
 
 def infinite_cyclic_exponents(presentation: GroupPresentation) -> tuple[int, ...]:
@@ -165,10 +184,10 @@ def _smith_form(key: tuple) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...
     for k, letters in enumerate(relators):
         for letter in letters:
             a[abs(letter) - 1][k] += 1 if letter > 0 else -1
-    d, u, _ = smith_normal_form(IntMatrix(n, len(relators), a))
-    diag = [d.entries[i][i] for i in range(min(n, len(relators)))]
+    d, u, _ = _smith(a, len(relators), False)
+    diag = [d[i][i] for i in range(min(n, len(relators)))]
     rank = sum(1 for x in diag if x)
-    return tuple(x for x in diag if x > 1) + (0,) * (n - rank), u.entries[rank:]
+    return tuple(x for x in diag if x > 1) + (0,) * (n - rank), tuple(map(tuple, u[rank:]))
 
 
 def alexander_from_presentation(presentation: GroupPresentation,
@@ -203,22 +222,30 @@ def alexander_from_presentation(presentation: GroupPresentation,
             break
     if meridian is None:
         raise AbelianizationError("no generator maps onto t^(+-1)")
-    grid = [[p for j, p in enumerate(abelian_fox_row(rel, exps)) if j != meridian]
-            for rel in presentation.relators]
-    r, k = len(grid), n - 1
-    size = min(r, k)
-    if size < k:
+    r, k = len(presentation.relators), n - 1
+    if r < k:
         # fewer relators than needed: the first elementary ideal vanishes
         return LaurentPoly.zero()
+    # The Fox matrix at t = 2^b, each row times t^-(its lowest exponent);
+    # the module docstring says why b bounds every minor and why the minors
+    # are read without that unit.
+    shifted, bound = [], 1
+    for rel in presentation.relators:
+        columns = _fox_columns(rel.letters, exps)
+        del columns[meridian]
+        bound *= max(1, sum(abs(c) for column in columns for c in column.values()))
+        shifted.append((min((e for column in columns for e in column), default=0), columns))
+    b = bound.bit_length() + 1
+    rows = [[sum(c << b * (e - low) for e, c in column.items()) for column in columns]
+            for low, columns in shifted]
     gcd_acc = LaurentPoly.zero()
     one = LaurentPoly.one()
-    for rows in combinations(range(r), size):
-        for cols in combinations(range(k), size):
-            minor = laurent_det([[grid[i][j] for j in cols] for i in rows])
-            if not minor.is_zero:
-                gcd_acc = laurent_gcd(gcd_acc, minor)
-                if gcd_acc == one:
-                    return one
+    for chosen in combinations(range(r), k):
+        minor = _from_digits(_matrix(k, k, [rows[i] for i in chosen]).det(), b, 0)
+        if not minor.is_zero:
+            gcd_acc = laurent_gcd(gcd_acc, minor)
+            if gcd_acc == one:
+                return one
     if gcd_acc.is_zero:
         return LaurentPoly.zero()
     return normalize_alexander(gcd_acc)

@@ -4,10 +4,24 @@ and Smith normal form with unimodular witnesses.
 Every algorithm is exact and polynomial in the size n: characteristic
 polynomials by Berkowitz's division-free algorithm (O(n^4) integer
 operations) and integer determinants by fraction-free Bareiss elimination
-(O(n^3) integer operations, every division exact).  Determinants over
+(O(n^3) integer operations, every division exact).  Berkowitz's inner
+products run as `sum(map(mul, ...))`, in C.  Determinants over
 Z[t, t^-1] reduce to one integer determinant by Kronecker substitution: the
 entries are evaluated at t = 2^B, with B large enough that the determinant's
-coefficients are the signed base-2^B digits of the integer result.
+coefficients are the signed base-2^B digits of the integer result, which
+`_from_digits` reads.  `laurent_det` does this for a grid of `LaurentPoly`;
+the Fox route of `invariants.alexander_from_presentation` evaluates its
+entries straight from {exponent: coefficient} dicts and shares only the
+Bareiss `det` and `_from_digits`.  The bound: a row's entries p_j, shifted
+to start at t^0, are polynomials, and the coefficient norm |.|_1 is
+submultiplicative, so a determinant's norm is at most the product over its
+rows of the row norms sum_j |p_j|_1.  A minor takes some of the rows, cut
+to some of the columns, so the product over all rows of max(1, row norm)
+bounds every minor at once; the max keeps a zero row from making it 0.
+
+Smith normal form runs one elimination, `_smith`, for `smith_normal_form`,
+`smith_diagonal` and the cached H1 Smith form of `invariants`; the last two
+read no V, so it is not accumulated for them.
 
 The constructor (and `from_rows`, `identity`, `zeros`, which call it) checks
 the shape and that every entry is an exact integer, and stores the entries as
@@ -20,7 +34,8 @@ second check, in the same tuple-of-tuples form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable
 
 from .errors import (MalformedInputError, RankMismatchError, _check_sequence, _check_type,
                      _unchecked)
@@ -91,12 +106,6 @@ class IntMatrix:
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return self.mul(other)
-
-    def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.cols:
-            raise RankMismatchError("vector length mismatch")
-        return tuple(sum(self.entries[i][j] * v[j] for j in range(self.cols))
-                     for i in range(self.rows))
 
     def add(self, other: "IntMatrix") -> "IntMatrix":
         _check_type(other, IntMatrix, "matrix operand")
@@ -169,8 +178,8 @@ def laurent_det(grid: list[list[LaurentPoly]]) -> LaurentPoly:
     coefficient lies in (-2^(B-1), 2^(B-1)).  Evaluation at 2^B is a ring
     homomorphism Z[t] -> Z, so the integer determinant of the entries
     p(2^B) (by `IntMatrix.det`) is det(p)(2^B), and its signed base-2^B
-    digits are the coefficients, read off exactly.  The row shifts come back
-    as one factor t^k.
+    digits are the coefficients, read off exactly by `_from_digits`.  The
+    row shifts come back as one factor t^k.
     """
     _check_sequence(grid, "grid")
     n = len(grid)
@@ -190,8 +199,14 @@ def laurent_det(grid: list[list[LaurentPoly]]) -> LaurentPoly:
         bound *= sum(abs(c) for p in row for _, c in p.terms)
         rows.append((low, row))
     b = bound.bit_length() + 1
-    value = _matrix(n, n, [[sum(c << b * (e - low) for e, c in p.terms) for p in row]
-                           for low, row in rows]).det()
+    return _from_digits(_matrix(n, n, [[sum(c << b * (e - low) for e, c in p.terms) for p in row]
+                                       for low, row in rows]).det(), b, shift)
+
+
+def _from_digits(value: int, b: int, shift: int) -> LaurentPoly:
+    """The Laurent polynomial sum of d_i t^(shift + i) whose value at t = 2^b
+    is value * 2^(b * shift), for digits d_i in [-2^(b-1), 2^(b-1)): the
+    signed base-2^b digits of `value`, lowest first."""
     half, mask, terms = 1 << (b - 1), (1 << b) - 1, []
     while value:
         digit = value & mask
@@ -224,11 +239,10 @@ def char_poly(a: IntMatrix) -> LaurentPoly:
         v = [row[k] for row in m[:k]]
         toeplitz = [1, -m[k][k]]
         for p in range(k):
-            toeplitz.append(-sum(x * y for x, y in zip(s, v)))
+            toeplitz.append(-sum(map(mul, s, v)))
             if p < k - 1:
-                v = [sum(x * y for x, y in zip(row, v)) for row in block]
-        coeffs = [sum(toeplitz[i - j] * coeffs[j] for j in range(min(i, k) + 1))
-                  for i in range(k + 2)]
+                v = [sum(map(mul, row, v)) for row in block]
+        coeffs = [sum(map(mul, toeplitz[i::-1], coeffs)) for i in range(k + 2)]
     return LaurentPoly(tuple((n - i, c) for i, c in enumerate(coeffs)))
 
 
@@ -237,9 +251,23 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     d_i >= 0, and U, V unimodular."""
     _check_type(a, IntMatrix, "matrix")
     rows, cols = a.rows, a.cols
-    m = [list(r) for r in a.entries]
+    m, u, v = _smith([list(r) for r in a.entries], cols, True)
+    return _matrix(rows, cols, m), _matrix(rows, rows, u), _matrix(cols, cols, v)
+
+
+def smith_diagonal(a: IntMatrix) -> list[int]:
+    _check_type(a, IntMatrix, "matrix")
+    m, _, _ = _smith([list(r) for r in a.entries], a.cols, False)
+    return [m[i][i] for i in range(min(a.rows, a.cols))]
+
+
+def _smith(m: list[list[int]], cols: int, with_v: bool):
+    """The elimination of `smith_normal_form` on the rows `m` of a matrix
+    with `cols` columns, in place: returns (D, U, V) as lists of rows, with
+    V empty unless `with_v`, for the callers that never read it."""
+    rows = len(m)
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if with_v else []
 
     def row_op(i, j, q):  # row_i -= q * row_j
         m[i] = [x - q * y for x, y in zip(m[i], m[j])]
@@ -268,15 +296,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     limit = min(rows, cols)
     k = 0
     while k < limit:
-        # pivot of smallest absolute value in the remaining block
-        pivot = None
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                x = m[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
+        pivot = _pivot(m, k)
         if pivot is None:
             break
         swap_rows(k, pivot[0])
@@ -310,10 +330,20 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if m[k][k] < 0:
             negate_row(k)
         k += 1
+    return m, u, v
 
-    return _matrix(rows, cols, m), _matrix(rows, rows, u), _matrix(cols, cols, v)
 
-
-def smith_diagonal(a: IntMatrix) -> list[int]:
-    d, _, _ = smith_normal_form(a)
-    return [d.entries[i][i] for i in range(min(a.rows, a.cols))]
+def _pivot(m: list[list[int]], k: int) -> tuple[int, int] | None:
+    """The position of the first entry of least absolute value, in row-major
+    order, among the nonzero entries below and right of (k, k); None if
+    there are none.  A unit is least, so the scan stops at the first one."""
+    best, pivot = 0, None
+    for i in range(k, len(m)):
+        row = m[i]
+        for j in range(k, len(row)):
+            x = abs(row[j])
+            if x and (pivot is None or x < best):
+                if x == 1:
+                    return i, j
+                best, pivot = x, (i, j)
+    return pivot

@@ -42,13 +42,20 @@ from typing import Sequence
 from .errors import (CatalogError, MalformedInputError, MissingPayloadError,
                      RankMismatchError, _check_int, _check_optional_str, _check_sequence,
                      _check_type, _unchecked)
-from .matrices import IntMatrix, block_diag
+from .matrices import IntMatrix, _matrix, block_diag
 from .words import FreeGroupMap, abelianize, compose
 
 
 def symplectic_form(genus: int) -> IntMatrix:
     """Block-diagonal J with one [[0, 1], [-1, 0]] block per handle."""
     _check_int(genus, "genus")
+    return _symplectic_form(genus)
+
+
+# J is immutable, so one instance per genus serves every caller; a process
+# works in a few genera.
+@lru_cache(maxsize=16)
+def _symplectic_form(genus: int) -> IntMatrix:
     n = 2 * genus
     rows = [[0] * n for _ in range(n)]
     for i in range(genus):
@@ -58,11 +65,17 @@ def symplectic_form(genus: int) -> IntMatrix:
 
 
 def is_symplectic(a: IntMatrix) -> bool:
+    """Whether A^T J A = J.  Entry (i, k) of A^T J A is the pairing of
+    columns i and k, the sum over handles h of a_hi b_hk - b_hi a_hk for the
+    rows a_h, b_h of the handle; it is antisymmetric, so the entries above
+    the diagonal decide."""
     _check_type(a, IntMatrix, "matrix")
     if a.rows != a.cols or a.rows % 2 != 0:
         return False
-    j = symplectic_form(a.rows // 2)
-    return a.transpose().mul(j).mul(a) == j
+    n, m = a.rows, a.entries
+    pairs = [(m[h], m[h + 1]) for h in range(0, n, 2)]
+    return all(sum(x[i] * y[k] - y[i] * x[k] for x, y in pairs) == (k == i + 1 and i % 2 == 0)
+               for i in range(n) for k in range(i + 1, n))
 
 
 def _class_vector(value) -> tuple[int, ...]:
@@ -160,11 +173,10 @@ def transvection(curve: "CurveSpec | Sequence[int]", multiplier: int = 1) -> Int
     n = len(vec)
     if n % 2 != 0:
         raise MalformedInputError("homology class must have even length")
-    j = symplectic_form(n // 2)
-    jc = j.mul_vec(vec)  # column J c; (c c^T J)_{ik} = c_i (c^T J)_k = -c_i (J c)_k
-    rows = [[(1 if i == k else 0) + multiplier * vec[i] * jc[k] for k in range(n)]
-            for i in range(n)]
-    return IntMatrix.from_rows(rows) if n else IntMatrix.identity(0)
+    # J c: (J c)_2i = c_2i+1 and (J c)_2i+1 = -c_2i; (c c^T J)_ik = -c_i (J c)_k
+    jc = [x for i in range(0, n, 2) for x in (vec[i + 1], -vec[i])]
+    return _matrix(n, n, [[(1 if i == k else 0) + multiplier * vec[i] * jc[k] for k in range(n)]
+                          for i in range(n)])
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,12 @@ letter's image after cancelling it against the reduced output so far; its
 work is about one letter per output letter there.  The witness check is
 different: its output is one letter, but `_expand` copies the image of every
 letter of g(x_i), which is quadratic in the word length for powers of a
-pseudo-Anosov map.  So when the images are long on average (at least
-`_WALK_FROM` letters; one comparison of their total length with
-`_WALK_FROM` times the rank), the check runs `_walker` instead: the same
-reduction kept as a stack of segments of images, never copying a letter.
-It stays exact, with no hashing: every cancelled letter is compared, as
-whole blocks of byte-encoded images, in C.
+pseudo-Anosov map.  So when that copy is long (the sum of |f(l)| over the
+witness letters l, one C-level sum per witness word, is more than
+`_WALK_FROM` letters per witness letter), the check runs `_walker`
+instead: the same reduction kept as a stack of segments of images, never
+copying a letter.  It stays exact, with no hashing: every cancelled letter
+is compared, as whole blocks of byte-encoded images, in C.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import (MalformedInputError, RankMismatchError, _check_int, _check_sequence,
                      _check_type, _unchecked)
-from .matrices import IntMatrix
+from .matrices import IntMatrix, _matrix
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -156,13 +156,14 @@ def _expand(table: Sequence[tuple[int, ...]], letters: Iterable[int]) -> list[in
     return out
 
 
-# The witness check walks segments when the images average at least this
-# many letters, and calls `_expand` below it.  Measured on every map that a
-# `twists` round checks and on powers of pseudo-Anosov maps: `_expand` is up
-# to 3x faster on short images and on twist maps, whose check is linear; the
-# walk is 1.7x faster at 44 letters, 3.7x at 116 and 13x at 305 on powers,
-# whose `_expand` check is quadratic.
-_WALK_FROM = 64
+# The witness check walks segments when `_expand` would copy more than this
+# many letters per witness letter, and calls `_expand` otherwise.  Measured
+# on every witnessed map of a `twists` and a `scripts` round and on powers
+# 2-7 of four pseudo-Anosov maps: `_expand` was faster on all 156 maps that
+# copy at most 17 letters per witness letter (twist maps, whose `_expand`
+# check is linear, and low powers), by 1.04-7.6x; the walk was faster on
+# all 20 that copy 38 or more, by 1.6x at 38 letters and 23x at 750.
+_WALK_FROM = 24
 
 
 def _walker(table: Sequence[tuple[int, ...]]) -> Callable[[Iterable[int]], list[int]]:
@@ -240,7 +241,9 @@ class FreeGroupMap:
             inv = _image_words(self.inverse_images, self.rank, "inverse witness")
             object.__setattr__(self, "inverse_images", inv)
             table = _table(self.images)
-            long = sum(map(len, self.images)) >= _WALK_FROM * self.rank
+            lengths = list(map(len, table))
+            copied = sum(sum(map(lengths.__getitem__, w.letters)) for w in inv)
+            long = copied > _WALK_FROM * sum(map(len, inv))
             kernel = _walker(table) if long else partial(_expand, table)
             if any(kernel(w.letters) != [i + 1] for i, w in enumerate(inv)):
                 raise MalformedInputError("inverse witness does not invert the map")
@@ -334,9 +337,7 @@ def compose(f: FreeGroupMap, g: FreeGroupMap) -> FreeGroupMap:
 def abelianize(f: FreeGroupMap) -> IntMatrix:
     """Exponent-sum matrix; column j is the exponent vector of images[j]."""
     _check_type(f, FreeGroupMap, "map")
-    cols = [w.exponent_vector() for w in f.images]
-    return IntMatrix(f.rank, f.rank,
-                     tuple(tuple(cols[j][i] for j in range(f.rank)) for i in range(f.rank)))
+    return _matrix(f.rank, f.rank, zip(*(w.exponent_vector() for w in f.images)))
 
 
 # Text syntax: whitespace-separated tokens; a lowercase name is a generator,

@@ -1,11 +1,15 @@
 """References that more than one test file checks the library against.  The
-library inverts a symplectic action as -J A^T J and reads Lagrangian
-compatibility off the a-rows; the general routines here are what those
-shortcuts are checked against.  The two-bridge trefoil is a presentation
-that no construction builds."""
+library inverts a symplectic action as -J A^T J, reads Lagrangian
+compatibility off the a-rows and takes Fox-route determinants of integers;
+the general routines here are what those shortcuts are checked against.
+The two-bridge trefoil is a presentation that no construction builds."""
 
-from fibcalc.errors import MalformedInputError, RankMismatchError
-from fibcalc.matrices import IntMatrix, smith_normal_form
+from itertools import combinations
+
+from fibcalc.errors import AbelianizationError, MalformedInputError, RankMismatchError
+from fibcalc.invariants import abelian_fox_row, infinite_cyclic_exponents
+from fibcalc.laurent import LaurentPoly, laurent_gcd, normalize_alexander
+from fibcalc.matrices import IntMatrix, laurent_det, smith_normal_form
 from fibcalc.presentation import GroupPresentation
 from fibcalc.words import FreeWord
 
@@ -34,10 +38,16 @@ def matrix_power(a: IntMatrix, n: int) -> IntMatrix:
     return out
 
 
+def mul_vec(a: IntMatrix, v) -> tuple[int, ...]:
+    """The product A v of a matrix and a vector of its column count."""
+    assert len(v) == a.cols
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a.entries)
+
+
 def solve_int(a: IntMatrix, b) -> tuple[int, ...] | None:
     """One integer solution x of A x = b, or None if none exists."""
     d, u, v = smith_normal_form(a)
-    w = u.mul_vec(tuple(b))
+    w = mul_vec(u, tuple(b))
     z = [0] * a.cols
     for i in range(a.rows):
         di = d.entries[i][i] if i < min(a.rows, a.cols) else 0
@@ -48,7 +58,7 @@ def solve_int(a: IntMatrix, b) -> tuple[int, ...] | None:
             if w[i] % di != 0:
                 return None
             z[i] = w[i] // di
-    return v.mul_vec(tuple(z))
+    return mul_vec(v, tuple(z))
 
 
 def in_row_span(basis: IntMatrix, vector) -> bool:
@@ -61,3 +71,32 @@ def trefoil_two_bridge_presentation() -> GroupPresentation:
     group: the one presentation in the tests that is not an HNN extension,
     an independent cross-check of the HNN form."""
     return GroupPresentation(("u", "v"), (FreeWord(2, (1, 2, 1, -2, -1, -2)),))
+
+
+def alexander_by_grid(presentation: GroupPresentation, assignment=None) -> LaurentPoly:
+    """The Fox-route Alexander polynomial through Laurent polynomials: one
+    `abelian_fox_row` per relator, the meridian column deleted, a
+    `laurent_det` per maximal minor and the gcd of the nonzero minors.  A
+    supplied assignment is trusted."""
+    n = presentation.n_generators
+    exps = infinite_cyclic_exponents(presentation) if assignment is None else tuple(assignment)
+    if n == 1:
+        if presentation.relators:
+            raise AbelianizationError("single-generator group with relators is not Z")
+        return LaurentPoly.one()
+    meridian = next((j for j, e in enumerate(exps) if abs(e) == 1), None)
+    if meridian is None:
+        raise AbelianizationError("no generator maps onto t^(+-1)")
+    grid = [[p for j, p in enumerate(abelian_fox_row(rel, exps)) if j != meridian]
+            for rel in presentation.relators]
+    r, k = len(grid), n - 1
+    if r < k:
+        return LaurentPoly.zero()
+    gcd_acc = LaurentPoly.zero()
+    for rows in combinations(range(r), k):
+        minor = laurent_det([grid[i] for i in rows])
+        if not minor.is_zero:
+            gcd_acc = laurent_gcd(gcd_acc, minor)
+            if gcd_acc == LaurentPoly.one():
+                return gcd_acc
+    return LaurentPoly.zero() if gcd_acc.is_zero else normalize_alexander(gcd_acc)

@@ -29,7 +29,7 @@ from fibcalc.ribbon_disk import (_doubling_change_of_basis, disk_twist, doubled_
 from fibcalc.serialize import dumps
 from fibcalc.two_knot import double_disk, spin
 from fibcalc.words import FreeGroupMap, FreeWord, abelianize, compose, surface_names
-from oracles import in_row_span, inverse_unimodular, matrix_power
+from oracles import in_row_span, inverse_unimodular, matrix_power, mul_vec
 
 STALLINGS = tuple(curated_payload(f"square_knot_stallings_c{i}{s}")
                   for i in (1, 2) for s in ("", "_neg"))
@@ -272,11 +272,11 @@ def general_cg_compatibility(action, quotient_action):
         failures.append("quotient basis and lagrangian do not form a basis")
     if not failures:
         for i in range(genus):
-            image = action.mul_vec(lagrangian.row(i))
+            image = mul_vec(action, lagrangian.row(i))
             if not in_row_span(lagrangian, image):
                 failures.append(f"action moves lagrangian row {i + 1} out of the span")
         for jcol in range(genus):
-            image = list(action.mul_vec(quotient_basis.row(jcol)))
+            image = list(mul_vec(action, quotient_basis.row(jcol)))
             for i in range(genus):
                 coeff = quotient_action.entries[i][jcol]
                 for k in range(2 * genus):

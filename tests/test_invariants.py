@@ -3,7 +3,7 @@ from itertools import product
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fibcalc import invariants
 from fibcalc.errors import (AbelianizationError, BudgetExceededError, CatalogError,
@@ -15,14 +15,14 @@ from fibcalc.invariants import (DEFAULT_HOM_BUDGET, FiniteGroupTable, GroupRingE
                                 finite_group, fox_derivative, fox_matrix,
                                 group_catalog_names, h1, infinite_cyclic_exponents)
 from fibcalc.laurent import LaurentPoly, normalize_alexander
-from fibcalc.matrices import IntMatrix, char_poly
+from fibcalc.matrices import IntMatrix, char_poly, smith_normal_form
 from fibcalc.mcg import symplectic_form, transvection
 from fibcalc.presentation import GroupPresentation, hnn_presentation
 from fibcalc.ribbon_disk import exterior_presentation, half_spin
 from fibcalc.two_knot import double_disk, halving_family, spin, two_knot_group
 from fibcalc.words import (FreeGroupMap, FreeWord, abelianize, compose, handlebody_names,
                            surface_names)
-from oracles import trefoil_two_bridge_presentation
+from oracles import alexander_by_grid, trefoil_two_bridge_presentation
 
 
 def ring_to_laurent(element, exponents):
@@ -127,6 +127,84 @@ def test_hnn_fox_matrix_abelianizes_to_tI_minus_A():
             expected = LaurentPoly.from_dict({1: 1 if i == j else 0}) - \
                 LaurentPoly.const(a.entries[j][i])
             assert got == expected
+
+
+def outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # the two routes must fail alike
+        return type(exc), str(exc)
+
+
+@st.composite
+def fox_presentations(draw):
+    """(presentation, assignment or None) with 2-4 generators and n - 2 to
+    n + 1 relators, so fewer, as many and more relators than the n - 1
+    columns.  Generators go to t^e for e in -3..3 and one of them, the
+    meridian, to t^(+-1), so lowest exponents are often negative.  A relator
+    is a random word with meridian letters appended until the assignment
+    kills it, a commutator of two such words (a zero row: its Fox
+    derivatives abelianize to 0), or empty."""
+    n = draw(st.integers(2, 4))
+    letters = st.lists(st.integers(-n, n).filter(bool), max_size=8)
+    exps = draw(st.lists(st.sampled_from((0, 0, 1, -1, 2, -2, 3, -3)), min_size=n, max_size=n))
+    meridian = draw(st.integers(0, n - 1))
+    exps[meridian] = draw(st.sampled_from((1, -1)))
+
+    def killed(word):
+        total = sum(exps[abs(x) - 1] * (1 if x > 0 else -1) for x in word)
+        return word + [-(meridian + 1) * exps[meridian] * (1 if total > 0 else -1)] * abs(total)
+
+    relators = []
+    for _ in range(draw(st.integers(n - 2, n + 1))):
+        kind = draw(st.sampled_from(("word",) * 6 + ("zero row", "empty")))
+        if kind == "word":
+            word = killed(draw(letters) + draw(letters))
+        elif kind == "zero row":
+            u, v = killed(draw(letters)), killed(draw(letters))
+            word = u + v + [-x for x in reversed(u)] + [-x for x in reversed(v)]
+        else:
+            word = []
+        relators.append(FreeWord(n, tuple(word)))
+    presentation = GroupPresentation(("a", "b", "c", "d")[:n], tuple(relators))
+    return presentation, draw(st.sampled_from((tuple(exps), None)))
+
+
+@given(fox_presentations())
+@example((GroupPresentation(("a", "b"), (FreeWord(2, (1, -2, -1, 2, 2, -1, -2, 1)),)), (1, 1)))
+@settings(max_examples=300, deadline=None)
+def test_alexander_from_presentation_matches_the_grid_oracle(case):
+    # the example cancels a term below the lowest exponent left in its row
+    presentation, assignment = case
+    assert outcome(lambda: alexander_from_presentation(presentation, assignment)) == \
+        outcome(lambda: alexander_by_grid(presentation, assignment))
+
+
+def test_alexander_of_a_long_relator_presentation():
+    # phi^8 for the figure-8 monodromy phi: relators of 1600 and 2587 letters
+    phi8 = catalog_knot("figure8").monodromy.pi1_action.power(8)
+    presentation = hnn_presentation(phi8, surface_names(1))
+    assert max(map(len, presentation.relators)) > 1000
+    expected = LaurentPoly.from_dict({0: 1, 1: -2207, 2: 1})
+    assert alexander_from_presentation(presentation, (0, 0, 1)) == expected
+    assert alexander_by_grid(presentation, (0, 0, 1)) == expected
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(-n, n).filter(bool), max_size=9), max_size=5))))
+@settings(max_examples=200, deadline=None)
+def test_smith_form_reads_what_smith_normal_form_gives(case):
+    n, relators = case
+    key = (n, tuple(FreeWord(n, tuple(rel)).letters for rel in relators), None)
+    columns = [FreeWord(n, tuple(rel)).exponent_vector() for rel in relators]
+    a = IntMatrix(n, len(relators), tuple(zip(*columns)) if columns else ((),) * n)
+    d, u, _ = smith_normal_form(a)
+    diag = [d.entries[i][i] for i in range(min(n, len(relators)))]
+    rank = sum(1 for x in diag if x)
+    factors, free_rows = invariants._smith_form.__wrapped__(key)
+    assert factors == tuple(x for x in diag if x > 1) + (0,) * (n - rank)
+    assert free_rows == u.entries[rank:]
 
 
 def test_h1_examples():

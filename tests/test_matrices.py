@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibcalc.errors import MalformedInputError, RankMismatchError
 from fibcalc.laurent import LaurentPoly
-from fibcalc.matrices import (IntMatrix, block_diag, char_poly, laurent_det, smith_diagonal,
-                              smith_normal_form)
+from fibcalc.matrices import (IntMatrix, _pivot, block_diag, char_poly, laurent_det,
+                              smith_diagonal, smith_normal_form)
 from fibcalc.mcg import SurfaceMonodromy, mirror, symplectic_form, transvection
 from oracles import in_row_span, inverse_unimodular, matrix_power, solve_int
 
@@ -219,6 +220,19 @@ def test_snf_contract_rectangular():
 
 def test_smith_diagonal():
     assert smith_diagonal(IntMatrix.from_rows([[2, 0], [0, 3]])) == [1, 6]
+
+
+@given(st.integers(0, 4).flatmap(lambda c: st.lists(
+    st.lists(st.integers(-3, 3), min_size=c, max_size=c), max_size=4)), st.integers(0, 4))
+@settings(max_examples=200)
+def test_pivot_is_the_first_entry_of_least_absolute_value(rows, k):
+    """The scan stops at the first unit; a full scan picks the same entry."""
+    cols = len(rows[0]) if rows else 0
+    nonzero = [(i, j) for i in range(k, len(rows)) for j in range(k, cols) if rows[i][j]]
+    assert _pivot(rows, k) == min(nonzero, key=lambda p: abs(rows[p[0]][p[1]]), default=None)
+    a = IntMatrix(len(rows), cols, rows)
+    d, _, _ = smith_normal_form(a)
+    assert smith_diagonal(a) == [d.entries[i][i] for i in range(min(a.rows, a.cols))]
 
 
 def test_solve_int_and_row_span():

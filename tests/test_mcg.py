@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibcalc.errors import CatalogError, MalformedInputError, MissingPayloadError
 from fibcalc.laurent import normalize_alexander
@@ -48,6 +49,32 @@ def test_transvection_power_closed_form():
         c = tuple(rng.randint(-3, 3) for _ in range(4))
         m = rng.randint(-4, 4)
         assert transvection(c, m) == matrix_power(transvection(c), m)
+
+
+@given(st.integers(0, 3).flatmap(lambda genus: st.tuples(
+    st.just(genus),
+    st.lists(st.tuples(st.lists(st.integers(-2, 2), min_size=2 * genus, max_size=2 * genus),
+                       st.integers(-3, 3)), max_size=4),
+    st.integers(-1, 1), st.integers(0, 63))))
+@settings(max_examples=200)
+def test_kernels_match_their_matrix_products(case):
+    """transvection is I - m c c^T J, and is_symplectic tests A^T J A = J, on
+    products of transvections with one entry possibly bumped by +-1."""
+    genus, twists, bump, where = case
+    n, j = 2 * genus, symplectic_form(genus)
+    a = IntMatrix.identity(n)
+    for c, m in twists:
+        column = IntMatrix(n, 1, tuple((x,) for x in c))
+        cctj = column.mul(column.transpose()).mul(j)
+        expected = IntMatrix.identity(n).sub(
+            IntMatrix.from_rows([[m * x for x in row] for row in cctj.entries]))
+        assert transvection(c, m) == expected
+        a = a.mul(expected)
+    if n:
+        rows = [list(row) for row in a.entries]
+        rows[where % n][where // n % n] += bump
+        a = IntMatrix.from_rows(rows)
+    assert is_symplectic(a) == (a.transpose().mul(j).mul(a) == j)
 
 
 def test_intersection_pairing():
