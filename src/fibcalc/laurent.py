@@ -42,6 +42,7 @@ class LaurentPoly:
 
     @classmethod
     def from_dict(cls, coeffs: dict[int, int]) -> "LaurentPoly":
+        _check_type(coeffs, dict, "coefficients")
         return cls(tuple(coeffs.items()))
 
     @classmethod
@@ -127,6 +128,7 @@ class LaurentPoly:
 
     def evaluate(self, x: int) -> int:
         """Evaluate at a nonzero integer (negative exponents need x = +-1)."""
+        _check_int(x, "argument")
         total = 0
         for e, c in self.terms:
             if e >= 0:

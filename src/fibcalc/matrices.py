@@ -21,24 +21,29 @@ bounds every minor at once; the max keeps a zero row from making it 0.
 
 Smith normal form runs one elimination, `_smith`, for `smith_normal_form`,
 `smith_diagonal` and the cached H1 Smith form of `invariants`; the last two
-read no V, so it is not accumulated for them.
+read no V, so it is not accumulated for them.  It does no work whose result
+nobody reads: U changes only with the rows, so it rides in them; a column
+operation changes only the pivot row of the matrix; and a unit pivot, which
+divides everything, needs no scan for an entry it does not divide.  The
+`_smith` docstring says why each holds.
 
-The constructor (and `from_rows`, `identity`, `zeros`, which call it) checks
-the shape and that every entry is an exact integer, and stores the entries as
-a tuple of tuples.  Arithmetic (`mul`, `add`, `neg`, `sub`, `transpose`,
-`block_diag`) and the D, U, V of `smith_normal_form` check their
-operands' types and build their results from checked entries without a
-second check, in the same tuple-of-tuples form.
+The constructor (and `from_rows`, `identity`, `zeros`, which check their own
+arguments and call it) checks the shape and that every entry is an exact
+integer, and stores the entries as a tuple of tuples.  Arithmetic (`mul`,
+`add`, `neg`, `sub`, `transpose`, `block_diag`) and the D, U, V of
+`smith_normal_form` check their operands' types and build their results
+from checked entries without a second check, in the same tuple-of-tuples
+form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable
+from typing import Sequence
 
-from .errors import (MalformedInputError, RankMismatchError, _check_sequence, _check_type,
-                     _unchecked)
+from .errors import (MalformedInputError, RankMismatchError, _check_int, _check_sequence,
+                     _check_type, _unchecked)
 from .laurent import LaurentPoly
 
 
@@ -69,21 +74,21 @@ class IntMatrix:
         object.__setattr__(self, "entries", tuple(fixed))
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        data = tuple(tuple(row) for row in rows)
-        ncols = len(data[0]) if data else 0
-        return cls(len(data), ncols, data)
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
+        _check_sequence(rows, "matrix rows")
+        cols = len(rows[0]) if rows and type(rows[0]) in (tuple, list) else 0
+        return cls(len(rows), cols, rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        _check_int(n, "matrix size")
         return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
+        _check_int(rows, "matrix rows")
+        _check_int(cols, "matrix columns")
         return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def transpose(self) -> "IntMatrix":
         return _matrix(self.cols, self.rows, [[row[j] for row in self.entries]
@@ -264,83 +269,76 @@ def smith_diagonal(a: IntMatrix) -> list[int]:
 def _smith(m: list[list[int]], cols: int, with_v: bool):
     """The elimination of `smith_normal_form` on the rows `m` of a matrix
     with `cols` columns, in place: returns (D, U, V) as lists of rows, with
-    V empty unless `with_v`, for the callers that never read it."""
+    V empty unless `with_v`, for the callers that never read it.
+
+    U = (row operations applied to I) changes exactly when the rows do, so
+    row i carries row i of U after column `cols`, starting as e_i: a row
+    operation, swap or negation is one pass over one list, and D and U are
+    the two halves of the rows.  A column operation col_j -= q col_k runs
+    once column k is zero off the pivot: the rows below were just cleared,
+    and each row above was cleared right of its own pivot before k moved
+    past it.  So in the matrix it changes only m[k][j], and besides that
+    only the columns of V.  The scan of the block for an entry the pivot
+    does not divide, which makes d_k | d_(k+1), runs only behind a pivot
+    other than +-1: a unit divides every entry."""
     rows = len(m)
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    for i, row in enumerate(m):
+        row += [0] * rows
+        row[cols + i] = 1
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if with_v else []
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in m:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
-    limit = min(rows, cols)
     k = 0
-    while k < limit:
-        pivot = _pivot(m, k)
+    while k < min(rows, cols):
+        pivot = _pivot(m, k, cols)
         if pivot is None:
             break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
+        i, j = pivot
+        m[k], m[i] = m[i], m[k]
+        if j != k:
+            for r in m[k:] + v:  # rows above k are zero from column k on
+                r[k], r[j] = r[j], r[k]
         # clear the pivot column first; afterwards clearing the pivot row by
         # column ops has no fill-in below row k.  Any nonzero remainder is
         # strictly smaller than the pivot, so restarting terminates.
+        top = m[k]
+        p = top[k]
         for i in range(k + 1, rows):
-            if m[i][k]:
-                row_op(i, k, m[i][k] // m[k][k])
+            q = m[i][k] // p
+            if q:
+                m[i] = [x - q * y for x, y in zip(m[i], top)]
         if any(m[i][k] for i in range(k + 1, rows)):
             continue
         for j in range(k + 1, cols):
-            if m[k][j]:
-                col_op(j, k, m[k][j] // m[k][k])
-        if any(m[k][j] for j in range(k + 1, cols)):
+            q = top[j] // p
+            if q:
+                top[j] -= q * p
+                for r in v:
+                    r[j] -= q * r[k]
+        if any(top[k + 1:cols]):
             continue
         # make the pivot divide the whole remaining block, which yields the
         # divisibility chain d_k | d_{k+1} for free
-        offender = None
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                if m[i][j] % m[k][k] != 0:
-                    offender = i
-                    break
+        if p not in (1, -1):
+            offender = next((i for i in range(k + 1, rows)
+                             if any(x % p for x in m[i][k + 1:cols])), None)
             if offender is not None:
-                break
-        if offender is not None:
-            row_op(k, offender, -1)  # row_k += row_offender
-            continue
-        if m[k][k] < 0:
-            negate_row(k)
+                m[k] = [x + y for x, y in zip(top, m[offender])]
+                continue
+        if p < 0:
+            m[k] = [-x for x in top]
         k += 1
-    return m, u, v
+    return [r[:cols] for r in m], [r[cols:] for r in m], v
 
 
-def _pivot(m: list[list[int]], k: int) -> tuple[int, int] | None:
+def _pivot(m: list[list[int]], k: int, cols: int) -> tuple[int, int] | None:
     """The position of the first entry of least absolute value, in row-major
-    order, among the nonzero entries below and right of (k, k); None if
-    there are none.  A unit is least, so the scan stops at the first one."""
+    order, among the nonzero entries of the first `cols` columns below and
+    right of (k, k); None if there are none.  The rows of `_smith` carry U
+    after column `cols`, which the scan never reads.  A unit is least, so
+    the scan stops at the first one."""
     best, pivot = 0, None
     for i in range(k, len(m)):
         row = m[i]
-        for j in range(k, len(row)):
+        for j in range(k, cols):
             x = abs(row[j])
             if x and (pivot is None or x < best):
                 if x == 1:

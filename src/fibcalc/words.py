@@ -76,6 +76,7 @@ class FreeWord:
         return cls(rank, ())
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
+        _check_type(other, FreeWord, "word operand")
         if self.rank != other.rank:
             raise RankMismatchError("word product across different ranks")
         return _unchecked(FreeWord, self.rank, _reduce(self.letters + other.letters))

@@ -1,7 +1,8 @@
 """References that more than one test file checks the library against.  The
 library inverts a symplectic action as -J A^T J, reads Lagrangian
-compatibility off the a-rows and takes Fox-route determinants of integers;
-the general routines here are what those shortcuts are checked against.
+compatibility off the a-rows, takes Fox-route determinants of integers and
+runs a Smith elimination that skips work nobody reads; the general routines
+here are what those shortcuts are checked against.
 The two-bridge trefoil is a presentation that no construction builds."""
 
 from itertools import combinations
@@ -100,3 +101,93 @@ def alexander_by_grid(presentation: GroupPresentation, assignment=None) -> Laure
             if gcd_acc == LaurentPoly.one():
                 return gcd_acc
     return LaurentPoly.zero() if gcd_acc.is_zero else normalize_alexander(gcd_acc)
+
+
+def smith_elimination(m: list[list[int]], cols: int, with_v: bool):
+    """The Smith elimination with U kept apart, every column operation over
+    every row and a divisibility scan behind every pivot, which
+    `matrices._smith` must match entry for entry.  Same contract, in place
+    on the rows `m` of a matrix with `cols` columns: returns (D, U, V) as
+    lists of rows, V empty unless `with_v`."""
+    rows = len(m)
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if with_v else []
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for r in m:
+            r[i] -= q * r[j]
+        for r in v:
+            r[i] -= q * r[j]
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in m:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def negate_row(i):
+        m[i] = [-x for x in m[i]]
+        u[i] = [-x for x in u[i]]
+
+    limit = min(rows, cols)
+    k = 0
+    while k < limit:
+        pivot = _first_least(m, k)
+        if pivot is None:
+            break
+        swap_rows(k, pivot[0])
+        swap_cols(k, pivot[1])
+        # clear the pivot column first; afterwards clearing the pivot row by
+        # column ops has no fill-in below row k.  Any nonzero remainder is
+        # strictly smaller than the pivot, so restarting terminates.
+        for i in range(k + 1, rows):
+            if m[i][k]:
+                row_op(i, k, m[i][k] // m[k][k])
+        if any(m[i][k] for i in range(k + 1, rows)):
+            continue
+        for j in range(k + 1, cols):
+            if m[k][j]:
+                col_op(j, k, m[k][j] // m[k][k])
+        if any(m[k][j] for j in range(k + 1, cols)):
+            continue
+        # make the pivot divide the whole remaining block, which yields the
+        # divisibility chain d_k | d_{k+1} for free
+        offender = None
+        for i in range(k + 1, rows):
+            for j in range(k + 1, cols):
+                if m[i][j] % m[k][k] != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_op(k, offender, -1)  # row_k += row_offender
+            continue
+        if m[k][k] < 0:
+            negate_row(k)
+        k += 1
+    return m, u, v
+
+
+def _first_least(m: list[list[int]], k: int) -> tuple[int, int] | None:
+    """The position of the first entry of least absolute value, in row-major
+    order, among the nonzero entries below and right of (k, k); None if
+    there are none.  A unit is least, so the scan stops at the first one."""
+    best, pivot = 0, None
+    for i in range(k, len(m)):
+        row = m[i]
+        for j in range(k, len(row)):
+            x = abs(row[j])
+            if x and (pivot is None or x < best):
+                if x == 1:
+                    return i, j
+                best, pivot = x, (i, j)
+    return pivot

@@ -272,11 +272,11 @@ def general_cg_compatibility(action, quotient_action):
         failures.append("quotient basis and lagrangian do not form a basis")
     if not failures:
         for i in range(genus):
-            image = mul_vec(action, lagrangian.row(i))
+            image = mul_vec(action, lagrangian.entries[i])
             if not in_row_span(lagrangian, image):
                 failures.append(f"action moves lagrangian row {i + 1} out of the span")
         for jcol in range(genus):
-            image = list(mul_vec(action, quotient_basis.row(jcol)))
+            image = list(mul_vec(action, quotient_basis.entries[jcol]))
             for i in range(genus):
                 coeff = quotient_action.entries[i][jcol]
                 for k in range(2 * genus):

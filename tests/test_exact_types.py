@@ -186,6 +186,8 @@ ENTRY_PROBES = {
     "laurent bool scale": lambda: T.scale(True),
     "laurent string scale of zero": lambda: LaurentPoly.zero().scale("ab"),
     "laurent bool shift": lambda: T.shift(True),
+    "laurent float evaluate": lambda: (LaurentPoly.one() - T).evaluate(1.5),
+    "laurent bool evaluate": lambda: (LaurentPoly.one() - T).evaluate(True),
     "matrix times string": lambda: IntMatrix.identity(1).mul("x"),
     "matrix plus string": lambda: IntMatrix.identity(1).add("x"),
     "matrix minus string": lambda: IntMatrix.identity(1).sub("x"),
@@ -298,12 +300,12 @@ def _exported_callables():
         yield name, obj
 
 
-def test_every_export_returns_or_raises_a_library_error():
-    """Every combination of pool values for the required positional
-    parameters either returns or raises a `FibcalcError`; a raw
-    `TypeError`, `KeyError` or the like fails the sweep."""
+def _sweep(callables) -> list[str]:
+    """Call each (name, callable) with every combination of pool values for
+    its required positional parameters; the first call of each that raises
+    anything but a `FibcalcError` is a leak."""
     leaks = []
-    for name, obj in _exported_callables():
+    for name, obj in callables:
         params = inspect.signature(obj).parameters.values()
         arity = sum(1 for p in params if p.default is p.empty
                     and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD))
@@ -315,4 +317,37 @@ def test_every_export_returns_or_raises_a_library_error():
             except Exception as exc:
                 leaks.append(f"{name}{args!r}: {exc!r}")
                 break
+    return leaks
+
+
+def test_every_export_returns_or_raises_a_library_error():
+    """Every combination of pool values for the required positional
+    parameters either returns or raises a `FibcalcError`; a raw
+    `TypeError`, `KeyError` or the like fails the sweep."""
+    leaks = _sweep(_exported_callables())
+    assert not leaks, "\n".join(leaks)
+
+
+# One valid instance of each value class, and the binary operators swept
+# beside their public methods and classmethods.
+SWEEP_INSTANCES = (FreeWord(2, (1, -2)), FreeGroupMap.identity(2), LaurentPoly.one() - T,
+                   IntMatrix.from_rows([[2, 1], [1, 1]]))
+SWEEP_OPERATORS = ("__mul__", "__add__", "__sub__", "__pow__", "__matmul__")
+
+
+def _value_class_callables():
+    for instance in SWEEP_INSTANCES:
+        cls = type(instance)
+        for name in sorted(vars(cls)):
+            if name.startswith("_") and name not in SWEEP_OPERATORS:
+                continue
+            bound = getattr(instance, name)
+            if inspect.isroutine(bound):
+                yield f"{cls.__name__}.{name}", bound
+
+
+def test_every_value_class_method_returns_or_raises_a_library_error():
+    """The sweep one level down: the public classmethods, methods and binary
+    operators of a valid instance, with the same pool and the same rule."""
+    leaks = _sweep(_value_class_callables())
     assert not leaks, "\n".join(leaks)

@@ -22,7 +22,7 @@ from fibcalc.ribbon_disk import exterior_presentation, half_spin
 from fibcalc.two_knot import double_disk, halving_family, spin, two_knot_group
 from fibcalc.words import (FreeGroupMap, FreeWord, abelianize, compose, handlebody_names,
                            surface_names)
-from oracles import alexander_by_grid, trefoil_two_bridge_presentation
+from oracles import alexander_by_grid, smith_elimination, trefoil_two_bridge_presentation
 
 
 def ring_to_laurent(element, exponents):
@@ -557,6 +557,19 @@ def _dense_conjugated_knot(rng, genus):
         nielsen = compose(nielsen, FreeGroupMap.from_letters(rank, images, inverses))
         conjugated = compose(compose(nielsen, f), nielsen.inverse())
     return expected, action, conjugated
+
+
+@pytest.mark.parametrize("genus", range(1, 7))
+def test_cyclic_exponents_are_the_oracle_free_row(genus):
+    """The Fox route takes its sign from the one free row of U; on conjugated
+    HNN presentations it is the row the elimination oracle gives."""
+    _, _, conjugated = _dense_conjugated_knot(random.Random(100 + genus), genus)
+    presentation = hnn_presentation(conjugated, surface_names(genus))
+    n, relators = presentation.n_generators, presentation.relators
+    columns = [rel.exponent_vector() for rel in relators]
+    d, u, _ = smith_elimination([list(row) for row in zip(*columns)], len(relators), False)
+    assert [d[i][i] for i in range(n - 1)] == [1] * (n - 1) and not any(d[n - 1])
+    assert infinite_cyclic_exponents(presentation) == tuple(u[n - 1])
 
 
 @pytest.mark.parametrize("genus", [7, 8, 9, 12, 15])

@@ -2,14 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fibcalc.errors import MalformedInputError, RankMismatchError
 from fibcalc.laurent import LaurentPoly
-from fibcalc.matrices import (IntMatrix, _pivot, block_diag, char_poly, laurent_det,
+from fibcalc.matrices import (IntMatrix, _pivot, _smith, block_diag, char_poly, laurent_det,
                               smith_diagonal, smith_normal_form)
 from fibcalc.mcg import SurfaceMonodromy, mirror, symplectic_form, transvection
-from oracles import in_row_span, inverse_unimodular, matrix_power, solve_int
+from oracles import in_row_span, inverse_unimodular, matrix_power, smith_elimination, solve_int
 
 
 def fraction_det(m: IntMatrix) -> Fraction:
@@ -222,17 +222,52 @@ def test_smith_diagonal():
     assert smith_diagonal(IntMatrix.from_rows([[2, 0], [0, 3]])) == [1, 6]
 
 
-@given(st.integers(0, 4).flatmap(lambda c: st.lists(
-    st.lists(st.integers(-3, 3), min_size=c, max_size=c), max_size=4)), st.integers(0, 4))
+@given(st.tuples(st.integers(0, 4), st.integers(0, 3)).flatmap(lambda shape: st.tuples(
+    st.just(shape[0]), st.lists(st.lists(st.integers(-3, 3), min_size=sum(shape),
+                                         max_size=sum(shape)), max_size=4))),
+       st.integers(0, 4))
 @settings(max_examples=200)
-def test_pivot_is_the_first_entry_of_least_absolute_value(rows, k):
-    """The scan stops at the first unit; a full scan picks the same entry."""
-    cols = len(rows[0]) if rows else 0
+def test_pivot_is_the_first_entry_of_least_absolute_value(case, k):
+    """The scan reads only the first `cols` columns, not the U that `_smith`
+    carries after them, and stops at the first unit; a full scan of those
+    columns picks the same entry."""
+    cols, rows = case
     nonzero = [(i, j) for i in range(k, len(rows)) for j in range(k, cols) if rows[i][j]]
-    assert _pivot(rows, k) == min(nonzero, key=lambda p: abs(rows[p[0]][p[1]]), default=None)
-    a = IntMatrix(len(rows), cols, rows)
+    assert _pivot(rows, k, cols) == min(nonzero, key=lambda p: abs(rows[p[0]][p[1]]),
+                                        default=None)
+    a = IntMatrix(len(rows), cols, [row[:cols] for row in rows])
     d, _, _ = smith_normal_form(a)
     assert smith_diagonal(a) == [d.entries[i][i] for i in range(min(a.rows, a.cols))]
+
+
+SMITH_ENTRIES = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -3, 9, -9))
+
+
+@st.composite
+def smith_cases(draw):
+    """Up to 8 x 8, many zeros, entries with common factors; some have a
+    row that is a multiple of another, so they are rank-deficient."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    m = [draw(st.lists(SMITH_ENTRIES, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(rows)))[:2]
+        c = draw(st.sampled_from((0, 1, -1, 2, -3)))
+        m[i] = [c * x for x in m[j]]
+    return m, cols
+
+
+@given(smith_cases(), st.booleans())
+@example(([[2, 0], [0, 3]], 2), True)  # the offender step: D = diag(1, 6)
+@example(([[0, 0, 0], [0, 6, 0], [0, 0, 4], [0, 0, 0]], 3), True)  # zero row and column
+@example(([[2, 4], [4, 8]], 2), False)  # rank 1
+@example(([], 3), True)
+@example(([[], []], 0), True)
+@settings(max_examples=400)
+def test_smith_matches_the_elimination_oracle(case, with_v):
+    """`_smith` returns exactly the oracle's D, U and V."""
+    m, cols = case
+    expected = smith_elimination([list(r) for r in m], cols, with_v)
+    assert _smith([list(r) for r in m], cols, with_v) == expected
 
 
 def test_solve_int_and_row_span():
