@@ -342,12 +342,6 @@ class FiniteGroupTable:
             out.append(tuple(reps))
         return tuple(out)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
-
 
 def _perm_group(label: str, elements: list[tuple[int, ...]]) -> FiniteGroupTable:
     elements = sorted(elements)

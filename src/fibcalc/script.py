@@ -255,7 +255,10 @@ def _signature_problem(verb: str, args: tuple[str, ...]):
 
 def _argument(text: str, typ: type, env: dict):
     if typ in (int, str):
-        return typ(text)
+        try:
+            return typ(text)
+        except ValueError:  # an integer of more digits than int() converts
+            raise ScriptError(f"integer literal of {len(text)} characters is too long") from None
     if text not in env:
         raise ScriptError(f"name {text!r} is not bound")
     if not isinstance(env[text], typ):

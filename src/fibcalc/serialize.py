@@ -5,16 +5,22 @@ object dict carries a "kind" discriminator.  Free-group data uses the word
 text syntax (whitespace-separated tokens, uppercase first letter = inverse)
 together with the generator names in use, so round trips are exact.
 
-One table, `_KINDS`, drives both directions.  Loading takes JSON types
-exactly (a bool is not an integer, nor is a float or a digit string), and
-every failure is a SchemaError naming the JSON path of the offending value.
+One table, `_KINDS`, drives both directions (maps are written by `_map`,
+which knows their names).  Loading takes JSON types exactly (a bool is not an
+integer, nor is a float or a digit string), and every failure is a SchemaError
+naming the JSON path of the offending value.  Loading is the trust boundary,
+so no check is dropped: a map's words are read in one loop with one token
+table, then its constructor checks ranks, lengths and the inverse witness,
+and `CurveSpec` and `SurfaceMonodromy` the abelianization and symplectic
+facts.  No word or object is kept between calls, so a document loaded twice
+is checked twice.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import repeat
-from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
 from .errors import FibcalcError, SchemaError
@@ -25,8 +31,7 @@ from .mcg import CurveSpec, HandlebodyMonodromy, SurfaceMonodromy
 from .presentation import GroupPresentation
 from .ribbon_disk import FiberedDisk, FiberType
 from .two_knot import FiberedTwoKnot, FillingDescriptor, PlanEntry, SurgeryPlan
-from .words import (FreeGroupMap, check_generator_names, handlebody_names, surface_names,
-                    word_from_text, word_to_text)
+from .words import FreeGroupMap, _text, check_generator_names, handlebody_names, surface_names
 
 SCHEMA_VERSION = 1
 _REQUIRED = object()  # the default of a field whose key must be present
@@ -109,10 +114,19 @@ def _load_names(value, loaded):
 
 def _words(names: str) -> _Codec:
     """Words in the text syntax over the generator names held by `names`."""
-    word = _Codec(lambda text, loaded: _checked(word_from_text, _STR.load(text, loaded),
-                                                loaded[names]))
-    return _Codec(_list(word).load, lambda value, owner: None if value is None else [
-        word_to_text(w, getattr(owner, names)) for w in value])
+    def load(value, loaded):
+        if type(value) is not list:
+            raise _Invalid("expected a list")
+        read, words = _text(loaded[names])[0], []
+        for text in value:
+            if type(text) is not str:
+                raise _Invalid("expected a string", f"[{len(words)}]")
+            try:
+                words.append(read(text))
+            except FibcalcError as exc:
+                raise _Invalid(str(exc), f"[{len(words)}]") from exc
+        return tuple(words)
+    return _Codec(load, lambda value, owner: _text(getattr(owner, names))[1](value))
 
 
 def _map(names_of_rank: Callable[[int], tuple]) -> _Codec:
@@ -120,8 +134,10 @@ def _map(names_of_rank: Callable[[int], tuple]) -> _Codec:
     def dump(f, _):
         if f is None:
             return None
-        return _dump("free_group_map", SimpleNamespace(
-            names=names_of_rank(f.rank), images=f.images, inverse_images=f.inverse_images))
+        names = names_of_rank(f.rank)
+        write = _text(names)[1]
+        return {"kind": "free_group_map", "names": list(names), "images": write(f.images),
+                "inverse_images": None if f.inverse_images is None else write(f.inverse_images)}
     return _Codec(_object("free_group_map").load, dump)
 
 
@@ -137,8 +153,8 @@ def _field(key: str, codec: _Codec, default: Any = _REQUIRED, attr: str | None =
 
 _STRS = _list(_STR)
 _NAMES = _Codec(_load_names)
-_SURFACE_MAP = _map(lambda rank: surface_names(rank // 2))
-_HANDLEBODY_MAP = _map(handlebody_names)
+_SURFACE_MAP = _map(lru_cache(maxsize=16)(lambda rank: surface_names(rank // 2)))
+_HANDLEBODY_MAP = _map(lru_cache(maxsize=16)(handlebody_names))
 _TWIST_WORD = _list(_list((_object("curve_spec"), _INT), 2))
 _AMBIENT = _field("ambient", _object("ambient"))
 _GENUS = _field("genus", _INT)

@@ -37,6 +37,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import compress, count
+from operator import add, ne, neg
 from typing import Callable, Iterable, Sequence
 
 from .errors import (MalformedInputError, RankMismatchError, _check_int, _check_sequence,
@@ -129,45 +131,50 @@ def _image_words(words, rank: int, what: str) -> tuple[FreeWord, ...]:
     return tuple(words)
 
 
-def _table(words: Sequence[FreeWord]) -> list[tuple[int, ...]]:
+def _table(words: Sequence[FreeWord]) -> list[list[int]]:
     """Substitution table of the map x_i -> words[i-1], indexed by letter:
     entry i holds the image of x_i and entry -i (counted from the end) the
     image of x_i^-1, its inverse word."""
-    table = [()] + [w.letters for w in words]
-    table.extend(tuple(-x for x in reversed(w.letters)) for w in reversed(words))
+    table = [[]] + [list(w.letters) for w in words]
+    table += [list(map(neg, reversed(w.letters))) for w in reversed(words)]
     return table
 
 
-def _expand(table: Sequence[tuple[int, ...]], letters: Iterable[int]) -> list[int]:
+def _expand(table: Sequence[list[int]], letters: Iterable[int]) -> list[int]:
     """The freely reduced letters of the word `letters` with each letter
     replaced by its entry in `table`.  Each entry is reduced, so appending it
     after cancelling its longest prefix that inverts the tail of the output
-    keeps the output reduced."""
-    out: list[int] = []
+    keeps the output reduced.  Mostly all of it cancels: the output ends with
+    its inverse, which one list comparison shows.  Otherwise the prefix is as
+    long as the common start of the reversed output and reversed inverse."""
+    out = [0]  # no letter is 0, so nothing cancels against this sentinel
     for letter in letters:
         image = table[letter]
-        if out and image and out[-1] == -image[0]:
-            k, n = 1, min(len(out), len(image))
-            while k < n and out[-1 - k] == -image[k]:
-                k += 1
+        if image and out[-1] == -image[0]:
+            n, inverse = len(image), table[-letter]
+            if out[-n:] == inverse:
+                del out[-n:]
+                continue
+            k = next(compress(count(), map(ne, reversed(out), reversed(inverse))))
             del out[-k:]
             out.extend(image[k:])
         else:
             out.extend(image)
+    del out[0]
     return out
 
 
 # The witness check walks segments when `_expand` would copy more than this
 # many letters per witness letter, and calls `_expand` otherwise.  Measured
-# on every witnessed map of a `twists` and a `scripts` round and on powers
-# 2-7 of four pseudo-Anosov maps: `_expand` was faster on all 156 maps that
-# copy at most 17 letters per witness letter (twist maps, whose `_expand`
-# check is linear, and low powers), by 1.04-7.6x; the walk was faster on
-# all 20 that copy 38 or more, by 1.6x at 38 letters and 23x at 750.
+# with the whole-entry comparison of `_expand` on every witnessed map of a
+# `twists` round and on powers 2-7 of the figure-8 monodromy: `_expand` was
+# faster on all maps that copy at most 17 letters per witness letter (twist
+# maps, whose `_expand` check is linear, and low powers), by 1.2-4.7x; the
+# walk was faster on all that copy 42 or more, by 1.2x at 42 and 8.8x at 754.
 _WALK_FROM = 24
 
 
-def _walker(table: Sequence[tuple[int, ...]]) -> Callable[[Iterable[int]], list[int]]:
+def _walker(table: Sequence[list[int]]) -> Callable[[Iterable[int]], list[int]]:
     """A kernel with the contract of `_expand` on `table`, for long entries.
 
     The reduced output is kept as a stack of segments (a, s, e), each
@@ -243,11 +250,13 @@ class FreeGroupMap:
             object.__setattr__(self, "inverse_images", inv)
             table = _table(self.images)
             lengths = list(map(len, table))
-            copied = sum(sum(map(lengths.__getitem__, w.letters)) for w in inv)
-            long = copied > _WALK_FROM * sum(map(len, inv))
+            # no witness letter copies more than max(lengths) letters
+            long = max(lengths) > _WALK_FROM and _WALK_FROM * sum(map(len, inv)) < sum(
+                sum(map(lengths.__getitem__, w.letters)) for w in inv)
             kernel = _walker(table) if long else partial(_expand, table)
-            if any(kernel(w.letters) != [i + 1] for i, w in enumerate(inv)):
-                raise MalformedInputError("inverse witness does not invert the map")
+            for i, w in enumerate(inv, 1):
+                if kernel(w.letters) != [i]:
+                    raise MalformedInputError("inverse witness does not invert the map")
 
     @classmethod
     def identity(cls, rank: int) -> "FreeGroupMap":
@@ -392,20 +401,33 @@ def _token_tables(names: tuple[str, ...]) -> tuple[dict[str, int], dict[int, str
     return tokens, {letter: token for token, letter in tokens.items()}
 
 
+def _text(names: Sequence[str]) -> tuple[Callable[[str], FreeWord], Callable]:
+    """The parser of word texts and the printer of word lists over valid
+    generator names, with one token table: the loader's and the public ones."""
+    (letter, token), rank = (table.__getitem__ for table in _tokens(names)), len(names)
+
+    def read(text: str) -> FreeWord:
+        try:
+            letters = tuple(map(letter, text.split()))
+        except KeyError as missing:
+            raise MalformedInputError(f"unknown generator token {missing.args[0]!r}") from None
+        if 0 in map(add, letters, letters[1:]):  # a pair cancels
+            letters = _reduce(letters)
+        word = object.__new__(FreeWord)  # valid: the table holds only +-1..+-rank
+        object.__setattr__(word, "rank", rank)
+        object.__setattr__(word, "letters", letters)
+        return word
+    return read, lambda words: [" ".join(map(token, w.letters)) for w in words]
+
+
 def word_to_text(word: FreeWord, names: Sequence[str]) -> str:
     _check_type(word, FreeWord, "word")
-    text = _tokens(names)[1]
+    write = _text(names)[1]
     if len(names) != word.rank:
         raise RankMismatchError("need one name per generator")
-    return " ".join(text[letter] for letter in word.letters)
+    return write((word,))[0]
 
 
 def word_from_text(text: str, names: Sequence[str]) -> FreeWord:
     _check_type(text, str, "word text")
-    lookup = _tokens(names)[0]
-    try:
-        letters = [lookup[token] for token in text.split()]
-    except KeyError as missing:
-        raise MalformedInputError(f"unknown generator token {missing.args[0]!r}") from None
-    # the table holds only letters in +-1..+-len(names)
-    return _unchecked(FreeWord, len(names), _reduce(letters))
+    return _text(names)[0](text)

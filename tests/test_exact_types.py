@@ -331,7 +331,7 @@ def test_every_export_returns_or_raises_a_library_error():
 # One valid instance of each value class, and the binary operators swept
 # beside their public methods and classmethods.
 SWEEP_INSTANCES = (FreeWord(2, (1, -2)), FreeGroupMap.identity(2), LaurentPoly.one() - T,
-                   IntMatrix.from_rows([[2, 1], [1, 1]]))
+                   IntMatrix.from_rows([[2, 1], [1, 1]]), finite_group("S3"))
 SWEEP_OPERATORS = ("__mul__", "__add__", "__sub__", "__pow__", "__matmul__")
 
 

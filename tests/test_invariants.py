@@ -246,6 +246,7 @@ def test_group_table_derives_identity_and_inverses():
 def brute_force_count(presentation, group):
     """Independent oracle: plain product enumeration, no pruning."""
     n = presentation.n_generators
+    table, inverses = group.table, group.inverses
     total = 0
     for assignment in product(range(group.order), repeat=n):
         ok = True
@@ -253,7 +254,7 @@ def brute_force_count(presentation, group):
             acc = group.identity
             for letter in rel.letters:
                 x = assignment[abs(letter) - 1]
-                acc = group.mul(acc, x if letter > 0 else group.inv(x))
+                acc = table[acc][x if letter > 0 else inverses[x]]
             if acc != group.identity:
                 ok = False
                 break

@@ -144,6 +144,19 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert "not bound" in capsys.readouterr().err
 
 
+def test_cli_over_long_integer_literal_is_a_script_error(tmp_path, capsys):
+    """A literal past the interpreter's int-string limit (4300 digits) ends
+    in a ScriptError naming its statement, not a raw ValueError."""
+    path = tmp_path / "long.fib"
+    path.write_text("K = load square_knot\nC = load square_knot_stallings_c1\n"
+                    f"T = stallingstwist K C {'9' * 5000}\nreport T\n")
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: stallingstwist: integer literal of 5000 characters is too long "
+                   "(statement 2)\n")
+    assert "Traceback" not in err
+
+
 def test_cli_catalog(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out

@@ -1,15 +1,17 @@
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibcalc import serialize
-from fibcalc.errors import FibcalcError, SchemaError
+from fibcalc.errors import FibcalcError, MalformedInputError, RankMismatchError, SchemaError
 from fibcalc.fibered import (Ambient, FiberedKnot, catalog_knot, connected_sum, mirror_knot,
                              stallings_twist)
 from fibcalc.mcg import SurfaceMonodromy, catalog_names, curated_payload
 from fibcalc.ribbon_disk import boundary_knot, disk_twist, half_spin
 from fibcalc.two_knot import double_disk, execute_plan, gluck, spin, torus_surgery_plan
+from fibcalc.words import abelianize
 
 
 def roundtrip(obj):
@@ -335,3 +337,135 @@ def test_mutated_objects_load_exactly_or_fail_cleanly(data):
     text = serialize.dumps(obj)
     assert _covers(json.loads(text), mutated), (keys, name)
     assert serialize.dumps(serialize.loads(text)) == text
+
+
+def _square_twist():
+    return stallings_twist(catalog_knot("square_knot"),
+                           curated_payload("square_knot_stallings_c1"), 2)
+
+
+def _trefoil_disk_twist():
+    return disk_twist(half_spin(_trefoil()), curated_payload("square_knot_stallings_c2_neg"), 3)
+
+
+_PAYLOAD = ("monodromy", "provenance", 0, 0, "pi1_payload")
+_PAYLOAD_PATH = "$.object.monodromy.provenance[0][0].pi1_payload"
+_HANDLEBODY = ("monodromy", "pi1_action")
+_HANDLEBODY_PATH = "$.object.monodromy.pi1_action"
+
+# Word-level faults inside nested maps: (object, keys, new value, message,
+# path, type of the SchemaError's cause).
+WORD_PROBES = [
+    (_square_twist, _PAYLOAD + ("images", 2), "a2 zz", "unknown generator token 'zz'",
+     _PAYLOAD_PATH + ".images[2]", MalformedInputError),
+    (_square_twist, _PAYLOAD + ("inverse_images", 1), "b1 qq", "unknown generator token 'qq'",
+     _PAYLOAD_PATH + ".inverse_images[1]", MalformedInputError),
+    (_square_twist, _PAYLOAD + ("images", 2), 5, "expected a string",
+     _PAYLOAD_PATH + ".images[2]", type(None)),
+    (_square_twist, _PAYLOAD + ("inverse_images", 1), None, "expected a string",
+     _PAYLOAD_PATH + ".inverse_images[1]", type(None)),
+    (_square_twist, _PAYLOAD + ("images", 2), ["a2"], "expected a string",
+     _PAYLOAD_PATH + ".images[2]", type(None)),
+    (_square_twist, _PAYLOAD + ("images",), None, "expected a list",
+     _PAYLOAD_PATH + ".images", type(None)),
+    (_square_twist, _PAYLOAD + ("images",), "a1", "expected a list",
+     _PAYLOAD_PATH + ".images", type(None)),
+    (_square_twist, _PAYLOAD + ("images", 2), "", "inverse witness does not invert the map",
+     _PAYLOAD_PATH, MalformedInputError),
+    (_square_twist, _PAYLOAD + ("inverse_images", 1), "",
+     "inverse witness does not invert the map", _PAYLOAD_PATH, MalformedInputError),
+    (_square_twist, _PAYLOAD + ("images",), ["a1", "b1 A1", "a2"],
+     "images: one word per generator is required", _PAYLOAD_PATH, RankMismatchError),
+    (_square_twist, _PAYLOAD + ("inverse_images",), ["a1", "b1 a1", "a2", "b2", "a1"],
+     "inverse witness: one word per generator is required", _PAYLOAD_PATH, RankMismatchError),
+    (_square_twist, _PAYLOAD + ("names",), ["a1", "b1", "a2"],
+     "unknown generator token 'b2'", _PAYLOAD_PATH + ".images[3]", MalformedInputError),
+    (_square_twist, _PAYLOAD + ("names",), ["a1", "b1", "a2", "a2"],
+     "generator names ['a1', 'b1', 'a2', 'a2'] collide", _PAYLOAD_PATH + ".names",
+     MalformedInputError),
+    (_trefoil_disk_twist, _HANDLEBODY + ("inverse_images", 0), "x1 y1",
+     "unknown generator token 'y1'", _HANDLEBODY_PATH + ".inverse_images[0]",
+     MalformedInputError),
+    (_trefoil_disk_twist, _HANDLEBODY + ("inverse_images", 0), 1.5, "expected a string",
+     _HANDLEBODY_PATH + ".inverse_images[0]", type(None)),
+    (_trefoil_disk_twist, _HANDLEBODY + ("inverse_images", 0), "x1",
+     "inverse witness does not invert the map", _HANDLEBODY_PATH, MalformedInputError),
+]
+
+
+@pytest.mark.parametrize("make, keys, value, message, path, cause", WORD_PROBES,
+                         ids=[f"{p[4]}:={p[2]!r}" for p in WORD_PROBES])
+def test_word_level_fault_is_pinned(make, keys, value, message, path, cause):
+    with pytest.raises(SchemaError) as err:
+        serialize.deserialize(_mutated(make(), keys, value))
+    assert type(err.value) is SchemaError
+    assert str(err.value) == f"{message} at {path}"
+    assert err.value.path == path
+    assert type(err.value.__cause__) is cause
+
+
+@pytest.mark.parametrize("make, keys, value", [
+    (_square_twist, _PAYLOAD + ("images", 2), "a2 b1 B1"),
+    (_square_twist, _PAYLOAD + ("images", 2), " a2   b2 B2\t"),
+    (_square_twist, _PAYLOAD + ("inverse_images", 1), "b1 a1 A1 a1"),
+    (_square_twist, ("monodromy", "pi1_action", "images", 1), "b1 A1 a1 B1 b1 A1"),
+    (_trefoil_disk_twist, _HANDLEBODY + ("images", 0), "X2 x2 " * 3 + "x1 x2 X1 x1 X1"),
+])
+def test_unreduced_word_loads_reduced_and_dumps_canonically(make, keys, value):
+    obj = make()
+    back = serialize.deserialize(_mutated(obj, keys, value))
+    assert back == obj
+    assert serialize.dumps(back) == serialize.dumps(obj)
+
+
+def test_null_witness_loads_as_a_map_without_one():
+    data = _mutated(_square_twist(), _PAYLOAD + ("inverse_images",), None)
+    back = serialize.deserialize(data)
+    assert not back.monodromy.provenance[0][0].pi1_payload.has_witness
+    assert json.loads(serialize.dumps(back)) == data
+
+
+def test_payload_of_another_curve_fails_the_abelianization_check():
+    data = serialize.serialize(_square_twist())
+    provenance = data["object"]["monodromy"]["provenance"]
+    provenance[0][0]["pi1_payload"] = provenance[1][0]["pi1_payload"]
+    with pytest.raises(SchemaError) as err:
+        serialize.deserialize(data)
+    assert str(err.value) == ("pi1 payload must abelianize to the transvection of the class "
+                              "at $.object.monodromy.provenance[0][0]")
+    assert type(err.value.__cause__) is MalformedInputError
+
+
+def _golden_families():
+    """The objects whose canonical bytes are pinned below, by family: the
+    twisted families of the `twists` workload at |m| = 1, 16 and 40, a
+    figure-8 monodromy power and a genus-3 surgery plan result."""
+    curves = [curated_payload(f"square_knot_stallings_c{i}{s}")
+              for i in (1, 2) for s in ("", "_neg")]
+    square, disk = catalog_knot("square_knot"), half_spin(_trefoil())
+    power = catalog_knot("figure8").monodromy.pi1_action.power(7)
+    target = connected_sum(connected_sum(catalog_knot("figure8"), catalog_knot("trefoil_L")),
+                           _trefoil())
+    return {
+        "stallings": [stallings_twist(square, c, m) for c in curves for m in (1, -1, 16, 40)],
+        "disk": [disk_twist(disk, c, m) for c in curves for m in (1, -1, 16, 40)],
+        "power": [SurfaceMonodromy(1, abelianize(power), power)],
+        "plan": [execute_plan(spin(_trefoil()), torus_surgery_plan(_trefoil(), target))],
+    }
+
+
+GOLDEN_SHA256 = {
+    "stallings": "052d4d70753127a1a1b3362584771d54b59737f184ef9d05859cc0fa5275d345",
+    "disk": "2e34be2751018ea123132dc0851c960af23ac533efd1808e8f43e50084bcd2ad",
+    "power": "a3db01e64c6b00b9370128d667dddd349e85808fbfc9efde3e6c6d1b1db20f21",
+    "plan": "6f7c59a60f63638ae15180d6f4258071cdd27ab33028e422beca53d1ff532bf9",
+}
+
+
+def test_canonical_bytes_are_golden():
+    """The bytes `dumps` wrote when these digests were taken, and `loads`
+    then `dumps` gives them back."""
+    for family, objects in _golden_families().items():
+        texts = [serialize.dumps(obj) for obj in objects]
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == GOLDEN_SHA256[family]
+        assert [serialize.dumps(serialize.loads(text)) for text in texts] == texts
