@@ -4,10 +4,11 @@ fundamental groups."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 from typing import Sequence
 
-from .errors import RankMismatchError, _check_sequence, _check_type, _unchecked
-from .words import FreeGroupMap, FreeWord, check_generator_names, word_to_text
+from .errors import RankMismatchError, _check_sequence, _check_type
+from .words import FreeGroupMap, FreeWord, _word, check_generator_names, word_to_text
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,6 @@ def hnn_presentation(monodromy: FreeGroupMap, fiber_names: Sequence[str]) -> Gro
         raise RankMismatchError("need one name per fiber generator")
     gens = tuple(fiber_names) + ("t",)
     t = n + 1
-    relators = tuple(_unchecked(FreeWord, n + 1,
-                                (t, i + 1, -t) + tuple(-x for x in reversed(image.letters)))
-                     for i, image in enumerate(monodromy.images))
+    relators = tuple(_word(n + 1, (t, i, -t, *map(neg, reversed(image))))
+                     for i, image in enumerate(monodromy._images, 1))
     return GroupPresentation(gens, relators)

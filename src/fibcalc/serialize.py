@@ -31,7 +31,8 @@ from .mcg import CurveSpec, HandlebodyMonodromy, SurfaceMonodromy
 from .presentation import GroupPresentation
 from .ribbon_disk import FiberedDisk, FiberType
 from .two_knot import FiberedTwoKnot, FillingDescriptor, PlanEntry, SurgeryPlan
-from .words import FreeGroupMap, _text, check_generator_names, handlebody_names, surface_names
+from .words import (FreeGroupMap, _checked_map, _text, _word, check_generator_names,
+                    handlebody_names, surface_names)
 
 SCHEMA_VERSION = 1
 _REQUIRED = object()  # the default of a field whose key must be present
@@ -112,21 +113,33 @@ def _load_names(value, loaded):
     return names
 
 
-def _words(names: str) -> _Codec:
-    """Words in the text syntax over the generator names held by `names`."""
-    def load(value, loaded):
-        if type(value) is not list:
-            raise _Invalid("expected a list")
-        read, words = _text(loaded[names])[0], []
-        for text in value:
-            if type(text) is not str:
-                raise _Invalid("expected a string", f"[{len(words)}]")
-            try:
-                words.append(read(text))
-            except FibcalcError as exc:
-                raise _Invalid(str(exc), f"[{len(words)}]") from exc
-        return tuple(words)
-    return _Codec(load, lambda value, owner: _text(getattr(owner, names))[1](value))
+def _read_words(value, names) -> tuple[tuple[int, ...], ...]:
+    """The letters of a list of word texts over valid generator names."""
+    if type(value) is not list:
+        raise _Invalid("expected a list")
+    read, words = _text(names)[0], []
+    for text in value:
+        if type(text) is not str:
+            raise _Invalid("expected a string", f"[{len(words)}]")
+        try:
+            words.append(read(text))
+        except FibcalcError as exc:
+            raise _Invalid(str(exc), f"[{len(words)}]") from exc
+    return tuple(words)
+
+
+# The words of a map, as letter tuples over the names loaded before them.
+_MAP_WORDS = _Codec(lambda value, loaded: _read_words(value, loaded["names"]))
+
+
+def _load_relators(value, loaded):
+    rank = len(loaded["generators"])
+    return tuple(_word(rank, w) for w in _read_words(value, loaded["generators"]))
+
+
+# A presentation's relators, `FreeWord`s over its generator names.
+_RELATORS = _Codec(_load_relators, lambda value, presentation: _text(
+    presentation.generators)[1](w.letters for w in value))
 
 
 def _map(names_of_rank: Callable[[int], tuple]) -> _Codec:
@@ -136,13 +149,13 @@ def _map(names_of_rank: Callable[[int], tuple]) -> _Codec:
             return None
         names = names_of_rank(f.rank)
         write = _text(names)[1]
-        return {"kind": "free_group_map", "names": list(names), "images": write(f.images),
-                "inverse_images": None if f.inverse_images is None else write(f.inverse_images)}
+        return {"kind": "free_group_map", "names": list(names), "images": write(f._images),
+                "inverse_images": None if f._witness is None else write(f._witness)}
     return _Codec(_object("free_group_map").load, dump)
 
 
 def _free_group_map(names, images, inverse_images) -> FreeGroupMap:
-    return FreeGroupMap(len(names), images, inverse_images)
+    return _checked_map(len(names), images, inverse_images)
 
 
 def _field(key: str, codec: _Codec, default: Any = _REQUIRED, attr: str | None = None):
@@ -168,8 +181,8 @@ _KINDS: dict[str | None, tuple[Callable, tuple]] = {
                                _field("entries", _list(_list(_INT, "cols"), "rows")))),
     "ambient": (Ambient, (_field("tag", _STR, attr="kind"), _field("descriptor", _STR, None))),
     "free_group_map": (_free_group_map, (
-        _field("names", _NAMES), _field("images", _words("names")),
-        _field("inverse_images", _words("names"), None))),
+        _field("names", _NAMES), _field("images", _MAP_WORDS),
+        _field("inverse_images", _MAP_WORDS, None))),
     "curve_spec": (CurveSpec, (
         _GENUS, _field("homology_class", _list(_INT)),
         _field("pi1_payload", _SURFACE_MAP, None),
@@ -193,7 +206,7 @@ _KINDS: dict[str | None, tuple[Callable, tuple]] = {
         _AMBIENT, _field("fiber_rank", _INT), _field("monodromy_pi1", _HANDLEBODY_MAP),
         _field("gluck_parity", _INT), _field("provenance", _STRS), _LABEL)),
     "group_presentation": (GroupPresentation, (
-        _field("generators", _NAMES), _field("relators", _words("generators")))),
+        _field("generators", _NAMES), _field("relators", _RELATORS))),
     "filling_descriptor": (FillingDescriptor, (
         _field("base", _STR), _field("slope", _list(_INT, 2)))),
     "surgery_plan": (SurgeryPlan, (

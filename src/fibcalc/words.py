@@ -4,20 +4,31 @@ Letters are nonzero signed integers: +i is the i-th generator (1-indexed),
 -i its inverse.  Words are stored freely reduced; maps that claim to be
 automorphisms must carry an inverse witness.
 
-Words and maps are checked where they enter the system: the `FreeWord` and
-`FreeGroupMap` constructors (and `from_letters`, which calls them) check
-ranks, letter types and ranges, and the witness g of a map f in one
-direction only: f(g(x_i)) = x_i for every generator.  That is enough.  It
-says f o g = id, so f is onto; free groups of finite rank are Hopfian, so an
-onto endomorphism is an automorphism, hence g = f^-1 and g o f = id as well;
-and abelianizing f o g = id gives det(f) det(g) = 1 over the integers, so
-det(f) = +-1.  The JSON loader and the catalog builders go through these
-constructors.  `identity`, `inverse`, `compose`, `extend` and `power` build
-their results from checked maps through `_unchecked`, without a second
+Words and maps are checked where they enter the system.  The `FreeWord`
+constructor checks rank, letter types and ranges.  A `FreeGroupMap` holds
+the letters of its words, not `FreeWord`s; its constructor (given
+`FreeWord`s), `from_letters` (given letter lists) and the JSON loader (given
+word texts) all reach one check, `_checked_map` and `__post_init__`: one word
+per generator and the witness g of a map f in one direction only,
+f(g(x_i)) = x_i for every generator.  That is enough.  It says f o g = id,
+so f is onto; free groups of finite rank are Hopfian, so an onto
+endomorphism is an automorphism, hence g = f^-1 and g o f = id as well; and
+abelianizing f o g = id gives det(f) det(g) = 1 over the integers, so
+det(f) = +-1.  `identity`, `inverse`, `compose`, `extend` and `power` build
+their results from checked maps' letters through `_map`, without a second
 check, because the facts it would prove hold by construction: the identity
 is its own witness; f^-1 is witnessed by f; if f and g are witnessed,
 g^-1 o f^-1 witnesses f o g; an extension is witnessed by the extended
 witness; and powers are compositions.
+
+So `FreeWord`s are made only where the API hands one out: when a map's
+`images` or `inverse_images` are read, as the result of `apply_map`,
+`word_from_text` and `FreeWord` arithmetic, and as the relators of
+`presentation.hnn_presentation`.  A `FreeWord` costs about 1.2 us to make,
+a tuple about 0.07 us, and the words of derived maps are mostly only
+substituted, abelianized or written out, which letters serve directly.
+`power` counts the letters each composition would write before writing them
+and refuses past `POWER_LETTER_BUDGET`.
 
 `apply_map` and `compose` substitute through `_expand`, which writes each
 letter's image after cancelling it against the reduced output so far; its
@@ -37,12 +48,12 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import add, ne, neg
 from typing import Callable, Iterable, Sequence
 
-from .errors import (MalformedInputError, RankMismatchError, _check_int, _check_sequence,
-                     _check_type, _unchecked)
+from .errors import (BudgetExceededError, MalformedInputError, RankMismatchError, _check_int,
+                     _check_sequence, _check_type)
 from .matrices import IntMatrix, _matrix
 
 
@@ -56,22 +67,30 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _letters(rank: int, letters) -> tuple[int, ...]:
+    """`letters`, a tuple or list of letters of the free group of rank
+    `rank`, checked and freely reduced."""
+    _check_int(rank, "rank")
+    if rank < 0:
+        raise MalformedInputError("negative rank")
+    _check_sequence(letters, "letters")
+    letters = tuple(letters)
+    for letter in letters:
+        if type(letter) is not int or letter == 0 or abs(letter) > rank:
+            raise MalformedInputError(f"letter {letter!r} is not an integer in +-1..+-{rank}")
+    return _reduce(letters)
+
+
+_set = object.__setattr__
+
+
 @dataclass(frozen=True)
 class FreeWord:
     rank: int
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        _check_int(self.rank, "rank")
-        if self.rank < 0:
-            raise MalformedInputError("negative rank")
-        _check_sequence(self.letters, "letters")
-        letters = tuple(self.letters)
-        for letter in letters:
-            if type(letter) is not int or letter == 0 or abs(letter) > self.rank:
-                raise MalformedInputError(
-                    f"letter {letter!r} is not an integer in +-1..+-{self.rank}")
-        object.__setattr__(self, "letters", _reduce(letters))
+        _set(self, "letters", _letters(self.rank, self.letters))
 
     @classmethod
     def identity(cls, rank: int) -> "FreeWord":
@@ -81,15 +100,15 @@ class FreeWord:
         _check_type(other, FreeWord, "word operand")
         if self.rank != other.rank:
             raise RankMismatchError("word product across different ranks")
-        return _unchecked(FreeWord, self.rank, _reduce(self.letters + other.letters))
+        return _word(self.rank, _reduce(self.letters + other.letters))
 
     def inverse(self) -> "FreeWord":
-        return _unchecked(FreeWord, self.rank, tuple(-x for x in reversed(self.letters)))
+        return _word(self.rank, tuple(map(neg, reversed(self.letters))))
 
     def __pow__(self, n: int) -> "FreeWord":
         _check_int(n, "exponent")
         base = self if n >= 0 else self.inverse()
-        return _unchecked(FreeWord, self.rank, _reduce(base.letters * abs(n)))
+        return _word(self.rank, _reduce(base.letters * abs(n)))
 
     @property
     def is_identity(self) -> bool:
@@ -99,10 +118,7 @@ class FreeWord:
         return len(self.letters)
 
     def exponent_vector(self) -> tuple[int, ...]:
-        out = [0] * self.rank
-        for letter in self.letters:
-            out[abs(letter) - 1] += 1 if letter > 0 else -1
-        return tuple(out)
+        return _exponents(self.rank, self.letters)
 
     def shift(self, new_rank: int, offset: int = 0) -> "FreeWord":
         """The same word viewed in a larger free group, generators moved up by
@@ -111,32 +127,62 @@ class FreeWord:
         _check_int(offset, "offset")
         if offset < 0 or self.rank + offset > new_rank:
             raise RankMismatchError("shift does not fit in the target rank")
-        return _unchecked(FreeWord, new_rank,
-                          tuple(x + offset if x > 0 else x - offset for x in self.letters))
+        return _word(new_rank, tuple(map(_shifter(self.rank, offset), self.letters)))
 
     def __repr__(self):
         return f"FreeWord({self.rank}, {list(self.letters)})"
 
 
-def _image_words(words, rank: int, what: str) -> tuple[FreeWord, ...]:
-    """`words` as a tuple, checked to hold one rank-`rank` FreeWord per
-    generator."""
-    _check_sequence(words, what)
+def _word(rank: int, letters: tuple[int, ...]) -> FreeWord:
+    """The word of `letters`, reduced letters in +-1..+-rank, without a
+    second check."""
+    word = object.__new__(FreeWord)
+    _set(word, "rank", rank)
+    _set(word, "letters", letters)
+    return word
+
+
+def _exponents(rank: int, letters: Iterable[int]) -> tuple[int, ...]:
+    out = [0] * rank
+    for letter in letters:
+        out[abs(letter) - 1] += 1 if letter > 0 else -1
+    return tuple(out)
+
+
+def _shifter(rank: int, offset: int) -> Callable[[int], int]:
+    """Letter -> the same letter with its generator moved up by `offset`,
+    for letters of rank `rank`: a lookup indexed like `_table`."""
+    return [0, *range(1 + offset, rank + 1 + offset), *range(-rank - offset, -offset)].__getitem__
+
+
+@lru_cache(maxsize=64)
+def _generators(rank: int) -> tuple[tuple[int, ...], ...]:
+    return tuple((i,) for i in range(1, rank + 1))
+
+
+def _one_per_generator(words: Sequence, rank: int, what: str) -> None:
     if len(words) != rank:
         raise RankMismatchError(f"{what}: one word per generator is required")
+
+
+def _image_letters(words, rank: int, what: str) -> tuple[tuple[int, ...], ...]:
+    """The letters of `words`, checked to hold one rank-`rank` FreeWord per
+    generator."""
+    _check_sequence(words, what)
+    _one_per_generator(words, rank, what)
     for w in words:
         _check_type(w, FreeWord, what)
         if w.rank != rank:
             raise RankMismatchError(f"{what}: word rank mismatch")
-    return tuple(words)
+    return tuple(w.letters for w in words)
 
 
-def _table(words: Sequence[FreeWord]) -> list[list[int]]:
-    """Substitution table of the map x_i -> words[i-1], indexed by letter:
-    entry i holds the image of x_i and entry -i (counted from the end) the
-    image of x_i^-1, its inverse word."""
-    table = [[]] + [list(w.letters) for w in words]
-    table += [list(map(neg, reversed(w.letters))) for w in reversed(words)]
+def _table(words: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """Substitution table of the map x_i -> words[i-1], given by letters,
+    indexed by letter: entry i holds the image of x_i and entry -i (counted
+    from the end) the image of x_i^-1, its inverse word."""
+    table = [[]] + [list(w) for w in words]
+    table += [list(map(neg, reversed(w))) for w in reversed(words)]
     return table
 
 
@@ -236,55 +282,86 @@ def _common_prefix(x: memoryview, i: int, y: bytes, j: int, m: int, width: int) 
     return lo // width
 
 
-@dataclass(frozen=True)
+# The most letters one composition inside `FreeGroupMap.power` may write
+# before cancelling, witness included.  Measured peak memory of a power is
+# 24-27 bytes per letter of its largest composition for Stallings-twist
+# payloads and 9-10 for figure-8 monodromy powers, so this budget keeps a
+# power under about 230 MB.  The figure-8 power phi^10 writes 57,314 letters
+# in its largest composition.
+POWER_LETTER_BUDGET = 2**23
+
+
+@dataclass(frozen=True, init=False)
 class FreeGroupMap:
+    """The endomorphism x_i -> images[i-1] of the free group of rank `rank`,
+    with an optional inverse witness.  It holds the letters of its words;
+    `images` and `inverse_images` make `FreeWord`s when they are read."""
     rank: int
-    images: tuple[FreeWord, ...]
-    inverse_images: tuple[FreeWord, ...] | None = None
+    _images: tuple[tuple[int, ...], ...]
+    _witness: tuple[tuple[int, ...], ...] | None
+
+    def __init__(self, rank: int, images: Sequence[FreeWord],
+                 inverse_images: Sequence[FreeWord] | None = None):
+        _check_int(rank, "rank")
+        _set(self, "rank", rank)
+        _set(self, "_images", _image_letters(images, rank, "images"))
+        _set(self, "_witness", None if inverse_images is None
+             else _image_letters(inverse_images, rank, "inverse witness"))
+        self.__post_init__()
 
     def __post_init__(self):
-        _check_int(self.rank, "rank")
-        object.__setattr__(self, "images", _image_words(self.images, self.rank, "images"))
-        if self.inverse_images is not None:
-            inv = _image_words(self.inverse_images, self.rank, "inverse witness")
-            object.__setattr__(self, "inverse_images", inv)
-            table = _table(self.images)
-            lengths = list(map(len, table))
-            # no witness letter copies more than max(lengths) letters
-            long = max(lengths) > _WALK_FROM and _WALK_FROM * sum(map(len, inv)) < sum(
-                sum(map(lengths.__getitem__, w.letters)) for w in inv)
-            kernel = _walker(table) if long else partial(_expand, table)
-            for i, w in enumerate(inv, 1):
-                if kernel(w.letters) != [i]:
-                    raise MalformedInputError("inverse witness does not invert the map")
+        """Check the inverse witness g, if there is one: f(g(x_i)) = x_i."""
+        witness = self._witness
+        if witness is None:
+            return
+        table = _table(self._images)
+        lengths = list(map(len, table))
+        # no witness letter copies more than max(lengths) letters
+        long = max(lengths) > _WALK_FROM and _WALK_FROM * sum(map(len, witness)) < sum(
+            map(lengths.__getitem__, chain.from_iterable(witness)))
+        kernel = _walker(table) if long else partial(_expand, table)
+        for i, w in enumerate(witness, 1):
+            if kernel(w) != [i]:
+                raise MalformedInputError("inverse witness does not invert the map")
+
+    @property
+    def images(self) -> tuple[FreeWord, ...]:
+        return tuple(_word(self.rank, w) for w in self._images)
+
+    @property
+    def inverse_images(self) -> tuple[FreeWord, ...] | None:
+        if self._witness is None:
+            return None
+        return tuple(_word(self.rank, w) for w in self._witness)
 
     @classmethod
     def identity(cls, rank: int) -> "FreeGroupMap":
         _check_int(rank, "rank")
         if rank < 0:
             raise MalformedInputError("negative rank")
-        gens = tuple(_unchecked(FreeWord, rank, (i + 1,)) for i in range(rank))
-        return _unchecked(FreeGroupMap, rank, gens, gens)
+        gens = _generators(rank)
+        return _map(rank, gens, gens)
 
     @classmethod
     def from_letters(cls, rank: int, images: Sequence[Sequence[int]],
                      inverse_images: Sequence[Sequence[int]] | None = None) -> "FreeGroupMap":
         _check_sequence(images, "images")
-        imgs = tuple(FreeWord(rank, w) for w in images)
+        imgs = tuple(_letters(rank, w) for w in images)
         invs = None
         if inverse_images is not None:
             _check_sequence(inverse_images, "inverse witness")
-            invs = tuple(FreeWord(rank, w) for w in inverse_images)
-        return cls(rank, imgs, invs)
+            invs = tuple(_letters(rank, w) for w in inverse_images)
+        _check_int(rank, "rank")
+        return _checked_map(rank, imgs, invs)
 
     @property
     def has_witness(self) -> bool:
-        return self.inverse_images is not None
+        return self._witness is not None
 
     def inverse(self) -> "FreeGroupMap":
-        if self.inverse_images is None:
+        if self._witness is None:
             raise MalformedInputError("map has no inverse witness")
-        return _unchecked(FreeGroupMap, self.rank, self.inverse_images, self.images)
+        return _map(self.rank, self._witness, self._images)
 
     def extend(self, new_rank: int, offset: int = 0) -> "FreeGroupMap":
         """Act as before on a block of generators, identically elsewhere."""
@@ -292,36 +369,76 @@ class FreeGroupMap:
         _check_int(offset, "offset")
         if offset < 0 or offset + self.rank > new_rank:
             raise RankMismatchError("extension does not fit in the target rank")
+        shift = _shifter(self.rank, offset)
 
         def extended(words):
-            out = [_unchecked(FreeWord, new_rank, (i + 1,)) for i in range(new_rank)]
-            out[offset:offset + self.rank] = (w.shift(new_rank, offset) for w in words)
+            out = list(_generators(new_rank))
+            out[offset:offset + self.rank] = (
+                (tuple(map(shift, w)) for w in words) if offset else words)
             return tuple(out)
-        invs = None if self.inverse_images is None else extended(self.inverse_images)
-        return _unchecked(FreeGroupMap, new_rank, extended(self.images), invs)
+        invs = None if self._witness is None else extended(self._witness)
+        return _map(new_rank, extended(self._images), invs)
 
     def power(self, n: int) -> "FreeGroupMap":
-        """f^n by repeated squaring; f^-n needs the inverse witness."""
+        """f^n by repeated squaring; f^-n needs the inverse witness.  Each
+        composition first counts the letters it would write, and past
+        `POWER_LETTER_BUDGET` the power is refused before they are made."""
         _check_int(n, "exponent")
         base = self if n >= 0 else self.inverse()
-        out = FreeGroupMap.identity(self.rank)
+        out = None
         n = abs(n)
         while n:
             if n & 1:
-                out = compose(out, base)
+                out = base if out is None else _budgeted_compose(out, base)
             n >>= 1
             if n:
-                base = compose(base, base)
-        return out
+                base = _budgeted_compose(base, base)
+        return FreeGroupMap.identity(self.rank) if out is None else out
 
     def __repr__(self):
-        return f"FreeGroupMap({self.rank}, {[list(w.letters) for w in self.images]})"
+        return f"FreeGroupMap({self.rank}, {[list(w) for w in self._images]})"
 
 
-def _substitute(f_images: Sequence[FreeWord], words: Sequence[FreeWord]) -> tuple[FreeWord, ...]:
-    """The words f(w) for w in `words`, where f is x_i -> f_images[i-1]."""
-    table, rank = _table(f_images), len(f_images)
-    return tuple(_unchecked(FreeWord, rank, tuple(_expand(table, w.letters))) for w in words)
+def _map(rank: int, images: tuple, witness: tuple | None) -> FreeGroupMap:
+    """The map of letter tuples already known valid, without a check."""
+    f = object.__new__(FreeGroupMap)
+    _set(f, "rank", rank)
+    _set(f, "_images", images)
+    _set(f, "_witness", witness)
+    return f
+
+
+def _checked_map(rank: int, images: tuple, witness: tuple | None) -> FreeGroupMap:
+    """The map of reduced letter tuples over +-1..+-rank, checked as the
+    constructor checks it: one word per generator and the inverse witness."""
+    _one_per_generator(images, rank, "images")
+    if witness is not None:
+        _one_per_generator(witness, rank, "inverse witness")
+    f = _map(rank, images, witness)
+    f.__post_init__()
+    return f
+
+
+def _substitute(f_images: Sequence[tuple[int, ...]], words: Iterable[tuple[int, ...]]) -> tuple:
+    """The letters of f(w) for w in `words`, where f is x_i -> f_images[i-1]."""
+    table = _table(f_images)
+    return tuple([tuple(_expand(table, w)) for w in words])
+
+
+def _written(f_images: Sequence[tuple[int, ...]], words: Iterable[tuple[int, ...]]) -> int:
+    """The letters `_substitute(f_images, words)` writes before cancelling."""
+    lengths = [0, *map(len, f_images), *map(len, reversed(f_images))]
+    return sum(map(lengths.__getitem__, chain.from_iterable(words)))
+
+
+def _budgeted_compose(f: FreeGroupMap, g: FreeGroupMap) -> FreeGroupMap:
+    letters = _written(f._images, g._images)
+    if f._witness is not None and g._witness is not None:
+        letters += _written(g._witness, f._witness)
+    if letters > POWER_LETTER_BUDGET:
+        raise BudgetExceededError(f"power: one composition would write {letters} letters, "
+                                  f"more than the budget of {POWER_LETTER_BUDGET}")
+    return compose(f, g)
 
 
 def apply_map(f: FreeGroupMap, word: FreeWord) -> FreeWord:
@@ -329,7 +446,7 @@ def apply_map(f: FreeGroupMap, word: FreeWord) -> FreeWord:
     _check_type(word, FreeWord, "word")
     if f.rank != word.rank:
         raise RankMismatchError("map and word ranks differ")
-    return _substitute(f.images, (word,))[0]
+    return _word(f.rank, tuple(_expand(_table(f._images), word.letters)))
 
 
 def compose(f: FreeGroupMap, g: FreeGroupMap) -> FreeGroupMap:
@@ -339,15 +456,15 @@ def compose(f: FreeGroupMap, g: FreeGroupMap) -> FreeGroupMap:
     if f.rank != g.rank:
         raise RankMismatchError("composed maps must share a rank")
     invs = None
-    if f.inverse_images is not None and g.inverse_images is not None:
-        invs = _substitute(g.inverse_images, f.inverse_images)
-    return _unchecked(FreeGroupMap, f.rank, _substitute(f.images, g.images), invs)
+    if f._witness is not None and g._witness is not None:
+        invs = _substitute(g._witness, f._witness)
+    return _map(f.rank, _substitute(f._images, g._images), invs)
 
 
 def abelianize(f: FreeGroupMap) -> IntMatrix:
     """Exponent-sum matrix; column j is the exponent vector of images[j]."""
     _check_type(f, FreeGroupMap, "map")
-    return _matrix(f.rank, f.rank, zip(*(w.exponent_vector() for w in f.images)))
+    return _matrix(f.rank, f.rank, zip(*(_exponents(f.rank, w) for w in f._images)))
 
 
 # Text syntax: whitespace-separated tokens; a lowercase name is a generator,
@@ -401,23 +518,22 @@ def _token_tables(names: tuple[str, ...]) -> tuple[dict[str, int], dict[int, str
     return tokens, {letter: token for token, letter in tokens.items()}
 
 
-def _text(names: Sequence[str]) -> tuple[Callable[[str], FreeWord], Callable]:
-    """The parser of word texts and the printer of word lists over valid
-    generator names, with one token table: the loader's and the public ones."""
-    (letter, token), rank = (table.__getitem__ for table in _tokens(names)), len(names)
+def _text(names: Sequence[str]) -> tuple[Callable[[str], tuple[int, ...]], Callable]:
+    """The parser of word texts into reduced letters (in +-1..+-len(names),
+    the letters of the token table) and the printer of lists of letter
+    tuples, over valid generator names with one token table: the loader's
+    and the public ones."""
+    letter, token = (table.__getitem__ for table in _tokens(names))
 
-    def read(text: str) -> FreeWord:
+    def read(text: str) -> tuple[int, ...]:
         try:
             letters = tuple(map(letter, text.split()))
         except KeyError as missing:
             raise MalformedInputError(f"unknown generator token {missing.args[0]!r}") from None
         if 0 in map(add, letters, letters[1:]):  # a pair cancels
             letters = _reduce(letters)
-        word = object.__new__(FreeWord)  # valid: the table holds only +-1..+-rank
-        object.__setattr__(word, "rank", rank)
-        object.__setattr__(word, "letters", letters)
-        return word
-    return read, lambda words: [" ".join(map(token, w.letters)) for w in words]
+        return letters
+    return read, lambda words: [" ".join(map(token, w)) for w in words]
 
 
 def word_to_text(word: FreeWord, names: Sequence[str]) -> str:
@@ -425,9 +541,10 @@ def word_to_text(word: FreeWord, names: Sequence[str]) -> str:
     write = _text(names)[1]
     if len(names) != word.rank:
         raise RankMismatchError("need one name per generator")
-    return write((word,))[0]
+    return write((word.letters,))[0]
 
 
 def word_from_text(text: str, names: Sequence[str]) -> FreeWord:
     _check_type(text, str, "word text")
-    return _text(names)[0](text)
+    read = _text(names)[0]
+    return _word(len(names), read(text))

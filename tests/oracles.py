@@ -191,3 +191,14 @@ def _first_least(m: list[list[int]], k: int) -> tuple[int, int] | None:
                     return i, j
                 best, pivot = x, (i, j)
     return pivot
+
+
+def substitute_by_products(images, word: FreeWord) -> FreeWord:
+    """f(word) for the map f: x_i -> images[i-1], multiplied out one
+    `FreeWord` at a time: what `apply_map` and `compose` substitute through
+    letter tables."""
+    out = FreeWord.identity(word.rank)
+    for letter in word.letters:
+        image = images[abs(letter) - 1]
+        out = out * (image if letter > 0 else image.inverse())
+    return out

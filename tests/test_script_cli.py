@@ -1,5 +1,6 @@
 import argparse
 import ast
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -7,10 +8,14 @@ from pathlib import Path
 import pytest
 
 import fibcalc
-from fibcalc import cli
+from fibcalc import cli, serialize, words
 from fibcalc.cli import main
 from fibcalc.errors import ScriptError
+from fibcalc.fibered import catalog_knot, connected_sum
+from fibcalc.mcg import curated_payload
+from fibcalc.ribbon_disk import disk_twist, half_spin
 from fibcalc.script import build_report, execute, parse_script, reports_to_json
+from fibcalc.two_knot import spin
 
 
 def test_parse_simple_script():
@@ -323,3 +328,105 @@ def test_cli_help_and_usage_errors_repeat(capsys):
             main(argv)
         assert exc.value.code == 2
     assert "usage: fibcalc" in capsys.readouterr().err
+
+
+# Report bytes pinned by SHA-256: scripts of both shapes the `scripts`
+# benchmark runs, and object reports on dumped files.  The digests were taken
+# while free-group maps still held `FreeWord`s; how maps store their words
+# must not move them.
+GOLDEN_SCRIPTS = {
+    "sum": """
+K0 = load trefoil_R
+L1 = load figure8
+K1 = connectsum K0 L1
+L2 = load trefoil_L
+K2 = connectsum K1 L2
+report K2
+S = spin K2
+report S
+G = glucktwist S
+report G
+T = load figure8
+report T
+D = halfspin T
+E = load square_knot_stallings_c2_neg
+D1 = disktwist D E 17
+report D1
+W = double D1 3
+report W
+""",
+    "stallings": """
+Q = load square_knot
+C = load square_knot_stallings_c1
+K = stallingstwist Q C -1
+report K
+S = spin K
+report S
+Q2 = stallingstwist Q C 40
+S2 = spin Q2
+report S2
+A = load figure8
+B0 = load trefoil_L
+C1 = load trefoil_R
+B1 = connectsum B0 C1
+P = plan A B1
+report P
+""",
+}
+
+GOLDEN_RUN_SHA256 = {
+    "sum": "b6f32ed2e36c774933544dd047cb09ac731070b15fa3f7f1f3474a76f5ef90ca",
+    "stallings": "738212fe3bd111001459ed82425540722ad662e6b532704047dbe86e4a733126",
+}
+
+
+def _golden_objects():
+    knot = connected_sum(catalog_knot("trefoil_R"), catalog_knot("figure8"))
+    curve = curated_payload("square_knot_stallings_c2")
+    return {
+        "knot": knot,
+        "disk": disk_twist(half_spin(catalog_knot("trefoil_L")), curve, -16),
+        "two_knot": spin(knot),
+    }
+
+
+GOLDEN_REPORT_SHA256 = {
+    "knot": "4a91798d4b0d3eff90b6391e7e9d14ff169b57e5387421ddefcc7a9a3bec3da2",
+    "disk": "20f9a949bd73222925a0a2848169464237796b868a3e8f33e76476b4a4727213",
+    "two_knot": "6c3a9579b09df1f7f4321aa808da66c79fb0c9ec2a2642eb5e54a7a698b961ea",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCRIPTS))
+def test_run_report_bytes_are_golden(name, tmp_path, capsys):
+    path = tmp_path / "script.fib"
+    path.write_text(GOLDEN_SCRIPTS[name])
+    assert main(["run", str(path), "--json"]) == 0
+    assert _sha256(capsys.readouterr().out) == GOLDEN_RUN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORT_SHA256))
+def test_object_report_bytes_are_golden(name, tmp_path, capsys):
+    path = tmp_path / "object.json"
+    path.write_text(serialize.dumps(_golden_objects()[name]))
+    assert main(["report", str(path), "--json"]) == 0
+    assert _sha256(capsys.readouterr().out) == GOLDEN_REPORT_SHA256[name]
+
+
+def test_cli_stallings_twist_over_the_letter_budget_is_an_error(tmp_path, capsys, monkeypatch):
+    """A twist count of 10^12 once ended in a raw MemoryError; the power is
+    refused at the letter budget (lowered here, so that the refusal comes
+    early and small)."""
+    monkeypatch.setattr(words, "POWER_LETTER_BUDGET", 10**5)
+    path = tmp_path / "script.fib"
+    path.write_text("Q = load square_knot\nC = load square_knot_stallings_c1\n"
+                    "K = stallingstwist Q C 1000000000000\nreport K\n")
+    assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: stallingstwist: power: one composition would write ")
+    assert "more than the budget of 100000 (statement 2)" in captured.err

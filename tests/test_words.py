@@ -3,9 +3,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fibcalc import serialize
-from fibcalc.errors import MalformedInputError, RankMismatchError, SchemaError
-from fibcalc.fibered import catalog_knot
+from fibcalc import serialize, words
+from fibcalc.errors import BudgetExceededError, MalformedInputError, RankMismatchError, SchemaError
+from fibcalc.fibered import catalog_knot, stallings_twist
 from fibcalc.matrices import IntMatrix
 from fibcalc.mcg import CurveSpec, SurfaceMonodromy, catalog_names, curated_payload
 from fibcalc.words import (FreeGroupMap, FreeWord, _expand, _reduce, _table, _walker,
@@ -317,7 +317,7 @@ def both_kernels_agree(images, witness):
     """Run the segment walk and `_expand` on every witness word, never
     through the constructor's dispatch: both must give the same reduced
     letters.  Returns whether the witness inverts the map."""
-    table = _table(images)
+    table = _table([w.letters for w in images])
     walk = _walker(table)
     verdict = True
     for i, w in enumerate(witness):
@@ -379,8 +379,8 @@ def test_segment_walk_beyond_one_byte_letters():
     witness[rank - 1] = FreeWord(rank, tuple(w))
     assert not both_kernels_agree(f.images, witness)
     # -126 and 130 differ only in one of their two bytes
-    images = [FreeWord(rank, (i + 1,)) for i in range(rank)]
-    images[0], images[1] = FreeWord(rank, (126, 2, 3, 4)), FreeWord(rank, (-4, -3, -2, 130))
+    images = [(i + 1,) for i in range(rank)]
+    images[0], images[1] = (126, 2, 3, 4), (-4, -3, -2, 130)
     assert _walker(_table(images))([1, 2]) == _expand(_table(images), [1, 2]) == [126, 130]
 
 
@@ -402,3 +402,66 @@ def test_figure8_power_10_full_check():
     data["object"]["pi1_action"]["inverse_images"][0] = word_to_text(bad[0], ("a1", "b1"))
     with pytest.raises(SchemaError):
         serialize.loads(json.dumps(data))
+
+
+def _refuse(kernel):
+    def refused(*args):
+        raise AssertionError(f"the witness check ran {kernel}")
+    return refused
+
+
+def test_loading_a_long_power_checks_its_witness_by_the_walk(monkeypatch):
+    """Time-free: the witness of phi^10 is checked by the segment walk,
+    never by `_expand`, which is quadratic there (seconds against tens of
+    milliseconds)."""
+    p = catalog_knot("figure8").monodromy.pi1_action.power(10)
+    text = serialize.dumps(SurfaceMonodromy(1, abelianize(p), p))
+    monkeypatch.setattr(words, "_expand", _refuse("_expand"))
+    assert serialize.loads(text).pi1_action == p
+    monkeypatch.setattr(words, "_walker", _refuse("_walker"))
+    with pytest.raises(AssertionError, match="_walker"):
+        serialize.loads(text)
+
+
+def test_loading_a_twist_checks_its_witnesses_by_expand(monkeypatch):
+    """Twist maps copy few letters per witness letter, so `_expand`, linear
+    there, checks every map of a Stallings twist, the m = 40 power too."""
+    curve = curated_payload("square_knot_stallings_c1")
+    knot = stallings_twist(catalog_knot("square_knot"), curve, 40)
+    text = serialize.dumps(knot)
+    monkeypatch.setattr(words, "_walker", _refuse("_walker"))
+    assert serialize.loads(text) == knot
+    monkeypatch.setattr(words, "_expand", _refuse("_expand"))
+    with pytest.raises(AssertionError, match="_expand"):
+        serialize.loads(text)
+
+
+def _spiral(k):
+    """x1 -> (x1 x2)^k, x2 -> x2: squaring it writes k * 2k + k + 1 letters
+    from 2k + 1."""
+    return FreeGroupMap.from_letters(2, [[1, 2] * k, [2]])
+
+
+def test_power_refuses_a_composition_over_the_letter_budget():
+    """At the module budget, without making the 8 million letters."""
+    assert words.POWER_LETTER_BUDGET == 2**23
+    with pytest.raises(BudgetExceededError, match="would write 8390657 letters"):
+        _spiral(2048).power(2)
+    assert _spiral(2048).power(1) == _spiral(2048)
+
+
+def test_power_budget_is_a_bound_on_each_composition(monkeypatch):
+    monkeypatch.setattr(words, "POWER_LETTER_BUDGET", 211)
+    assert len(_spiral(10).power(2).images[0]) == 210
+    monkeypatch.setattr(words, "POWER_LETTER_BUDGET", 210)
+    with pytest.raises(BudgetExceededError, match="would write 211 letters.* budget of 210"):
+        _spiral(10).power(2)
+    with pytest.raises(BudgetExceededError, match="would write 211 letters"):
+        _spiral(10).power(5)
+
+
+def test_stallings_twist_of_a_huge_count_is_over_budget(monkeypatch):
+    monkeypatch.setattr(words, "POWER_LETTER_BUDGET", 10**5)
+    curve = curated_payload("square_knot_stallings_c1")
+    with pytest.raises(BudgetExceededError, match=r"would write \d+ letters"):
+        stallings_twist(catalog_knot("square_knot"), curve, 10**12)
