@@ -8,7 +8,7 @@ from functools import lru_cache
 
 from . import serialize
 from .errors import FibcalcError, ScriptError
-from .invariants import DEFAULT_HOM_BUDGET, group_catalog_names
+from .invariants import group_catalog_names
 from .mcg import CurveSpec, catalog_names, curated_payload
 from .script import build_report, execute, parse_script, reports_to_json
 
@@ -16,10 +16,6 @@ from .script import build_report, execute, parse_script, reports_to_json
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true",
                         help="emit the canonical machine-readable report form")
-    parser.add_argument("--hom-budget", type=int, default=DEFAULT_HOM_BUDGET, metavar="N",
-                        help="cap on the search nodes (values tried for one generator) "
-                             "of each homomorphism count "
-                             "(default: %d)" % DEFAULT_HOM_BUDGET)
 
 
 def _emit(reports, as_json: bool) -> None:
@@ -46,7 +42,7 @@ def _cmd_run(args) -> int:
         return 1
     try:
         script = parse_script(source)
-        reports = execute(script, args.hom_budget)
+        reports = execute(script)
     except ScriptError as exc:
         _emit(getattr(exc, "reports", []), args.json)
         print(f"error: {exc}", file=sys.stderr)
@@ -78,7 +74,7 @@ def _cmd_catalog(args) -> int:
 def _cmd_report(args) -> int:
     try:
         obj = serialize.loads(_read(args.object))
-        report = build_report(obj, args.hom_budget)
+        report = build_report(obj)
     except (OSError, UnicodeDecodeError, FibcalcError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,6 +13,11 @@ integer Bareiss determinant, whose signed base-2^B digits are its
 coefficients, up to the unit t^(sum of its rows' lowest exponents), which
 the gcd ignores.  `abelian_fox_row` is the checked `LaurentPoly` view of
 the same pass.
+
+`count_homs` has three routes, tried in order: targets that are abelian
+are counted off H1, targets that split as (Z/a)^m ⋊ Z/k (S3, D4, A4) by
+the Fox matrix evaluated in the action of Z/k, and any other target (S4)
+by a search, which the budget bounds.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
-from math import gcd
+from itertools import combinations, permutations, product
+from math import gcd, prod
+from operator import mul
 
 from .errors import (AbelianizationError, BudgetExceededError, CatalogError,
                      MalformedInputError, _check_int, _check_sequence, _check_type)
@@ -142,12 +148,12 @@ def infinite_cyclic_exponents(presentation: GroupPresentation) -> tuple[int, ...
     """Exponents e_i with generator_i -> t^(e_i) inducing H1 ~ Z, if H1 is Z:
     the one row of U in the Smith form that `_smith_form` caches."""
     _check_type(presentation, GroupPresentation, "presentation")
-    factors, free_rows = _smith_form(_relator_key(presentation))
+    factors, rows = _smith_form(_relator_key(presentation))
     if any(factors):  # the nonzero invariant factors are the torsion orders
         raise AbelianizationError("abelianization has torsion")
-    if len(free_rows) != 1:
+    if len(rows) != 1:
         raise AbelianizationError("abelianization is not infinite cyclic")
-    return free_rows[0]
+    return rows[0]
 
 
 def h1(presentation: GroupPresentation) -> list[int]:
@@ -174,11 +180,13 @@ def _relator_key(presentation: GroupPresentation) -> tuple:
 # number of presentations seen.
 @lru_cache(maxsize=8)
 def _smith_form(key: tuple) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The invariant factors of H1 (torsion orders, then one 0 per free Z
-    summand) and the rows of U whose diagonal entry is 0, from the Smith form
-    U A V = D of the generators x relators exponent matrix A.  Those rows of
-    U span the homomorphisms Z^n -> Z that kill every relator: row i of U A
-    is d_i times row i of V^-1."""
+    """The invariant factors d_i of H1 (torsion orders, then one 0 per free Z
+    summand) and, for each, its row U_i of U, from the Smith form U A V = D
+    of the generators x relators exponent matrix A; the rows of diagonal
+    entry 1, which come first, are the only ones left out.  Row i of U A is
+    d_i times row i of V^-1, so Σ y_i U_i kills every relator mod k exactly
+    when each y_i d_i is 0 mod k: the free rows span the homomorphisms
+    Z^n -> Z, and with the torsion rows they give every hom H1 -> Z/k."""
     n, relators, _ = key
     a = [[0] * len(relators) for _ in range(n)]
     for k, letters in enumerate(relators):
@@ -186,8 +194,8 @@ def _smith_form(key: tuple) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...
             a[abs(letter) - 1][k] += 1 if letter > 0 else -1
     d, u, _ = _smith(a, len(relators), False)
     diag = [d[i][i] for i in range(min(n, len(relators)))]
-    rank = sum(1 for x in diag if x)
-    return tuple(x for x in diag if x > 1) + (0,) * (n - rank), tuple(map(tuple, u[rank:]))
+    factors = tuple(x for x in diag if x > 1) + (0,) * (n - sum(1 for x in diag if x))
+    return factors, tuple(map(tuple, u[n - len(factors):]))
 
 
 def alexander_from_presentation(presentation: GroupPresentation,
@@ -265,7 +273,9 @@ class FiniteGroupTable:
     each element, and for each element h the orbits of its centralizer
     acting on the group by conjugation, as (representative, orbit size)
     pairs.  The orbits of the
-    identity's centralizer are the conjugacy classes."""
+    identity's centralizer are the conjugacy classes.  `split` is (a, k, M)
+    when the group is a semidirect product (Z/a)^m ⋊ Z/k, read off the table
+    alone, else None."""
     label: str
     order: int
     table: tuple[tuple[int, ...], ...]
@@ -342,6 +352,49 @@ class FiniteGroupTable:
             out.append(tuple(reps))
         return tuple(out)
 
+    @cached_property
+    def split(self) -> tuple[int, int, tuple[tuple[int, ...], ...]] | None:
+        """(a, k, M) if the group is A ⋊ <c>, A ~ (Z/a)^m abelian and normal, c
+        of order k, with c b_j c^-1 = Σ_i M[i][j] b_i on a basis b of A; else
+        None.  M holds residues mod a in (-a/2, a/2], so that S3 and D4 both
+        give M = -1.  A runs over the abelian subgroups G'<x>, normal because
+        they hold the commutator subgroup G'; its basis is chosen greedily,
+        and the split with the least m, then the least k, is kept."""
+        t, n, e, inv, orders = self.table, self.order, self.identity, self.inverses, \
+            self.element_orders
+
+        def powers(x):
+            out = [e]
+            while t[out[-1]][x] != e:
+                out.append(t[out[-1]][x])
+            return out
+
+        derived, grown = set(), {t[t[x][y]][t[inv[x]][inv[y]]] for x in range(n) for y in range(n)}
+        while grown != derived:  # close the commutators under products
+            derived, grown = grown, {t[x][y] for x in grown for y in grown}
+        best = None
+        for x in range(n):
+            group = {t[g][p] for g in derived for p in powers(x)}
+            if n % len(group) or any(t[y][z] != t[z][y] for y in group for z in group):
+                continue
+            a, k = max(orders[y] for y in group), n // len(group)
+            coords, basis = {e: ()}, []  # element -> coordinates on the basis so far
+            while len(coords) < len(group):
+                b = next((powers(y) for y in sorted(group) if orders[y] == a
+                          and not coords.keys() & set(powers(y)[1:])), None)
+                if b is None:  # A is not (Z/a)^m
+                    break
+                basis.append(b[1])
+                coords = {t[s][p]: v + (j,) for s, v in coords.items() for j, p in enumerate(b)}
+            c = next((c for c in range(n) if orders[c] == k and not group & set(powers(c)[1:])),
+                     None)
+            if len(coords) == len(group) and c is not None and (
+                    best is None or (len(basis), k) < (len(best[2]), best[1])):
+                columns = [coords[t[t[c][y]][inv[c]]] for y in basis]
+                best = (a, k, tuple(tuple(v[i] - a * (2 * v[i] > a) for v in columns)
+                                    for i in range(len(basis))))
+        return best
+
 
 def _perm_group(label: str, elements: list[tuple[int, ...]]) -> FiniteGroupTable:
     elements = sorted(elements)
@@ -415,7 +468,17 @@ def count_homs(presentation: GroupPresentation, group: FiniteGroupTable,
     d_i of H1 of #{a in A : a^d_i = e}, where a free summand (d_i = 0)
     counts |A|.  This route searches nothing.
 
-    Other targets go through a search with deductions (Holt, Eick and
+    A target that splits as A ⋊ <c> (`FiniteGroupTable.split`: S3, D4, A4)
+    is counted by Fox calculus, searching nothing either (Fox, Free
+    differential calculus I, Ann. of Math. 1953; Hartley, Metabelian
+    representations of knot groups, Pacific J. Math. 1979).  A hom is
+    x -> d(x) c^ψ(x) for a hom ψ to Z/k and a crossed homomorphism d to A,
+    free on the generators, and it kills relator r exactly when
+    Σ_j (∂r/∂x_j)^ψ d(x_j) = 0, with t^e acting on A as M^e.  The count is
+    the sum over ψ of the kernel sizes of these Fox matrices J_ψ; for ψ = 0,
+    J is the exponent matrix times I, and its kernel is read off H1.
+
+    Other targets (S4) go through a search with deductions (Holt, Eick and
     O'Brien, Handbook of Computational Group Theory, 2005).  A plan fixed by
     the presentation alone assigns the generators one at a time.  When an
     unfinished relator u x^s v has x as its only unassigned generator, and x
@@ -430,8 +493,8 @@ def count_homs(presentation: GroupPresentation, group: FiniteGroupTable,
 
     A node is one candidate value tried for a generator, enumerated or
     forced.  The budget (default DEFAULT_HOM_BUDGET, 10**8) bounds the nodes
-    visited; going over it raises BudgetExceededError, never returning a
-    partial count.
+    the search visits, and nothing else; going over it raises
+    BudgetExceededError, never returning a partial count.
     """
     _check_type(presentation, GroupPresentation, "presentation")
     _check_type(group, FiniteGroupTable, "group")
@@ -443,10 +506,54 @@ def count_homs(presentation: GroupPresentation, group: FiniteGroupTable,
         for d in _smith_form(key)[0]:
             count *= sum(1 for k in group.element_orders if d % k == 0)
         return count
+    if group.split is not None:
+        return _crossed_count(key, *group.split)
     return _completed_search(key, group, budget)
 
 
-# A report searches S3 and then D4 on the same presentation.
+# A report counts into S3 and D4 on a knot, its spin and the spin's Gluck
+# twist, whose groups share one key.
+@lru_cache(maxsize=8)
+def _crossed_count(key: tuple, a: int, k: int, m: tuple[tuple[int, ...], ...]) -> int:
+    """The homs into (Z/a)^dim ⋊ Z/k with Z/k acting by M (see `count_homs`)."""
+    count = prod(gcd(d, a) ** len(m) for d in _smith_form(key)[0])  # ψ = 0
+    return count + sum(prod(gcd(x, a) for x in diagonal)
+                       for diagonal in _twisted_diagonals(key, k, m))
+
+
+# S3 and D4, whose c both act by -1, share these.
+@lru_cache(maxsize=8)
+def _twisted_diagonals(key: tuple, k: int, m: tuple[tuple[int, ...], ...]) -> tuple:
+    """For each hom ψ ≠ 0 to Z/k, a Smith diagonal over Z, padded with zeros
+    to n dim entries, of the Fox matrix J_ψ: block (r, j) is the Fox
+    derivative of relator r by x_j, from `_fox_columns` with the exponents
+    ψ, with t^e evaluated at M^(e mod k).  Over Z/a, |ker J_ψ| is the product
+    of gcd(δ, a) over the diagonal.  The homs are ψ = Σ y_i U_i mod k with
+    y_i d_i = 0 mod k (see `_smith_form`)."""
+    n, relators, _ = key
+    dim = len(m)
+    factors, rows = _smith_form(key)
+    powers = [[[int(i == j) for j in range(dim)] for i in range(dim)]]
+    for _ in range(k - 1):
+        powers.append([[sum(map(mul, row, column)) for column in zip(*m)] for row in powers[-1]])
+    steps = [(row, k // gcd(d, k)) for d, row in zip(factors, rows) if gcd(d, k) > 1]
+    out = []
+    for ys in product(*(range(0, k, step) for _, step in steps)):
+        if not any(ys):
+            continue
+        psi = [sum(y * row[j] for y, (row, _) in zip(ys, steps)) % k for j in range(n)]
+        block = []
+        for letters in relators:
+            columns = _fox_columns(letters, psi)
+            block += ([sum(c * powers[e % k][s][t] for e, c in column.items())
+                       for column in columns for t in range(dim)] for s in range(dim))
+        d = _smith(block, n * dim, False)[0]
+        out.append(tuple(d[i][i] if i < len(d) else 0 for i in range(n * dim)))
+    return tuple(out)
+
+
+# The search runs only for targets that do not split (S4), so a report,
+# whose groups all split, never plans one.
 @lru_cache(maxsize=8)
 def _search_plan(key: tuple) -> tuple[tuple, ...]:
     """The steps of the hom search, one per generator, in order.

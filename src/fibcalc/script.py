@@ -20,7 +20,7 @@ from .errors import (FibcalcError, ScriptError, _check_int, _check_optional_str,
                      _check_sequence, _check_type)
 from .fibered import (FiberedKnot, alexander_poly, catalog_knot, connected_sum, knot_group,
                       stallings_twist)
-from .invariants import DEFAULT_HOM_BUDGET, count_homs, finite_group, h1
+from .invariants import count_homs, finite_group, h1
 from .laurent import normalize_alexander
 from .matrices import char_poly
 from .mcg import CurveSpec, SurfaceMonodromy, curated_payload
@@ -154,19 +154,20 @@ def _twist_word_note(word) -> tuple[str, ...]:
     return tuple(f"{c.name or list(c.homology_class)}^{m}" for c, m in word)
 
 
-def _presentation_invariants(pres: GroupPresentation, budget: int):
-    # H1 first: the counts into abelian groups read its cached Smith form.
+def _presentation_invariants(pres: GroupPresentation):
+    # H1 first: every count reads its cached Smith form, and none searches:
+    # the abelian groups are counted off H1, S3 and D4 by Fox calculus.
     diag = tuple(h1(pres))
-    counts = tuple((name, count_homs(pres, finite_group(name), budget))
+    counts = tuple((name, count_homs(pres, finite_group(name)))
                    for name in REPORT_GROUPS)
     return diag, counts
 
 
-def build_report(obj: Any, budget: int = DEFAULT_HOM_BUDGET) -> InvariantReport:
+def build_report(obj: Any) -> InvariantReport:
     if isinstance(obj, FiberedKnot):
         diag = counts = None
         if obj.monodromy.pi1_action is not None:
-            diag, counts = _presentation_invariants(knot_group(obj), budget)
+            diag, counts = _presentation_invariants(knot_group(obj))
         alex = alexander_poly(obj)
         notes = ()
         if abs(alex.evaluate(1)) != 1:
@@ -182,7 +183,7 @@ def build_report(obj: Any, budget: int = DEFAULT_HOM_BUDGET) -> InvariantReport:
         diag = counts = None
         notes = ()
         if obj.fiber.is_handlebody:
-            diag, counts = _presentation_invariants(exterior_presentation(obj), budget)
+            diag, counts = _presentation_invariants(exterior_presentation(obj))
         else:
             notes = (f"fiber carries summand {obj.fiber.summand_label!r}",)
         return InvariantReport(
@@ -192,7 +193,7 @@ def build_report(obj: Any, budget: int = DEFAULT_HOM_BUDGET) -> InvariantReport:
             provenance=_twist_word_note(obj.twist_history), notes=notes)
     if isinstance(obj, FiberedTwoKnot):
         alex = normalize_alexander(char_poly(abelianize(obj.monodromy_pi1)))
-        diag, counts = _presentation_invariants(two_knot_group(obj), budget)
+        diag, counts = _presentation_invariants(two_knot_group(obj))
         return InvariantReport(
             kind="fibered_two_knot", label=obj.label, genus_or_rank=obj.fiber_rank,
             alexander=tuple(alex.dense_coeffs()), h1_diagonal=diag, hom_counts=counts,
@@ -266,8 +267,7 @@ def _argument(text: str, typ: type, env: dict):
     return env[text]
 
 
-def execute(script: "SurgeryScript | str",
-            budget: int = DEFAULT_HOM_BUDGET) -> list[InvariantReport]:
+def execute(script: "SurgeryScript | str") -> list[InvariantReport]:
     """Run a script; reports are emitted in statement order.  The first
     failing statement aborts with a ScriptError carrying its index (reports
     produced so far are attached to the error as `.reports`)."""
@@ -278,7 +278,7 @@ def execute(script: "SurgeryScript | str",
     reports: list[InvariantReport] = []
 
     def report(obj):
-        reports.append(build_report(obj, budget))
+        reports.append(build_report(obj))
         return obj
 
     table = _verb_table(report)

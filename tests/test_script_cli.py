@@ -1,18 +1,22 @@
 import argparse
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fibcalc
 from fibcalc import cli, serialize, words
 from fibcalc.cli import main
 from fibcalc.errors import ScriptError
 from fibcalc.fibered import catalog_knot, connected_sum
-from fibcalc.mcg import curated_payload
+from fibcalc.mcg import CurveSpec, catalog_names, curated_payload
 from fibcalc.ribbon_disk import disk_twist, half_spin
 from fibcalc.script import build_report, execute, parse_script, reports_to_json
 from fibcalc.two_knot import spin
@@ -178,11 +182,15 @@ def test_cli_report_roundtrip(tmp_path, capsys):
     assert parsed[0]["alexander"] == [1, -3, 1]
 
 
-def test_cli_hom_budget_flag(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_cli_hom_budget_flag_is_a_usage_error(tmp_path, capsys, command):
+    """No report count searches, so there is no search budget to set."""
     path = tmp_path / "script.fib"
     path.write_text("K = load square_knot\nreport K\n")
-    assert main(["run", str(path), "--hom-budget", "10"]) == 1
-    assert "budget" in capsys.readouterr().err.lower()
+    with pytest.raises(SystemExit) as exit_:
+        main([command, str(path), "--hom-budget", "10"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --hom-budget" in capsys.readouterr().err
 
 
 def test_report_warns_on_non_unit_alexander_at_one():
@@ -430,3 +438,64 @@ def test_cli_stallings_twist_over_the_letter_budget_is_an_error(tmp_path, capsys
     assert captured.out == ""
     assert captured.err.startswith("error: stallingstwist: power: one composition would write ")
     assert "more than the budget of 100000 (statement 2)" in captured.err
+
+
+# Verb -> (argument kinds, result kind) for the script fuzz test.  A kind is
+# the type of a bound name; "int" is a literal and "any" any bound name.
+_FUZZ_VERBS = {
+    "spin": (("knot",), "two_knot"),
+    "halfspin": (("knot",), "disk"),
+    "double": (("disk", "int"), "two_knot"),
+    "disktwist": (("disk", "curve", "int"), "disk"),
+    "stallingstwist": (("knot", "curve", "int"), "knot"),
+    "glucktwist": (("two_knot",), "two_knot"),
+    "torustwist": (("two_knot", "curve"), "two_knot"),
+    "connectsum": (("knot", "knot"), "knot"),
+    "plan": (("knot", "knot"), "plan"),
+    "report": (("any",), None),
+}
+_FUZZ_KNOTS = ("unknot", "trefoil_R", "trefoil_L", "figure8", "square_knot", "granny_knot")
+_FUZZ_CURVES = tuple(name for name in catalog_names()
+                     if isinstance(curated_payload(name), CurveSpec))
+
+
+@st.composite
+def _fuzz_scripts(draw):
+    """A script that binds a knot, a curve, a spin, a half-spin disk and a
+    double, then applies up to five random verbs to bound names of the types
+    the verbs take, with small twist counts."""
+    lines = [f"K0 = load {draw(st.sampled_from(_FUZZ_KNOTS))}",
+             f"C0 = load {draw(st.sampled_from(_FUZZ_CURVES))}",
+             "S0 = spin K0", "H0 = halfspin K0", f"W0 = double H0 {draw(st.integers(-2, 2))}"]
+    bound = {"knot": ["K0"], "curve": ["C0"], "two_knot": ["S0", "W0"], "disk": ["H0"]}
+    for i in range(1, draw(st.integers(1, 5)) + 1):
+        verb = draw(st.sampled_from(sorted(_FUZZ_VERBS)))
+        kinds, result = _FUZZ_VERBS[verb]
+        names = sorted(sum(bound.values(), []))
+        args = [str(draw(st.integers(-3, 3))) if kind == "int"
+                else draw(st.sampled_from(names if kind == "any" else bound[kind]))
+                for kind in kinds]
+        target = ""
+        if result is not None:
+            target = f"N{i} = "
+            bound.setdefault(result, []).append(f"N{i}")
+        lines.append(f"{target}{verb} {' '.join(args)}")
+    return "\n".join(lines) + "\n"
+
+
+@given(_fuzz_scripts())
+@settings(max_examples=40, deadline=None)
+def test_random_well_typed_scripts_exit_cleanly(source):
+    """Every run exits 0, or prints `error:` and exits 1; an exception that
+    escapes `main` fails the test with its traceback."""
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "script.fib"
+        path.write_text(source)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", str(path), "--json"])
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+    else:
+        assert code == 1 and err.getvalue().startswith("error: "), (source, err.getvalue())

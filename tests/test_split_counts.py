@@ -1,0 +1,206 @@
+"""Hom counts into split groups A ⋊ <c> (S3, D4, A4): the Fox route of
+`count_homs` against the search `_completed_search` and the brute-force
+oracle, on random presentations, on report presentations, on relabelled
+group tables and on sums of trefoils."""
+
+import random
+from time import perf_counter
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from fibcalc import invariants
+from fibcalc.fibered import catalog_knot, connected_sum, knot_group, stallings_twist
+from fibcalc.invariants import (DEFAULT_HOM_BUDGET, FiniteGroupTable, _completed_search,
+                                _perm_group, _relator_key, count_homs, finite_group, h1)
+from fibcalc.mcg import curated_payload
+from fibcalc.ribbon_disk import disk_twist, exterior_presentation, half_spin
+from fibcalc.two_knot import double_disk, gluck, spin, two_knot_group
+from test_invariants import _presentation, _report_presentations, brute_force_count, letters
+
+SPLIT_GROUPS = ("S3", "D4", "A4")
+# The largest rank per group that keeps the brute-force oracle fast.
+_ORACLE_RANK = {"S3": 4, "D4": 3, "A4": 3}
+
+
+def _search(p, group):
+    return _completed_search(_relator_key(p), group, DEFAULT_HOM_BUDGET)
+
+
+def test_split_is_read_off_the_table():
+    assert finite_group("S3").split == (3, 2, ((-1,),))
+    assert finite_group("D4").split == (4, 2, ((-1,),))  # Z4 x| Z2, not the Klein four
+    a, k, m = finite_group("A4").split
+    assert (a, k, len(m)) == (2, 3, 2)
+    square = [[sum(x * y for x, y in zip(row, col)) % 2 for col in zip(*m)] for row in m]
+    cube = [[sum(x * y for x, y in zip(row, col)) % 2 for col in zip(*m)] for row in square]
+    assert square != [[1, 0], [0, 1]] and cube == [[1, 0], [0, 1]]  # c acts with order 3
+    assert finite_group("S4").split is None
+
+
+def _generated(label, *generators):
+    elements, frontier = {generators[0]}, list(generators)
+    while frontier:
+        p = frontier.pop()
+        for q in generators:
+            r = tuple(p[i] for i in q)
+            if r not in elements:
+                elements.add(r)
+                frontier.append(r)
+    return _perm_group(label, list(elements))
+
+
+def test_groups_without_a_split_keep_the_search():
+    # Q8 in its regular representation: non-abelian of order 8, one involution
+    q8 = _generated("Q8", (1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3))
+    assert q8.order == 8 and not q8.is_abelian
+    assert q8.element_orders.count(2) == 1
+    assert q8.split is None
+    for p in (knot_group(catalog_knot("trefoil_R")), knot_group(catalog_knot("figure8")),
+              _presentation(("x", "y"), (1, 1, 2, 2), (1, 2, -1, 2))):
+        assert count_homs(p, q8) == brute_force_count(p, q8)
+
+
+def test_other_split_groups_match_the_search():
+    """Groups the catalog does not hold: the dihedral group of order 12
+    (Z6 x| Z2), the Frobenius group of order 21 (Z7 x| Z3) and the
+    generalized dihedral group of Z3 x Z3 (M = -I, two by two)."""
+    groups = [_generated("D6", (1, 2, 3, 4, 5, 0), (5, 4, 3, 2, 1, 0)),
+              _generated("F21", (1, 2, 3, 4, 5, 6, 0), (0, 2, 4, 6, 1, 3, 5)),
+              _generated("GD9", (1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3), (0, 2, 1, 3, 5, 4))]
+    assert [g.split for g in groups] == [(6, 2, ((-1,),)), (7, 3, ((2,),)),
+                                         (3, 2, ((-1, 0), (0, -1)))]
+    for p in (knot_group(catalog_knot("trefoil_R")), knot_group(catalog_knot("figure8")),
+              two_knot_group(spin(catalog_knot("square_knot")))):
+        for g in groups:
+            assert count_homs(p, g) == _search(p, g)
+
+
+@st.composite
+def _torsion_presentations(draw, rank):
+    """Presentations of rank 1..rank with at most that many random relators,
+    so that H1 often has free summands, plus up to two powers x_i^p, which
+    put p-torsion into H1 unless another relator kills it."""
+    n = draw(st.integers(1, rank))
+    names = [f"x{i}" for i in range(1, n + 1)]
+    if draw(st.booleans()):
+        names[draw(st.integers(0, n - 1))] = "t"
+    relators = [tuple(r) for r in draw(st.lists(letters(n, max_len=8), max_size=n))]
+    powers = draw(st.lists(st.tuples(st.integers(1, n), st.sampled_from((2, 3, 4, 6))),
+                           max_size=2))
+    return _presentation(tuple(names), *relators, *((i,) * p for i, p in powers))
+
+
+# H1 = Z/2 + Z (four homs to Z2), Z/6, Z/3 + Z^2 (nine homs to Z3), Z/4 + Z/2
+_H1_SHAPES = {
+    "Z2+Z": (_presentation(("x", "y"), (1, 1), (1, 2, -1, -2)), [2, 0]),
+    "Z6": (_presentation(("x",), (1,) * 6), [6]),
+    "Z3+Z^2": (_presentation(("x", "y", "t"), (1, 1, 1), (2, 3, -2, -3)), [3, 0, 0]),
+    "Z4+Z2": (_presentation(("x", "y"), (1,) * 4, (2, 2), (1, 2, -1, -2)), [2, 4]),
+}
+
+
+@pytest.mark.parametrize("group_name", SPLIT_GROUPS)
+@pytest.mark.parametrize("presentation, diagonal", _H1_SHAPES.values(), ids=_H1_SHAPES.keys())
+def test_fox_route_with_torsion_and_free_summands(presentation, diagonal, group_name):
+    assert h1(presentation) == diagonal
+    g = finite_group(group_name)
+    expected = brute_force_count(presentation, g)
+    assert count_homs(presentation, g) == expected
+    assert _search(presentation, g) == expected
+
+
+@given(st.sampled_from(SPLIT_GROUPS).flatmap(
+    lambda name: st.tuples(st.just(name), _torsion_presentations(_ORACLE_RANK[name]))))
+@settings(max_examples=150, deadline=None)
+@example(("S3", _H1_SHAPES["Z2+Z"][0]))
+@example(("A4", _H1_SHAPES["Z3+Z^2"][0]))
+def test_fox_route_matches_search_and_brute_force(case):
+    group_name, presentation = case
+    g = finite_group(group_name)
+    expected = brute_force_count(presentation, g)
+    assert count_homs(presentation, g) == expected
+    assert _search(presentation, g) == expected
+
+
+def _script_presentations():
+    """Presentations like those a script reports: sums of two genus-1 knots
+    with their spins and Gluck twists, Stallings twists of the square knot
+    and doubles of twisted half-spin disks."""
+    genus1 = ("trefoil_R", "trefoil_L", "figure8")
+    for a in genus1:
+        for b in genus1:
+            knot = connected_sum(catalog_knot(a), catalog_knot(b))
+            yield knot_group(knot)
+            yield two_knot_group(gluck(spin(knot)))
+    for c, m in (("c1", -1), ("c1_neg", 1), ("c2", 16), ("c2_neg", -1)):
+        yield knot_group(stallings_twist(catalog_knot("square_knot"),
+                                         curated_payload(f"square_knot_stallings_{c}"), m))
+    for name, c, m in (("trefoil_R", "c1", 1), ("figure8", "c2_neg", -1), ("trefoil_L", "c2", 17)):
+        disk = disk_twist(half_spin(catalog_knot(name)),
+                          curated_payload(f"square_knot_stallings_{c}"), m)
+        yield exterior_presentation(disk)
+        yield two_knot_group(double_disk(disk, 2))
+
+
+def test_fox_route_matches_search_on_report_presentations():
+    for p in (*_report_presentations(), *_script_presentations()):
+        for name in SPLIT_GROUPS:
+            g = finite_group(name)
+            assert count_homs(p, g) == _search(p, g), (p.generators, name)
+
+
+def _relabelled(group, seed):
+    """The same group with its elements listed in a random order: new
+    element x is old element old[x]."""
+    old = list(range(group.order))
+    random.Random(seed).shuffle(old)
+    new = {o: x for x, o in enumerate(old)}
+    table = tuple(tuple(new[group.table[old[x]][old[y]]] for y in range(group.order))
+                  for x in range(group.order))
+    return FiniteGroupTable(group.label + "'", group.order, table,
+                            tuple(group.names[o] for o in old))
+
+
+@pytest.mark.parametrize("group_name", SPLIT_GROUPS)
+def test_relabelled_groups_give_identical_counts(group_name):
+    g = finite_group(group_name)
+    presentations = [knot_group(catalog_knot(name))
+                     for name in ("trefoil_R", "figure8", "square_knot", "granny_knot")]
+    presentations.append(_H1_SHAPES["Z2+Z"][0])
+    for seed in range(4):
+        copy = _relabelled(g, seed)
+        assert copy.table != g.table
+        assert copy.split is not None and copy.split[:2] == g.split[:2]
+        for p in presentations:
+            assert count_homs(p, copy) == count_homs(p, g)
+
+
+def _trefoil_sum(genus):
+    knot = catalog_knot("trefoil_R")
+    for _ in range(genus - 1):
+        knot = connected_sum(knot, catalog_knot("trefoil_R"))
+    return knot_group(knot)
+
+
+@pytest.mark.parametrize("genus", range(1, 11))
+def test_trefoil_sums_into_a4(genus):
+    """2^(2g+3) + 4 homs; the search, whose work grows with the count, runs
+    up to genus 4 (at genus 10 it takes seconds)."""
+    p, a4 = _trefoil_sum(genus), finite_group("A4")
+    assert count_homs(p, a4) == 2 ** (2 * genus + 3) + 4
+    if genus <= 4:
+        assert _search(p, a4) == 2 ** (2 * genus + 3) + 4
+
+
+def test_trefoil_sum_of_genus_10_into_a4_is_fast():
+    p, a4 = _trefoil_sum(10), finite_group("A4")
+    best = float("inf")
+    for _ in range(3):
+        invariants._smith_form.cache_clear()
+        invariants._crossed_count.cache_clear()
+        invariants._twisted_diagonals.cache_clear()
+        start = perf_counter()
+        assert count_homs(p, a4) == 8_388_612
+        best = min(best, perf_counter() - start)
+    assert best < 0.05
