@@ -232,6 +232,21 @@ def test_group_catalog():
         finite_group("Z99")
 
 
+def test_d4_is_the_closure_of_a_rotation_and_a_reflection():
+    """D4 as the symmetries of a square: the closure of the rotation
+    x -> x + 1 and the reflection x -> 1 - x (mod 4) under composition."""
+    rot, ref = (1, 2, 3, 0), (1, 0, 3, 2)
+    elements, frontier = {(0, 1, 2, 3)}, [(0, 1, 2, 3)]
+    while frontier:
+        p = frontier.pop()
+        for q in (rot, ref):
+            composed = tuple(p[q[i]] for i in range(4))
+            if composed not in elements:
+                elements.add(composed)
+                frontier.append(composed)
+    assert finite_group("D4") == invariants._perm_group("D4", sorted(elements))
+
+
 def test_group_table_validation():
     bad = ((0, 1), (1, 1))  # not a group: no inverses / not associative
     with pytest.raises(MalformedInputError):

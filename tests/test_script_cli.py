@@ -425,6 +425,36 @@ def test_object_report_bytes_are_golden(name, tmp_path, capsys):
     assert _sha256(capsys.readouterr().out) == GOLDEN_REPORT_SHA256[name]
 
 
+# The text (non-`--json`) form of the same runs and reports, which prints
+# every report field kind, plan entries included.
+GOLDEN_RUN_TEXT_SHA256 = {
+    "sum": "615c13724e925cd0c3596af140603a86b4022d95af3fb2cf3e3e12be10399069",
+    "stallings": "10aa16d522cc07bf0f533d2f26566ff76a52b6d1c96405af552c462326ca2dcc",
+}
+
+GOLDEN_REPORT_TEXT_SHA256 = {
+    "knot": "5fed66fa0d2c3cf10410f9c481cf69cf67895785430e717d2617c8302b8b1562",
+    "disk": "302b316068075fd3baac6d290786279da041afb1c6fbb5197e88cae30b874bde",
+    "two_knot": "aaa7e0412b231d14682a70c094afafd6edbbb5920c78376c449042c31ac03afc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCRIPTS))
+def test_run_text_bytes_are_golden(name, tmp_path, capsys):
+    path = tmp_path / "script.fib"
+    path.write_text(GOLDEN_SCRIPTS[name])
+    assert main(["run", str(path)]) == 0
+    assert _sha256(capsys.readouterr().out) == GOLDEN_RUN_TEXT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORT_TEXT_SHA256))
+def test_object_report_text_bytes_are_golden(name, tmp_path, capsys):
+    path = tmp_path / "object.json"
+    path.write_text(serialize.dumps(_golden_objects()[name]))
+    assert main(["report", str(path)]) == 0
+    assert _sha256(capsys.readouterr().out) == GOLDEN_REPORT_TEXT_SHA256[name]
+
+
 def test_cli_stallings_twist_over_the_letter_budget_is_an_error(tmp_path, capsys, monkeypatch):
     """A twist count of 10^12 once ended in a raw MemoryError; the power is
     refused at the letter budget (lowered here, so that the refusal comes
