@@ -11,13 +11,12 @@ comes from the product over all rows of max(1, the row's coefficient norm),
 which bounds every maximal minor (see `matrices`).  Each minor is then one
 integer Bareiss determinant, whose signed base-2^B digits are its
 coefficients, up to the unit t^(sum of its rows' lowest exponents), which
-the gcd ignores.  `abelian_fox_row` is the checked `LaurentPoly` view of
-the same pass.
+the gcd ignores.
 
 `count_homs` has three routes, tried in order: targets that are abelian
 are counted off H1, targets that split as (Z/a)^m ⋊ Z/k (S3, D4, A4) by
 the Fox matrix evaluated in the action of Z/k, and any other target (S4)
-by a search, which the budget bounds.
+by a search of at most `HOM_NODE_BUDGET` nodes.
 """
 
 from __future__ import annotations
@@ -31,12 +30,13 @@ from operator import mul
 
 from .errors import (AbelianizationError, BudgetExceededError, CatalogError,
                      MalformedInputError, _check_int, _check_sequence, _check_type)
-from .laurent import LaurentPoly, _collect, laurent_gcd, normalize_alexander
+from .laurent import LaurentPoly, laurent_gcd, normalize_alexander
 from .matrices import _from_digits, _matrix, _smith
 from .presentation import GroupPresentation
 from .words import FreeWord
 
-DEFAULT_HOM_BUDGET = 10**8
+# The most nodes a hom search may visit; only targets that do not split search.
+HOM_NODE_BUDGET = 10**8
 
 
 class GroupRingElement:
@@ -106,23 +106,6 @@ def fox_matrix(presentation: GroupPresentation) -> list[list[GroupRingElement]]:
     n = presentation.n_generators
     return [[fox_derivative(rel, j + 1) for j in range(n)]
             for rel in presentation.relators]
-
-
-def _check_exponents(exponents, rank: int) -> None:
-    if (type(exponents) not in (tuple, list) or len(exponents) != rank
-            or any(type(x) is not int for x in exponents)):
-        raise MalformedInputError(
-            f"exponents must be a tuple or a list of {rank} integers, not {exponents!r}")
-
-
-def abelian_fox_row(word: FreeWord, exponents: tuple[int, ...]) -> list[LaurentPoly]:
-    """The abelianized Fox derivatives of a word by every generator: entry j
-    is the image of fox_derivative(word, j + 1) under the map sending
-    generator i to t^exponents[i].  The exponents are checked once; the
-    entries are built in canonical form from `_fox_columns`."""
-    _check_type(word, FreeWord, "word")
-    _check_exponents(exponents, word.rank)
-    return [_collect(column) for column in _fox_columns(word.letters, exponents)]
 
 
 def _fox_columns(letters: tuple[int, ...], exponents: tuple[int, ...]) -> list[dict[int, int]]:
@@ -208,7 +191,10 @@ def alexander_from_presentation(presentation: GroupPresentation,
     if assignment is None:
         exps = infinite_cyclic_exponents(presentation)
     else:
-        _check_exponents(assignment, n)
+        if (type(assignment) not in (tuple, list) or len(assignment) != n
+                or any(type(x) is not int for x in assignment)):
+            raise MalformedInputError(
+                f"exponents must be a tuple or a list of {n} integers, not {assignment!r}")
         exps = tuple(assignment)
         for rel in presentation.relators:
             vec = rel.exponent_vector()
@@ -411,21 +397,6 @@ def _cyclic_group(k: int) -> FiniteGroupTable:
     return FiniteGroupTable(f"Z{k}", k, table, tuple(str(i) for i in range(k)))
 
 
-def _dihedral_square() -> FiniteGroupTable:
-    rot = (1, 2, 3, 0)
-    ref = (1, 0, 3, 2)
-    elems = {tuple(range(4))}
-    frontier = [tuple(range(4))]
-    while frontier:
-        p = frontier.pop()
-        for q in (rot, ref):
-            composed = tuple(p[q[i]] for i in range(4))
-            if composed not in elems:
-                elems.add(composed)
-                frontier.append(composed)
-    return _perm_group("D4", sorted(elems))
-
-
 def _is_even(p: tuple[int, ...]) -> bool:
     inversions = sum(1 for i in range(len(p)) for j in range(i) if p[j] > p[i])
     return inversions % 2 == 0
@@ -435,7 +406,9 @@ _GROUP_BUILDERS = {
     "S3": lambda: _perm_group("S3", list(permutations(range(3)))),
     "S4": lambda: _perm_group("S4", list(permutations(range(4)))),
     "A4": lambda: _perm_group("A4", [p for p in permutations(range(4)) if _is_even(p)]),
-    "D4": _dihedral_square,
+    # the symmetries x -> +-x + k (mod 4) of a square
+    "D4": lambda: _perm_group("D4", [tuple((s * x + k) % 4 for x in range(4))
+                                     for s in (1, -1) for k in range(4)]),
 }
 for _k in range(1, 13):
     _GROUP_BUILDERS[f"Z{_k}"] = (lambda k: lambda: _cyclic_group(k))(_k)
@@ -459,8 +432,7 @@ def _finite_group(name: str) -> FiniteGroupTable:
     return builder()
 
 
-def count_homs(presentation: GroupPresentation, group: FiniteGroupTable,
-               budget: int = DEFAULT_HOM_BUDGET) -> int:
+def count_homs(presentation: GroupPresentation, group: FiniteGroupTable) -> int:
     """Exact number of homomorphisms from the presented group into `group`.
 
     Abelian targets A are counted through H1: a hom factors through the
@@ -492,14 +464,12 @@ def count_homs(presentation: GroupPresentation, group: FiniteGroupTable,
     orbit size.  Each step checks only the relators it completes.
 
     A node is one candidate value tried for a generator, enumerated or
-    forced.  The budget (default DEFAULT_HOM_BUDGET, 10**8) bounds the nodes
-    the search visits, and nothing else; going over it raises
+    forced.  The constant HOM_NODE_BUDGET (10**8) bounds the nodes the
+    search visits, and nothing else; going over it raises
     BudgetExceededError, never returning a partial count.
     """
     _check_type(presentation, GroupPresentation, "presentation")
     _check_type(group, FiniteGroupTable, "group")
-    if type(budget) is not int:
-        raise MalformedInputError(f"homomorphism budget must be an integer, not {budget!r}")
     key = _relator_key(presentation)
     if group.is_abelian:
         count = 1
@@ -508,7 +478,7 @@ def count_homs(presentation: GroupPresentation, group: FiniteGroupTable,
         return count
     if group.split is not None:
         return _crossed_count(key, *group.split)
-    return _completed_search(key, group, budget)
+    return _completed_search(key, group, HOM_NODE_BUDGET)
 
 
 # A report counts into S3 and D4 on a knot, its spin and the spin's Gluck
@@ -552,9 +522,6 @@ def _twisted_diagonals(key: tuple, k: int, m: tuple[tuple[int, ...], ...]) -> tu
     return tuple(out)
 
 
-# The search runs only for targets that do not split (S4), so a report,
-# whose groups all split, never plans one.
-@lru_cache(maxsize=8)
 def _search_plan(key: tuple) -> tuple[tuple, ...]:
     """The steps of the hom search, one per generator, in order.
 
@@ -601,10 +568,10 @@ def _search_plan(key: tuple) -> tuple[tuple, ...]:
     return tuple(steps)
 
 
-# The counts of completed searches.  A script reports a knot, its spin and
-# the spin's Gluck twist, whose groups share one key.  The budget is part of
-# the key, so a call with another budget searches again; a search over its
-# budget raises, and lru_cache stores no exception.
+# The counts of completed searches: a repeated count neither plans nor
+# searches again.  The budget is part of the key, so a call with another budget
+# searches again; a search over its budget raises, and lru_cache stores no
+# exception.
 @lru_cache(maxsize=8)
 def _completed_search(key: tuple, group: FiniteGroupTable, budget: int) -> int:
     steps = _search_plan(key)

@@ -49,13 +49,6 @@ from .words import FreeGroupMap, abelianize, compose
 def symplectic_form(genus: int) -> IntMatrix:
     """Block-diagonal J with one [[0, 1], [-1, 0]] block per handle."""
     _check_int(genus, "genus")
-    return _symplectic_form(genus)
-
-
-# J is immutable, so one instance per genus serves every caller; a process
-# works in a few genera.
-@lru_cache(maxsize=16)
-def _symplectic_form(genus: int) -> IntMatrix:
     n = 2 * genus
     rows = [[0] * n for _ in range(n)]
     for i in range(genus):

@@ -121,33 +121,31 @@ class InvariantReport:
 
     def text(self) -> str:
         lines = [f"[{self.kind}] {self.label or '(unnamed)'}"]
-        if self.genus_or_rank is not None:
-            lines.append(f"  genus/rank: {self.genus_or_rank}")
-        if self.ambient is not None:
-            lines.append(f"  ambient: {self.ambient}")
-        if self.alexander is not None:
-            lines.append(f"  alexander (t^0..): {list(self.alexander)}")
-        if self.h1_diagonal is not None:
-            lines.append(f"  h1 diagonal: {list(self.h1_diagonal)}")
-        if self.hom_counts is not None:
-            counts = ", ".join(f"{name}:{n}" for name, n in self.hom_counts)
-            lines.append(f"  hom counts: {counts}")
-        if self.is_homotopy_ribbon is not None:
-            lines.append(f"  homotopy-ribbon: {self.is_homotopy_ribbon}")
-        if self.gluck_parity is not None:
-            lines.append(f"  gluck parity: {self.gluck_parity}")
-        if self.provenance:
-            lines.append(f"  provenance: {'; '.join(self.provenance)}")
-        for note in self.notes:
-            lines.append(f"  note: {note}")
-        if self.plan is not None:
-            lines.append(f"  plan entries: {len(self.plan)}")
-            for e in self.plan:
-                curve = e["curve"]
-                cname = curve.get("name") if curve else "0-framed unlink torus"
-                lines.append(f"    phase {e['phase']} {e['torus_id']}: "
-                             f"{cname} sign {e['twist_sign']}")
+        for name, title, values in _TEXT_LINES:
+            value = getattr(self, name)
+            if value is not None:
+                lines += (f"  {title}: {v}" for v in values(value))
         return "\n".join(lines)
+
+
+# The text form of a report after its heading, as (field, title, values) in
+# print order: a field that is None prints nothing, else one line "  title: v"
+# for each v in values(field).  Plan entries follow their count, indented.
+_TEXT_LINES = (
+    ("genus_or_rank", "genus/rank", lambda v: (v,)),
+    ("ambient", "ambient", lambda v: (v,)),
+    ("alexander", "alexander (t^0..)", lambda v: (list(v),)),
+    ("h1_diagonal", "h1 diagonal", lambda v: (list(v),)),
+    ("hom_counts", "hom counts", lambda v: (", ".join(f"{g}:{n}" for g, n in v),)),
+    ("is_homotopy_ribbon", "homotopy-ribbon", lambda v: (v,)),
+    ("gluck_parity", "gluck parity", lambda v: (v,)),
+    ("provenance", "provenance", lambda v: ("; ".join(v),) if v else ()),
+    ("notes", "note", tuple),
+    ("plan", "plan entries", lambda v: ("".join([str(len(v)), *(
+        f"\n    phase {e['phase']} {e['torus_id']}: "
+        f"{e['curve'].get('name') if e['curve'] else '0-framed unlink torus'} "
+        f"sign {e['twist_sign']}" for e in v)]),)),
+)
 
 
 def _twist_word_note(word) -> tuple[str, ...]:

@@ -18,7 +18,7 @@ from .errors import (MalformedInputError, MissingPayloadError, PreconditionError
                      RankMismatchError, UnsupportedFiberError, _check_int,
                      _check_optional_str, _check_sequence, _check_type)
 from .fibered import _TWO_KNOT_AMBIENTS, Ambient, FiberedKnot
-from .invariants import DEFAULT_HOM_BUDGET, count_homs, finite_group, group_catalog_names, h1
+from .invariants import count_homs, finite_group, group_catalog_names, h1
 from .mcg import CurveSpec, SurfaceMonodromy
 from .presentation import GroupPresentation, hnn_presentation
 from .ribbon_disk import FiberedDisk, _half_spin_action
@@ -138,8 +138,7 @@ class HalvingFamilyEntry:
 
 
 def halving_family(two_knot: FiberedTwoKnot, slopes: list[int],
-                   groups: tuple[str, ...] | None = None,
-                   budget: int = DEFAULT_HOM_BUDGET) -> list[HalvingFamilyEntry]:
+                   groups: tuple[str, ...] | None = None) -> list[HalvingFamilyEntry]:
     """Express the 2-knot as the double of a disk in a contractible manifold,
     one candidate per 2-handle surgery slope m.
 
@@ -149,13 +148,17 @@ def halving_family(two_knot: FiberedTwoKnot, slopes: list[int],
     common 3-manifold; m = 0 denotes Y itself.  The contractibility report
     records trivial homology plus only-trivial-quotient checks.
     """
+    _check_sequence(slopes, "slopes")
+    for m in slopes:
+        _check_int(m, "slope")
+    names = group_catalog_names() if groups is None else groups
+    _check_sequence(names, "group names")
+    targets = [finite_group(name) for name in names]
     presentation = two_knot_group(two_knot)
     n = presentation.n_generators
     interior = presentation.with_relator(FreeWord(n, (n,)))
     diag = tuple(h1(interior))
-    names = groups if groups is not None else group_catalog_names()
-    checks = tuple((name, count_homs(interior, finite_group(name), budget) == 1)
-                   for name in names)
+    checks = tuple((name, count_homs(interior, g) == 1) for name, g in zip(names, targets))
     report = ContractibilityReport(diag, not diag, checks)
     base = f"Y({two_knot.label})" if two_knot.label else "Y"
     return [HalvingFamilyEntry(m, interior, FillingDescriptor(base, (-1, m)), report)

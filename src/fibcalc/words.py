@@ -28,7 +28,7 @@ So `FreeWord`s are made only where the API hands one out: when a map's
 a tuple about 0.07 us, and the words of derived maps are mostly only
 substituted, abelianized or written out, which letters serve directly.
 `power` counts the letters each composition would write before writing them
-and refuses past `POWER_LETTER_BUDGET`.
+and refuses past `POWER_LETTER_BUDGET`; so does `FreeWord.__pow__`.
 
 `apply_map` and `compose` substitute through `_expand`, which writes each
 letter's image after cancelling it against the reduced output so far; its
@@ -107,8 +107,12 @@ class FreeWord:
 
     def __pow__(self, n: int) -> "FreeWord":
         _check_int(n, "exponent")
+        letters = len(self.letters) * abs(n)
+        if letters > POWER_LETTER_BUDGET:
+            raise BudgetExceededError(f"word power would write {letters} letters, "
+                                      f"more than the budget of {POWER_LETTER_BUDGET}")
         base = self if n >= 0 else self.inverse()
-        return _word(self.rank, _reduce(base.letters * abs(n)))
+        return _word(self.rank, _reduce(base.letters * abs(n)) if letters else ())
 
     @property
     def is_identity(self) -> bool:
@@ -282,12 +286,12 @@ def _common_prefix(x: memoryview, i: int, y: bytes, j: int, m: int, width: int) 
     return lo // width
 
 
-# The most letters one composition inside `FreeGroupMap.power` may write
-# before cancelling, witness included.  Measured peak memory of a power is
-# 24-27 bytes per letter of its largest composition for Stallings-twist
-# payloads and 9-10 for figure-8 monodromy powers, so this budget keeps a
-# power under about 230 MB.  The figure-8 power phi^10 writes 57,314 letters
-# in its largest composition.
+# The most letters one composition inside `FreeGroupMap.power`, or one
+# `FreeWord` power, may write before cancelling, witness included.  Measured
+# peak memory of a power is 24-27 bytes per letter of its largest composition
+# for Stallings-twist payloads and 9-10 for figure-8 monodromy powers, so this
+# budget keeps a power under about 230 MB.  The figure-8 power phi^10 writes
+# 57,314 letters in its largest composition.
 POWER_LETTER_BUDGET = 2**23
 
 

@@ -8,8 +8,8 @@ The two-bridge trefoil is a presentation that no construction builds."""
 from itertools import combinations
 
 from fibcalc.errors import AbelianizationError, MalformedInputError, RankMismatchError
-from fibcalc.invariants import abelian_fox_row, infinite_cyclic_exponents
-from fibcalc.laurent import LaurentPoly, laurent_gcd, normalize_alexander
+from fibcalc.invariants import _fox_columns, infinite_cyclic_exponents
+from fibcalc.laurent import LaurentPoly, _collect, laurent_gcd, normalize_alexander
 from fibcalc.matrices import IntMatrix, laurent_det, smith_normal_form
 from fibcalc.presentation import GroupPresentation
 from fibcalc.words import FreeWord
@@ -74,9 +74,16 @@ def trefoil_two_bridge_presentation() -> GroupPresentation:
     return GroupPresentation(("u", "v"), (FreeWord(2, (1, 2, 1, -2, -1, -2)),))
 
 
+def fox_row(word: FreeWord, exponents) -> list[LaurentPoly]:
+    """The abelianized Fox derivatives of a word by every generator, as
+    Laurent polynomials: entry j is the image of fox_derivative(word, j + 1)
+    under generator i -> t^exponents[i], read off `_fox_columns`."""
+    return [_collect(column) for column in _fox_columns(word.letters, exponents)]
+
+
 def alexander_by_grid(presentation: GroupPresentation, assignment=None) -> LaurentPoly:
     """The Fox-route Alexander polynomial through Laurent polynomials: one
-    `abelian_fox_row` per relator, the meridian column deleted, a
+    `fox_row` per relator, the meridian column deleted, a
     `laurent_det` per maximal minor and the gcd of the nonzero minors.  A
     supplied assignment is trusted."""
     n = presentation.n_generators
@@ -88,7 +95,7 @@ def alexander_by_grid(presentation: GroupPresentation, assignment=None) -> Laure
     meridian = next((j for j, e in enumerate(exps) if abs(e) == 1), None)
     if meridian is None:
         raise AbelianizationError("no generator maps onto t^(+-1)")
-    grid = [[p for j, p in enumerate(abelian_fox_row(rel, exps)) if j != meridian]
+    grid = [[p for j, p in enumerate(fox_row(rel, exps)) if j != meridian]
             for rel in presentation.relators]
     r, k = len(grid), n - 1
     if r < k:

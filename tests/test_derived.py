@@ -16,7 +16,6 @@ from fibcalc import mcg
 from fibcalc.errors import FibcalcError, MalformedInputError, RankMismatchError
 from fibcalc.fibered import (Ambient, FiberedKnot, catalog_knot, connected_sum,
                              mirror_knot, stallings_twist)
-from fibcalc.invariants import abelian_fox_row
 from fibcalc.laurent import LaurentPoly
 from fibcalc.matrices import IntMatrix, block_diag, smith_diagonal, smith_normal_form
 from fibcalc.mcg import (CurveSpec, HandlebodyMonodromy, SurfaceMonodromy,
@@ -29,7 +28,7 @@ from fibcalc.ribbon_disk import (_doubling_change_of_basis, disk_twist, doubled_
 from fibcalc.serialize import dumps
 from fibcalc.two_knot import double_disk, spin
 from fibcalc.words import FreeGroupMap, FreeWord, abelianize, compose, surface_names
-from oracles import in_row_span, inverse_unimodular, matrix_power, mul_vec
+from oracles import fox_row, in_row_span, inverse_unimodular, matrix_power, mul_vec
 
 STALLINGS = tuple(curated_payload(f"square_knot_stallings_c{i}{s}")
                   for i in (1, 2) for s in ("", "_neg"))
@@ -396,9 +395,9 @@ def test_matrix_arithmetic_is_canonical(r, k, c, data):
     st.lists(st.integers(-n, n).filter(bool), max_size=30).map(lambda seq: FreeWord(n, seq)),
     st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
 @settings(max_examples=100, deadline=None)
-def test_abelian_fox_row_entries_are_canonical(word_and_exponents):
+def test_fox_row_entries_are_canonical(word_and_exponents):
     word, exponents = word_and_exponents
-    for entry in abelian_fox_row(word, exponents):
+    for entry in fox_row(word, exponents):
         assert LaurentPoly.from_dict(dict(entry.terms)) == entry
 
 

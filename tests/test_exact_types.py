@@ -13,8 +13,8 @@ from fibcalc.errors import FibcalcError, MalformedInputError, RankMismatchError
 from fibcalc.fibered import (Ambient, FiberedKnot, alexander_poly, catalog_knot,
                              connected_sum, distinctness_bound, dual_knot_surgery_descriptor,
                              knot_group, mirror_knot, stallings_twist)
-from fibcalc.invariants import (FiniteGroupTable, abelian_fox_row, alexander_from_presentation,
-                                count_homs, finite_group, fox_derivative, fox_matrix, h1,
+from fibcalc.invariants import (FiniteGroupTable, alexander_from_presentation, count_homs,
+                                finite_group, fox_derivative, fox_matrix, h1,
                                 infinite_cyclic_exponents)
 from fibcalc.laurent import LaurentPoly, laurent_gcd, normalize_alexander
 from fibcalc.matrices import IntMatrix, block_diag, char_poly, laurent_det, smith_normal_form
@@ -92,10 +92,7 @@ PROBES = {
     "plan float genus": lambda: SurgeryPlan(1.0, 1, ()),
     "group float order": lambda: FiniteGroupTable("x", 1.0, ((0,),), ("a",)),
     "transvection bool multiplier": lambda: transvection((1, 0), True),
-    "fox row float exponent": lambda: abelian_fox_row(FreeWord(2, (1, 2)), (0, 1.0)),
-    "fox row bool exponent": lambda: abelian_fox_row(FreeWord(2, (1, 2)), (0, True)),
     "fox derivative float index": lambda: fox_derivative(FreeWord(2, (1, 2)), 1.0),
-    "hom count None budget": lambda: count_homs(_trefoil_group(), finite_group("S3"), None),
 }
 
 # Malformed shapes, each of which used to escape as a raw Python exception.
@@ -108,7 +105,6 @@ SHAPE_PROBES = {
     "monodromy string action": lambda: SurfaceMonodromy(1, "x"),
     "curve int payload": lambda: CurveSpec(1, (1, 0), 5),
     "fiber string genus": lambda: FiberType("1"),
-    "string hom budget": lambda: count_homs(_trefoil_group(), finite_group("Z2"), budget="x"),
     "knot string monodromy": lambda: FiberedKnot(Ambient.s3(), 1, "x"),
     "disk string monodromy": lambda: FiberedDisk(Ambient.b4(), FiberType(2), "x"),
     "disk int history": lambda: replace(half_spin(catalog_knot("trefoil_R")), twist_history=5),
@@ -130,8 +126,6 @@ SHAPE_PROBES = {
     "h1 string": lambda: h1("x"),
     "word int text": lambda: word_from_text(5, ["a"]),
     "map int images": lambda: FreeGroupMap.from_letters(1, 5),
-    "fox row short exponents": lambda: abelian_fox_row(FreeWord(2, (1, 2)), (1,)),
-    "fox row int exponents": lambda: abelian_fox_row(FreeWord(1, (1,)), 1),
 }
 
 # Entry points that take a library object: a wrong-typed argument is a
@@ -162,12 +156,17 @@ ENTRY_PROBES = {
         spin(catalog_knot("trefoil_R")), curated_payload("g2_a1"), "x"),
     "two-knot group string": lambda: two_knot_group("x"),
     "halving string": lambda: halving_family("x", [0]),
+    "halving None slopes": lambda: halving_family(spin(catalog_knot("trefoil_R")), None),
+    "halving int slopes": lambda: halving_family(spin(catalog_knot("trefoil_R")), 5),
+    "halving float slope": lambda: halving_family(spin(catalog_knot("trefoil_R")), [1.0]),
+    "halving int groups": lambda: halving_family(spin(catalog_knot("trefoil_R")), [0], 5),
+    "halving int group name": lambda: halving_family(spin(catalog_knot("trefoil_R")), [0],
+                                                     ("S3", 5)),
     "plan string source": lambda: torus_surgery_plan("x", catalog_knot("trefoil_R")),
     "plan string target": lambda: torus_surgery_plan(catalog_knot("trefoil_R"), "x"),
     "homotopy ribbon string": lambda: is_homotopy_ribbon("x"),
     "execute string two-knot": lambda: execute_plan("x", SurgeryPlan(1, 1, ())),
     "execute string plan": lambda: execute_plan(spin(catalog_knot("trefoil_R")), "x"),
-    "fox row string word": lambda: abelian_fox_row("x", (1,)),
     "laurent det string grid": lambda: laurent_det("x"),
     "laurent det flat grid": lambda: laurent_det([T]),
     "laurent det int entry": lambda: laurent_det([[1]]),
@@ -286,9 +285,13 @@ def test_integer_inputs_still_build():
 
 
 # The values every required positional parameter of every exported callable
-# is drawn from: wrong types, a bool and a float where integers go, and two
-# library objects.  No large integers, so no call does real work at scale.
-SWEEP_POOL = (None, "x", 1.5, True, [1], IntMatrix.identity(2), catalog_knot("trefoil_R"))
+# is drawn from: wrong types, a bool and a float where integers go, and
+# library objects: a matrix, a knot, a 2-knot, a disk and a curve, so that
+# the second and later arguments of the entry points that take those are
+# swept too.  No large integers, so no call does real work at scale.
+SWEEP_POOL = (None, "x", 1.5, True, [1], IntMatrix.identity(2), catalog_knot("trefoil_R"),
+              spin(catalog_knot("trefoil_R")), half_spin(catalog_knot("trefoil_R")),
+              curated_payload("square_knot_stallings_c1"))
 
 
 def _exported_callables():

@@ -9,8 +9,8 @@ from fibcalc import invariants
 from fibcalc.errors import (AbelianizationError, BudgetExceededError, CatalogError,
                             MalformedInputError)
 from fibcalc.fibered import catalog_knot, connected_sum, knot_group
-from fibcalc.invariants import (DEFAULT_HOM_BUDGET, FiniteGroupTable, GroupRingElement,
-                                _completed_search, _relator_key, abelian_fox_row,
+from fibcalc.invariants import (HOM_NODE_BUDGET, FiniteGroupTable, GroupRingElement,
+                                _completed_search, _relator_key,
                                 alexander_from_presentation, count_homs,
                                 finite_group, fox_derivative, fox_matrix,
                                 group_catalog_names, h1, infinite_cyclic_exponents)
@@ -22,13 +22,14 @@ from fibcalc.ribbon_disk import exterior_presentation, half_spin
 from fibcalc.two_knot import double_disk, halving_family, spin, two_knot_group
 from fibcalc.words import (FreeGroupMap, FreeWord, abelianize, compose, handlebody_names,
                            surface_names)
-from oracles import alexander_by_grid, smith_elimination, trefoil_two_bridge_presentation
+from oracles import (alexander_by_grid, fox_row, smith_elimination,
+                     trefoil_two_bridge_presentation)
 
 
 def ring_to_laurent(element, exponents):
     """Abelianize a group-ring element: each word becomes t^(e . its exponent
-    vector).  The oracle of `abelian_fox_row`, which abelianizes every Fox
-    derivative of a word in one pass."""
+    vector).  The oracle of `fox_row`, the `_fox_columns` pass that
+    abelianizes every Fox derivative of a word at once."""
     acc = {}
     for word, coeff in element.coeffs.items():
         e = sum(x * v for x, v in zip(exponents, word.exponent_vector()))
@@ -73,9 +74,9 @@ def test_fox_fundamental_identity(seq):
 
 @given(letters(3, max_len=30), st.tuples(*[st.integers(-3, 3)] * 3))
 @settings(max_examples=150)
-def test_abelian_fox_row_matches_fox_derivative(seq, exponents):
+def test_fox_row_matches_fox_derivative(seq, exponents):
     w = FreeWord(3, tuple(seq))
-    assert abelian_fox_row(w, exponents) == \
+    assert fox_row(w, exponents) == \
         [ring_to_laurent(fox_derivative(w, j), exponents) for j in (1, 2, 3)]
 
 
@@ -307,10 +308,10 @@ def test_count_homs_cross_presentation_all_catalog_groups():
         assert count_homs(hnn, g) == count_homs(bridge, g)
 
 
-def test_count_homs_budget():
+def test_search_budget():
     p = knot_group(catalog_knot("square_knot"))  # 5 generators, 475 search nodes
     with pytest.raises(BudgetExceededError):
-        count_homs(p, finite_group("S4"), budget=400)
+        _completed_search(_relator_key(p), finite_group("S4"), 400)
 
 
 def test_count_homs_random_small_presentations():
@@ -349,7 +350,7 @@ def test_abelian_route_equals_search_route():
             g = finite_group(f"Z{k}")
             assert g.is_abelian
             assert count_homs(p, g) == _completed_search(_relator_key(p), g,
-                                                         DEFAULT_HOM_BUDGET), (p, k)
+                                                         HOM_NODE_BUDGET), (p, k)
 
 
 def test_search_matches_brute_force_on_genus_one_report_presentations():
@@ -359,7 +360,7 @@ def test_search_matches_brute_force_on_genus_one_report_presentations():
         for p in (knot_group(knot), two_knot_group(spin(knot)), exterior_presentation(disk)):
             for group_name in ("S3", "D4", "A4"):
                 g = finite_group(group_name)
-                assert (_completed_search(_relator_key(p), g, DEFAULT_HOM_BUDGET)
+                assert (_completed_search(_relator_key(p), g, HOM_NODE_BUDGET)
                         == brute_force_count(p, g))
 
 
@@ -388,7 +389,7 @@ def test_search_edge_cases_match_brute_force(presentation, group_name):
     g = finite_group(group_name)
     expected = brute_force_count(presentation, g)
     assert count_homs(presentation, g) == expected
-    assert _completed_search(_relator_key(presentation), g, DEFAULT_HOM_BUDGET) == expected
+    assert _completed_search(_relator_key(presentation), g, HOM_NODE_BUDGET) == expected
 
 
 # The largest rank per group that keeps the brute-force oracle fast.
@@ -408,7 +409,7 @@ def test_search_matches_brute_force_on_random_presentations(data):
     g = finite_group(group_name)
     expected = brute_force_count(p, g)
     assert count_homs(p, g) == expected
-    assert _completed_search(_relator_key(p), g, DEFAULT_HOM_BUDGET) == expected
+    assert _completed_search(_relator_key(p), g, HOM_NODE_BUDGET) == expected
 
 
 def _spun_sum(*names):
@@ -451,20 +452,19 @@ def test_halving_family_genus_3_with_default_groups():
 
 
 def test_budget_error_reports_nodes_visited():
-    p = knot_group(catalog_knot("trefoil_R"))  # 91 search nodes into S4
+    key = _relator_key(knot_group(catalog_knot("trefoil_R")))  # 91 search nodes into S4
     with pytest.raises(BudgetExceededError, match="visited 11 nodes, over the budget 10"):
-        count_homs(p, finite_group("S4"), budget=10)
-    assert count_homs(p, finite_group("S4"), budget=91) == 96
+        _completed_search(key, finite_group("S4"), 10)
+    assert _completed_search(key, finite_group("S4"), 91) == 96
     with pytest.raises(BudgetExceededError):
-        count_homs(p, finite_group("S4"), budget=90)
+        _completed_search(key, finite_group("S4"), 90)
 
 
-# The Smith form, the search plan and completed counts are cached per
-# relator set, so the names of the generators other than "t" do not matter.
+# The Smith form and completed counts are cached per relator set, so the
+# names of the generators other than "t" do not matter.
 def _clear_presentation_caches():
-    for cache in (invariants._smith_form, invariants._search_plan,
-                  invariants._completed_search, invariants._crossed_count,
-                  invariants._twisted_diagonals):
+    for cache in (invariants._smith_form, invariants._completed_search,
+                  invariants._crossed_count, invariants._twisted_diagonals):
         cache.cache_clear()
 
 
@@ -504,11 +504,12 @@ def test_cached_count_keeps_the_budget_contract():
     p = knot_group(catalog_knot("square_knot"))  # 475 search nodes into S4
     assert count_homs(p, finite_group("S4")) == 432
     with pytest.raises(BudgetExceededError, match="over the budget 100"):
-        count_homs(p, finite_group("S4"), budget=100)
+        _completed_search(_relator_key(p), finite_group("S4"), 100)
+    renamed = hnn_presentation(catalog_knot("square_knot").monodromy.pi1_action,
+                               handlebody_names(4))
     with pytest.raises(BudgetExceededError):
-        count_homs(hnn_presentation(catalog_knot("square_knot").monodromy.pi1_action,
-                                    handlebody_names(4)), finite_group("S4"), budget=100)
-    assert count_homs(p, finite_group("S4"), budget=950) == 432
+        _completed_search(_relator_key(renamed), finite_group("S4"), 100)
+    assert _completed_search(_relator_key(p), finite_group("S4"), 950) == 432
 
 
 def test_meridian_position_is_part_of_the_key():
@@ -519,7 +520,6 @@ def test_meridian_position_is_part_of_the_key():
     g = finite_group("S4")
     assert count_homs(t_first, g) == brute_force_count(t_first, g)
     assert count_homs(t_second, g) == brute_force_count(t_second, g)
-    assert invariants._search_plan.cache_info().misses == 2
     assert invariants._completed_search.cache_info().misses == 2
     key_first, key_second = (invariants._relator_key(p) for p in (t_first, t_second))
     assert invariants._search_plan(key_first)[0][0] == 0

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fibcalc import invariants
 from fibcalc.fibered import catalog_knot, connected_sum, knot_group, stallings_twist
-from fibcalc.invariants import (DEFAULT_HOM_BUDGET, FiniteGroupTable, _completed_search,
+from fibcalc.invariants import (HOM_NODE_BUDGET, FiniteGroupTable, _completed_search,
                                 _perm_group, _relator_key, count_homs, finite_group, h1)
 from fibcalc.mcg import curated_payload
 from fibcalc.ribbon_disk import disk_twist, exterior_presentation, half_spin
@@ -24,7 +24,7 @@ _ORACLE_RANK = {"S3": 4, "D4": 3, "A4": 3}
 
 
 def _search(p, group):
-    return _completed_search(_relator_key(p), group, DEFAULT_HOM_BUDGET)
+    return _completed_search(_relator_key(p), group, HOM_NODE_BUDGET)
 
 
 def test_split_is_read_off_the_table():

@@ -465,3 +465,22 @@ def test_stallings_twist_of_a_huge_count_is_over_budget(monkeypatch):
     curve = curated_payload("square_knot_stallings_c1")
     with pytest.raises(BudgetExceededError, match=r"would write \d+ letters"):
         stallings_twist(catalog_knot("square_knot"), curve, 10**12)
+
+
+def test_word_power_is_refused_over_the_letter_budget(monkeypatch):
+    """`** 10**12` once ended in a raw MemoryError and `** 10**30` in a raw
+    OverflowError; the power is refused before any letter is written."""
+    x = FreeWord(1, (1,))
+    for n in (10**12, 10**30, -10**30):
+        with pytest.raises(BudgetExceededError, match="word power would write"):
+            x ** n
+    monkeypatch.setattr(words, "POWER_LETTER_BUDGET", 30)
+    w = FreeWord(2, (1, 2, -1))  # its powers cancel to 2 + |n| letters
+    assert w ** 10 == FreeWord(2, (1,) + (2,) * 10 + (-1,))
+    assert w ** -10 == FreeWord(2, (1,) + (-2,) * 10 + (-1,))
+    with pytest.raises(BudgetExceededError, match="would write 33 letters.* budget of 30"):
+        w ** 11
+    with pytest.raises(BudgetExceededError, match="would write 33 letters"):
+        w ** -11
+    assert FreeWord(2, ()) ** 10**30 == FreeWord(2, ())
+    assert w ** 0 == FreeWord(2, ())
