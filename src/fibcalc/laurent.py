@@ -17,7 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import MalformedInputError, _check_int, _check_type, _unchecked
+from .errors import (BudgetExceededError, MalformedInputError, _check_int, _check_type,
+                     _unchecked)
+
+# The bound on terms x bits per coefficient of a power's result, as `**`
+# estimates it: (1 + t)^2047, 2048 terms of up to 2048 bits, is at the bound.
+POWER_BIT_BUDGET = 2**22
 
 
 @dataclass(frozen=True)
@@ -110,16 +115,29 @@ class LaurentPoly:
         return _unchecked(LaurentPoly, tuple((e + k, c) for e, c in self.terms))
 
     def __pow__(self, n: int) -> "LaurentPoly":
+        """By repeated squaring, refused with BudgetExceededError before any
+        product when the result could pass POWER_BIT_BUDGET: p^n has at most
+        n * span + 1 terms, and as the sum of absolute coefficients is
+        submultiplicative, each coefficient has at most n * ceil(log2 of that
+        sum) + 1 bits."""
         _check_int(n, "exponent")
         if n < 0:
             raise MalformedInputError("negative power of a Laurent polynomial")
+        if self.terms:
+            terms = n * (self.terms[-1][0] - self.terms[0][0]) + 1
+            bits = n * (sum(abs(c) for _, c in self.terms) - 1).bit_length() + 1
+            if terms * bits > POWER_BIT_BUDGET:
+                raise BudgetExceededError(
+                    f"power would have up to {terms} terms of up to {bits} bits, "
+                    f"more than the budget of {POWER_BIT_BUDGET} bits")
         out = LaurentPoly.one()
         base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def reverse(self) -> "LaurentPoly":

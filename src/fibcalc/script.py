@@ -5,7 +5,7 @@ Grammar (one statement per line, `#` starts a comment):
 
     [NAME =] verb arg1 arg2 ...
 
-The verbs, their arguments and what they do are in `_verb_table`.
+The verbs, their arguments and what they do are in `_SIGNATURES`.
 """
 
 from __future__ import annotations
@@ -17,19 +17,17 @@ from typing import Any
 
 from . import serialize
 from .errors import (FibcalcError, ScriptError, _check_int, _check_optional_str,
-                     _check_sequence, _check_type)
-from .fibered import (FiberedKnot, alexander_poly, catalog_knot, connected_sum, knot_group,
-                      stallings_twist)
+                     _check_sequence, _check_type, _unchecked)
+from .fibered import FiberedKnot, catalog_knot, connected_sum, stallings_twist
 from .invariants import count_homs, finite_group, h1
 from .laurent import normalize_alexander
-from .matrices import char_poly
+from .matrices import IntMatrix, char_poly
 from .mcg import CurveSpec, SurfaceMonodromy, curated_payload
-from .presentation import GroupPresentation
-from .ribbon_disk import (FiberedDisk, disk_twist, exterior_presentation, half_spin,
-                          is_homotopy_ribbon)
+from .presentation import GroupPresentation, hnn_presentation
+from .ribbon_disk import FiberedDisk, disk_twist, half_spin, is_homotopy_ribbon
 from .two_knot import (FiberedTwoKnot, SurgeryPlan, double_disk, gluck, spin,
-                       torus_surgery_plan, torus_twist, two_knot_group)
-from .words import abelianize
+                       torus_surgery_plan, torus_twist)
+from .words import FreeGroupMap, abelianize, handlebody_names
 
 REPORT_GROUPS = ("Z2", "Z3", "Z5", "S3", "D4")
 
@@ -69,12 +67,20 @@ class SurgeryScript:
         return "\n".join(s.text() for s in self.statements) + ("\n" if self.statements else "")
 
 
+_TOKEN = re.compile(r"\S+")
+_INTEGER = re.compile(r"[+-]?\d+")
+
+
 def parse_script(source: str) -> SurgeryScript:
+    """The statements of `source`, each checked against the verb signatures.
+    Tokens are strings, targets identifiers and line numbers ints by
+    construction, so the statements are built without the constructors'
+    checks, which `execute` still relies on for hand-built ones."""
     _check_type(source, str, "script source")
     statements = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        tokens = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
+        tokens = [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(line)]
         if not tokens:
             continue
         target = None
@@ -90,8 +96,8 @@ def parse_script(source: str) -> SurgeryScript:
         problem = _signature_problem(verb, args)
         if problem is not None:
             raise ScriptError(problem[1], lineno, tokens[problem[0]][1])
-        statements.append(Statement(verb, args, target, lineno))
-    return SurgeryScript(tuple(statements))
+        statements.append(_unchecked(Statement, verb, args, target, lineno))
+    return _unchecked(SurgeryScript, tuple(statements))
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,7 @@ class InvariantReport:
 
     def to_jsonable(self) -> dict:
         """Every field, with tuples as lists and the hom counts as a dict."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = {name: getattr(self, name) for name in _REPORT_FIELDS}
         for name, value in out.items():
             if type(value) is tuple:
                 out[name] = list(value)
@@ -127,6 +133,8 @@ class InvariantReport:
                 lines += (f"  {title}: {v}" for v in values(value))
         return "\n".join(lines)
 
+
+_REPORT_FIELDS = tuple(f.name for f in fields(InvariantReport))
 
 # The text form of a report after its heading, as (field, title, values) in
 # print order: a field that is None prints nothing, else one line "  title: v"
@@ -161,40 +169,67 @@ def _presentation_invariants(pres: GroupPresentation):
     return diag, counts
 
 
+def _alexander(action: IntMatrix) -> tuple[int, ...]:
+    return tuple(normalize_alexander(char_poly(action)).dense_coeffs())
+
+
+def _fiber_row(rows: dict, f: FreeGroupMap) -> tuple:
+    """(Alexander coefficients, H1 diagonal, REPORT_GROUPS hom counts) of the
+    mapping torus of the fiber map `f`, from `rows` or computed and stored
+    there.  All three are invariants of the HNN extension by f and of its
+    abelianization, which f alone determines: a knot, its spin, the spin's
+    Gluck twist, its half-spin disk, that disk's disk twists and their
+    doubles all have the one row of their shared f.  Generator names only
+    label the presentation, so the handlebody names serve every object."""
+    row = rows.get(f)
+    if row is None:
+        presentation = hnn_presentation(f, handlebody_names(f.rank))
+        rows[f] = row = (_alexander(abelianize(f)), *_presentation_invariants(presentation))
+    return row
+
+
 def build_report(obj: Any) -> InvariantReport:
+    """The invariant report of a knot, disk, 2-knot, curve or surgery plan,
+    computed afresh on every call; `execute` computes the rows it shares
+    with other reports of the same run once (see `_fiber_row`)."""
+    return _report(obj, {})
+
+
+def _report(obj: Any, rows: dict) -> InvariantReport:
+    """`build_report`, with the fiber rows of knots, disks and 2-knots read
+    from and added to `rows` (see `_fiber_row`)."""
     if isinstance(obj, FiberedKnot):
-        diag = counts = None
-        if obj.monodromy.pi1_action is not None:
-            diag, counts = _presentation_invariants(knot_group(obj))
-        alex = alexander_poly(obj)
+        f = obj.monodromy.pi1_action
+        if f is None:
+            alex, diag, counts = _alexander(obj.monodromy.action), None, None
+        else:  # its abelianization is the action, as SurfaceMonodromy checks
+            alex, diag, counts = _fiber_row(rows, f)
         notes = ()
-        if abs(alex.evaluate(1)) != 1:
-            notes = (f"warning: |alexander(1)| = {abs(alex.evaluate(1))}, "
+        if abs(sum(alex)) != 1:
+            notes = (f"warning: |alexander(1)| = {abs(sum(alex))}, "
                      "expected 1 for a fibered knot in a homology sphere",)
         return InvariantReport(
             kind="fibered_knot", label=obj.label, genus_or_rank=obj.genus,
-            alexander=tuple(alex.dense_coeffs()),
-            h1_diagonal=diag, hom_counts=counts, ambient=str(obj.ambient),
+            alexander=alex, h1_diagonal=diag, hom_counts=counts, ambient=str(obj.ambient),
             provenance=_twist_word_note(obj.monodromy.provenance), notes=notes)
     if isinstance(obj, FiberedDisk):
-        alex = normalize_alexander(char_poly(abelianize(obj.monodromy.pi1_action)))
-        diag = counts = None
-        notes = ()
+        f = obj.monodromy.pi1_action
         if obj.fiber.is_handlebody:
-            diag, counts = _presentation_invariants(exterior_presentation(obj))
+            alex, diag, counts = _fiber_row(rows, f)
+            notes = ()
         else:
+            alex, diag, counts = _alexander(abelianize(f)), None, None
             notes = (f"fiber carries summand {obj.fiber.summand_label!r}",)
         return InvariantReport(
             kind="fibered_disk", label=obj.label, genus_or_rank=obj.monodromy.genus,
-            alexander=tuple(alex.dense_coeffs()), h1_diagonal=diag, hom_counts=counts,
+            alexander=alex, h1_diagonal=diag, hom_counts=counts,
             ambient=str(obj.ambient), is_homotopy_ribbon=is_homotopy_ribbon(obj),
             provenance=_twist_word_note(obj.twist_history), notes=notes)
     if isinstance(obj, FiberedTwoKnot):
-        alex = normalize_alexander(char_poly(abelianize(obj.monodromy_pi1)))
-        diag, counts = _presentation_invariants(two_knot_group(obj))
+        alex, diag, counts = _fiber_row(rows, obj.monodromy_pi1)
         return InvariantReport(
             kind="fibered_two_knot", label=obj.label, genus_or_rank=obj.fiber_rank,
-            alexander=tuple(alex.dense_coeffs()), h1_diagonal=diag, hom_counts=counts,
+            alexander=alex, h1_diagonal=diag, hom_counts=counts,
             ambient=str(obj.ambient), gluck_parity=obj.gluck_parity,
             provenance=obj.provenance)
     if isinstance(obj, CurveSpec):
@@ -219,36 +254,43 @@ def _load(name: str):
     return catalog_knot(name) if isinstance(entry, SurfaceMonodromy) else entry
 
 
-def _verb_table(report=None) -> dict:
-    """verb -> (function, argument types): a bound object's type, `str` for a
-    catalog name or `int` for an integer literal.  Built per call, so that a
-    module function replaced at run time is the one called."""
-    return {
-        "load": (_load, (str,)),  # bind a catalog knot or curve
-        "spin": (spin, (FiberedKnot,)),  # spin a fibered knot
-        "halfspin": (half_spin, (FiberedKnot,)),  # the ribbon disk for K # -K
-        "double": (double_disk, (FiberedDisk, int)),  # double with 2-handle framing k
-        "disktwist": (disk_twist, (FiberedDisk, CurveSpec, int)),  # along a disk boundary
-        "stallingstwist": (stallings_twist, (FiberedKnot, CurveSpec, int)),  # twist m times
-        "glucktwist": (gluck, (FiberedTwoKnot,)),  # Gluck twist a 2-knot
-        "torustwist": (torus_twist, (FiberedTwoKnot, CurveSpec)),  # on a spun 2-knot
-        "connectsum": (connected_sum, (FiberedKnot, FiberedKnot)),  # K1 # K2
-        "plan": (torus_surgery_plan, (FiberedKnot, FiberedKnot)),  # between the spins
-        "report": (report, (object,)),  # emit the invariant report of an object
-    }
+# verb -> argument types: a bound object's type, `str` for a catalog name or
+# `int` for an integer literal.
+_SIGNATURES = {
+    "load": (str,),  # bind a catalog knot or curve
+    "spin": (FiberedKnot,),  # spin a fibered knot
+    "halfspin": (FiberedKnot,),  # the ribbon disk for K # -K
+    "double": (FiberedDisk, int),  # double with 2-handle framing k
+    "disktwist": (FiberedDisk, CurveSpec, int),  # along a disk boundary
+    "stallingstwist": (FiberedKnot, CurveSpec, int),  # twist m times
+    "glucktwist": (FiberedTwoKnot,),  # Gluck twist a 2-knot
+    "torustwist": (FiberedTwoKnot, CurveSpec),  # on a spun 2-knot
+    "connectsum": (FiberedKnot, FiberedKnot),  # K1 # K2
+    "plan": (FiberedKnot, FiberedKnot),  # torus surgeries between the spins
+    "report": (object,),  # emit the invariant report of an object
+}
+
+
+def _verb_table(report) -> dict:
+    """verb -> the function it calls.  Built per call (once per `execute`),
+    so that a module function replaced at run time is the one called; the
+    argument types do not change and are the module's `_SIGNATURES`."""
+    return {"load": _load, "spin": spin, "halfspin": half_spin, "double": double_disk,
+            "disktwist": disk_twist, "stallingstwist": stallings_twist, "glucktwist": gluck,
+            "torustwist": torus_twist, "connectsum": connected_sum,
+            "plan": torus_surgery_plan, "report": report}
 
 
 def _signature_problem(verb: str, args: tuple[str, ...]):
     """(index of the token at fault, 0 for the verb, and a message) if `verb
-    args` does not fit the verb table; None if it does."""
-    table = _verb_table()
-    if verb not in table:
+    args` does not fit `_SIGNATURES`; None if it does."""
+    types = _SIGNATURES.get(verb)
+    if types is None:
         return 0, f"unknown verb {verb!r}"
-    types = table[verb][1]
     if len(args) != len(types):
         return 0, f"verb {verb!r} takes {len(types)} argument(s), got {len(args)}"
     for pos, (text, typ) in enumerate(zip(args, types), start=1):
-        if typ is int and not re.fullmatch(r"[+-]?\d+", text):
+        if typ is int and not _INTEGER.fullmatch(text):
             return pos, f"argument {pos} of {verb!r} must be an integer"
 
 
@@ -268,15 +310,21 @@ def _argument(text: str, typ: type, env: dict):
 def execute(script: "SurgeryScript | str") -> list[InvariantReport]:
     """Run a script; reports are emitted in statement order.  The first
     failing statement aborts with a ScriptError carrying its index (reports
-    produced so far are attached to the error as `.reports`)."""
+    produced so far are attached to the error as `.reports`).
+
+    Each report equals `build_report` of its object, but the fiber rows
+    (`_fiber_row`) are kept for the whole run, so the invariants of each
+    distinct fiber map are computed once per call, however many of the
+    objects built from it are reported."""
     if isinstance(script, str):
         script = parse_script(script)
     _check_type(script, SurgeryScript, "script")
     env: dict[str, Any] = {}
     reports: list[InvariantReport] = []
+    rows: dict[FreeGroupMap, tuple] = {}
 
     def report(obj):
-        reports.append(build_report(obj))
+        reports.append(_report(obj, rows))
         return obj
 
     table = _verb_table(report)
@@ -285,7 +333,7 @@ def execute(script: "SurgeryScript | str") -> list[InvariantReport]:
             problem = _signature_problem(stmt.verb, stmt.args)
             if problem is not None:
                 raise ScriptError(problem[1])
-            function, types = table[stmt.verb]
+            function, types = table[stmt.verb], _SIGNATURES[stmt.verb]
             args = [_argument(text, typ, env) for text, typ in zip(stmt.args, types)]
             result = function(*args)
             if stmt.target is not None:

@@ -1,7 +1,10 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fibcalc.errors import MalformedInputError
+from fibcalc import laurent
+from fibcalc.errors import BudgetExceededError, MalformedInputError
 from fibcalc.laurent import LaurentPoly, laurent_gcd, normalize_alexander
 from fibcalc.matrices import laurent_det
 
@@ -23,6 +26,55 @@ def test_arithmetic():
     assert p + q == poly({1: 2})
     assert p - p == LaurentPoly.zero()
     assert p**3 == poly({0: 1, 1: 3, 2: 3, 3: 1})
+
+
+def test_power_of_one_plus_t_is_binomial():
+    for n in range(13):
+        assert poly({0: 1, 1: 1}) ** n == poly({k: comb(n, k) for k in range(n + 1)})
+    assert poly({-2: 1, 0: -1}) ** 3 == poly({-6: 1, -4: -3, -2: 3, 0: -1})
+
+
+def test_power_over_the_bit_budget_is_refused_before_any_product(monkeypatch):
+    """`(1 + t) ** 10**12` once ran until killed; now it is refused at once,
+    as is a constant whose coefficient would pass the budget, while a
+    monomial power, one term of one bit, still runs."""
+    assert laurent.POWER_BIT_BUDGET == 2**22
+
+    def refuse(self, other):
+        raise AssertionError("a product was computed")
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+    with pytest.raises(BudgetExceededError, match="up to 1000000000001 terms of up to "
+                                                  "1000000000001 bits"):
+        poly({0: 1, 1: 1}) ** 10**12
+    with pytest.raises(BudgetExceededError, match="up to 1 terms of up to 1000000000001 bits"):
+        LaurentPoly.const(2) ** 10**12
+    monkeypatch.undo()
+    assert LaurentPoly.t(-1) ** 10**12 == LaurentPoly.t(-10**12)
+    assert LaurentPoly.zero() ** 10**12 == LaurentPoly.zero()
+
+
+def test_power_budget_bounds_terms_times_bits(monkeypatch):
+    # (1 + t)^n: n + 1 terms of at most n + 1 bits
+    monkeypatch.setattr(laurent, "POWER_BIT_BUDGET", 36)
+    assert poly({0: 1, 1: 1}) ** 5 == poly({0: 1, 1: 5, 2: 10, 3: 10, 4: 5, 5: 1})
+    with pytest.raises(BudgetExceededError, match="7 terms of up to 7 bits.* budget of 36"):
+        poly({0: 1, 1: 1}) ** 6
+
+
+def test_power_squares_no_further_than_the_top_bit(monkeypatch):
+    """p^8 takes three squarings and one product into the result, where the
+    loop once squared a fourth time after the last bit."""
+    products = []
+    multiply = LaurentPoly.__mul__
+
+    def counting(self, other):
+        products.append(self)
+        return multiply(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    assert poly({0: 1, 1: 1}) ** 8 == poly({k: comb(8, k) for k in range(9)})
+    assert len(products) == 4
 
 
 def test_evaluate():

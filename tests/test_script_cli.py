@@ -4,6 +4,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -12,13 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fibcalc
-from fibcalc import cli, serialize, words
+from fibcalc import cli, script, serialize, words
 from fibcalc.cli import main
 from fibcalc.errors import ScriptError
 from fibcalc.fibered import catalog_knot, connected_sum
 from fibcalc.mcg import CurveSpec, catalog_names, curated_payload
 from fibcalc.ribbon_disk import disk_twist, half_spin
-from fibcalc.script import build_report, execute, parse_script, reports_to_json
+from fibcalc.script import (Statement, SurgeryScript, build_report, execute, parse_script,
+                            reports_to_json)
 from fibcalc.two_knot import spin
 
 
@@ -529,3 +532,132 @@ def test_random_well_typed_scripts_exit_cleanly(source):
         json.loads(out.getvalue())
     else:
         assert code == 1 and err.getvalue().startswith("error: "), (source, err.getvalue())
+
+
+def _bound_names(source: str) -> list[str]:
+    return [line.split(" = ")[0] for line in source.splitlines() if " = " in line]
+
+
+def _reported_objects(source: str):
+    """The reports of one run of `source`, up to a failing statement, and
+    the objects they were made of."""
+    objects = []
+    report = script._report
+
+    def recording(obj, rows):
+        out = report(obj, rows)
+        objects.append(obj)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(script, "_report", recording)
+        try:
+            reports = execute(source)
+        except ScriptError as exc:
+            reports = exc.reports
+    return reports, objects
+
+
+@given(_fuzz_scripts())
+@settings(max_examples=40, deadline=None)
+def test_run_reports_equal_separate_reports(source):
+    """With every bound name reported at the end, the reports of one run
+    equal, to the byte, `build_report` of each object on its own."""
+    source += "".join(f"report {name}\n" for name in _bound_names(source))
+    reports, objects = _reported_objects(source)
+    assert len(reports) == len(objects)
+    separate = [build_report(obj) for obj in objects]
+    assert reports == separate
+    assert reports_to_json(reports) == reports_to_json(separate)
+
+
+SHARED_MAP_SCRIPT = """
+K = load trefoil_L
+report K
+S = spin K
+report S
+G = glucktwist S
+report G
+D = halfspin K
+report D
+E = load square_knot_stallings_c2
+D1 = disktwist D E 5
+report D1
+W = double D1 1
+report W
+"""
+
+
+def test_run_computes_a_shared_fiber_maps_invariants_once(monkeypatch):
+    """A knot, its spin, the Gluck twist, its half-spin disk, a disk twist
+    of that disk and its double have one fiber map, so one run computes its
+    Alexander polynomial, presentation and presentation invariants once."""
+    calls = {}
+    for name in ("char_poly", "hnn_presentation", "_presentation_invariants"):
+        def counting(*args, _name=name, _function=getattr(script, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _function(*args)
+        monkeypatch.setattr(script, name, counting)
+    reports = execute(SHARED_MAP_SCRIPT)
+    assert calls == {"char_poly": 1, "hnn_presentation": 1, "_presentation_invariants": 1}
+    assert [r.kind for r in reports] == ["fibered_knot"] + ["fibered_two_knot"] * 2 + \
+        ["fibered_disk"] * 2 + ["fibered_two_knot"]
+    assert len({(r.alexander, r.h1_diagonal, r.hom_counts) for r in reports}) == 1
+    monkeypatch.undo()
+    assert reports == [build_report(obj) for obj in _reported_objects(SHARED_MAP_SCRIPT)[1]]
+
+
+def test_separate_runs_do_not_share_rows(monkeypatch):
+    """The rows live for one `execute` call: a second run computes again."""
+    execute("K = load figure8\nreport K\n")
+    counted = []
+    char_poly = script.char_poly
+    monkeypatch.setattr(script, "char_poly", lambda a: counted.append(a) or char_poly(a))
+    execute("K = load figure8\nreport K\nS = spin K\nreport S\n")
+    assert len(counted) == 1
+
+
+def _statements_by_constructor(source: str) -> SurgeryScript:
+    """The statements of `source`, split by hand and built through the
+    checked constructors, with the arguments passed as lists."""
+    statements = []
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        target = None
+        if tokens[1:2] == ["="]:
+            target, tokens = tokens[0], tokens[2:]
+        statements.append(Statement(tokens[0], list(tokens[1:]), target, lineno))
+    return SurgeryScript(statements)
+
+
+def _assert_same_statements(source: str):
+    parsed, built = parse_script(source), _statements_by_constructor(source)
+    assert type(parsed.statements) is tuple and parsed == built
+    for mine, theirs in zip(parsed.statements, built.statements, strict=True):
+        for name in ("verb", "args", "target", "line"):
+            assert getattr(mine, name) == getattr(theirs, name)
+            assert type(getattr(mine, name)) is type(getattr(theirs, name)), name
+        assert all(type(arg) is str for arg in mine.args)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCRIPTS))
+def test_parsed_statements_equal_checked_statements(name):
+    _assert_same_statements(GOLDEN_SCRIPTS[name])
+    _assert_same_statements("# a comment\n\nK = load unknot  # trailing\nreport K\n")
+
+
+@given(_fuzz_scripts())
+@settings(max_examples=40, deadline=None)
+def test_parsed_fuzz_statements_equal_checked_statements(source):
+    _assert_same_statements(source)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(fibcalc.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "fibcalc", "catalog"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "trefoil_R" in done.stdout and done.stderr == ""
