@@ -10,7 +10,7 @@ from . import serialize
 from .errors import FibcalcError, ScriptError
 from .invariants import group_catalog_names
 from .mcg import CurveSpec, catalog_names, curated_payload
-from .script import build_report, execute, parse_script, reports_to_json
+from .script import build_report, execute, reports_to_json
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -36,18 +36,10 @@ def _read(path: str) -> str:
 
 def _cmd_run(args) -> int:
     try:
-        source = _read(args.script)
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        script = parse_script(source)
-        reports = execute(script)
-    except ScriptError as exc:
-        _emit(getattr(exc, "reports", []), args.json)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FibcalcError as exc:
+        reports = execute(_read(args.script))
+    except (OSError, UnicodeDecodeError, FibcalcError) as exc:
+        if isinstance(exc, ScriptError):  # with the reports made before it failed
+            _emit(getattr(exc, "reports", []), args.json)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(reports, args.json)
@@ -108,7 +100,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        print("error: output closed before it was all written", file=sys.stderr)
+        sys.stdout = None  # the exit would flush what is left into the closed pipe
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -129,9 +129,9 @@ def _fox_columns(letters: tuple[int, ...], exponents: tuple[int, ...]) -> list[d
 
 def infinite_cyclic_exponents(presentation: GroupPresentation) -> tuple[int, ...]:
     """Exponents e_i with generator_i -> t^(e_i) inducing H1 ~ Z, if H1 is Z:
-    the one row of U in the Smith form that `_smith_form` caches."""
+    the one row of U in the presentation's H1 Smith form (`_smith_form`)."""
     _check_type(presentation, GroupPresentation, "presentation")
-    factors, rows = _smith_form(_relator_key(presentation))
+    factors, rows = _smith_form(presentation)
     if any(factors):  # the nonzero invariant factors are the torsion orders
         raise AbelianizationError("abelianization has torsion")
     if len(rows) != 1:
@@ -143,42 +143,33 @@ def h1(presentation: GroupPresentation) -> list[int]:
     """Invariant factors of H1 of the presented group: torsion orders followed
     by one 0 per free Z summand; the empty list means the trivial group."""
     _check_type(presentation, GroupPresentation, "presentation")
-    return list(_smith_form(_relator_key(presentation))[0])
+    return list(_smith_form(presentation)[0])
 
 
-def _relator_key(presentation: GroupPresentation) -> tuple:
-    """Everything the Smith form and the hom search read from a presentation:
-    the generator count, the relators' letters, and the position of the
-    meridian "t" (None without one).  Presentations that differ only in the
-    other generator names share it: a knot's group, its spin's group and
-    the Gluck twist's are one HNN extension under different names."""
-    generators = presentation.generators
-    return (len(generators), tuple(rel.letters for rel in presentation.relators),
-            generators.index("t") if "t" in generators else None)
-
-
-# One report asks for H1 and then counts homs into several abelian groups,
-# all from the same Smith form, and a script reports a knot and its spins;
-# a few entries cover that reuse without letting the cache grow with the
-# number of presentations seen.
-@lru_cache(maxsize=8)
-def _smith_form(key: tuple) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _smith_form(presentation: GroupPresentation
+                ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The invariant factors d_i of H1 (torsion orders, then one 0 per free Z
     summand) and, for each, its row U_i of U, from the Smith form U A V = D
     of the generators x relators exponent matrix A; the rows of diagonal
     entry 1, which come first, are the only ones left out.  Row i of U A is
     d_i times row i of V^-1, so Σ y_i U_i kills every relator mod k exactly
     when each y_i d_i is 0 mod k: the free rows span the homomorphisms
-    Z^n -> Z, and with the torsion rows they give every hom H1 -> Z/k."""
-    n, relators, _ = key
-    a = [[0] * len(relators) for _ in range(n)]
-    for k, letters in enumerate(relators):
-        for letter in letters:
-            a[abs(letter) - 1][k] += 1 if letter > 0 else -1
-    d, u, _ = _smith(a, len(relators), False)
-    diag = [d[i][i] for i in range(min(n, len(relators)))]
-    factors = tuple(x for x in diag if x > 1) + (0,) * (n - sum(1 for x in diag if x))
-    return factors, tuple(map(tuple, u[n - len(factors):]))
+    Z^n -> Z, and with the torsion rows they give every hom H1 -> Z/k.
+
+    Computed once per presentation and kept in its memo: H1, the hom counts
+    and the Alexander polynomial's exponents all read it."""
+    memo = presentation._memo
+    if "smith" not in memo:
+        n, relators = presentation.n_generators, presentation.relators
+        a = [[0] * len(relators) for _ in range(n)]
+        for k, rel in enumerate(relators):
+            for letter in rel.letters:
+                a[abs(letter) - 1][k] += 1 if letter > 0 else -1
+        d, u, _ = _smith(a, len(relators), False)
+        diag = [d[i][i] for i in range(min(n, len(relators)))]
+        factors = tuple(x for x in diag if x > 1) + (0,) * (n - sum(1 for x in diag if x))
+        memo["smith"] = factors, tuple(map(tuple, u[n - len(factors):]))
+    return memo["smith"]
 
 
 def alexander_from_presentation(presentation: GroupPresentation,
@@ -200,10 +191,7 @@ def alexander_from_presentation(presentation: GroupPresentation,
             vec = rel.exponent_vector()
             if sum(e * v for e, v in zip(exps, vec)) != 0:
                 raise MalformedInputError("assignment does not kill all relators")
-        acc = 0
-        for e in exps:
-            acc = gcd(acc, e)
-        if acc != 1:
+        if gcd(*exps) != 1:
             raise MalformedInputError("assignment must map onto the infinite cyclic group")
     if n == 1:
         if presentation.relators:
@@ -470,39 +458,36 @@ def count_homs(presentation: GroupPresentation, group: FiniteGroupTable) -> int:
     """
     _check_type(presentation, GroupPresentation, "presentation")
     _check_type(group, FiniteGroupTable, "group")
-    key = _relator_key(presentation)
     if group.is_abelian:
-        count = 1
-        for d in _smith_form(key)[0]:
-            count *= sum(1 for k in group.element_orders if d % k == 0)
-        return count
+        return prod(sum(1 for k in group.element_orders if d % k == 0)
+                    for d in _smith_form(presentation)[0])
     if group.split is not None:
-        return _crossed_count(key, *group.split)
-    return _completed_search(key, group, HOM_NODE_BUDGET)
+        return _crossed_count(presentation, *group.split)
+    return _completed_search(presentation, group, HOM_NODE_BUDGET)
 
 
-# A report counts into S3 and D4 on a knot, its spin and the spin's Gluck
-# twist, whose groups share one key.
-@lru_cache(maxsize=8)
-def _crossed_count(key: tuple, a: int, k: int, m: tuple[tuple[int, ...], ...]) -> int:
+def _crossed_count(presentation: GroupPresentation, a: int, k: int,
+                   m: tuple[tuple[int, ...], ...]) -> int:
     """The homs into (Z/a)^dim ⋊ Z/k with Z/k acting by M (see `count_homs`)."""
-    count = prod(gcd(d, a) ** len(m) for d in _smith_form(key)[0])  # ψ = 0
+    count = prod(gcd(d, a) ** len(m) for d in _smith_form(presentation)[0])  # ψ = 0
     return count + sum(prod(gcd(x, a) for x in diagonal)
-                       for diagonal in _twisted_diagonals(key, k, m))
+                       for diagonal in _twisted_diagonals(presentation, k, m))
 
 
-# S3 and D4, whose c both act by -1, share these.
-@lru_cache(maxsize=8)
-def _twisted_diagonals(key: tuple, k: int, m: tuple[tuple[int, ...], ...]) -> tuple:
+def _twisted_diagonals(presentation: GroupPresentation, k: int,
+                       m: tuple[tuple[int, ...], ...]) -> tuple:
     """For each hom ψ ≠ 0 to Z/k, a Smith diagonal over Z, padded with zeros
     to n dim entries, of the Fox matrix J_ψ: block (r, j) is the Fox
     derivative of relator r by x_j, from `_fox_columns` with the exponents
     ψ, with t^e evaluated at M^(e mod k).  Over Z/a, |ker J_ψ| is the product
     of gcd(δ, a) over the diagonal.  The homs are ψ = Σ y_i U_i mod k with
-    y_i d_i = 0 mod k (see `_smith_form`)."""
-    n, relators, _ = key
-    dim = len(m)
-    factors, rows = _smith_form(key)
+    y_i d_i = 0 mod k (see `_smith_form`).  Kept in the presentation's memo
+    under (k, M), which S3 and D4, whose c both act by -1, share."""
+    memo = presentation._memo
+    if (k, m) in memo:
+        return memo[k, m]
+    n, dim = presentation.n_generators, len(m)
+    factors, rows = _smith_form(presentation)
     powers = [[[int(i == j) for j in range(dim)] for i in range(dim)]]
     for _ in range(k - 1):
         powers.append([[sum(map(mul, row, column)) for column in zip(*m)] for row in powers[-1]])
@@ -513,16 +498,17 @@ def _twisted_diagonals(key: tuple, k: int, m: tuple[tuple[int, ...], ...]) -> tu
             continue
         psi = [sum(y * row[j] for y, (row, _) in zip(ys, steps)) % k for j in range(n)]
         block = []
-        for letters in relators:
-            columns = _fox_columns(letters, psi)
+        for rel in presentation.relators:
+            columns = _fox_columns(rel.letters, psi)
             block += ([sum(c * powers[e % k][s][t] for e, c in column.items())
                        for column in columns for t in range(dim)] for s in range(dim))
         d = _smith(block, n * dim, False)[0]
         out.append(tuple(d[i][i] if i < len(d) else 0 for i in range(n * dim)))
-    return tuple(out)
+    memo[k, m] = out = tuple(out)
+    return out
 
 
-def _search_plan(key: tuple) -> tuple[tuple, ...]:
+def _search_plan(presentation: GroupPresentation) -> tuple[tuple, ...]:
     """The steps of the hom search, one per generator, in order.
 
     A step is (slot, word, checks).  Generator i has slots 2i (its value)
@@ -530,8 +516,9 @@ def _search_plan(key: tuple) -> tuple[tuple, ...]:
     None for an enumerated step; for a forced step the value is the product
     of `word`.  `checks` are the relators, as words, that the step completes
     and that must multiply out to the identity."""
-    n, relators, first = key
-    relators = [letters for letters in relators if letters]
+    n, generators = presentation.n_generators, presentation.generators
+    first = generators.index("t") if "t" in generators else None
+    relators = [rel.letters for rel in presentation.relators if rel.letters]
     slots = [tuple(2 * abs(x) - 2 + (x < 0) for x in rel) for rel in relators]
     occurrences = [Counter(abs(x) - 1 for x in rel) for rel in relators]
     pending = [len(rel) for rel in relators]  # letters whose generator is unassigned
@@ -568,13 +555,11 @@ def _search_plan(key: tuple) -> tuple[tuple, ...]:
     return tuple(steps)
 
 
-# The counts of completed searches: a repeated count neither plans nor
-# searches again.  The budget is part of the key, so a call with another budget
-# searches again; a search over its budget raises, and lru_cache stores no
-# exception.
-@lru_cache(maxsize=8)
-def _completed_search(key: tuple, group: FiniteGroupTable, budget: int) -> int:
-    steps = _search_plan(key)
+def _completed_search(presentation: GroupPresentation, group: FiniteGroupTable,
+                      budget: int) -> int:
+    """The homs into `group` by the search of `count_homs`, visiting at most
+    `budget` nodes (`count_homs` passes HOM_NODE_BUDGET)."""
+    steps = _search_plan(presentation)
     table, inverses, e = group.table, group.inverses, group.identity
     everything = tuple((value, 1) for value in range(group.order))
     enumerated = iter(k for k, (_, word, _) in enumerate(steps) if word is None)
@@ -582,7 +567,7 @@ def _completed_search(key: tuple, group: FiniteGroupTable, budget: int) -> int:
     orbits = group.orbits
     candidates = [None if word is not None else orbits[e] if k == first else everything
                   for k, (_, word, _) in enumerate(steps)]
-    values = [e] * (2 * key[0])
+    values = [e] * (2 * presentation.n_generators)
     visited = 0
     last = len(steps)
 

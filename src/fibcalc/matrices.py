@@ -20,12 +20,12 @@ to some of the columns, so the product over all rows of max(1, row norm)
 bounds every minor at once; the max keeps a zero row from making it 0.
 
 Smith normal form runs one elimination, `_smith`, for `smith_normal_form`,
-`smith_diagonal`, and the cached H1 Smith form and Fox-route hom counts of
-`invariants`; the last three read no V, so it is not accumulated for them.  It does no work whose result
-nobody reads: U changes only with the rows, so it rides in them; a column
-operation changes only the pivot row of the matrix; and a unit pivot, which
-divides everything, needs no scan for an entry it does not divide.  The
-`_smith` docstring says why each holds.
+`smith_diagonal`, and the H1 Smith form and Fox-route hom counts of
+`invariants`; the last three read no V, so it is not accumulated for them.
+It does no work whose result nobody reads: U changes only with the rows, so
+it rides in them; a column operation changes only the pivot row of the
+matrix; and a unit pivot, which divides everything, needs no scan for an
+entry it does not divide.  The `_smith` docstring says why each holds.
 
 The constructor (and `from_rows`, `identity`, `zeros`, which check their own
 arguments and call it) checks the shape and that every entry is an exact

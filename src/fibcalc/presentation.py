@@ -4,6 +4,7 @@ fundamental groups."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import neg
 from typing import Sequence
 
@@ -31,6 +32,12 @@ class GroupPresentation:
     @property
     def n_generators(self) -> int:
         return len(self.generators)
+
+    @cached_property
+    def _memo(self) -> dict:
+        """The H1 Smith form and the Fox diagonals per (k, M) of `invariants`;
+        no field, so equality, hashing and serialization do not see it."""
+        return {}
 
     def with_relator(self, relator: FreeWord) -> "GroupPresentation":
         return GroupPresentation(self.generators, self.relators + (relator,))

@@ -161,8 +161,8 @@ def _twist_word_note(word) -> tuple[str, ...]:
 
 
 def _presentation_invariants(pres: GroupPresentation):
-    # H1 first: every count reads its cached Smith form, and none searches:
-    # the abelian groups are counted off H1, S3 and D4 by Fox calculus.
+    # One Smith form, kept in the presentation's memo, serves H1 and every
+    # count, and none searches: abelian groups go by H1, S3 and D4 by Fox calculus.
     diag = tuple(h1(pres))
     counts = tuple((name, count_homs(pres, finite_group(name)))
                    for name in REPORT_GROUPS)
@@ -315,8 +315,10 @@ def execute(script: "SurgeryScript | str") -> list[InvariantReport]:
     Each report equals `build_report` of its object, but the fiber rows
     (`_fiber_row`) are kept for the whole run, so the invariants of each
     distinct fiber map are computed once per call, however many of the
-    objects built from it are reported."""
-    if isinstance(script, str):
+    objects built from it are reported.  Signatures are checked by
+    `parse_script` for a text, here for a hand-built `SurgeryScript`."""
+    parsed = isinstance(script, str)
+    if parsed:
         script = parse_script(script)
     _check_type(script, SurgeryScript, "script")
     env: dict[str, Any] = {}
@@ -330,7 +332,7 @@ def execute(script: "SurgeryScript | str") -> list[InvariantReport]:
     table = _verb_table(report)
     for index, stmt in enumerate(script.statements):
         try:
-            problem = _signature_problem(stmt.verb, stmt.args)
+            problem = None if parsed else _signature_problem(stmt.verb, stmt.args)
             if problem is not None:
                 raise ScriptError(problem[1])
             function, types = table[stmt.verb], _SIGNATURES[stmt.verb]

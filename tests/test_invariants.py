@@ -10,8 +10,7 @@ from fibcalc.errors import (AbelianizationError, BudgetExceededError, CatalogErr
                             MalformedInputError)
 from fibcalc.fibered import catalog_knot, connected_sum, knot_group
 from fibcalc.invariants import (HOM_NODE_BUDGET, FiniteGroupTable, GroupRingElement,
-                                _completed_search, _relator_key,
-                                alexander_from_presentation, count_homs,
+                                _completed_search, alexander_from_presentation, count_homs,
                                 finite_group, fox_derivative, fox_matrix,
                                 group_catalog_names, h1, infinite_cyclic_exponents)
 from fibcalc.laurent import LaurentPoly, normalize_alexander
@@ -197,13 +196,14 @@ def test_alexander_of_a_long_relator_presentation():
 @settings(max_examples=200, deadline=None)
 def test_smith_form_reads_what_smith_normal_form_gives(case):
     n, relators = case
-    key = (n, tuple(FreeWord(n, tuple(rel)).letters for rel in relators), None)
-    columns = [FreeWord(n, tuple(rel)).exponent_vector() for rel in relators]
+    p = _presentation(tuple(f"x{i}" for i in range(1, n + 1)), *map(tuple, relators))
+    columns = [rel.exponent_vector() for rel in p.relators]
     a = IntMatrix(n, len(relators), tuple(zip(*columns)) if columns else ((),) * n)
     d, u, _ = smith_normal_form(a)
     diag = [d.entries[i][i] for i in range(min(n, len(relators)))]
     rank = sum(1 for x in diag if x)
-    factors, rows = invariants._smith_form.__wrapped__(key)
+    h1(p)
+    factors, rows = p._memo["smith"]
     free_rows = tuple(row for factor, row in zip(factors, rows) if factor == 0)
     assert factors == tuple(x for x in diag if x > 1) + (0,) * (n - rank)
     assert free_rows == u.entries[rank:]
@@ -311,7 +311,7 @@ def test_count_homs_cross_presentation_all_catalog_groups():
 def test_search_budget():
     p = knot_group(catalog_knot("square_knot"))  # 5 generators, 475 search nodes
     with pytest.raises(BudgetExceededError):
-        _completed_search(_relator_key(p), finite_group("S4"), 400)
+        _completed_search(p, finite_group("S4"), 400)
 
 
 def test_count_homs_random_small_presentations():
@@ -349,8 +349,7 @@ def test_abelian_route_equals_search_route():
         for k in range(1, 13):
             g = finite_group(f"Z{k}")
             assert g.is_abelian
-            assert count_homs(p, g) == _completed_search(_relator_key(p), g,
-                                                         HOM_NODE_BUDGET), (p, k)
+            assert count_homs(p, g) == _completed_search(p, g, HOM_NODE_BUDGET), (p, k)
 
 
 def test_search_matches_brute_force_on_genus_one_report_presentations():
@@ -360,7 +359,7 @@ def test_search_matches_brute_force_on_genus_one_report_presentations():
         for p in (knot_group(knot), two_knot_group(spin(knot)), exterior_presentation(disk)):
             for group_name in ("S3", "D4", "A4"):
                 g = finite_group(group_name)
-                assert (_completed_search(_relator_key(p), g, HOM_NODE_BUDGET)
+                assert (_completed_search(p, g, HOM_NODE_BUDGET)
                         == brute_force_count(p, g))
 
 
@@ -389,7 +388,7 @@ def test_search_edge_cases_match_brute_force(presentation, group_name):
     g = finite_group(group_name)
     expected = brute_force_count(presentation, g)
     assert count_homs(presentation, g) == expected
-    assert _completed_search(_relator_key(presentation), g, HOM_NODE_BUDGET) == expected
+    assert _completed_search(presentation, g, HOM_NODE_BUDGET) == expected
 
 
 # The largest rank per group that keeps the brute-force oracle fast.
@@ -409,7 +408,7 @@ def test_search_matches_brute_force_on_random_presentations(data):
     g = finite_group(group_name)
     expected = brute_force_count(p, g)
     assert count_homs(p, g) == expected
-    assert _completed_search(_relator_key(p), g, HOM_NODE_BUDGET) == expected
+    assert _completed_search(p, g, HOM_NODE_BUDGET) == expected
 
 
 def _spun_sum(*names):
@@ -431,8 +430,7 @@ def _spun_sum(*names):
 ], ids=["spin(square#square) S4", "spin(square#trefoil) S4", "square S4",
         "spin(square#square) D4"])
 def test_search_work_gate(presentation, group_name, homs, budget):
-    key = _relator_key(presentation())
-    assert _completed_search(key, finite_group(group_name), budget) == homs
+    assert _completed_search(presentation(), finite_group(group_name), budget) == homs
 
 
 def test_spin_square_square_into_s4_at_default_budget():
@@ -452,24 +450,32 @@ def test_halving_family_genus_3_with_default_groups():
 
 
 def test_budget_error_reports_nodes_visited():
-    key = _relator_key(knot_group(catalog_knot("trefoil_R")))  # 91 search nodes into S4
+    p = knot_group(catalog_knot("trefoil_R"))  # 91 search nodes into S4
     with pytest.raises(BudgetExceededError, match="visited 11 nodes, over the budget 10"):
-        _completed_search(key, finite_group("S4"), 10)
-    assert _completed_search(key, finite_group("S4"), 91) == 96
+        _completed_search(p, finite_group("S4"), 10)
+    assert _completed_search(p, finite_group("S4"), 91) == 96
     with pytest.raises(BudgetExceededError):
-        _completed_search(key, finite_group("S4"), 90)
+        _completed_search(p, finite_group("S4"), 90)
 
 
-# The Smith form and completed counts are cached per relator set, so the
-# names of the generators other than "t" do not matter.
-def _clear_presentation_caches():
-    for cache in (invariants._smith_form, invariants._completed_search,
-                  invariants._crossed_count, invariants._twisted_diagonals):
-        cache.cache_clear()
+def counted_smith(monkeypatch) -> list:
+    """Replace the Smith elimination of `invariants` by one that records
+    each call; the returned list grows by one per elimination."""
+    calls, smith = [], invariants._smith
+
+    def counted(*args):
+        calls.append(args)
+        return smith(*args)
+    monkeypatch.setattr(invariants, "_smith", counted)
+    return calls
 
 
-def test_renamed_presentation_shares_h1_and_counts():
-    _clear_presentation_caches()
+def test_renamed_presentation_shares_h1_and_counts(monkeypatch):
+    """The names of the generators other than "t" change no invariant.  Each
+    presentation keeps its own memo: one H1 Smith form, read by H1, the
+    abelian counts and the Fox-route exponents, and one set of Fox diagonals
+    for S3 and D4, whose c both act by -1, and one for A4."""
+    smiths = counted_smith(monkeypatch)
     f = connected_sum(catalog_knot("square_knot"), catalog_knot("figure8")).monodromy.pi1_action
     knot_names = hnn_presentation(f, surface_names(3))
     spin_names = hnn_presentation(f, handlebody_names(6))
@@ -478,52 +484,37 @@ def test_renamed_presentation_shares_h1_and_counts():
     counts = {name: count_homs(knot_names, finite_group(name))
               for name in ("S3", "D4", "A4", "Z6")}
     exponents = infinite_cyclic_exponents(knot_names)
-    searches = invariants._completed_search.cache_info().misses
-    assert invariants._smith_form.cache_info().misses == 1
+    assert len(smiths) == 4  # H1, ψ ≠ 0 into Z/2 once, into Z/3 twice
+    assert h1(knot_names) == diagonal
+    assert {name: count_homs(knot_names, finite_group(name)) for name in counts} == counts
+    assert len(smiths) == 4
     assert h1(spin_names) == diagonal
     assert infinite_cyclic_exponents(spin_names) == exponents
     assert {name: count_homs(spin_names, finite_group(name)) for name in counts} == counts
-    # H1, the abelian count and the Fox-route exponents of both presentations
-    # all read one Smith form
-    assert invariants._smith_form.cache_info().misses == 1
-    assert invariants._completed_search.cache_info().misses == searches
-
-
-def test_renamed_presentation_runs_no_search(monkeypatch):
-    _clear_presentation_caches()
-    f = catalog_knot("granny_knot").monodromy.pi1_action
-    first = count_homs(hnn_presentation(f, surface_names(2)), finite_group("S4"))
-
-    def refuse(*args):
-        raise AssertionError("a renamed presentation was planned again")
-    monkeypatch.setattr(invariants, "_search_plan", refuse)
-    assert count_homs(hnn_presentation(f, handlebody_names(4)), finite_group("S4")) == first
+    assert len(smiths) == 8
 
 
 def test_cached_count_keeps_the_budget_contract():
     p = knot_group(catalog_knot("square_knot"))  # 475 search nodes into S4
     assert count_homs(p, finite_group("S4")) == 432
     with pytest.raises(BudgetExceededError, match="over the budget 100"):
-        _completed_search(_relator_key(p), finite_group("S4"), 100)
+        _completed_search(p, finite_group("S4"), 100)
     renamed = hnn_presentation(catalog_knot("square_knot").monodromy.pi1_action,
                                handlebody_names(4))
     with pytest.raises(BudgetExceededError):
-        _completed_search(_relator_key(renamed), finite_group("S4"), 100)
-    assert _completed_search(_relator_key(p), finite_group("S4"), 950) == 432
+        _completed_search(renamed, finite_group("S4"), 100)
+    assert _completed_search(p, finite_group("S4"), 950) == 432
 
 
-def test_meridian_position_is_part_of_the_key():
-    _clear_presentation_caches()
+def test_meridian_position_sets_the_first_search_step():
     relators = ((1, 2, -1, -2, -2), (2, 2, 2))
     t_first = _presentation(("t", "x"), *relators)
     t_second = _presentation(("x", "t"), *relators)
     g = finite_group("S4")
     assert count_homs(t_first, g) == brute_force_count(t_first, g)
     assert count_homs(t_second, g) == brute_force_count(t_second, g)
-    assert invariants._completed_search.cache_info().misses == 2
-    key_first, key_second = (invariants._relator_key(p) for p in (t_first, t_second))
-    assert invariants._search_plan(key_first)[0][0] == 0
-    assert invariants._search_plan(key_second)[0][0] == 2
+    assert invariants._search_plan(t_first)[0][0] == 0
+    assert invariants._search_plan(t_second)[0][0] == 2
 
 
 def test_route_equivalence_all_catalog_knots():

@@ -17,12 +17,13 @@ import fibcalc
 from fibcalc import cli, script, serialize, words
 from fibcalc.cli import main
 from fibcalc.errors import ScriptError
-from fibcalc.fibered import catalog_knot, connected_sum
+from fibcalc.fibered import catalog_knot, connected_sum, knot_group
 from fibcalc.mcg import CurveSpec, catalog_names, curated_payload
 from fibcalc.ribbon_disk import disk_twist, half_spin
 from fibcalc.script import (Statement, SurgeryScript, build_report, execute, parse_script,
                             reports_to_json)
 from fibcalc.two_knot import spin
+from test_invariants import counted_smith
 
 
 def test_parse_simple_script():
@@ -661,3 +662,64 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "trefoil_R" in done.stdout and done.stderr == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["catalog", "run"])
+def test_closed_stdout_ends_in_an_error_without_traceback(tmp_path, command, unbuffered):
+    """`fibcalc catalog | head -2`: a reader that closes the pipe early gets
+    `error:` on stderr and exit 1, not a traceback.  Buffered, the error
+    comes from the last flush, and nothing may be left for the exit to flush;
+    unbuffered, from the first print."""
+    path = tmp_path / "script.fib"
+    path.write_text("K = load trefoil_R\nreport K\n")
+    src = Path(fibcalc.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered}
+    argv = [sys.executable, "-m", "fibcalc", command] + ([str(path)] if command == "run" else [])
+    proc = subprocess.Popen(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()  # before the first write, so that every write meets a closed pipe
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+    assert stderr.startswith("error: ")
+
+
+def test_run_checks_each_signature_once(tmp_path, capsys, monkeypatch):
+    """`fibcalc run` passes the script text to `execute`, so the signatures
+    are checked while parsing and not again per statement."""
+    verbs = [stmt.verb for stmt in parse_script(GOLDEN_SCRIPTS["stallings"]).statements]
+    checked = []
+    problem = script._signature_problem
+    monkeypatch.setattr(script, "_signature_problem",
+                        lambda verb, args: checked.append(verb) or problem(verb, args))
+    path = tmp_path / "script.fib"
+    path.write_text(GOLDEN_SCRIPTS["stallings"])
+    assert main(["run", str(path)]) == 0
+    assert checked == verbs
+
+
+# Time-free work gate on the golden runs.  Each distinct fiber map of a run
+# costs one H1 Smith elimination and one Fox-matrix elimination per hom
+# ψ ≠ 0 into Z/2, which S3 and D4 share.  `sum` has two maps with H1 = Z
+# (1 + 1 each); `stallings` twists at m = -1, H1 = Z^2 (1 + 3), and at
+# m = 40, H1 = Z + Z/41 (1 + 1).
+@pytest.mark.parametrize("name, eliminations", [("stallings", 6), ("sum", 4)])
+def test_golden_run_smith_work_gate(name, eliminations, tmp_path, capsys, monkeypatch):
+    smiths = counted_smith(monkeypatch)
+    path = tmp_path / "script.fib"
+    path.write_text(GOLDEN_SCRIPTS[name])
+    assert main(["run", str(path), "--json"]) == 0
+    assert len(smiths) == eliminations
+
+
+def test_one_report_runs_one_h1_elimination(monkeypatch):
+    """A report's H1 and its REPORT_GROUPS counts read one H1 Smith form (n
+    generators x r relators); S3 and D4 then share the one Fox matrix (r x n)
+    of the hom onto Z/2."""
+    presentation = knot_group(_golden_objects()["knot"])
+    n, r = presentation.n_generators, len(presentation.relators)
+    smiths = counted_smith(monkeypatch)
+    script._presentation_invariants(presentation)
+    assert [(len(rows), columns) for rows, columns, _ in smiths] == [(n, r), (r, n)]

@@ -4,17 +4,18 @@ oracle, on random presentations, on report presentations, on relabelled
 group tables and on sums of trefoils."""
 
 import random
+from math import lcm
 from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fibcalc import invariants
 from fibcalc.fibered import catalog_knot, connected_sum, knot_group, stallings_twist
 from fibcalc.invariants import (HOM_NODE_BUDGET, FiniteGroupTable, _completed_search,
-                                _perm_group, _relator_key, count_homs, finite_group, h1)
+                                _perm_group, count_homs, finite_group, h1)
 from fibcalc.mcg import curated_payload
-from fibcalc.ribbon_disk import disk_twist, exterior_presentation, half_spin
+from fibcalc.presentation import GroupPresentation
+from fibcalc.ribbon_disk import boundary_knot, disk_twist, exterior_presentation, half_spin
 from fibcalc.two_knot import double_disk, gluck, spin, two_knot_group
 from test_invariants import _presentation, _report_presentations, brute_force_count, letters
 
@@ -24,7 +25,7 @@ _ORACLE_RANK = {"S3": 4, "D4": 3, "A4": 3}
 
 
 def _search(p, group):
-    return _completed_search(_relator_key(p), group, HOM_NODE_BUDGET)
+    return _completed_search(p, group, HOM_NODE_BUDGET)
 
 
 def test_split_is_read_off_the_table():
@@ -197,10 +198,35 @@ def test_trefoil_sum_of_genus_10_into_a4_is_fast():
     p, a4 = _trefoil_sum(10), finite_group("A4")
     best = float("inf")
     for _ in range(3):
-        invariants._smith_form.cache_clear()
-        invariants._crossed_count.cache_clear()
-        invariants._twisted_diagonals.cache_clear()
+        fresh = GroupPresentation(p.generators, p.relators)  # with an empty memo
         start = perf_counter()
-        assert count_homs(p, a4) == 8_388_612
+        assert count_homs(fresh, a4) == 8_388_612
         best = min(best, perf_counter() - start)
     assert best < 0.05
+
+
+def _twisted_count(curve_name: str, m: int, group) -> int:
+    knot = stallings_twist(boundary_knot(half_spin(catalog_knot("trefoil_R"))),
+                           curated_payload(curve_name), m)
+    return count_homs(knot_group(knot), group)
+
+
+@given(st.sampled_from(["square_knot_stallings_c1", "square_knot_stallings_c2"]),
+       st.sampled_from(["Z5", "S3", "D4", "A4", "S4"]), st.integers(-40, 40))
+@example("square_knot_stallings_c1", "S4", 40)
+@settings(max_examples=30, deadline=None)
+def test_twist_counts_are_periodic_in_the_exponent(curve_name, group_name, m):
+    """On the fiber the catalog Stallings curves were drawn on, twisting m
+    times along c is the ±1/m filling of the exterior of K and c, which kills
+    μ_c λ_c^(±m).  So the count is that of the homs of the link group with
+    μ_c -> λ_c^(∓m), and λ_c's image has an order dividing the exponent of
+    G: the count has period exponent(G) in m."""
+    group = finite_group(group_name)
+    period = lcm(*group.element_orders)
+    assert _twisted_count(curve_name, m, group) == _twisted_count(curve_name, m + period, group)
+
+
+@pytest.mark.parametrize("curve_name", ["square_knot_stallings_c1", "square_knot_stallings_c2"])
+def test_twist_counts_at_forty(curve_name):
+    assert _twisted_count(curve_name, 40, finite_group("A4")) == 132
+    assert _twisted_count(curve_name, 40, finite_group("S4")) == 240
