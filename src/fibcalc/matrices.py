@@ -1,11 +1,23 @@
 """Exact integer matrices: products, determinants, characteristic polynomials,
 and Smith normal form with unimodular witnesses.
 
-Every algorithm is exact and polynomial in the size n: characteristic
-polynomials by Berkowitz's division-free algorithm (O(n^4) integer
-operations) and integer determinants by fraction-free Bareiss elimination
-(O(n^3) integer operations, every division exact).  Berkowitz's inner
-products run as `sum(map(mul, ...))`, in C.  Determinants over
+Every algorithm is exact and polynomial in the size n.  Characteristic
+polynomials take one of two routes, and every inner product in both runs as
+`sum(map(mul, ...))`, in C:
+- `char_poly`, for any square matrix, by Berkowitz's division-free
+  algorithm: O(n^4) integer operations, about n^3/3 inner products.  It
+  serves the fiber rows of a script run (an abelianized handlebody map need
+  not be symplectic and can have odd rank) and is the tests' reference.
+- `_symplectic_char_poly`, for the symplectic 2g x 2g action of a fibered
+  knot (`fibered.alexander_poly`).  Its polynomial is reciprocal, c_(2g-k) =
+  c_k, because A^-1 = -J A^T J is similar to A^T and det A = 1, so the power
+  sums tr(A^j) for j <= g fix it by Newton's identities; their divisions are
+  exact, since every coefficient is an integer.  The cost is ceil(g/2) - 1
+  matrix products, n^2 inner products each, and g traces, each a diagonal
+  sum or one inner product.  On any other matrix the answer is wrong, so the
+  routine is private.
+Integer determinants run by fraction-free Bareiss elimination (O(n^3)
+integer operations, every division exact).  Determinants over
 Z[t, t^-1] reduce to one integer determinant by Kronecker substitution: the
 entries are evaluated at t = 2^B, with B large enough that the determinant's
 coefficients are the signed base-2^B digits of the integer result, which
@@ -249,6 +261,31 @@ def char_poly(a: IntMatrix) -> LaurentPoly:
                 v = [sum(map(mul, row, v)) for row in block]
         coeffs = [sum(map(mul, toeplitz[i::-1], coeffs)) for i in range(k + 2)]
     return LaurentPoly(tuple((n - i, c) for i, c in enumerate(coeffs)))
+
+
+def _symplectic_char_poly(a: IntMatrix) -> LaurentPoly:
+    """det(tI - A) = t^2g + c_1 t^(2g-1) + ... + c_2g for a symplectic
+    2g x 2g matrix A; wrong on any other matrix (the module docstring says
+    why it holds there).  Newton's identities k c_k = -sum_(i<=k) p_i c_(k-i)
+    give c_1..c_g from the power sums p_j = tr(A^j), and c_(2g-k) = c_k the
+    rest.  With h = ceil(g/2), p_j for j <= h is the diagonal sum of A^j, and
+    for j > h the inner product of the flattened A^h with the flattened
+    transpose of A^(j-h)."""
+    n, m = a.rows, a.entries
+    g, h = n // 2, (n // 2 + 1) // 2
+    powers = [m]
+    cols = tuple(zip(*m))
+    for _ in range(h - 1):
+        powers.append([[sum(map(mul, row, col)) for col in cols] for row in powers[-1]])
+    sums = [sum(p[i][i] for i in range(n)) for p in powers]
+    top = [x for row in powers[-1] for x in row]
+    for j in range(h + 1, g + 1):
+        sums.append(sum(map(mul, top, [x for col in zip(*powers[j - h - 1]) for x in col])))
+    coeffs = [1]
+    for k in range(1, g + 1):
+        coeffs.append(-sum(map(mul, sums[:k], coeffs[::-1])) // k)
+    coeffs += coeffs[-2::-1]  # palindromic, so c_i is also the coefficient of t^i
+    return _unchecked(LaurentPoly, tuple((i, c) for i, c in enumerate(coeffs) if c))
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

@@ -11,6 +11,7 @@ from fibcalc.errors import AbelianizationError, MalformedInputError, RankMismatc
 from fibcalc.invariants import _fox_columns, infinite_cyclic_exponents
 from fibcalc.laurent import LaurentPoly, _collect, laurent_gcd, normalize_alexander
 from fibcalc.matrices import IntMatrix, laurent_det, smith_normal_form
+from fibcalc.mcg import transvection
 from fibcalc.presentation import GroupPresentation
 from fibcalc.words import FreeWord
 
@@ -24,6 +25,17 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     if d != IntMatrix.identity(a.rows):
         raise MalformedInputError("matrix is not unimodular")
     return v.mul(u)
+
+
+def dense_symplectic(rng, genus: int) -> IntMatrix:
+    """A product of random transvections, redrawn until no entry is zero."""
+    while True:
+        p = IntMatrix.identity(2 * genus)
+        for _ in range(genus + 2):
+            p = p.mul(transvection([rng.choice((-1, 0, 1)) for _ in range(2 * genus)],
+                                   rng.choice((-1, 1))))
+        if all(x for row in p.entries for x in row):
+            return p
 
 
 def matrix_power(a: IntMatrix, n: int) -> IntMatrix:

@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 
 from fibcalc.errors import (InapplicableError, MissingPayloadError,
@@ -7,9 +10,10 @@ from fibcalc.fibered import (Ambient, FiberedKnot, alexander_poly, catalog_knot,
                              dual_knot_surgery_descriptor, knot_group, mirror_knot,
                              stallings_twist)
 from fibcalc.invariants import h1
-from fibcalc.laurent import normalize_alexander
-from fibcalc.mcg import CurveSpec, SurfaceMonodromy, curated_payload
-from oracles import trefoil_two_bridge_presentation
+from fibcalc.laurent import LaurentPoly, normalize_alexander
+from fibcalc.matrices import char_poly
+from fibcalc.mcg import CurveSpec, SurfaceMonodromy, catalog_names, curated_payload, symplectic_form
+from oracles import dense_symplectic, trefoil_two_bridge_presentation
 
 
 def trefoil():
@@ -149,3 +153,44 @@ def test_twist_in_non_lagrangian_basis_changes_alexander():
     twisted = stallings_twist(sq, c1, 1)
     assert alexander_poly(twisted).dense_coeffs() == [1, -1, 2, -1, 1]
     assert abs(alexander_poly(twisted).evaluate(1)) == 2  # no longer knot-like
+
+
+def test_alexander_poly_is_the_normalized_char_poly_on_catalog_and_derived_knots():
+    """The power-sum route against Berkowitz on every catalog knot, their
+    connected sums and mirrors, and Stallings twists of the square knot along
+    each catalog curve (symplectic whatever the twist does to the knot)."""
+    catalog = [catalog_knot(name) for name in catalog_names()
+               if isinstance(curated_payload(name), SurfaceMonodromy)]
+    knots = catalog + [connected_sum(k1, k2) for k1 in catalog for k2 in catalog]
+    knots += [mirror_knot(k) for k in knots]
+    square = catalog_knot("square_knot")
+    knots += [stallings_twist(square, curated_payload(f"square_knot_stallings_{c}"), m)
+              for c in ("c1", "c1_neg", "c2", "c2_neg") for m in (-1, 1, 2, 16, 40)]
+    assert len(catalog) == 6 and len(knots) == 104
+    for knot in knots:
+        assert alexander_poly(knot) == normalize_alexander(char_poly(knot.monodromy.action))
+
+
+def test_alexander_poly_runs_no_berkowitz(monkeypatch):
+    """With every binding of `matrices.char_poly` made to raise, a dense
+    genus-6 knot still gets its Alexander polynomial."""
+    rng = random.Random(6)
+    names = [rng.choice(("trefoil_R", "trefoil_L", "figure8")) for _ in range(6)]
+    knot = catalog_knot(names[0])
+    for name in names[1:]:
+        knot = connected_sum(knot, catalog_knot(name))
+    p, j = dense_symplectic(rng, 6), symplectic_form(6)
+    action = p.mul(knot.monodromy.action).mul(j.mul(p.transpose()).mul(j).neg())
+    dense = FiberedKnot(Ambient.s3(), 6, SurfaceMonodromy(6, action))
+    factors = {"trefoil_R": [1, -1, 1], "trefoil_L": [1, -1, 1], "figure8": [1, -3, 1]}
+    expected = LaurentPoly.one()
+    for name in names:
+        expected = expected * LaurentPoly.from_dict(dict(enumerate(factors[name])))
+
+    def refuse(a):
+        raise AssertionError("alexander_poly ran Berkowitz's char_poly")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fibcalc" and getattr(module, "char_poly", None) is char_poly:
+            monkeypatch.setattr(module, "char_poly", refuse)
+    assert alexander_poly(dense) == expected

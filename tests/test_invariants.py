@@ -8,14 +8,15 @@ from hypothesis import example, given, settings, strategies as st
 from fibcalc import invariants
 from fibcalc.errors import (AbelianizationError, BudgetExceededError, CatalogError,
                             MalformedInputError)
-from fibcalc.fibered import catalog_knot, connected_sum, knot_group
+from fibcalc.fibered import (Ambient, FiberedKnot, alexander_poly, catalog_knot, connected_sum,
+                             knot_group)
 from fibcalc.invariants import (HOM_NODE_BUDGET, FiniteGroupTable, GroupRingElement,
                                 _completed_search, alexander_from_presentation, count_homs,
                                 finite_group, fox_derivative, fox_matrix,
                                 group_catalog_names, h1, infinite_cyclic_exponents)
 from fibcalc.laurent import LaurentPoly, normalize_alexander
 from fibcalc.matrices import IntMatrix, char_poly, smith_normal_form
-from fibcalc.mcg import symplectic_form, transvection
+from fibcalc.mcg import SurfaceMonodromy, symplectic_form, transvection
 from fibcalc.presentation import GroupPresentation, hnn_presentation
 from fibcalc.ribbon_disk import exterior_presentation, half_spin
 from fibcalc.two_knot import double_disk, halving_family, spin, two_knot_group
@@ -592,5 +593,7 @@ def test_route_equivalence_dense_conjugated_knots(genus):
     expected, action, conjugated = _dense_conjugated_knot(random.Random(genus), genus)
     assert normalize_alexander(char_poly(action)) == expected
     assert normalize_alexander(char_poly(abelianize(conjugated))) == expected
+    homology_only = FiberedKnot(Ambient.s3(), genus, SurfaceMonodromy(genus, action))
+    assert alexander_poly(homology_only) == expected
     presentation = hnn_presentation(conjugated, surface_names(genus))
     assert alexander_from_presentation(presentation) == expected

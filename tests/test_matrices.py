@@ -6,10 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from fibcalc.errors import MalformedInputError, RankMismatchError
 from fibcalc.laurent import LaurentPoly
-from fibcalc.matrices import (IntMatrix, _pivot, _smith, block_diag, char_poly, laurent_det,
-                              smith_diagonal, smith_normal_form)
+from fibcalc.matrices import (IntMatrix, _pivot, _smith, _symplectic_char_poly, block_diag,
+                              char_poly, laurent_det, smith_diagonal, smith_normal_form)
 from fibcalc.mcg import SurfaceMonodromy, mirror, symplectic_form, transvection
-from oracles import in_row_span, inverse_unimodular, matrix_power, smith_elimination, solve_int
+from oracles import (dense_symplectic, in_row_span, inverse_unimodular, matrix_power,
+                     smith_elimination, solve_int)
 
 
 def fraction_det(m: IntMatrix) -> Fraction:
@@ -137,29 +138,65 @@ def test_laurent_det_row_swaps_and_singular_grids():
         laurent_det([[t, one]])
 
 
-def _dense_symplectic(rng, genus):
-    """A product of random transvections, redrawn until no entry is zero."""
-    while True:
-        p = IntMatrix.identity(2 * genus)
-        for _ in range(genus + 2):
-            p = p.mul(transvection([rng.choice((-1, 0, 1)) for _ in range(2 * genus)],
-                                   rng.choice((-1, 1))))
-        if all(x for row in p.entries for x in row):
-            return p
-
-
 def test_inverse_unimodular_dense_genus_6_symplectic():
     """`mirror` inverts a symplectic action P as -J P^T J; on dense P of
     genus 1 to 6 that is the Smith-witness inverse."""
     rng = random.Random(6)
     for genus in range(1, 7):
-        p = _dense_symplectic(rng, genus)
+        p = dense_symplectic(rng, genus)
         inverse = mirror(SurfaceMonodromy(genus, p)).action
         assert inverse == inverse_unimodular(p)
         j, identity = symplectic_form(genus), IntMatrix.identity(2 * genus)
         assert inverse == j.mul(p.transpose()).mul(j).neg()
         assert p.mul(inverse) == identity and inverse.mul(p) == identity
         assert matrix_power(p, -3).mul(matrix_power(p, 3)) == identity
+
+
+def _large_conjugate(rng, action: IntMatrix, vec, multiplier: int) -> IntMatrix:
+    """P A P^-1 for P = Q T, Q from `dense_symplectic` and T the transvection
+    of class `vec`; with a multiplier in the hundreds the entries reach 10^6
+    and more."""
+    genus = action.rows // 2
+    p = dense_symplectic(rng, genus).mul(transvection(vec, multiplier))
+    j = symplectic_form(genus)
+    return p.mul(action).mul(j.mul(p.transpose()).mul(j).neg())
+
+
+@st.composite
+def symplectic_actions(draw):
+    """The action of a `SurfaceMonodromy` of genus 0 to 8 (whose constructor
+    checks that it is symplectic): a product of transvections of random
+    classes, in about half the draws of genus >= 1 a `_large_conjugate`."""
+    genus = draw(st.integers(0, 8))
+    n = 2 * genus
+    classes = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    action = IntMatrix.identity(n)
+    for vec, m in draw(st.lists(st.tuples(classes, st.integers(-3, 3)), max_size=n + 2)):
+        action = action.mul(transvection(vec, m))
+    if genus and draw(st.booleans()):
+        action = _large_conjugate(draw(st.randoms(use_true_random=False)), action,
+                                  draw(classes), draw(st.integers(100, 300)))
+    return SurfaceMonodromy(genus, action).action
+
+
+@given(symplectic_actions())
+@example(IntMatrix.identity(0))  # genus 0: the 0 x 0 action has polynomial 1
+@example(IntMatrix.from_rows([[1, 1], [-1, 0]]))  # genus 1: no matrix product
+@example(IntMatrix.from_rows([[1, 4], [0, 1]]))  # genus 1, repeated root 1
+@settings(max_examples=150, deadline=None)
+def test_symplectic_char_poly_is_berkowitz_on_symplectic_actions(action):
+    """Term for term, before normalization: the power-sum route and the
+    general Berkowitz route give the same det(tI - A)."""
+    assert _symplectic_char_poly(action).terms == char_poly(action).terms
+
+
+def test_symplectic_char_poly_on_dense_genus_8_conjugates():
+    rng = random.Random(9)
+    for multiplier in (100, 300):
+        trefoils = block_diag(*[transvection([1, 1])] * 8)
+        action = _large_conjugate(rng, trefoils, [1, -1] * 8, multiplier)
+        assert all(10**6 < abs(x) for row in action.entries for x in row)
+        assert _symplectic_char_poly(action).terms == char_poly(action).terms
 
 
 def test_inverse_unimodular_rejects_other_matrices():
