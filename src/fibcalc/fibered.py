@@ -9,11 +9,10 @@ the characteristic polynomial of the homological action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (CatalogError, InapplicableError, MalformedInputError,
                      MissingPayloadError, PreconditionError, RankMismatchError,
-                     _check_int, _check_optional_str, _check_type)
+                     _check_int, _check_optional_str, _check_type, _int_text, field,
+                     frozen)
 from .laurent import LaurentPoly, normalize_alexander
 from .matrices import _symplectic_char_poly
 from .mcg import (CurveSpec, SurfaceMonodromy, boundary_connected_sum,
@@ -27,7 +26,7 @@ _DISK_AMBIENTS = ("B4", "homotopy_B4", "contractible")
 _TWO_KNOT_AMBIENTS = ("S4", "homotopy_S4")
 
 
-@dataclass(frozen=True)
+@frozen
 class Ambient:
     kind: str
     descriptor: str | None = None
@@ -58,7 +57,7 @@ class Ambient:
         return self.kind if self.descriptor is None else f"{self.kind}({self.descriptor})"
 
 
-@dataclass(frozen=True)
+@frozen
 class FiberedKnot:
     ambient: Ambient
     genus: int
@@ -115,7 +114,7 @@ def stallings_twist(knot: FiberedKnot, curve: CurveSpec, m: int) -> FiberedKnot:
     monodromy = compose_monodromy(knot.monodromy, twist_monodromy(curve, m))
     label = None
     if knot.label is not None:
-        label = f"stallings_twist({knot.label},{curve.name or 'c'},{m})"
+        label = f"stallings_twist({knot.label},{curve.name or 'c'},{_int_text(m, 'twist count')})"
     return FiberedKnot(knot.ambient, knot.genus, monodromy, label)
 
 
@@ -157,9 +156,9 @@ def dual_knot_surgery_descriptor(knot: FiberedKnot, n: int) -> FiberedKnot:
         raise PreconditionError("surgery descriptor is defined for knots in S3")
     if n == 0:
         raise PreconditionError("0-surgery does not yield a homology sphere")
-    name = knot.label or "K"
-    ambient = Ambient("homology_sphere", f"S3_{{1/{n}}}({name})")
-    label = f"dual({name},1/{n})"
+    name, text = knot.label or "K", _int_text(n, "surgery denominator")
+    ambient = Ambient("homology_sphere", f"S3_{{1/{text}}}({name})")
+    label = f"dual({name},1/{text})"
     return FiberedKnot(ambient, knot.genus, knot.monodromy, label)
 
 

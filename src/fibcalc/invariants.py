@@ -22,14 +22,14 @@ by a search of at most `HOM_NODE_BUDGET` nodes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from math import gcd, prod
 from operator import mul
 
 from .errors import (AbelianizationError, BudgetExceededError, CatalogError,
-                     MalformedInputError, _check_int, _check_sequence, _check_type)
+                     MalformedInputError, _check_int, _check_sequence, _check_type,
+                     _unchecked, field, frozen)
 from .laurent import LaurentPoly, laurent_gcd, normalize_alexander
 from .matrices import _from_digits, _matrix, _smith
 from .presentation import GroupPresentation
@@ -237,7 +237,7 @@ def alexander_from_presentation(presentation: GroupPresentation,
 # Finite groups and homomorphism counting
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class FiniteGroupTable:
     """A finite group by its multiplication table on the elements 0..order-1.
 
@@ -370,6 +370,10 @@ class FiniteGroupTable:
         return best
 
 
+# The catalog groups are built without the constructor's checks: a table of
+# composed permutations or of addition mod k is a group by construction, and
+# its identity and inverses are read off the construction.
+
 def _perm_group(label: str, elements: list[tuple[int, ...]]) -> FiniteGroupTable:
     elements = sorted(elements)
     index = {p: i for i, p in enumerate(elements)}
@@ -377,12 +381,15 @@ def _perm_group(label: str, elements: list[tuple[int, ...]]) -> FiniteGroupTable
     table = tuple(tuple(index[tuple(p[q[i]] for i in range(len(q)))] for q in elements)
                   for p in elements)
     names = tuple("".join(str(x) for x in p) for p in elements)
-    return FiniteGroupTable(label, n, table, names)
+    inverses = tuple(index[tuple(sorted(range(len(p)), key=p.__getitem__))] for p in elements)
+    return _unchecked(FiniteGroupTable, label, n, table, names,
+                      index[tuple(range(len(elements[0])))], inverses)
 
 
 def _cyclic_group(k: int) -> FiniteGroupTable:
     table = tuple(tuple((i + j) % k for j in range(k)) for i in range(k))
-    return FiniteGroupTable(f"Z{k}", k, table, tuple(str(i) for i in range(k)))
+    return _unchecked(FiniteGroupTable, f"Z{k}", k, table, tuple(str(i) for i in range(k)), 0,
+                      tuple(-i % k for i in range(k)))
 
 
 def _is_even(p: tuple[int, ...]) -> bool:

@@ -14,18 +14,17 @@ is zero, and `reverse` re-sorts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import (BudgetExceededError, MalformedInputError, _check_int, _check_type,
-                     _unchecked)
+                     _unchecked, frozen)
 
 # The bound on terms x bits per coefficient of a power's result, as `**`
 # estimates it: (1 + t)^2047, 2048 terms of up to 2048 bits, is at the bound.
 POWER_BIT_BUDGET = 2**22
 
 
-@dataclass(frozen=True)
+@frozen
 class LaurentPoly:
     terms: tuple[tuple[int, int], ...] = ()
 

@@ -50,16 +50,15 @@ form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
 from .errors import (MalformedInputError, RankMismatchError, _check_int, _check_sequence,
-                     _check_type, _unchecked)
+                     _check_type, _unchecked, frozen)
 from .laurent import LaurentPoly
 
 
-@dataclass(frozen=True)
+@frozen
 class IntMatrix:
     rows: int
     cols: int

@@ -35,20 +35,19 @@ extended class.  The handlebody monodromies of `ribbon_disk.half_spin` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
 from .errors import (CatalogError, MalformedInputError, MissingPayloadError,
                      RankMismatchError, _check_int, _check_optional_str, _check_sequence,
-                     _check_type, _unchecked)
+                     _check_type, _unchecked, field, frozen)
 from .matrices import IntMatrix, _matrix, block_diag
-from .words import FreeGroupMap, abelianize, compose
+from .words import FreeGroupMap, _check_genus, abelianize, compose
 
 
 def symplectic_form(genus: int) -> IntMatrix:
     """Block-diagonal J with one [[0, 1], [-1, 0]] block per handle."""
-    _check_int(genus, "genus")
+    _check_genus(genus)
     n = 2 * genus
     rows = [[0] * n for _ in range(n)]
     for i in range(genus):
@@ -90,7 +89,7 @@ def intersection(x: Sequence[int], y: Sequence[int]) -> int:
     return total
 
 
-@dataclass(frozen=True)
+@frozen
 class CurveSpec:
     genus: int
     homology_class: tuple[int, ...]
@@ -172,7 +171,7 @@ def transvection(curve: "CurveSpec | Sequence[int]", multiplier: int = 1) -> Int
                           for i in range(n)])
 
 
-@dataclass(frozen=True)
+@frozen
 class SurfaceMonodromy:
     genus: int
     action: IntMatrix
@@ -280,7 +279,7 @@ def boundary_connected_sum(m1: SurfaceMonodromy, m2: SurfaceMonodromy) -> Surfac
     return _unchecked(SurfaceMonodromy, genus, action, payload, prov)
 
 
-@dataclass(frozen=True)
+@frozen
 class CompatibilityReport:
     ok: bool
     failures: tuple[str, ...] = ()
@@ -313,7 +312,7 @@ def cg_compatibility(action: IntMatrix, quotient_action: IntMatrix) -> Compatibi
     return CompatibilityReport(not failures, tuple(failures))
 
 
-@dataclass(frozen=True)
+@frozen
 class HandlebodyMonodromy:
     genus: int
     pi1_action: FreeGroupMap
@@ -389,19 +388,17 @@ def _stallings_curve(which: int, sign: int) -> CurveSpec:
                      name=f"square_knot_stallings_c{which}{suffix}")
 
 
-def _trefoil_r() -> SurfaceMonodromy:
-    return SurfaceMonodromy.from_twist_word(
-        1, [(_standard_curve(1, "a", 1), 1), (_standard_curve(1, "b", 1), 1)])
-
-
 _CATALOG_BUILDERS = {
     "unknot": lambda: SurfaceMonodromy.identity(0),
-    "trefoil_R": _trefoil_r,
-    "trefoil_L": lambda: mirror(_trefoil_r()),
+    "trefoil_R": lambda: SurfaceMonodromy.from_twist_word(
+        1, [(_standard_curve(1, "a", 1), 1), (_standard_curve(1, "b", 1), 1)]),
+    "trefoil_L": lambda: mirror(_curated_payload("trefoil_R")),
     "figure8": lambda: SurfaceMonodromy.from_twist_word(
         1, [(_standard_curve(1, "a", 1), 1), (_standard_curve(1, "b", 1), -1)]),
-    "square_knot": lambda: boundary_connected_sum(_trefoil_r(), mirror(_trefoil_r())),
-    "granny_knot": lambda: boundary_connected_sum(_trefoil_r(), _trefoil_r()),
+    "square_knot": lambda: boundary_connected_sum(_curated_payload("trefoil_R"),
+                                                  _curated_payload("trefoil_L")),
+    "granny_knot": lambda: boundary_connected_sum(_curated_payload("trefoil_R"),
+                                                  _curated_payload("trefoil_R")),
     "g1_a1": lambda: _standard_curve(1, "a", 1),
     "g1_b1": lambda: _standard_curve(1, "b", 1),
     "g2_a1": lambda: _standard_curve(2, "a", 1),

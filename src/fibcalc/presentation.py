@@ -3,16 +3,15 @@ fundamental groups."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import neg
 from typing import Sequence
 
-from .errors import RankMismatchError, _check_sequence, _check_type
+from .errors import RankMismatchError, _check_sequence, _check_type, frozen
 from .words import FreeGroupMap, FreeWord, _word, check_generator_names, word_to_text
 
 
-@dataclass(frozen=True)
+@frozen
 class GroupPresentation:
     generators: tuple[str, ...]
     relators: tuple[FreeWord, ...]

@@ -29,12 +29,12 @@ callers and the JSON loader, still checks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (MalformedInputError, MissingPayloadError, PreconditionError,
                      RankMismatchError, UnsupportedFiberError, _check_int,
-                     _check_optional_str, _check_type, _unchecked)
+                     _check_optional_str, _check_type, _int_text, _unchecked, field,
+                     frozen)
 from .matrices import IntMatrix, block_diag, smith_diagonal
 from .mcg import (CurveSpec, HandlebodyMonodromy, SurfaceMonodromy, _twist_word,
                   compose_monodromy, twist_monodromy)
@@ -43,7 +43,7 @@ from .presentation import GroupPresentation, hnn_presentation
 from .words import FreeGroupMap, FreeWord, abelianize, compose, handlebody_names
 
 
-@dataclass(frozen=True)
+@frozen
 class FiberType:
     genus: int
     summand_label: str | None = None
@@ -59,7 +59,7 @@ class FiberType:
         return self.summand_label is None
 
 
-@dataclass(frozen=True)
+@frozen
 class FiberedDisk:
     ambient: Ambient
     fiber: FiberType
@@ -186,7 +186,7 @@ def disk_twist(disk: FiberedDisk, curve: CurveSpec, m: int) -> FiberedDisk:
         ambient = Ambient("homotopy_B4")
     label = None
     if disk.label is not None:
-        label = f"disk_twist({disk.label},{curve.name or 'E'},{m})"
+        label = f"disk_twist({disk.label},{curve.name or 'E'},{_int_text(m, 'twist count')})"
     return FiberedDisk(ambient, disk.fiber, hb, disk.twist_history + ((curve, m),), label)
 
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
 from typing import Any
 
 from . import serialize
 from .errors import (FibcalcError, ScriptError, _check_int, _check_optional_str,
-                     _check_sequence, _check_type, _unchecked)
+                     _check_sequence, _check_type, _int_text, _unchecked, frozen)
 from .fibered import FiberedKnot, catalog_knot, connected_sum, stallings_twist
 from .invariants import count_homs, finite_group, h1
 from .laurent import normalize_alexander
@@ -32,7 +31,7 @@ from .words import FreeGroupMap, abelianize, handlebody_names
 REPORT_GROUPS = ("Z2", "Z3", "Z5", "S3", "D4")
 
 
-@dataclass(frozen=True)
+@frozen
 class Statement:
     verb: str
     args: tuple[str, ...]
@@ -53,7 +52,7 @@ class Statement:
         return head + " ".join((self.verb,) + self.args)
 
 
-@dataclass(frozen=True)
+@frozen
 class SurgeryScript:
     statements: tuple[Statement, ...]
 
@@ -100,7 +99,7 @@ def parse_script(source: str) -> SurgeryScript:
     return _unchecked(SurgeryScript, tuple(statements))
 
 
-@dataclass(frozen=True)
+@frozen
 class InvariantReport:
     kind: str
     label: str | None
@@ -134,7 +133,7 @@ class InvariantReport:
         return "\n".join(lines)
 
 
-_REPORT_FIELDS = tuple(f.name for f in fields(InvariantReport))
+_REPORT_FIELDS = InvariantReport.__value_fields__
 
 # The text form of a report after its heading, as (field, title, values) in
 # print order: a field that is None prints nothing, else one line "  title: v"
@@ -157,7 +156,8 @@ _TEXT_LINES = (
 
 
 def _twist_word_note(word) -> tuple[str, ...]:
-    return tuple(f"{c.name or list(c.homology_class)}^{m}" for c, m in word)
+    return tuple(f"{c.name or list(c.homology_class)}^{_int_text(m, 'twist count')}"
+                 for c, m in word)
 
 
 def _presentation_invariants(pres: GroupPresentation):
@@ -206,7 +206,7 @@ def _report(obj: Any, rows: dict) -> InvariantReport:
             alex, diag, counts = _fiber_row(rows, f)
         notes = ()
         if abs(sum(alex)) != 1:
-            notes = (f"warning: |alexander(1)| = {abs(sum(alex))}, "
+            notes = (f"warning: |alexander(1)| = {_int_text(abs(sum(alex)), '|alexander(1)|')}, "
                      "expected 1 for a fibered knot in a homology sphere",)
         return InvariantReport(
             kind="fibered_knot", label=obj.label, genus_or_rank=obj.genus,

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import repeat
 from typing import Any, Callable, NamedTuple
 
-from .errors import FibcalcError, SchemaError
+from .errors import FibcalcError, SchemaError, _digit_count
 from .fibered import Ambient, FiberedKnot
 from .laurent import LaurentPoly
 from .matrices import IntMatrix
@@ -276,7 +276,29 @@ def deserialize(data: dict) -> Any:
 
 def dumps(obj: Any) -> str:
     """Canonical byte-stable JSON text."""
-    return json.dumps(serialize(obj), sort_keys=True, separators=(",", ":"))
+    data = serialize(obj)
+    try:
+        return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    except ValueError:  # an integer with more digits than Python writes as text
+        for path, value in _ints(data, "$"):
+            try:
+                str(value)
+            except ValueError:
+                raise SchemaError(f"integer of {_digit_count(value)} digits is too long to write",
+                                  path) from None
+        raise
+
+
+def _ints(data: Any, path: str):
+    """(path, value) of every integer in the JSON data `data`."""
+    if type(data) is int:
+        yield path, data
+    elif type(data) is dict:
+        for key, value in data.items():
+            yield from _ints(value, f"{path}.{key}")
+    elif type(data) is list:
+        for i, value in enumerate(data):
+            yield from _ints(value, f"{path}[{i}]")
 
 
 def loads(text: str) -> Any:

@@ -11,12 +11,12 @@ a doubled Dehn-twist action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from math import gcd
 
 from .errors import (MalformedInputError, MissingPayloadError, PreconditionError,
                      RankMismatchError, UnsupportedFiberError, _check_int,
-                     _check_optional_str, _check_sequence, _check_type)
+                     _check_optional_str, _check_sequence, _check_type, _int_text, field,
+                     frozen, replace)
 from .fibered import _TWO_KNOT_AMBIENTS, Ambient, FiberedKnot
 from .invariants import count_homs, finite_group, group_catalog_names, h1
 from .mcg import CurveSpec, SurfaceMonodromy
@@ -25,7 +25,7 @@ from .ribbon_disk import FiberedDisk, _half_spin_action
 from .words import FreeGroupMap, FreeWord, compose, handlebody_names
 
 
-@dataclass(frozen=True)
+@frozen
 class FiberedTwoKnot:
     ambient: Ambient
     fiber_rank: int
@@ -64,9 +64,10 @@ def double_disk(disk: FiberedDisk, framing: int) -> FiberedTwoKnot:
     if not disk.fiber.is_handlebody:
         raise UnsupportedFiberError("doubling needs a handlebody fiber")
     ambient = Ambient.s4() if disk.ambient.kind == "B4" else Ambient("homotopy_S4")
-    label = f"double({disk.label},k={framing})" if disk.label is not None else None
+    k = _int_text(framing, "framing")
+    label = f"double({disk.label},k={k})" if disk.label is not None else None
     return FiberedTwoKnot(ambient, disk.monodromy.genus, disk.monodromy.pi1_action,
-                          framing % 2, (f"double_disk(k={framing})",), label)
+                          framing % 2, (f"double_disk(k={k})",), label)
 
 
 def spin(knot: FiberedKnot) -> FiberedTwoKnot:
@@ -97,7 +98,7 @@ def two_knot_group(two_knot: FiberedTwoKnot) -> GroupPresentation:
                             handlebody_names(two_knot.fiber_rank))
 
 
-@dataclass(frozen=True)
+@frozen
 class FillingDescriptor:
     base: str
     slope: tuple[int, int]
@@ -109,6 +110,8 @@ class FillingDescriptor:
                 and all(type(x) is int for x in slope)):
             raise MalformedInputError(f"filling slope {slope!r} is not a pair of integers")
         p, q = slope
+        for x in slope:  # the descriptor is written as text, Y(p/q)
+            _int_text(x, "filling slope entry")
         if gcd(p, q) != 1:
             raise MalformedInputError("filling slope must be a coprime pair")
         object.__setattr__(self, "slope", (p, q))
@@ -118,7 +121,7 @@ class FillingDescriptor:
         return f"{self.base}({p}/{q})" if q else self.base
 
 
-@dataclass(frozen=True)
+@frozen
 class ContractibilityReport:
     h1_diagonal: tuple[int, ...]
     trivial_h1: bool
@@ -129,7 +132,7 @@ class ContractibilityReport:
         return self.trivial_h1 and all(ok for _, ok in self.quotient_checks)
 
 
-@dataclass(frozen=True)
+@frozen
 class HalvingFamilyEntry:
     slope: int
     interior_presentation: GroupPresentation
@@ -202,7 +205,7 @@ def torus_twist(two_knot: FiberedTwoKnot, curve: CurveSpec,
                    provenance=two_knot.provenance + (f"torus_twist({curve.name or 'c'})",))
 
 
-@dataclass(frozen=True)
+@frozen
 class PlanEntry:
     phase: int
     torus_id: str
@@ -227,7 +230,7 @@ class PlanEntry:
         return self.curve is None
 
 
-@dataclass(frozen=True)
+@frozen
 class SurgeryPlan:
     source_genus: int
     target_genus: int

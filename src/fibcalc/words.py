@@ -46,14 +46,13 @@ is compared, as whole blocks of byte-encoded images, in C.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, compress, count
 from operator import add, ne, neg
 from typing import Callable, Iterable, Sequence
 
 from .errors import (BudgetExceededError, MalformedInputError, RankMismatchError, _check_int,
-                     _check_sequence, _check_type)
+                     _check_sequence, _check_type, frozen)
 from .matrices import IntMatrix, _matrix
 
 
@@ -84,7 +83,7 @@ def _letters(rank: int, letters) -> tuple[int, ...]:
 _set = object.__setattr__
 
 
-@dataclass(frozen=True)
+@frozen
 class FreeWord:
     rank: int
     letters: tuple[int, ...] = ()
@@ -295,7 +294,7 @@ def _common_prefix(x: memoryview, i: int, y: bytes, j: int, m: int, width: int) 
 POWER_LETTER_BUDGET = 2**23
 
 
-@dataclass(frozen=True, init=False)
+@frozen
 class FreeGroupMap:
     """The endomorphism x_i -> images[i-1] of the free group of rank `rank`,
     with an optional inverse witness.  It holds the letters of its words;
@@ -475,7 +474,7 @@ def abelianize(f: FreeGroupMap) -> IntMatrix:
 # the same name with its first letter uppercased is the inverse.
 
 def surface_names(genus: int) -> tuple[str, ...]:
-    _check_int(genus, "genus")
+    _check_genus(genus)
     out: list[str] = []
     for i in range(1, genus + 1):
         out.extend((f"a{i}", f"b{i}"))
@@ -483,8 +482,14 @@ def surface_names(genus: int) -> tuple[str, ...]:
 
 
 def handlebody_names(genus: int) -> tuple[str, ...]:
-    _check_int(genus, "genus")
+    _check_genus(genus)
     return tuple(f"x{i}" for i in range(1, genus + 1))
+
+
+def _check_genus(genus) -> None:
+    _check_int(genus, "genus")
+    if genus < 0:
+        raise MalformedInputError("genus must be nonnegative")
 
 
 def check_generator_names(names: Sequence[str]) -> None:

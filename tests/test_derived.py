@@ -7,15 +7,14 @@ Lagrangian compatibility, normalized fields, reduced words) would fail here.
 The doubled boundary, the a-row compatibility check and `spin` are also
 compared with the general routines they replaced."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibcalc import mcg
-from fibcalc.errors import FibcalcError, MalformedInputError, RankMismatchError
+from fibcalc.errors import FibcalcError, MalformedInputError, RankMismatchError, replace
 from fibcalc.fibered import (Ambient, FiberedKnot, catalog_knot, connected_sum,
                              mirror_knot, stallings_twist)
+from fibcalc.invariants import FiniteGroupTable, finite_group, group_catalog_names
 from fibcalc.laurent import LaurentPoly
 from fibcalc.matrices import IntMatrix, block_diag, smith_diagonal, smith_normal_form
 from fibcalc.mcg import (CurveSpec, HandlebodyMonodromy, SurfaceMonodromy,
@@ -183,6 +182,26 @@ def check_doubled_boundary(m):
     recheck(derived)
     homology_only = SurfaceMonodromy(m.genus, m.action)
     assert doubled_boundary(homology_only) == SurfaceMonodromy(2 * m.genus, derived.action)
+
+
+def test_catalog_groups_pass_the_full_check():
+    """The catalog tables skip the constructor's checks: the checked
+    constructor must find each a group and derive the same identity and
+    inverses (compared fields)."""
+    for name in group_catalog_names():
+        group = finite_group(name)
+        assert FiniteGroupTable(group.label, group.order, group.table, group.names) == group
+
+
+def test_catalog_knots_share_one_trefoil_build():
+    """The left-handed trefoil, square and granny knots are built from the
+    catalog's right-handed trefoil, and equal fresh builds."""
+    trefoil = SurfaceMonodromy.from_twist_word(
+        1, [(curated_payload("g1_a1"), 1), (curated_payload("g1_b1"), 1)])
+    assert curated_payload("trefoil_R") == trefoil
+    assert curated_payload("trefoil_L") == mirror(trefoil)
+    assert curated_payload("square_knot") == boundary_connected_sum(trefoil, mirror(trefoil))
+    assert curated_payload("granny_knot") == boundary_connected_sum(trefoil, trefoil)
 
 
 def test_doubled_boundary_matches_the_hand_assembly_on_the_catalog():

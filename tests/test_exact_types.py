@@ -3,13 +3,14 @@ string is an error, never coerced.  Malformed shapes are library errors too,
 never a raw AttributeError, TypeError or ValueError."""
 
 import inspect
-from dataclasses import replace
+import sys
 from itertools import product
 
 import pytest
 
 import fibcalc
-from fibcalc.errors import FibcalcError, MalformedInputError, RankMismatchError
+from fibcalc import serialize
+from fibcalc.errors import FibcalcError, MalformedInputError, RankMismatchError, replace
 from fibcalc.fibered import (Ambient, FiberedKnot, alexander_poly, catalog_knot,
                              connected_sum, distinctness_bound, dual_knot_surgery_descriptor,
                              knot_group, mirror_knot, stallings_twist)
@@ -25,7 +26,7 @@ from fibcalc.presentation import GroupPresentation, hnn_presentation
 from fibcalc.ribbon_disk import (FiberedDisk, FiberType, boundary_knot,
                                  boundary_surjectivity_check, disk_twist,
                                  exterior_presentation, half_spin, is_homotopy_ribbon)
-from fibcalc.script import Statement, SurgeryScript, execute, parse_script
+from fibcalc.script import Statement, SurgeryScript, build_report, execute, parse_script
 from fibcalc.two_knot import (FiberedTwoKnot, FillingDescriptor, PlanEntry, SurgeryPlan,
                               double_disk, execute_plan, gluck, halving_family,
                               seifert_filling_multiplicity, spin, torus_surgery_plan,
@@ -126,6 +127,11 @@ SHAPE_PROBES = {
     "h1 string": lambda: h1("x"),
     "word int text": lambda: word_from_text(5, ["a"]),
     "map int images": lambda: FreeGroupMap.from_letters(1, 5),
+    "fiber negative genus": lambda: FiberType(-1),
+    "identity negative size": lambda: IntMatrix.identity(-1),
+    "surface names negative genus": lambda: surface_names(-1),
+    "handlebody names negative genus": lambda: handlebody_names(-1),
+    "symplectic form negative genus": lambda: symplectic_form(-1),
 }
 
 # Entry points that take a library object: a wrong-typed argument is a
@@ -282,6 +288,48 @@ def test_integer_inputs_still_build():
     assert IntMatrix(1, 1, [[5]]).entries == ((5,),)
     assert alexander_from_presentation(_trefoil_group(), [0, 0, 1]) == \
         alexander_from_presentation(_trefoil_group())
+
+
+# Calls that write an integer of more digits than Python writes as text
+# (4300 by default), in a label, a note or JSON: each names the digit count
+# in a library error.
+_HUGE = 10**5000
+_HUGE_REPORTED = 10**4400  # its twist leaves |alexander(1)| at 4401 digits
+
+
+def _payload_less(genus):
+    classes = {1: (0, 1), 2: (0, 1, 0, 0)}
+    return CurveSpec(genus, classes[genus], None, bounds_disk_in_handlebody=True,
+                     unknotted_in_ambient=True, fiber_framing_zero=True, name="c")
+
+
+def _unlabeled_twist(m):
+    knot = catalog_knot("trefoil_R")
+    return stallings_twist(FiberedKnot(knot.ambient, knot.genus, knot.monodromy),
+                           _payload_less(1), m)
+
+
+LONG_INTEGER_PROBES = {
+    "double disk": (lambda: double_disk(half_spin(catalog_knot("trefoil_R")), _HUGE), 5001),
+    "dual knot surgery": (lambda: dual_knot_surgery_descriptor(catalog_knot("trefoil_R"),
+                                                               _HUGE), 5001),
+    "halving family": (lambda: halving_family(spin(catalog_knot("trefoil_R")), [_HUGE]), 5001),
+    "stallings twist": (lambda: stallings_twist(catalog_knot("trefoil_R"), _payload_less(1),
+                                                _HUGE), 5001),
+    "disk twist": (lambda: disk_twist(half_spin(catalog_knot("trefoil_R")), _payload_less(2),
+                                      _HUGE), 5001),
+    "report of a twist": (lambda: build_report(_unlabeled_twist(_HUGE_REPORTED)), 4401),
+    "dumps of a twist": (lambda: serialize.dumps(_unlabeled_twist(_HUGE_REPORTED)), 4401),
+}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python writes integers of any length as text")
+@pytest.mark.parametrize("call", LONG_INTEGER_PROBES.values(), ids=LONG_INTEGER_PROBES.keys())
+def test_integer_too_long_to_write_is_a_library_error(call):
+    build, digits = call
+    with pytest.raises(FibcalcError, match=f" {digits} digits"):
+        build()
 
 
 # The values every required positional parameter of every exported callable

@@ -4,11 +4,10 @@ against an oracle that multiplies `FreeWord`s, together with the contracts
 of the class: exact-type words, equality with a matching hash, and
 immutability."""
 
-from dataclasses import FrozenInstanceError
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fibcalc.errors import FrozenInstanceError
 from fibcalc.matrices import IntMatrix
 from fibcalc.presentation import hnn_presentation
 from fibcalc.words import FreeGroupMap, FreeWord, abelianize, apply_map, compose

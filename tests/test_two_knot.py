@@ -223,7 +223,7 @@ def test_plan_entry_validation():
 def test_doubling_inherits_homotopy_ball_ambient():
     d = half_spin(catalog_knot("trefoil_R"))
     knotted = curated_payload("square_knot_stallings_c1")
-    from dataclasses import replace
+    from fibcalc.errors import replace
     bad_curve = replace(knotted, unknotted_in_ambient=False)
     degraded = disk_twist(d, bad_curve, 1)
     assert degraded.ambient.kind == "homotopy_B4"
