@@ -200,6 +200,15 @@ def _int_text(value: int, what: str) -> str:
             f"{what} of {_digit_count(value)} digits is too long to write") from None
 
 
+def _repr_text(value, what: str) -> str:
+    """`repr(value)` of a value, or of a tuple or list of values, or the
+    MalformedInputError of `_int_text` for an integer in it too long to write."""
+    for x in value if type(value) in (tuple, list) else (value,):
+        if type(x) is int:
+            _int_text(x, what)
+    return repr(value)
+
+
 def _digit_count(value: int) -> int:
     """The number of decimal digits of `value`, without writing it."""
     value = abs(value)

@@ -3,15 +3,26 @@ presentations, homology via Smith normal form, and exact counting of
 homomorphisms into small finite groups.
 
 The Fox route to the Alexander polynomial builds no intermediate
-polynomial.  One pass per relator (`_fox_columns`) accumulates the
-abelianized Fox derivatives as {exponent: coefficient} dicts; the meridian
-column is deleted; each row is shifted by its lowest exponent and each
-entry evaluated at t = 2^B as the integer sum of c * 2^(B (e - low)).  B
-comes from the product over all rows of max(1, the row's coefficient norm),
-which bounds every maximal minor (see `matrices`).  Each minor is then one
-integer Bareiss determinant, whose signed base-2^B digits are its
-coefficients, up to the unit t^(sum of its rows' lowest exponents), which
-the gcd ignores.
+polynomial.  A letter x_i adds t^e to column i of its relator's row of the
+abelianized Fox matrix, e the exponent of the prefix before it, and x_i^-1
+adds -t^e', e' that of the prefix after it.  One `itertools.accumulate`
+walks all the relators' letters (each relator has exponent 0, so the next
+starts at 0), and each letter adds 2^(its bit) to its relator's integer,
+whose digits, of as many bytes as keep every count from carrying, then
+count the terms of each column, sign and exponent (`_fox_rows`).  The
+meridian column is deleted, the others are reversed, every row is shifted
+by the walk's lowest exponent, and each entry is evaluated at t = 2^b.
+b comes from Hadamard's inequality: on |z| = 1 an entry has
+|p(z)| <= |p|_1, so every coefficient of a minor, being at most the
+largest |minor(z)|, is at most the product over its rows of
+(sum_j |p_j|_1^2)^(1/2); the product over all rows of
+max(1, sum_j |p_j|_1^2) bounds its square for every minor, and b is one
+more than half its bit length, rounded up.  Each minor is then one
+integer Bareiss determinant, whose signed base-2^b digits are its
+coefficients, up to a unit +-t^m, which the gcd ignores.  Reversing the
+columns puts the t terms of an HNN presentation, in column i of relator i,
+on the antidiagonal, so the first half of the elimination runs on minors
+free of them.
 
 `count_homs` has three routes, tried in order: targets that are abelian
 are counted off H1, targets that split as (Z/a)^m ⋊ Z/k (S3, D4, A4) by
@@ -23,9 +34,10 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations, product
+from itertools import accumulate, chain, combinations, islice, permutations, product, repeat
 from math import gcd, prod
-from operator import mul
+from operator import add, lshift, mul, neg, sub
+from struct import unpack
 
 from .errors import (AbelianizationError, BudgetExceededError, CatalogError,
                      MalformedInputError, _check_int, _check_sequence, _check_type,
@@ -127,6 +139,46 @@ def _fox_columns(letters: tuple[int, ...], exponents: tuple[int, ...]) -> list[d
     return columns
 
 
+def _fox_rows(words: list[tuple[int, ...]], exps: tuple[int, ...], meridian: int
+              ) -> tuple[list[tuple[int, ...]], int]:
+    """The rows at t = 2^b of the abelianized Fox matrix of the relators
+    `words` under generator i -> t^exps[i], and b, as the module docstring
+    says: the meridian column deleted, the others reversed."""
+    n = len(exps)
+    k = n - 1
+    longest, w = max(map(len, words)), 1  # bytes a count, so that none carries
+    while longest >= 256 ** w:
+        w *= 2
+    unit = 16 * w  # the bits of one exponent: a count for x_i, then one for x_i^-1
+    step = list(map(mul, (0, *exps, *map(neg, reversed(exps))), repeat(unit)))
+    walk = list(accumulate(map(step.__getitem__, chain.from_iterable(words)), initial=0))
+    low = min(walk)
+    span = (max(walk) - low) // unit + 1
+    stride = span * unit  # the bits of one column
+    # letter -> the bit of its count less its prefix: the meridian's column
+    # first, then the others from the last down; x_i^-1 counts at the next prefix
+    columns = [*range(k * stride - low, (k - meridian) * stride - low, -stride), -low,
+               *range((k - meridian) * stride - low, -low, -stride)]
+    where = [0, *columns, *map(add, reversed(columns), map(add, step[n + 1:], repeat(8 * w)))]
+    bits = map(lshift, repeat(1),
+               map(add, map(where.__getitem__, chain.from_iterable(words)), walk))
+    raw = b"".join([(sum(islice(bits, len(word))) >> stride).to_bytes(2 * k * span * w, "little")
+                    for word in words])
+    counts = raw if w == 1 else unpack(f"<{len(raw) // w}{'BHIQ'[w.bit_length() - 1]}", raw)
+    coefs = list(map(sub, counts[::2], counts[1::2]))  # by relator, column, exponent
+    # every Fox term sits at an exponent the walk reaches: only those digits count
+    shifts = [(e - low) // unit for e in set(walk) if e != low]
+    norms = list(map(abs, coefs[::span]))
+    entries = coefs[::span]
+    for j in shifts:
+        norms = list(map(add, norms, map(abs, coefs[j::span])))
+    bound = prod(map(max, repeat(1), map(sum, zip(*[map(mul, norms, norms)] * k))))
+    b = (bound.bit_length() + 1) // 2 + 1
+    for j in shifts:
+        entries = list(map(add, entries, map(lshift, coefs[j::span], repeat(b * j))))
+    return list(zip(*[iter(entries)] * k)), b
+
+
 def infinite_cyclic_exponents(presentation: GroupPresentation) -> tuple[int, ...]:
     """Exponents e_i with generator_i -> t^(e_i) inducing H1 ~ Z, if H1 is Z:
     the one row of U in the presentation's H1 Smith form (`_smith_form`)."""
@@ -193,33 +245,16 @@ def alexander_from_presentation(presentation: GroupPresentation,
                 raise MalformedInputError("assignment does not kill all relators")
         if gcd(*exps) != 1:
             raise MalformedInputError("assignment must map onto the infinite cyclic group")
-    if n == 1:
-        if presentation.relators:
-            raise AbelianizationError("single-generator group with relators is not Z")
+    if n == 1:  # a relator that passed the checks above is the empty word
         return LaurentPoly.one()
-    meridian = None
-    for j, e in enumerate(exps):
-        if abs(e) == 1:
-            meridian = j
-            break
-    if meridian is None:
+    sizes = list(map(abs, exps))
+    if 1 not in sizes:
         raise AbelianizationError("no generator maps onto t^(+-1)")
     r, k = len(presentation.relators), n - 1
     if r < k:
         # fewer relators than needed: the first elementary ideal vanishes
         return LaurentPoly.zero()
-    # The Fox matrix at t = 2^b, each row times t^-(its lowest exponent);
-    # the module docstring says why b bounds every minor and why the minors
-    # are read without that unit.
-    shifted, bound = [], 1
-    for rel in presentation.relators:
-        columns = _fox_columns(rel.letters, exps)
-        del columns[meridian]
-        bound *= max(1, sum(abs(c) for column in columns for c in column.values()))
-        shifted.append((min((e for column in columns for e in column), default=0), columns))
-    b = bound.bit_length() + 1
-    rows = [[sum(c << b * (e - low) for e, c in column.items()) for column in columns]
-            for low, columns in shifted]
+    rows, b = _fox_rows([rel.letters for rel in presentation.relators], exps, sizes.index(1))
     gcd_acc = LaurentPoly.zero()
     one = LaurentPoly.one()
     for chosen in combinations(range(r), k):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import (BudgetExceededError, MalformedInputError, _check_int, _check_type,
-                     _unchecked, frozen)
+                     _repr_text, _unchecked, frozen)
 
 # The bound on terms x bits per coefficient of a power's result, as `**`
 # estimates it: (1 + t)^2047, 2048 terms of up to 2048 bits, is at the bound.
@@ -35,7 +35,8 @@ class LaurentPoly:
         for term in self.terms:
             if not (type(term) in (tuple, list) and len(term) == 2
                     and type(term[0]) is int and type(term[1]) is int):
-                raise MalformedInputError(f"Laurent term {term!r} is not a pair of integers")
+                text = _repr_text(term, "Laurent term entry")
+                raise MalformedInputError(f"Laurent term {text} is not a pair of integers")
             if term[1]:
                 nonzero.append(tuple(term))
         fixed = tuple(sorted(nonzero))

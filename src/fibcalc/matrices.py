@@ -23,13 +23,15 @@ entries are evaluated at t = 2^B, with B large enough that the determinant's
 coefficients are the signed base-2^B digits of the integer result, which
 `_from_digits` reads.  `laurent_det` does this for a grid of `LaurentPoly`;
 the Fox route of `invariants.alexander_from_presentation` evaluates its
-entries straight from {exponent: coefficient} dicts and shares only the
-Bareiss `det` and `_from_digits`.  The bound: a row's entries p_j, shifted
-to start at t^0, are polynomials, and the coefficient norm |.|_1 is
-submultiplicative, so a determinant's norm is at most the product over its
-rows of the row norms sum_j |p_j|_1.  A minor takes some of the rows, cut
-to some of the columns, so the product over all rows of max(1, row norm)
-bounds every minor at once; the max keeps a zero row from making it 0.
+entries straight from the letter counts of one walk over the relators and
+shares only the Bareiss `det` and `_from_digits`.  The bound here: a row's
+entries p_j, shifted to start at t^0, are polynomials, and the coefficient
+norm |.|_1 is submultiplicative, so a determinant's norm is at most the
+product over its rows of the row norms sum_j |p_j|_1.  A minor takes some
+of the rows, cut to some of the columns, so the product over all rows of
+max(1, row norm) bounds every minor at once; the max keeps a zero row from
+making it 0.  The Fox route bounds the coefficients more tightly, by
+Hadamard's inequality on the unit circle (see `invariants`).
 
 Smith normal form runs one elimination, `_smith`, for `smith_normal_form`,
 `smith_diagonal`, and the H1 Smith form and Fox-route hom counts of

@@ -16,7 +16,8 @@ from typing import Any
 
 from . import serialize
 from .errors import (FibcalcError, ScriptError, _check_int, _check_optional_str,
-                     _check_sequence, _check_type, _int_text, _unchecked, frozen)
+                     _check_sequence, _check_type, _int_text, _repr_text, _unchecked,
+                     frozen)
 from .fibered import FiberedKnot, catalog_knot, connected_sum, stallings_twist
 from .invariants import count_homs, finite_group, h1
 from .laurent import normalize_alexander
@@ -155,8 +156,12 @@ _TEXT_LINES = (
 )
 
 
+def _class_text(curve: CurveSpec) -> str:
+    return _repr_text(list(curve.homology_class), "homology class entry")
+
+
 def _twist_word_note(word) -> tuple[str, ...]:
-    return tuple(f"{c.name or list(c.homology_class)}^{_int_text(m, 'twist count')}"
+    return tuple(f"{c.name or _class_text(c)}^{_int_text(m, 'twist count')}"
                  for c, m in word)
 
 
@@ -233,7 +238,7 @@ def _report(obj: Any, rows: dict) -> InvariantReport:
             ambient=str(obj.ambient), gluck_parity=obj.gluck_parity,
             provenance=obj.provenance)
     if isinstance(obj, CurveSpec):
-        flags = (f"class {list(obj.homology_class)}",
+        flags = (f"class {_class_text(obj)}",
                  f"bounds_disk_in_handlebody={obj.bounds_disk_in_handlebody}",
                  f"unknotted_in_ambient={obj.unknotted_in_ambient}",
                  f"fiber_framing_zero={obj.fiber_framing_zero}")

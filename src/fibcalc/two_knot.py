@@ -15,8 +15,8 @@ from math import gcd
 
 from .errors import (MalformedInputError, MissingPayloadError, PreconditionError,
                      RankMismatchError, UnsupportedFiberError, _check_int,
-                     _check_optional_str, _check_sequence, _check_type, _int_text, field,
-                     frozen, replace)
+                     _check_optional_str, _check_sequence, _check_type, _int_text, _repr_text,
+                     field, frozen, replace)
 from .fibered import _TWO_KNOT_AMBIENTS, Ambient, FiberedKnot
 from .invariants import count_homs, finite_group, group_catalog_names, h1
 from .mcg import CurveSpec, SurfaceMonodromy
@@ -108,7 +108,8 @@ class FillingDescriptor:
         slope = self.slope
         if not (type(slope) in (tuple, list) and len(slope) == 2
                 and all(type(x) is int for x in slope)):
-            raise MalformedInputError(f"filling slope {slope!r} is not a pair of integers")
+            text = _repr_text(slope, "filling slope entry")
+            raise MalformedInputError(f"filling slope {text} is not a pair of integers")
         p, q = slope
         for x in slope:  # the descriptor is written as text, Y(p/q)
             _int_text(x, "filling slope entry")

@@ -52,7 +52,7 @@ from operator import add, ne, neg
 from typing import Callable, Iterable, Sequence
 
 from .errors import (BudgetExceededError, MalformedInputError, RankMismatchError, _check_int,
-                     _check_sequence, _check_type, frozen)
+                     _check_sequence, _check_type, _repr_text, frozen)
 from .matrices import IntMatrix, _matrix
 
 
@@ -76,7 +76,8 @@ def _letters(rank: int, letters) -> tuple[int, ...]:
     letters = tuple(letters)
     for letter in letters:
         if type(letter) is not int or letter == 0 or abs(letter) > rank:
-            raise MalformedInputError(f"letter {letter!r} is not an integer in +-1..+-{rank}")
+            raise MalformedInputError(
+                f"letter {_repr_text(letter, 'letter')} is not an integer in +-1..+-{rank}")
     return _reduce(letters)
 
 

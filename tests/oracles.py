@@ -100,9 +100,7 @@ def alexander_by_grid(presentation: GroupPresentation, assignment=None) -> Laure
     supplied assignment is trusted."""
     n = presentation.n_generators
     exps = infinite_cyclic_exponents(presentation) if assignment is None else tuple(assignment)
-    if n == 1:
-        if presentation.relators:
-            raise AbelianizationError("single-generator group with relators is not Z")
+    if n == 1:  # a relator killed by the assignment is the empty word
         return LaurentPoly.one()
     meridian = next((j for j, e in enumerate(exps) if abs(e) == 1), None)
     if meridian is None:

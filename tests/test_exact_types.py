@@ -320,6 +320,10 @@ LONG_INTEGER_PROBES = {
                                       _HUGE), 5001),
     "report of a twist": (lambda: build_report(_unlabeled_twist(_HUGE_REPORTED)), 4401),
     "dumps of a twist": (lambda: serialize.dumps(_unlabeled_twist(_HUGE_REPORTED)), 4401),
+    "free word letter": (lambda: FreeWord(2, (_HUGE,)), 5001),
+    "laurent term": (lambda: LaurentPoly(((_HUGE, 1, 2),)), 5001),
+    "filling slope": (lambda: FillingDescriptor("Y", (_HUGE, 1.5)), 5001),
+    "report of a curve": (lambda: build_report(CurveSpec(1, (_HUGE, 1))), 5001),
 }
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product
 from time import perf_counter
 
@@ -91,6 +92,11 @@ def test_infinite_cyclic_exponents():
 
 def test_alexander_from_presentation_examples():
     assert alexander_from_presentation(GroupPresentation(("t",), ())) == LaurentPoly.one()
+    # a presentation of Z whose one relator is the empty word
+    z = GroupPresentation(("t",), (FreeWord(1, ()),))
+    assert h1(z) == [0]
+    assert alexander_from_presentation(z) == LaurentPoly.one()
+    assert alexander_from_presentation(z, (1,)) == LaurentPoly.one()
     p = knot_group(catalog_knot("trefoil_R"))
     assert alexander_from_presentation(p).dense_coeffs() == [1, -1, 1]
     assert alexander_from_presentation(trefoil_two_bridge_presentation()) \
@@ -172,14 +178,52 @@ def fox_presentations(draw):
     return presentation, draw(st.sampled_from((tuple(exps), None)))
 
 
+def _inverse(word):
+    return tuple(-x for x in reversed(word))
+
+
+_TREFOIL = (1, 2, 1, -2, -1, -2)  # u v u = v u v
+_LONG = (1, 3, -2, 1, 1, -3, 2, 2) * 4
+
+
 @given(fox_presentations())
 @example((GroupPresentation(("a", "b"), (FreeWord(2, (1, -2, -1, 2, 2, -1, -2, 1)),)), (1, 1)))
+@example((GroupPresentation(("t",), (FreeWord(1, ()),)), None))
+@example((GroupPresentation(("t",), (FreeWord(1, ()),)), (1,)))
+@example((GroupPresentation(("u", "v", "c"), (FreeWord(3, _TREFOIL), FreeWord(3, (3, 1, 1)))),
+          (1, 1, -2)))
+@example((GroupPresentation(("u", "v", "t"), (
+    FreeWord(3, _TREFOIL), FreeWord(3, (3, -1)),
+    FreeWord(3, _LONG + _TREFOIL + _inverse(_LONG) + _inverse(_TREFOIL)))), (1, 1, 1)))
 @settings(max_examples=300, deadline=None)
 def test_alexander_from_presentation_matches_the_grid_oracle(case):
-    # the example cancels a term below the lowest exponent left in its row
+    # The first example cancels a term below the lowest exponent left in its
+    # row; the next two present Z with an empty relator.  In the fourth,
+    # c u u reaches its lowest prefix exponent, -2, only before a meridian
+    # letter, so the rows are shifted below every Fox term left.  The last
+    # ends in a commutator of two long words: 76 letters, coefficient norm 6.
     presentation, assignment = case
     assert outcome(lambda: alexander_from_presentation(presentation, assignment)) == \
         outcome(lambda: alexander_by_grid(presentation, assignment))
+
+
+def test_alexander_from_presentation_runs_no_fox_columns(monkeypatch):
+    """With every binding of `invariants._fox_columns` made to raise, a
+    dense Nielsen-conjugated genus-6 knot still gets its Alexander
+    polynomial from its presentation: the Fox route walks the letters once."""
+    expected, action, conjugated = _dense_conjugated_knot(random.Random(6), 6)
+    knot = FiberedKnot(Ambient.s3(), 6, SurfaceMonodromy(6, action))
+    presentation = hnn_presentation(conjugated, surface_names(6))
+    fox_columns = invariants._fox_columns
+
+    def refuse(letters, exponents):
+        raise AssertionError("alexander_from_presentation ran _fox_columns")
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] in ("fibcalc", "oracles")
+                and getattr(module, "_fox_columns", None) is fox_columns):
+            monkeypatch.setattr(module, "_fox_columns", refuse)
+    assert alexander_from_presentation(presentation) == alexander_poly(knot) == expected
 
 
 def test_alexander_of_a_long_relator_presentation():
