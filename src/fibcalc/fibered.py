@@ -14,7 +14,7 @@ from .errors import (CatalogError, InapplicableError, MalformedInputError,
                      _check_int, _check_optional_str, _check_type, _int_text, field,
                      frozen)
 from .laurent import LaurentPoly, normalize_alexander
-from .matrices import _symplectic_char_poly
+from .matrices import _char_poly
 from .mcg import (CurveSpec, SurfaceMonodromy, boundary_connected_sum,
                   compose_monodromy, curated_payload, mirror, twist_monodromy)
 from .presentation import GroupPresentation, hnn_presentation
@@ -91,12 +91,12 @@ def alexander_poly(knot: FiberedKnot) -> LaurentPoly:
     A is symplectic: the `SurfaceMonodromy` constructor checks it, and each
     builder that skips the check combines symplectic pieces.  So A^-1 =
     -J A^T J is similar to A^T and det A = 1, det(tI - A) is reciprocal, and
-    `matrices._symplectic_char_poly` gets it from the power sums tr(A^j),
-    j <= g, by Newton's identities, whose divisions are exact over Z:
-    ceil(g/2) - 1 matrix products and g traces, against about (2g)^3/3
-    inner products for Berkowitz's general `char_poly`."""
+    `matrices._char_poly` gets it from the g power sums tr(A^j), j <= g, by
+    Newton's identities, whose divisions are exact over Z: ceil(g/2) - 1
+    matrix products and g traces, half the power sums of the general
+    `char_poly`."""
     _check_type(knot, FiberedKnot, "knot")
-    return normalize_alexander(_symplectic_char_poly(knot.monodromy.action))
+    return normalize_alexander(_char_poly(knot.monodromy.action, knot.monodromy.genus))
 
 
 def stallings_twist(knot: FiberedKnot, curve: CurveSpec, m: int) -> FiberedKnot:

@@ -43,7 +43,7 @@ from .errors import (AbelianizationError, BudgetExceededError, CatalogError,
                      MalformedInputError, _check_int, _check_sequence, _check_type,
                      _unchecked, field, frozen)
 from .laurent import LaurentPoly, laurent_gcd, normalize_alexander
-from .matrices import _from_digits, _matrix, _smith
+from .matrices import _from_digits, _matrix, _product, _smith
 from .presentation import GroupPresentation
 from .words import FreeWord
 
@@ -224,6 +224,9 @@ def _smith_form(presentation: GroupPresentation
     return memo["smith"]
 
 
+_ZERO, _ONE = _unchecked(LaurentPoly, ()), _unchecked(LaurentPoly, ((0, 1),))
+
+
 def alexander_from_presentation(presentation: GroupPresentation,
                                 assignment: tuple[int, ...] | None = None) -> LaurentPoly:
     """Alexander polynomial from a presentation whose abelianization is Z:
@@ -246,25 +249,24 @@ def alexander_from_presentation(presentation: GroupPresentation,
         if gcd(*exps) != 1:
             raise MalformedInputError("assignment must map onto the infinite cyclic group")
     if n == 1:  # a relator that passed the checks above is the empty word
-        return LaurentPoly.one()
+        return _ONE
     sizes = list(map(abs, exps))
     if 1 not in sizes:
         raise AbelianizationError("no generator maps onto t^(+-1)")
     r, k = len(presentation.relators), n - 1
     if r < k:
         # fewer relators than needed: the first elementary ideal vanishes
-        return LaurentPoly.zero()
+        return _ZERO
     rows, b = _fox_rows([rel.letters for rel in presentation.relators], exps, sizes.index(1))
-    gcd_acc = LaurentPoly.zero()
-    one = LaurentPoly.one()
+    gcd_acc = _ZERO
     for chosen in combinations(range(r), k):
         minor = _from_digits(_matrix(k, k, [rows[i] for i in chosen]).det(), b, 0)
         if not minor.is_zero:
             gcd_acc = laurent_gcd(gcd_acc, minor)
-            if gcd_acc == one:
-                return one
+            if gcd_acc == _ONE:
+                return _ONE
     if gcd_acc.is_zero:
-        return LaurentPoly.zero()
+        return _ZERO
     return normalize_alexander(gcd_acc)
 
 
@@ -530,9 +532,10 @@ def _twisted_diagonals(presentation: GroupPresentation, k: int,
         return memo[k, m]
     n, dim = presentation.n_generators, len(m)
     factors, rows = _smith_form(presentation)
+    columns = tuple(zip(*m))
     powers = [[[int(i == j) for j in range(dim)] for i in range(dim)]]
     for _ in range(k - 1):
-        powers.append([[sum(map(mul, row, column)) for column in zip(*m)] for row in powers[-1]])
+        powers.append(_product(powers[-1], columns))
     steps = [(row, k // gcd(d, k)) for d, row in zip(factors, rows) if gcd(d, k) > 1]
     out = []
     for ys in product(*(range(0, k, step) for _, step in steps)):

@@ -1,21 +1,22 @@
 """Exact integer matrices: products, determinants, characteristic polynomials,
 and Smith normal form with unimodular witnesses.
 
-Every algorithm is exact and polynomial in the size n.  Characteristic
-polynomials take one of two routes, and every inner product in both runs as
-`sum(map(mul, ...))`, in C:
-- `char_poly`, for any square matrix, by Berkowitz's division-free
-  algorithm: O(n^4) integer operations, about n^3/3 inner products.  It
-  serves the fiber rows of a script run (an abelianized handlebody map need
-  not be symplectic and can have odd rank) and is the tests' reference.
-- `_symplectic_char_poly`, for the symplectic 2g x 2g action of a fibered
-  knot (`fibered.alexander_poly`).  Its polynomial is reciprocal, c_(2g-k) =
-  c_k, because A^-1 = -J A^T J is similar to A^T and det A = 1, so the power
-  sums tr(A^j) for j <= g fix it by Newton's identities; their divisions are
-  exact, since every coefficient is an integer.  The cost is ceil(g/2) - 1
-  matrix products, n^2 inner products each, and g traces, each a diagonal
-  sum or one inner product.  On any other matrix the answer is wrong, so the
-  routine is private.
+Every algorithm is exact and polynomial in the size n.  Matrix products
+(`IntMatrix.mul`, the powers of `_char_poly` and of the Fox-route hom counts
+of `invariants`) run through one `_product`, one `sum(map(mul, ...))` per
+entry, in C.  Characteristic polynomials take one route, `_char_poly`:
+Newton's identities from the power sums tr(A^j), whose divisions are exact,
+since every coefficient is an integer.  Traces of A, ..., A^h and inner
+products of their flattened entries give p_j for j <= 2h, so p_1..p_s cost
+ceil(s/2) - 1 matrix products.
+- `char_poly`, for any square matrix, forms all n power sums.  It serves the
+  fiber rows of a script run (an abelianized handlebody map need not be
+  symplectic and can have odd rank).
+- A fibered knot's symplectic 2g x 2g action (`fibered.alexander_poly`)
+  needs only g: its polynomial is reciprocal, c_(2g-k) = c_k, because
+  A^-1 = -J A^T J is similar to A^T and det A = 1, so `_char_poly` mirrors
+  c_0..c_(g-1).  On any other matrix that answer is wrong, so the route is
+  private.
 Integer determinants run by fraction-free Bareiss elimination (O(n^3)
 integer operations, every division exact).  Determinants over
 Z[t, t^-1] reduce to one integer determinant by Kronecker substitution: the
@@ -52,7 +53,8 @@ form.
 
 from __future__ import annotations
 
-from operator import mul
+from itertools import chain
+from operator import getitem, mul
 from typing import Sequence
 
 from .errors import (MalformedInputError, RankMismatchError, _check_int, _check_sequence,
@@ -111,16 +113,8 @@ class IntMatrix:
         _check_type(other, IntMatrix, "matrix operand")
         if self.cols != other.rows:
             raise RankMismatchError("matrix product dimension mismatch")
-        out = [[0] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            rowi = self.entries[i]
-            for k in range(self.cols):
-                a = rowi[k]
-                if a:
-                    rowk = other.entries[k]
-                    for j in range(other.cols):
-                        out[i][j] += a * rowk[j]
-        return _matrix(self.rows, other.cols, out)
+        columns = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
+        return _matrix(self.rows, other.cols, _product(self.entries, columns))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return self.mul(other)
@@ -166,6 +160,14 @@ def _matrix(rows: int, cols: int, data) -> IntMatrix:
     """The rows x cols matrix with rows `data`, lists or tuples of exact
     integers derived from checked matrices."""
     return _unchecked(IntMatrix, rows, cols, tuple(map(tuple, data)))
+
+
+def _product(rows, columns) -> list[list[int]]:
+    """The product of the matrices with rows `rows` and columns `columns`,
+    as a list of rows: one inner product per entry, in C.  It has
+    len(columns) columns, also when the inner dimension is 0 and each
+    column is empty."""
+    return [[sum(map(mul, row, col)) for col in columns] for row in rows]
 
 
 def block_diag(*blocks: IntMatrix) -> IntMatrix:
@@ -238,55 +240,37 @@ def _from_digits(value: int, b: int, shift: int) -> LaurentPoly:
 
 
 def char_poly(a: IntMatrix) -> LaurentPoly:
-    """det(tI - A) with exact integer coefficients, by Berkowitz's
-    division-free algorithm (Berkowitz 1984): O(n^4) integer operations.
-
-    Step k extends the characteristic polynomial of the leading k x k block
-    M to the (k+1) x (k+1) block by a Toeplitz product with the column
-    (1, -a_kk, -S R, -S M R, ..., -S M^(k-1) R), where R is column k above
-    the diagonal and S is row k left of it.
-    """
+    """det(tI - A) with exact integer coefficients, from the power sums
+    tr(A^j), j <= n, by Newton's identities (`_char_poly`)."""
     _check_type(a, IntMatrix, "matrix")
     if a.rows != a.cols:
         raise RankMismatchError("characteristic polynomial of a non-square matrix")
-    n, m = a.rows, a.entries
-    coeffs = [1]  # of the leading block, highest degree first
-    for k in range(n):
-        block = [row[:k] for row in m[:k]]
-        s = m[k][:k]
-        v = [row[k] for row in m[:k]]
-        toeplitz = [1, -m[k][k]]
-        for p in range(k):
-            toeplitz.append(-sum(map(mul, s, v)))
-            if p < k - 1:
-                v = [sum(map(mul, row, v)) for row in block]
-        coeffs = [sum(map(mul, toeplitz[i::-1], coeffs)) for i in range(k + 2)]
-    return LaurentPoly(tuple((n - i, c) for i, c in enumerate(coeffs)))
+    return _char_poly(a, a.rows)
 
 
-def _symplectic_char_poly(a: IntMatrix) -> LaurentPoly:
-    """det(tI - A) = t^2g + c_1 t^(2g-1) + ... + c_2g for a symplectic
-    2g x 2g matrix A; wrong on any other matrix (the module docstring says
-    why it holds there).  Newton's identities k c_k = -sum_(i<=k) p_i c_(k-i)
-    give c_1..c_g from the power sums p_j = tr(A^j), and c_(2g-k) = c_k the
-    rest.  With h = ceil(g/2), p_j for j <= h is the diagonal sum of A^j, and
-    for j > h the inner product of the flattened A^h with the flattened
-    transpose of A^(j-h)."""
+def _char_poly(a: IntMatrix, sums: int) -> LaurentPoly:
+    """det(tI - A) = t^n + c_1 t^(n-1) + ... + c_n for an n x n matrix A,
+    from its first `sums` power sums p_j = tr(A^j) by Newton's identities
+    k c_k = -sum_(i<=k) p_i c_(k-i).  With sums < n, c_(sums+1)..c_n are
+    mirrored, c_(n-k) = c_k: right only when the polynomial is reciprocal,
+    as for sums = g on a symplectic 2g x 2g matrix.  With h = ceil(sums/2),
+    p_j for j <= h is the diagonal sum of A^j, and for j > h the inner
+    product of the flattened A^h with the flattened transpose of A^(j-h)."""
     n, m = a.rows, a.entries
-    g, h = n // 2, (n // 2 + 1) // 2
+    h = (sums + 1) // 2
     powers = [m]
-    cols = tuple(zip(*m))
+    columns = tuple(zip(*m))
     for _ in range(h - 1):
-        powers.append([[sum(map(mul, row, col)) for col in cols] for row in powers[-1]])
-    sums = [sum(p[i][i] for i in range(n)) for p in powers]
-    top = [x for row in powers[-1] for x in row]
-    for j in range(h + 1, g + 1):
-        sums.append(sum(map(mul, top, [x for col in zip(*powers[j - h - 1]) for x in col])))
+        powers.append(_product(powers[-1], columns))
+    traces = [sum(map(getitem, p, range(n))) for p in powers]
+    top = list(chain.from_iterable(powers[-1]))
+    for j in range(h + 1, sums + 1):
+        traces.append(sum(map(mul, top, chain.from_iterable(zip(*powers[j - h - 1])))))
     coeffs = [1]
-    for k in range(1, g + 1):
-        coeffs.append(-sum(map(mul, sums[:k], coeffs[::-1])) // k)
-    coeffs += coeffs[-2::-1]  # palindromic, so c_i is also the coefficient of t^i
-    return _unchecked(LaurentPoly, tuple((i, c) for i, c in enumerate(coeffs) if c))
+    for k in range(1, sums + 1):
+        coeffs.append(-sum(map(mul, traces, reversed(coeffs))) // k)
+    coeffs += reversed(coeffs[:n - sums])
+    return _unchecked(LaurentPoly, tuple((i, c) for i, c in enumerate(reversed(coeffs)) if c))
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

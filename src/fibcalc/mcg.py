@@ -203,6 +203,7 @@ class SurfaceMonodromy:
     @classmethod
     def from_twist_word(cls, genus: int,
                         word: Sequence[tuple[CurveSpec, int]]) -> "SurfaceMonodromy":
+        word = _twist_word(word, "twist word")
         out = cls.identity(genus)
         for curve, m in word:
             out = compose_monodromy(out, twist_monodromy(curve, m))
@@ -339,7 +340,7 @@ class HandlebodyMonodromy:
 # Curated catalog
 # --------------------------------------------------------------------------
 
-def _standard_curve(genus: int, kind: str, index: int, **flags) -> CurveSpec:
+def _standard_curve(genus: int, kind: str, index: int) -> CurveSpec:
     """The core curves of the standard handles.  Payloads are the usual
     Nielsen transformations: twisting along a_i sends b_i to b_i a_i^-1,
     twisting along b_i sends a_i to a_i b_i."""
@@ -361,8 +362,7 @@ def _standard_curve(genus: int, kind: str, index: int, **flags) -> CurveSpec:
     else:
         raise CatalogError(f"unknown curve kind {kind!r}")
     payload = FreeGroupMap.from_letters(n, images, invs)
-    return CurveSpec(genus, tuple(vec), payload,
-                     name=flags.pop("name", f"g{genus}_{kind}{index}"), **flags)
+    return CurveSpec(genus, tuple(vec), payload, name=f"g{genus}_{kind}{index}")
 
 
 def _stallings_curve(which: int, sign: int) -> CurveSpec:

@@ -202,6 +202,8 @@ ENTRY_PROBES = {
     "compatibility string action": lambda: cg_compatibility("x", IntMatrix.identity(1)),
     "compatibility string quotient": lambda: cg_compatibility(IntMatrix.identity(2), "x"),
     "compose monodromy string": lambda: compose_monodromy(SurfaceMonodromy.identity(1), "x"),
+    "twist word int entry": lambda: SurfaceMonodromy.from_twist_word(1, [5]),
+    "twist word string": lambda: SurfaceMonodromy.from_twist_word(1, "ab"),
     "mirror monodromy string": lambda: mirror("x"),
     "boundary sum string": lambda: boundary_connected_sum(SurfaceMonodromy.identity(1), "x"),
     "symplectic string": lambda: is_symplectic("x"),

@@ -156,7 +156,8 @@ def test_twist_in_non_lagrangian_basis_changes_alexander():
 
 
 def test_alexander_poly_is_the_normalized_char_poly_on_catalog_and_derived_knots():
-    """The power-sum route against Berkowitz on every catalog knot, their
+    """The reciprocal route (g power sums, mirrored) against the general
+    `char_poly` (all 2g power sums) on every catalog knot, their
     connected sums and mirrors, and Stallings twists of the square knot along
     each catalog curve (symplectic whatever the twist does to the knot)."""
     catalog = [catalog_knot(name) for name in catalog_names()
@@ -171,9 +172,10 @@ def test_alexander_poly_is_the_normalized_char_poly_on_catalog_and_derived_knots
         assert alexander_poly(knot) == normalize_alexander(char_poly(knot.monodromy.action))
 
 
-def test_alexander_poly_runs_no_berkowitz(monkeypatch):
+def test_alexander_poly_runs_no_char_poly(monkeypatch):
     """With every binding of `matrices.char_poly` made to raise, a dense
-    genus-6 knot still gets its Alexander polynomial."""
+    genus-6 knot still gets its Alexander polynomial: the reciprocal route
+    forms g power sums, not all 2g."""
     rng = random.Random(6)
     names = [rng.choice(("trefoil_R", "trefoil_L", "figure8")) for _ in range(6)]
     knot = catalog_knot(names[0])
@@ -188,7 +190,7 @@ def test_alexander_poly_runs_no_berkowitz(monkeypatch):
         expected = expected * LaurentPoly.from_dict(dict(enumerate(factors[name])))
 
     def refuse(a):
-        raise AssertionError("alexander_poly ran Berkowitz's char_poly")
+        raise AssertionError("alexander_poly ran the general char_poly")
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "fibcalc" and getattr(module, "char_poly", None) is char_poly:

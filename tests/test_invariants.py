@@ -226,6 +226,24 @@ def test_alexander_from_presentation_runs_no_fox_columns(monkeypatch):
     assert alexander_from_presentation(presentation) == alexander_poly(knot) == expected
 
 
+def test_alexander_from_presentation_builds_no_checked_constants(monkeypatch):
+    """With `LaurentPoly.zero` and `LaurentPoly.one` made to raise, a genus-1
+    and a dense genus-6 knot still get their Alexander polynomials from their
+    presentations: the route builds neither through the checked constructor."""
+    cases = []
+    for genus in (1, 6):
+        expected, _, conjugated = _dense_conjugated_knot(random.Random(genus), genus)
+        cases.append((hnn_presentation(conjugated, surface_names(genus)), expected))
+
+    def refuse(cls):
+        raise AssertionError("alexander_from_presentation built a checked constant")
+
+    for name in ("zero", "one"):
+        monkeypatch.setattr(LaurentPoly, name, classmethod(refuse))
+    for presentation, expected in cases:
+        assert alexander_from_presentation(presentation) == expected
+
+
 def test_alexander_of_a_long_relator_presentation():
     # phi^8 for the figure-8 monodromy phi: relators of 1600 and 2587 letters
     phi8 = catalog_knot("figure8").monodromy.pi1_action.power(8)

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from fibcalc.errors import MalformedInputError, RankMismatchError
 from fibcalc.laurent import LaurentPoly
-from fibcalc.matrices import (IntMatrix, _pivot, _smith, _symplectic_char_poly, block_diag,
-                              char_poly, laurent_det, smith_diagonal, smith_normal_form)
+from fibcalc.matrices import (IntMatrix, _char_poly, _pivot, _smith, block_diag, char_poly,
+                              laurent_det, smith_diagonal, smith_normal_form)
 from fibcalc.mcg import SurfaceMonodromy, mirror, symplectic_form, transvection
 from oracles import (dense_symplectic, in_row_span, inverse_unimodular, matrix_power,
                      smith_elimination, solve_int)
@@ -59,8 +59,8 @@ def test_char_poly_block_multiplicativity():
 
 def test_char_poly_matches_pointwise_oracle():
     rng = random.Random(23)
-    for _ in range(30):
-        n = rng.randint(1, 5)
+    for trial in range(35):
+        n = rng.randint(1, 5) if trial < 30 else 6  # 6 x 6: the largest fiber row of a script
         a = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
         p = char_poly(a)
         for t0 in range(-3, 4):
@@ -87,8 +87,10 @@ def test_char_poly_matches_sympy_up_to_18x18():
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
     rng = random.Random(2024)
-    for n in list(range(1, 19)) + [18, 18]:
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    cases = [(n, 0) for n in [*range(1, 19), 18, 18]] + [(n, 10**6) for n in (3, 5, 7, 9, 11)]
+    for n, near in cases:  # entries within 9 of 0, or of +-10^6 at odd sizes
+        rows = [[rng.randint(-9, 9) + (near and rng.choice((-near, near))) for _ in range(n)]
+                for _ in range(n)]
         expected = sympy.Matrix(rows).charpoly(t).all_coeffs()  # det(tI - A)
         assert char_poly(IntMatrix.from_rows(rows)) == LaurentPoly.from_dict(
             {n - i: int(c) for i, c in enumerate(expected)})
@@ -184,19 +186,25 @@ def symplectic_actions(draw):
 @example(IntMatrix.from_rows([[1, 1], [-1, 0]]))  # genus 1: no matrix product
 @example(IntMatrix.from_rows([[1, 4], [0, 1]]))  # genus 1, repeated root 1
 @settings(max_examples=150, deadline=None)
-def test_symplectic_char_poly_is_berkowitz_on_symplectic_actions(action):
-    """Term for term, before normalization: the power-sum route and the
-    general Berkowitz route give the same det(tI - A)."""
-    assert _symplectic_char_poly(action).terms == char_poly(action).terms
+def test_symplectic_char_poly_is_the_general_char_poly_on_symplectic_actions(action):
+    """Term for term, before normalization: the reciprocal route (g power
+    sums, mirrored) and the general route (all 2g) give the same
+    det(tI - A)."""
+    assert _char_poly(action, action.rows // 2).terms == char_poly(action).terms
 
 
 def test_symplectic_char_poly_on_dense_genus_8_conjugates():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
     rng = random.Random(9)
     for multiplier in (100, 300):
         trefoils = block_diag(*[transvection([1, 1])] * 8)
         action = _large_conjugate(rng, trefoils, [1, -1] * 8, multiplier)
         assert all(10**6 < abs(x) for row in action.entries for x in row)
-        assert _symplectic_char_poly(action).terms == char_poly(action).terms
+        assert _char_poly(action, 8).terms == char_poly(action).terms
+        expected = sympy.Matrix(action.entries).charpoly(t).all_coeffs()
+        assert char_poly(action) == LaurentPoly.from_dict(
+            {16 - i: int(c) for i, c in enumerate(expected)})
 
 
 def test_inverse_unimodular_rejects_other_matrices():
