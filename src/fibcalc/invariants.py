@@ -28,6 +28,12 @@ free of them.
 are counted off H1, targets that split as (Z/a)^m ⋊ Z/k (S3, D4, A4) by
 the Fox matrix evaluated in the action of Z/k, and any other target (S4)
 by a search of at most `HOM_NODE_BUDGET` nodes.
+
+A mapping torus F ⋊_f Z, the group of every fiber row of a script run,
+needs no presentation while Δ(1) is prime to the k of each split target:
+`_mapping_torus_invariants` reads H1 and the abelian and split counts off
+the action A of f on H1(F), from one Smith form of Aᵀ - I and one of
+I ⊗ M^s - Aᵀ ⊗ I per s ≠ 0, and walks no relator.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .errors import (AbelianizationError, BudgetExceededError, CatalogError,
                      MalformedInputError, _check_int, _check_sequence, _check_type,
                      _unchecked, field, frozen)
 from .laurent import LaurentPoly, laurent_gcd, normalize_alexander
-from .matrices import _from_digits, _matrix, _product, _smith
+from .matrices import IntMatrix, _from_digits, _matrix, _product, _smith
 from .presentation import GroupPresentation
 from .words import FreeWord
 
@@ -218,10 +224,16 @@ def _smith_form(presentation: GroupPresentation
             for letter in rel.letters:
                 a[abs(letter) - 1][k] += 1 if letter > 0 else -1
         d, u, _ = _smith(a, len(relators), False)
-        diag = [d[i][i] for i in range(min(n, len(relators)))]
-        factors = tuple(x for x in diag if x > 1) + (0,) * (n - sum(1 for x in diag if x))
+        factors = _invariant_factors([d[i][i] for i in range(min(n, len(relators)))], n)
         memo["smith"] = factors, tuple(map(tuple, u[n - len(factors):]))
     return memo["smith"]
+
+
+def _invariant_factors(diagonal: list[int], generators: int) -> tuple[int, ...]:
+    """The invariant factors of Z^generators modulo relations with the Smith
+    diagonal `diagonal`: the torsion orders, then one 0 per free Z summand."""
+    free = generators - sum(1 for x in diagonal if x)
+    return tuple(x for x in diagonal if x > 1) + (0,) * free
 
 
 _ZERO, _ONE = _unchecked(LaurentPoly, ()), _unchecked(LaurentPoly, ((0, 1),))
@@ -503,19 +515,34 @@ def count_homs(presentation: GroupPresentation, group: FiniteGroupTable) -> int:
     _check_type(presentation, GroupPresentation, "presentation")
     _check_type(group, FiniteGroupTable, "group")
     if group.is_abelian:
-        return prod(sum(1 for k in group.element_orders if d % k == 0)
-                    for d in _smith_form(presentation)[0])
+        return _abelian_count(_smith_form(presentation)[0], group)
     if group.split is not None:
-        return _crossed_count(presentation, *group.split)
+        a, k, m = group.split
+        return _crossed_count(_smith_form(presentation)[0],
+                              _twisted_diagonals(presentation, k, m), a, len(m))
     return _completed_search(presentation, group, HOM_NODE_BUDGET)
 
 
-def _crossed_count(presentation: GroupPresentation, a: int, k: int,
-                   m: tuple[tuple[int, ...], ...]) -> int:
-    """The homs into (Z/a)^dim ⋊ Z/k with Z/k acting by M (see `count_homs`)."""
-    count = prod(gcd(d, a) ** len(m) for d in _smith_form(presentation)[0])  # ψ = 0
-    return count + sum(prod(gcd(x, a) for x in diagonal)
-                       for diagonal in _twisted_diagonals(presentation, k, m))
+def _abelian_count(factors: tuple[int, ...], group: FiniteGroupTable) -> int:
+    """The homs into the abelian `group` from a group whose H1 has the
+    invariant factors `factors` (see `count_homs`)."""
+    return prod(sum(1 for k in group.element_orders if d % k == 0) for d in factors)
+
+
+def _crossed_count(factors: tuple[int, ...], diagonals: tuple, a: int, dim: int) -> int:
+    """The homs into (Z/a)^dim ⋊ Z/k (see `count_homs`): the ψ = 0 term from
+    the H1 factors, and one kernel over Z/a per Smith diagonal of a ψ ≠ 0."""
+    count = prod(gcd(d, a) ** dim for d in factors)  # ψ = 0
+    return count + sum(prod(gcd(x, a) for x in diagonal) for diagonal in diagonals)
+
+
+def _powers(m: tuple[tuple[int, ...], ...], k: int) -> list[list[list[int]]]:
+    """M^0, ..., M^(k-1), as lists of rows."""
+    dim, columns = len(m), tuple(zip(*m))
+    powers = [[[int(i == j) for j in range(dim)] for i in range(dim)]]
+    for _ in range(k - 1):
+        powers.append(_product(powers[-1], columns))
+    return powers
 
 
 def _twisted_diagonals(presentation: GroupPresentation, k: int,
@@ -532,10 +559,7 @@ def _twisted_diagonals(presentation: GroupPresentation, k: int,
         return memo[k, m]
     n, dim = presentation.n_generators, len(m)
     factors, rows = _smith_form(presentation)
-    columns = tuple(zip(*m))
-    powers = [[[int(i == j) for j in range(dim)] for i in range(dim)]]
-    for _ in range(k - 1):
-        powers.append(_product(powers[-1], columns))
+    powers = _powers(m, k)
     steps = [(row, k // gcd(d, k)) for d, row in zip(factors, rows) if gcd(d, k) > 1]
     out = []
     for ys in product(*(range(0, k, step) for _, step in steps)):
@@ -551,6 +575,52 @@ def _twisted_diagonals(presentation: GroupPresentation, k: int,
         out.append(tuple(d[i][i] if i < len(d) else 0 for i in range(n * dim)))
     memo[k, m] = out = tuple(out)
     return out
+
+
+def _mapping_torus_invariants(action: IntMatrix, delta: int, groups: tuple) -> tuple | None:
+    """(H1 factors, hom counts into each of `groups`) of the mapping torus
+    F ⋊_f Z of a free-group map f, from its abelianization `action` = A
+    alone, with no presentation and no Fox pass; `delta` is ±Δ(1), that is
+    ±det(I - A).  None, for the presentation route, if a target is neither
+    abelian nor split (`FiniteGroupTable.split`), or splits with a k that
+    shares a factor with `delta`.
+
+    H1 is Z ⊕ coker(A - I): the Smith factors of Aᵀ - I, padded with one 0
+    for t as `h1` pads them, give the abelian counts and the ψ = 0 term of a
+    split count as `count_homs` reads them off a presentation.  With Δ(1)
+    prime to k, a hom ψ to Z/k kills the fiber (its values there are killed
+    by Aᵀ - I, which is invertible mod k), so ψ(t) = s alone picks ψ.  As
+    t x_i t^-1 = f(x_i), a hom x_i -> d_i, t -> d c^s into (Z/a)^m ⋊ Z/k
+    needs M^s d_i = Σ_j A[j][i] d_j: (d_i) is in the kernel over Z/a of
+    I_n ⊗ M^s - Aᵀ ⊗ I_m, and d is free, which pads each diagonal with m
+    zeros.  One Smith form per s ≠ 0 serves every target with that (k, M):
+    S3 and D4 share theirs."""
+    if any(group.split is None or gcd(delta, group.split[1]) > 1
+           for group in groups if not group.is_abelian):
+        return None
+    n = action.rows
+    transposed = list(zip(*action.entries))
+    d = _smith([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(transposed)],
+               n, False)[0]
+    factors = _invariant_factors([d[i][i] for i in range(n)], n + 1)  # + t
+    diagonals, counts = {}, []
+    for group in groups:
+        if group.is_abelian:
+            counts.append(_abelian_count(factors, group))
+            continue
+        a, k, m = group.split
+        dim = len(m)
+        if (k, m) not in diagonals:
+            out = []
+            for power in _powers(m, k)[1:]:
+                block = [[(power[p][q] if i == j else 0) - (x if p == q else 0)
+                          for j, x in enumerate(row) for q in range(dim)]
+                         for i, row in enumerate(transposed) for p in range(dim)]
+                d = _smith(block, n * dim, False)[0]
+                out.append(tuple(d[i][i] for i in range(n * dim)) + (0,) * dim)
+            diagonals[k, m] = tuple(out)
+        counts.append(_crossed_count(factors, diagonals[k, m], a, dim))
+    return factors, tuple(counts)
 
 
 def _search_plan(presentation: GroupPresentation) -> tuple[tuple, ...]:

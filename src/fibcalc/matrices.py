@@ -35,8 +35,10 @@ making it 0.  The Fox route bounds the coefficients more tightly, by
 Hadamard's inequality on the unit circle (see `invariants`).
 
 Smith normal form runs one elimination, `_smith`, for `smith_normal_form`,
-`smith_diagonal`, and the H1 Smith form and Fox-route hom counts of
-`invariants`; the last three read no V, so it is not accumulated for them.
+`smith_diagonal`, and in `invariants` for the H1 Smith form and Fox-route
+hom counts of a presentation and for the H1 and hom counts of a mapping
+torus read off its homology action; all but the first read no V, so it
+is not accumulated for them.
 It does no work whose result nobody reads: U changes only with the rows, so
 it rides in them; a column operation changes only the pivot row of the
 matrix; and a unit pivot, which divides everything, needs no scan for an

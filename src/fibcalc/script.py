@@ -19,7 +19,7 @@ from .errors import (FibcalcError, ScriptError, _check_int, _check_optional_str,
                      _check_sequence, _check_type, _int_text, _repr_text, _unchecked,
                      frozen)
 from .fibered import FiberedKnot, catalog_knot, connected_sum, stallings_twist
-from .invariants import count_homs, finite_group, h1
+from .invariants import _mapping_torus_invariants, count_homs, finite_group, h1
 from .laurent import normalize_alexander
 from .matrices import IntMatrix, char_poly
 from .mcg import CurveSpec, SurfaceMonodromy, curated_payload
@@ -182,21 +182,35 @@ def _fiber_row(rows: dict, f: FreeGroupMap) -> tuple:
     """(Alexander coefficients, H1 diagonal, REPORT_GROUPS hom counts) of the
     mapping torus of the fiber map `f`, from `rows` or computed and stored
     there.  All three are invariants of the HNN extension by f and of its
-    abelianization, which f alone determines: a knot, its spin, the spin's
-    Gluck twist, its half-spin disk, that disk's disk twists and their
-    doubles all have the one row of their shared f.  Generator names only
-    label the presentation, so the handlebody names serve every object."""
+    abelianization A, which f alone determines: a knot, its spin, the
+    spin's Gluck twist, its half-spin disk, that disk's disk twists and
+    their doubles all have the one row of their shared f.
+
+    When ±Δ(1), the sum of the Alexander coefficients, is prime to the k of
+    every split group (odd, for S3 and D4), H1 and the counts come from A
+    alone (`_mapping_torus_invariants`).  Otherwise a hom to Z/k can be
+    nonzero on the fiber, and they come from the HNN presentation; generator
+    names only label it, so the handlebody names serve every object."""
     row = rows.get(f)
     if row is None:
-        presentation = hnn_presentation(f, handlebody_names(f.rank))
-        rows[f] = row = (_alexander(abelianize(f)), *_presentation_invariants(presentation))
+        action = abelianize(f)
+        alex = _alexander(action)
+        groups = tuple(map(finite_group, REPORT_GROUPS))
+        found = _mapping_torus_invariants(action, sum(alex), groups)
+        if found is None:
+            rest = _presentation_invariants(hnn_presentation(f, handlebody_names(f.rank)))
+        else:
+            rest = found[0], tuple(zip(REPORT_GROUPS, found[1]))
+        rows[f] = row = (alex, *rest)
     return row
 
 
 def build_report(obj: Any) -> InvariantReport:
     """The invariant report of a knot, disk, 2-knot, curve or surgery plan,
     computed afresh on every call; `execute` computes the rows it shares
-    with other reports of the same run once (see `_fiber_row`)."""
+    with other reports of the same run once.  A row comes from the fiber
+    map's homology action alone, or from its HNN presentation when Δ(1) is
+    even (see `_fiber_row`); both give the same bytes."""
     return _report(obj, {})
 
 

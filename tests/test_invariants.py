@@ -103,6 +103,43 @@ def test_alexander_from_presentation_examples():
         .dense_coeffs() == [1, -1, 1]
 
 
+def _torus_knot_polynomial(p: int, q: int) -> list[int]:
+    """(t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), by exact long division."""
+    def times(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                out[i + j] += x * y
+        return out
+
+    def binomial(n):  # t^n - 1
+        return [-1] + [0] * (n - 1) + [1]
+
+    rest, divisor = times(binomial(p * q), binomial(1)), times(binomial(p), binomial(q))
+    quotient = [0] * (len(rest) - len(divisor) + 1)
+    for i in reversed(range(len(quotient))):  # the divisor is monic
+        quotient[i] = c = rest[i + len(divisor) - 1]
+        for j, d in enumerate(divisor):
+            rest[i + j] -= c * d
+    assert not any(rest)
+    return quotient
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (3, 4), (5, 7), (7, 11)])
+def test_alexander_of_torus_knot_presentations(p, q):
+    """<x, y, t | x^p y^-q, t^-1 x^a y^b> with aq + bp = 1 presents the
+    torus knot T(p, q) with meridian t; x -> t^q and y -> t^p, so the Fox
+    walk spans pq + 1 exponents."""
+    a = pow(q, -1, p)
+    b = (1 - a * q) // p  # negative, as 0 < a < p
+    presentation = _presentation(("x", "y", "t"), (1,) * p + (-2,) * q,
+                                 (-3,) + (1,) * a + (-2,) * -b)
+    assert h1(presentation) == [0]
+    expected = _torus_knot_polynomial(p, q)
+    assert len(expected) == (p - 1) * (q - 1) + 1
+    assert alexander_from_presentation(presentation).dense_coeffs() == expected
+
+
 def test_alexander_supplied_assignment_validated():
     p = trefoil_two_bridge_presentation()
     assert alexander_from_presentation(p, (1, 1)).dense_coeffs() == [1, -1, 1]

@@ -592,15 +592,17 @@ report W
 def test_run_computes_a_shared_fiber_maps_invariants_once(monkeypatch):
     """A knot, its spin, the Gluck twist, its half-spin disk, a disk twist
     of that disk and its double have one fiber map, so one run computes its
-    Alexander polynomial, presentation and presentation invariants once."""
+    Alexander polynomial and its H1 and hom counts once.  Δ(1) = 1 is odd,
+    so the counts come from the homology action, with no presentation."""
     calls = {}
-    for name in ("char_poly", "hnn_presentation", "_presentation_invariants"):
+    for name in ("char_poly", "hnn_presentation", "_presentation_invariants",
+                 "_mapping_torus_invariants"):
         def counting(*args, _name=name, _function=getattr(script, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _function(*args)
         monkeypatch.setattr(script, name, counting)
     reports = execute(SHARED_MAP_SCRIPT)
-    assert calls == {"char_poly": 1, "hnn_presentation": 1, "_presentation_invariants": 1}
+    assert calls == {"char_poly": 1, "_mapping_torus_invariants": 1}
     assert [r.kind for r in reports] == ["fibered_knot"] + ["fibered_two_knot"] * 2 + \
         ["fibered_disk"] * 2 + ["fibered_two_knot"]
     assert len({(r.alexander, r.h1_diagonal, r.hom_counts) for r in reports}) == 1
@@ -700,11 +702,12 @@ def test_run_checks_each_signature_once(tmp_path, capsys, monkeypatch):
     assert checked == verbs
 
 
-# Time-free work gate on the golden runs.  Each distinct fiber map of a run
-# costs one H1 Smith elimination and one Fox-matrix elimination per hom
-# ψ ≠ 0 into Z/2, which S3 and D4 share.  `sum` has two maps with H1 = Z
-# (1 + 1 each); `stallings` twists at m = -1, H1 = Z^2 (1 + 3), and at
-# m = 40, H1 = Z + Z/41 (1 + 1).
+# Time-free work gates on the golden runs.  Each distinct fiber map of a
+# run costs one H1 Smith elimination and one more per hom ψ ≠ 0 into Z/2,
+# which S3 and D4 share.  `sum` has two maps with H1 = Z (1 + 1 each);
+# `stallings` twists at m = -1, H1 = Z^2 (1 + 3), and at m = 40,
+# H1 = Z + Z/41 (1 + 1).  Only a map whose Δ(1) is even needs its HNN
+# presentation: the twist at m = -1, where Δ(1) = 0.
 @pytest.mark.parametrize("name, eliminations", [("stallings", 6), ("sum", 4)])
 def test_golden_run_smith_work_gate(name, eliminations, tmp_path, capsys, monkeypatch):
     smiths = counted_smith(monkeypatch)
@@ -712,6 +715,17 @@ def test_golden_run_smith_work_gate(name, eliminations, tmp_path, capsys, monkey
     path.write_text(GOLDEN_SCRIPTS[name])
     assert main(["run", str(path), "--json"]) == 0
     assert len(smiths) == eliminations
+
+
+@pytest.mark.parametrize("name, presentations", [("stallings", 1), ("sum", 0)])
+def test_golden_run_presentation_work_gate(name, presentations, tmp_path, capsys, monkeypatch):
+    built = []
+    hnn = script.hnn_presentation
+    monkeypatch.setattr(script, "hnn_presentation", lambda *args: built.append(args) or hnn(*args))
+    path = tmp_path / "script.fib"
+    path.write_text(GOLDEN_SCRIPTS[name])
+    assert main(["run", str(path), "--json"]) == 0
+    assert len(built) == presentations
 
 
 def test_one_report_runs_one_h1_elimination(monkeypatch):

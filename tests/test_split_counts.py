@@ -1,10 +1,13 @@
 """Hom counts into split groups A ⋊ <c> (S3, D4, A4): the Fox route of
 `count_homs` against the search `_completed_search` and the brute-force
 oracle, on random presentations, on report presentations, on relabelled
-group tables and on sums of trefoils."""
+group tables and on sums of trefoils; and the fiber rows read off the
+homology action (`_mapping_torus_invariants`) against the presentation
+route."""
 
 import random
-from math import lcm
+from itertools import combinations_with_replacement
+from math import gcd, lcm
 from time import perf_counter
 
 import pytest
@@ -12,12 +15,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from fibcalc.fibered import catalog_knot, connected_sum, knot_group, stallings_twist
 from fibcalc.invariants import (HOM_NODE_BUDGET, FiniteGroupTable, _completed_search,
-                                _perm_group, count_homs, finite_group, h1)
-from fibcalc.mcg import curated_payload
-from fibcalc.presentation import GroupPresentation
+                                _mapping_torus_invariants, _perm_group, count_homs,
+                                finite_group, h1)
+from fibcalc.matrices import IntMatrix
+from fibcalc.mcg import SurfaceMonodromy, curated_payload
+from fibcalc.presentation import GroupPresentation, hnn_presentation
 from fibcalc.ribbon_disk import boundary_knot, disk_twist, exterior_presentation, half_spin
+from fibcalc.script import REPORT_GROUPS, _alexander, _presentation_invariants
 from fibcalc.two_knot import double_disk, gluck, spin, two_knot_group
-from test_invariants import _presentation, _report_presentations, brute_force_count, letters
+from fibcalc.words import abelianize, handlebody_names
+from test_invariants import (CATALOG_KNOTS, _presentation, _report_presentations,
+                             brute_force_count, letters)
 
 SPLIT_GROUPS = ("S3", "D4", "A4")
 # The largest rank per group that keeps the brute-force oracle fast.
@@ -230,3 +238,96 @@ def test_twist_counts_are_periodic_in_the_exponent(curve_name, group_name, m):
 def test_twist_counts_at_forty(curve_name):
     assert _twisted_count(curve_name, 40, finite_group("A4")) == 132
     assert _twisted_count(curve_name, 40, finite_group("S4")) == 240
+
+
+# --------------------------------------------------------------------------
+# Fiber rows from the homology action against the presentation route
+# --------------------------------------------------------------------------
+
+def _twist_curves(genus):
+    """The catalog's standard curves of a genus (the Stallings curves too at
+    genus 2), and at genus 3 those of genus 1 and 2 moved to every handle."""
+    if genus == 3:
+        return tuple(c.extend(3, offset) for c in _twist_curves(1) + _twist_curves(2)
+                     for offset in range(4 - c.genus))
+    names = [f"g{genus}_{k}{i}" for k in "ab" for i in range(1, genus + 1)]
+    if genus == 2:
+        names += [f"square_knot_stallings_c{i}" for i in (1, 2)]
+    return tuple(map(curated_payload, names))
+
+
+_EXPONENTS = st.integers(1, 5).flatmap(lambda e: st.sampled_from((e, -e)))
+
+
+@st.composite
+def _twist_products(draw, odd):
+    """The pi1 action of a product of catalog twist payloads.  Most have an
+    even Δ(1), so with `odd` the word is drawn again, up to 20 times, until
+    Δ(1) is odd and the homology route applies."""
+    for _ in range(20):
+        genus = draw(st.integers(1, 3))
+        word = draw(st.lists(st.tuples(st.sampled_from(_twist_curves(genus)), _EXPONENTS),
+                             min_size=1, max_size=5))
+        f = SurfaceMonodromy.from_twist_word(genus, word).pi1_action
+        if not odd or sum(_alexander(abelianize(f))) % 2:
+            break
+    return f
+
+
+def _witnessed_fiber_maps():
+    """Fiber maps like a script's rows: catalog sums, half-spin and
+    disk-twist handlebody maps, and Stallings twists of the square knot."""
+    for a, b in combinations_with_replacement(CATALOG_KNOTS, 2):
+        yield connected_sum(catalog_knot(a), catalog_knot(b)).monodromy.pi1_action
+    for name in ("trefoil_R", "trefoil_L", "figure8"):
+        disk = half_spin(catalog_knot(name))
+        yield disk.monodromy.pi1_action
+        for c, m in (("c1", 1), ("c2_neg", -2), ("c2", 17)):
+            yield disk_twist(disk, curated_payload(f"square_knot_stallings_{c}"),
+                             m).monodromy.pi1_action
+    square = catalog_knot("square_knot")
+    for c in ("c1", "c1_neg", "c2", "c2_neg"):
+        for m in (-1, 1, 2, 16, 40):
+            yield stallings_twist(square, curated_payload(f"square_knot_stallings_{c}"),
+                                  m).monodromy.pi1_action
+
+
+def check_fiber_route(f) -> bool:
+    """The row of `_mapping_torus_invariants` against the HNN presentation's,
+    for the report groups and for A4; True if the report row applied.  It
+    must decline exactly when Δ(1) shares a factor with the k of a split
+    group: 2 for S3 and D4, 3 for A4."""
+    action = abelianize(f)
+    delta = sum(_alexander(action))
+    assert abs(delta) == abs(IntMatrix.identity(f.rank).sub(action).det())
+    presentation = hnn_presentation(f, handlebody_names(f.rank))
+    row = _mapping_torus_invariants(action, delta, tuple(map(finite_group, REPORT_GROUPS)))
+    assert (row is None) == (gcd(delta, 2) > 1)
+    if row is not None:
+        assert (row[0], tuple(zip(REPORT_GROUPS, row[1]))) == \
+            _presentation_invariants(presentation)
+    a4 = finite_group("A4")
+    found = _mapping_torus_invariants(action, delta, (a4,))
+    assert (found is None) == (gcd(delta, 3) > 1)
+    if found is not None:
+        assert found == (tuple(h1(presentation)), (count_homs(presentation, a4),))
+    assert _mapping_torus_invariants(action, 1, (finite_group("S4"),)) is None
+    return row is not None
+
+
+@given(st.booleans().flatmap(_twist_products))
+@settings(max_examples=60, deadline=None)
+def test_fiber_route_matches_the_presentation_route_on_twist_products(f):
+    check_fiber_route(f)
+
+
+def test_fiber_route_matches_the_presentation_route_on_witnessed_maps():
+    applied = [check_fiber_route(f) for f in _witnessed_fiber_maps()]
+    assert any(applied) and not all(applied)  # both routes are exercised
+
+
+def test_fiber_route_of_the_trivial_fiber():
+    """The unknot's fiber is a disk: the group is Z, with 6 homs to S3."""
+    f = catalog_knot("unknot").monodromy.pi1_action
+    assert f.rank == 0 and check_fiber_route(f)
+    assert _mapping_torus_invariants(abelianize(f), 1, (finite_group("S3"),)) == ((0,), (6,))
