@@ -143,6 +143,28 @@ class CurveSpec:
                           self.fiber_framing_zero, name)
 
 
+def _catalog_curve(name: str, genus: int) -> "CurveSpec | None":
+    """The catalog curve, or the copy `CurveSpec.extend` makes of one, that
+    is named `name` at genus `genus`; None if `extend` writes no such name.
+    `extend` appends "+k" for each nonzero handle offset k, so a right-
+    associated sum nests the suffixes.  The copy does not depend on the
+    genera in between, so each suffix extends by just its offset."""
+    base, *suffixes = name.split("+")
+    if base not in _CATALOG_BUILDERS:
+        return None
+    curve, digits = _curated_payload(base), len(str(genus))
+    if not isinstance(curve, CurveSpec):
+        return None
+    for k in suffixes:  # the text `str` writes for a positive integer
+        if not (k.isascii() and k.isdigit() and k[0] != "0" and len(k) <= digits):
+            return None
+        offset = int(k)
+        if curve.genus + offset > genus:
+            return None
+        curve = curve.extend(curve.genus + offset, offset)
+    return curve.extend(genus, 0) if curve.genus <= genus else None
+
+
 def _twist_word(word, what: str) -> tuple[tuple[CurveSpec, int], ...]:
     """`word` as a tuple of (curve, multiplier) pairs, checked for shape."""
     _check_sequence(word, what)

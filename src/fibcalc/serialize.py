@@ -12,8 +12,21 @@ naming the JSON path of the offending value.  Loading is the trust boundary,
 so no check is dropped: a map's words are read in one loop with one token
 table, then its constructor checks ranks, lengths and the inverse witness,
 and `CurveSpec` and `SurfaceMonodromy` the abelianization and symplectic
-facts.  No word or object is kept between calls, so a document loaded twice
-is checked twice.
+facts.
+
+Curves take one of two routes.  A curve object whose name is that of a
+catalog curve, or of a copy `CurveSpec.extend` makes of one, and which is
+that curve's canonical JSON exactly, type for type, loads as the checked
+catalog value (the catalog route).  That is a complete check, not a skipped
+one: what the field codecs, the witness check and the abelianization check
+decide is a function of the JSON alone, and the catalog value passed them
+all when it was built, so the checked route would build an equal curve with
+the same bytes.  Every curve the CLI makes is such a curve, as are the twist
+words of sums, mirrors and twists of catalog knots.  Any other curve, and
+any difference in a type, a key or the name, takes the checked route.  The
+canonical forms are built on first use and kept, never handed out, in a
+bounded cache; nothing else is kept between calls, so any other document
+loaded twice is checked twice.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ from .errors import FibcalcError, SchemaError, _digit_count
 from .fibered import Ambient, FiberedKnot
 from .laurent import LaurentPoly
 from .matrices import IntMatrix
-from .mcg import CurveSpec, HandlebodyMonodromy, SurfaceMonodromy
+from .mcg import CurveSpec, HandlebodyMonodromy, SurfaceMonodromy, _catalog_curve
 from .presentation import GroupPresentation
 from .ribbon_disk import FiberedDisk, FiberType
 from .two_knot import FiberedTwoKnot, FillingDescriptor, PlanEntry, SurgeryPlan
@@ -227,11 +240,46 @@ def _dump(kind: str | None, obj: Any) -> dict:
     return out
 
 
+def _same(data: Any, canonical: Any) -> bool:
+    """Whether the JSON data `data` is `canonical`, type for type (`==`
+    takes true, 1 and 1.0 for one another, and a subclass for its base)."""
+    if type(data) is not type(canonical):
+        return False
+    if type(canonical) is dict:
+        return data.keys() == canonical.keys() and all(
+            map(_same, map(data.__getitem__, canonical), canonical.values()))
+    if type(canonical) is list:
+        return len(data) == len(canonical) and all(map(_same, data, canonical))
+    return data == canonical
+
+
+@lru_cache(maxsize=64)
+def _catalog_form(name: str, genus: int) -> tuple[CurveSpec, dict] | None:
+    """The catalog curve, or its `extend` copy, named `name` at genus
+    `genus`, with its canonical JSON, which is never handed out."""
+    curve = _catalog_curve(name, genus)
+    return None if curve is None else (curve, _dump("curve_spec", curve))
+
+
+def _catalog_value(data: dict) -> CurveSpec | None:
+    """The checked catalog value whose canonical JSON `data` is, if any.
+    The class length is checked first, so a declared genus builds nothing
+    larger than the document."""
+    name, genus, vec = data.get("name"), data.get("genus"), data.get("homology_class")
+    if type(name) is not str or type(genus) is not int or type(vec) is not list \
+            or len(vec) != 2 * genus:
+        return None
+    form = _catalog_form(name, genus)
+    return form[0] if form is not None and _same(data, form[1]) else None
+
+
 def _load(kind: str | None, data: Any) -> Any:
     if type(data) is not dict:
         raise _Invalid("expected an object")
     if kind is not None and data.get("kind") != kind:
         raise _Invalid(f"expected kind {kind!r}", ".kind")
+    if kind == "curve_spec" and (curve := _catalog_value(data)) is not None:
+        return curve
     loaded: dict[str, Any] = {}
     for key, attr, codec, default in _KINDS[kind][1]:
         value = data.get(key, default)

@@ -1,5 +1,8 @@
 import hashlib
 import json
+from collections import Counter
+from contextlib import contextmanager, nullcontext
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +11,10 @@ from fibcalc import serialize
 from fibcalc.errors import FibcalcError, MalformedInputError, RankMismatchError, SchemaError
 from fibcalc.fibered import (Ambient, FiberedKnot, catalog_knot, connected_sum, mirror_knot,
                              stallings_twist)
-from fibcalc.mcg import SurfaceMonodromy, catalog_names, curated_payload
+from fibcalc.mcg import CurveSpec, SurfaceMonodromy, catalog_names, curated_payload
 from fibcalc.ribbon_disk import boundary_knot, disk_twist, half_spin
 from fibcalc.two_knot import double_disk, execute_plan, gluck, spin, torus_surgery_plan
-from fibcalc.words import abelianize
+from fibcalc.words import FreeGroupMap, abelianize
 
 
 def roundtrip(obj):
@@ -352,9 +355,16 @@ _PAYLOAD = ("monodromy", "provenance", 0, 0, "pi1_payload")
 _PAYLOAD_PATH = "$.object.monodromy.provenance[0][0].pi1_payload"
 _HANDLEBODY = ("monodromy", "pi1_action")
 _HANDLEBODY_PATH = "$.object.monodromy.pi1_action"
+# In `_square_twist`'s provenance: g1_a1 at genus 2, its copy g1_a1+1, and
+# square_knot_stallings_c1, whose flags are true.
+_A1, _A1_COPY, _C1 = (("monodromy", "provenance", i, 0) for i in (0, 3, 4))
+_A1_PATH, _A1_COPY_PATH, _C1_PATH = (f"$.object.monodromy.provenance[{i}][0]" for i in (0, 3, 4))
 
-# Word-level faults inside nested maps: (object, keys, new value, message,
-# path, type of the SchemaError's cause).
+# Word-level faults inside nested maps, and catalog-named curves that differ
+# from their catalog curve only in a JSON type, a key or the name:
+# (object, keys, new value, message, path, type of the SchemaError's
+# cause).  A message of None marks a document that loads, and its path is
+# the changed field.
 WORD_PROBES = [
     (_square_twist, _PAYLOAD + ("images", 2), "a2 zz", "unknown generator token 'zz'",
      _PAYLOAD_PATH + ".images[2]", MalformedInputError),
@@ -390,14 +400,33 @@ WORD_PROBES = [
      _HANDLEBODY_PATH + ".inverse_images[0]", type(None)),
     (_trefoil_disk_twist, _HANDLEBODY + ("inverse_images", 0), "x1",
      "inverse witness does not invert the map", _HANDLEBODY_PATH, MalformedInputError),
+    (_square_twist, _A1_COPY + ("homology_class", 2), True, "expected an integer",
+     _A1_COPY_PATH + ".homology_class[2]", type(None)),
+    (_square_twist, _A1_COPY + ("homology_class", 2), 1.0, "expected an integer",
+     _A1_COPY_PATH + ".homology_class[2]", type(None)),
+    (_square_twist, _A1_COPY + ("genus",), 2.0, "expected an integer",
+     _A1_COPY_PATH + ".genus", type(None)),
+    (_square_twist, _A1_COPY + ("bounds_disk_in_handlebody",), 0, "expected a boolean",
+     _A1_COPY_PATH + ".bounds_disk_in_handlebody", type(None)),
+    (_square_twist, _C1 + ("fiber_framing_zero",), 1, "expected a boolean",
+     _C1_PATH + ".fiber_framing_zero", type(None)),
+    (_square_twist, _A1_COPY + ("genus",), 10**6, "homology class must have length 2*genus",
+     _A1_COPY_PATH, MalformedInputError),
+    (_square_twist, _A1_COPY + ("colour",), "red", None, _A1_COPY_PATH + ".colour", None),
+    (_square_twist, _A1 + ("name",), "g1_a1+0", None, _A1_PATH + ".name", None),
+    (_square_twist, _A1_COPY + ("name",), "g1_a1+01", None, _A1_COPY_PATH + ".name", None),
 ]
 
 
 @pytest.mark.parametrize("make, keys, value, message, path, cause", WORD_PROBES,
                          ids=[f"{p[4]}:={p[2]!r}" for p in WORD_PROBES])
 def test_word_level_fault_is_pinned(make, keys, value, message, path, cause):
+    data = _mutated(make(), keys, value)
+    if message is None:  # it loads, and dumps back every key of the schema as it was
+        assert _covers(data, serialize.serialize(serialize.deserialize(data)))
+        return
     with pytest.raises(SchemaError) as err:
-        serialize.deserialize(_mutated(make(), keys, value))
+        serialize.deserialize(data)
     assert type(err.value) is SchemaError
     assert str(err.value) == f"{message} at {path}"
     assert err.value.path == path
@@ -469,3 +498,113 @@ def test_canonical_bytes_are_golden():
         texts = [serialize.dumps(obj) for obj in objects]
         assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == GOLDEN_SHA256[family]
         assert [serialize.dumps(serialize.loads(text)) for text in texts] == texts
+
+
+@contextmanager
+def _counted_checks():
+    """Count the checks of free-group maps (the inverse witness) and of
+    curves (the abelianization against the transvection) while it is open."""
+    counts = Counter()
+    saved = {cls: cls.__post_init__ for cls in (FreeGroupMap, CurveSpec)}
+
+    def counting(cls):
+        def check(self):
+            counts[cls.__name__] += 1
+            saved[cls](self)
+        return check
+    try:
+        for cls in saved:
+            cls.__post_init__ = counting(cls)
+        yield counts
+    finally:
+        for cls, check in saved.items():
+            cls.__post_init__ = check
+
+
+@contextmanager
+def _no_catalog_route():
+    """Load every curve through its field codecs and checked constructor."""
+    with patch.object(serialize, "_catalog_form", lambda name, genus: None):
+        yield
+
+
+def _both_routes(text):
+    """`text` loaded with the catalog route and without it, which must agree."""
+    back = serialize.loads(text)
+    with _no_catalog_route():
+        checked = serialize.loads(text)
+    assert back == checked
+    assert serialize.dumps(back) == serialize.dumps(checked) == text
+    return back
+
+
+def _extend_copies(curve, top=4):
+    """Every copy `CurveSpec.extend` makes of `curve` up to genus `top`: each
+    run of nonzero offsets, as nested sums write them, at each final genus.
+    Each offset extends to the largest genus the later offsets leave room
+    for, which is not the genus the catalog route builds through."""
+    def runs(room):
+        yield ()
+        for k in range(1, room + 1):
+            yield from ((k, *rest) for rest in runs(room - k))
+    for genus in range(curve.genus, top + 1):
+        for offsets in runs(genus - curve.genus):
+            copy = curve
+            for i, k in enumerate(offsets):
+                copy = copy.extend(genus - sum(offsets[i + 1:]), k)
+            yield copy.extend(genus, 0)
+
+
+def test_catalog_route_matches_the_checked_route_on_every_extend_copy():
+    names = [name for name in catalog_names() if isinstance(curated_payload(name), CurveSpec)]
+    seen = set()
+    for name in names:
+        for curve in _extend_copies(curated_payload(name)):
+            text = serialize.dumps(curve)
+            seen.add(json.loads(text)["object"]["name"])
+            with _counted_checks() as counts:
+                back = _both_routes(text)
+            assert back == curve and back.name == curve.name
+            assert counts["CurveSpec"] == 1  # the checked route's, none on the catalog route
+    assert {"g1_a1+1+1+1", "g1_b1+2+1", "g2_b2+2", "square_knot_stallings_c2+1+1"} <= seen
+
+
+@given(constructed_objects())
+@settings(max_examples=60, deadline=None)
+def test_catalog_route_matches_the_checked_route_on_constructed_objects(obj):
+    assert _both_routes(serialize.dumps(obj)) == obj
+
+
+def _right_associated_sum():
+    return connected_sum(_trefoil(), connected_sum(catalog_knot("figure8"),
+                                                   catalog_knot("trefoil_L")))
+
+
+@pytest.mark.parametrize("make, checked, catalog", [
+    (lambda: stallings_twist(catalog_knot("square_knot"),
+                             curated_payload("square_knot_stallings_c1"), 16), (6, 5), (1, 0)),
+    (lambda: disk_twist(half_spin(_trefoil()), curated_payload("square_knot_stallings_c2_neg"),
+                        40), (4, 2), (2, 0)),
+    (_right_associated_sum, (7, 6), (1, 0)),
+], ids=["stallings", "disk", "sum"])
+def test_catalog_curve_load_work_gate(make, checked, catalog):
+    """The checks a warm load runs, as (free-group maps, curves): `checked`
+    with every curve through its constructor, `catalog` on the catalog
+    route, which checks no catalog curve and no payload of one."""
+    text = serialize.dumps(make())
+    serialize.loads(text)
+    for route, expected in ((_no_catalog_route, checked), (nullcontext, catalog)):
+        with route(), _counted_checks() as counts:
+            serialize.loads(text)
+        assert (counts["FreeGroupMap"], counts["CurveSpec"]) == expected
+
+
+def test_declared_genus_builds_no_catalog_curve_larger_than_the_document():
+    """The class length is checked against the genus before the catalog
+    route builds anything, so genus 10^6 with four class entries builds no
+    genus-10^6 curve on its way to the constructor's error."""
+    built = []
+    with patch.object(serialize, "_catalog_form", lambda name, genus: built.append(genus)):
+        with pytest.raises(SchemaError, match="homology class must have length 2"):
+            serialize.deserialize(_mutated(_square_twist(), _A1_COPY + ("genus",), 10**6))
+    assert built and set(built) == {2}
