@@ -2,6 +2,7 @@
 that raise it, and `frozen`, which makes the package's value classes."""
 
 from operator import attrgetter
+from sys import maxsize
 
 
 class FibcalcError(Exception):
@@ -222,6 +223,13 @@ def _digit_count(value: int) -> int:
 def _check_int(value, what: str) -> None:
     if type(value) is not int:
         raise MalformedInputError(f"{what} must be an integer, not {value!r}")
+
+
+def _check_size(value: int, what: str) -> None:
+    """A list of `value` entries, for an int `value`, cannot be made past
+    sys.maxsize: a MalformedInputError naming it, not an OverflowError."""
+    if value > maxsize:
+        raise MalformedInputError(f"{what} {_int_text(value, what)} is too large")
 
 
 def _check_type(value, cls, what: str) -> None:

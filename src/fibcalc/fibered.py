@@ -92,9 +92,9 @@ def alexander_poly(knot: FiberedKnot) -> LaurentPoly:
     builder that skips the check combines symplectic pieces.  So A^-1 =
     -J A^T J is similar to A^T and det A = 1, det(tI - A) is reciprocal, and
     `matrices._char_poly` gets it from the g power sums tr(A^j), j <= g, by
-    Newton's identities, whose divisions are exact over Z: ceil(g/2) - 1
-    matrix products and g traces, half the power sums of the general
-    `char_poly`."""
+    Newton's identities, whose divisions are exact over Z: g packed
+    matrix-vector steps and no matrix product, half the power sums of the
+    general `char_poly`."""
     _check_type(knot, FiberedKnot, "knot")
     return normalize_alexander(_char_poly(knot.monodromy.action, knot.monodromy.genus))
 

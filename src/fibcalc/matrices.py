@@ -2,13 +2,13 @@
 and Smith normal form with unimodular witnesses.
 
 Every algorithm is exact and polynomial in the size n.  Matrix products
-(`IntMatrix.mul`, the powers of `_char_poly` and of the Fox-route hom counts
-of `invariants`) run through one `_product`, one `sum(map(mul, ...))` per
-entry, in C.  Characteristic polynomials take one route, `_char_poly`:
-Newton's identities from the power sums tr(A^j), whose divisions are exact,
-since every coefficient is an integer.  Traces of A, ..., A^h and inner
-products of their flattened entries give p_j for j <= 2h, so p_1..p_s cost
-ceil(s/2) - 1 matrix products.
+(`IntMatrix.mul` and the Fox-route hom counts of `invariants`) run through
+one `_product`, one `sum(map(mul, ...))` per entry, in C.  Characteristic
+polynomials take one route, `_char_poly`: Newton's identities from the
+power sums p_j = tr(A^j), whose divisions are exact, since every
+coefficient is an integer.  No power of A is formed: the rows of A^j are
+packed by Kronecker substitution, one integer each, so a step to A^(j+1)
+is n inner products, and p_j is one digit of their shifted sum.
 - `char_poly`, for any square matrix, forms all n power sums.  It serves the
   fiber rows of a script run (an abelianized handlebody map need not be
   symplectic and can have odd rank).
@@ -55,8 +55,7 @@ form.
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import getitem, mul
+from operator import lshift, mul
 from typing import Sequence
 
 from .errors import (MalformedInputError, RankMismatchError, _check_int, _check_sequence,
@@ -243,7 +242,7 @@ def _from_digits(value: int, b: int, shift: int) -> LaurentPoly:
 
 def char_poly(a: IntMatrix) -> LaurentPoly:
     """det(tI - A) with exact integer coefficients, from the power sums
-    tr(A^j), j <= n, by Newton's identities (`_char_poly`)."""
+    tr(A^j), j <= n, by Newton's identities: n packed steps of `_char_poly`."""
     _check_type(a, IntMatrix, "matrix")
     if a.rows != a.cols:
         raise RankMismatchError("characteristic polynomial of a non-square matrix")
@@ -255,19 +254,28 @@ def _char_poly(a: IntMatrix, sums: int) -> LaurentPoly:
     from its first `sums` power sums p_j = tr(A^j) by Newton's identities
     k c_k = -sum_(i<=k) p_i c_(k-i).  With sums < n, c_(sums+1)..c_n are
     mirrored, c_(n-k) = c_k: right only when the polynomial is reciprocal,
-    as for sums = g on a symplectic 2g x 2g matrix.  With h = ceil(sums/2),
-    p_j for j <= h is the diagonal sum of A^j, and for j > h the inner
-    product of the flattened A^h with the flattened transpose of A^(j-h)."""
+    as for sums = g on a symplectic 2g x 2g matrix.
+
+    Row k of A^j is packed as u_k = sum_l (A^j)_kl X^l at X = 2^w, so
+    u -> A u, one inner product per row, steps j to j + 1.  Shifted to
+    u_k X^(n-1-k), the diagonal entries all land on X^(n-1), and that digit
+    is p_j.  Each digit sums at most n entries of A^j, each at most r^j in
+    size for r = ||A||_inf, the largest row sum of |a_kl|, so with
+    w = bit_length(n r^sums) + 2 every digit is inside (-2^(w-2), 2^(w-2)),
+    and the lower digits together less than X^(n-1) / 4.  Adding X^(n-1) / 2
+    keeps them from borrowing from digit n-1, and adding 2^(w-1) to that
+    digit puts it in [0, 2^w), where one shift and one mask read it."""
     n, m = a.rows, a.entries
-    h = (sums + 1) // 2
-    powers = [m]
-    columns = tuple(zip(*m))
-    for _ in range(h - 1):
-        powers.append(_product(powers[-1], columns))
-    traces = [sum(map(getitem, p, range(n))) for p in powers]
-    top = list(chain.from_iterable(powers[-1]))
-    for j in range(h + 1, sums + 1):
-        traces.append(sum(map(mul, top, chain.from_iterable(zip(*powers[j - h - 1])))))
+    r = max((sum(map(abs, row)) for row in m), default=0)
+    w = (n * r ** sums).bit_length() + 2
+    low, half = w * max(n - 1, 0), 1 << (w - 1)
+    bias, mask = (half << low) + ((1 << low) >> 1), (1 << w) - 1
+    shifts = range(low, -1, -w)
+    u = [1 << w * k for k in range(n)]
+    traces = []
+    for _ in range(sums):
+        u = [sum(map(mul, row, u)) for row in m]
+        traces.append((((sum(map(lshift, u, shifts)) + bias) >> low) & mask) - half)
     coeffs = [1]
     for k in range(1, sums + 1):
         coeffs.append(-sum(map(mul, traces, reversed(coeffs))) // k)

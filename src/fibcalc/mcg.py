@@ -40,7 +40,7 @@ from typing import Sequence
 
 from .errors import (CatalogError, MalformedInputError, MissingPayloadError,
                      RankMismatchError, _check_int, _check_optional_str, _check_sequence,
-                     _check_type, _unchecked, field, frozen)
+                     _check_size, _check_type, _unchecked, field, frozen)
 from .matrices import IntMatrix, _matrix, block_diag
 from .words import FreeGroupMap, _check_genus, abelianize, compose
 
@@ -49,6 +49,7 @@ def symplectic_form(genus: int) -> IntMatrix:
     """Block-diagonal J with one [[0, 1], [-1, 0]] block per handle."""
     _check_genus(genus)
     n = 2 * genus
+    _check_size(n, "symplectic form size")
     rows = [[0] * n for _ in range(n)]
     for i in range(genus):
         rows[2 * i][2 * i + 1] = 1
@@ -129,6 +130,7 @@ class CurveSpec:
             return self
         if handle_offset < 0 or handle_offset + self.genus > new_genus:
             raise RankMismatchError("curve does not fit in the target surface")
+        _check_size(2 * new_genus, "homology class length")
         vec = [0] * (2 * new_genus)
         for k, x in enumerate(self.homology_class):
             vec[2 * handle_offset + k] = x

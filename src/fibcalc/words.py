@@ -52,7 +52,7 @@ from operator import add, ne, neg
 from typing import Callable, Iterable, Sequence
 
 from .errors import (BudgetExceededError, MalformedInputError, RankMismatchError, _check_int,
-                     _check_sequence, _check_type, _repr_text, frozen)
+                     _check_sequence, _check_size, _check_type, _repr_text, frozen)
 from .matrices import IntMatrix, _matrix
 
 
@@ -122,6 +122,7 @@ class FreeWord:
         return len(self.letters)
 
     def exponent_vector(self) -> tuple[int, ...]:
+        _check_size(self.rank, "rank")
         return _exponents(self.rank, self.letters)
 
     def shift(self, new_rank: int, offset: int = 0) -> "FreeWord":

@@ -132,6 +132,10 @@ SHAPE_PROBES = {
     "surface names negative genus": lambda: surface_names(-1),
     "handlebody names negative genus": lambda: handlebody_names(-1),
     "symplectic form negative genus": lambda: symplectic_form(-1),
+    # sizes past sys.maxsize, which no list can have
+    "symplectic form huge genus": lambda: symplectic_form(10**19),
+    "exponent vector huge rank": lambda: FreeWord(10**19, ()).exponent_vector(),
+    "curve extend huge genus": lambda: curated_payload("g1_a1").extend(10**19, 0),
 }
 
 # Entry points that take a library object: a wrong-typed argument is a
@@ -251,6 +255,14 @@ def test_constructor_rejects_non_integers(build):
 def test_malformed_shape_is_a_library_error(build):
     with pytest.raises((MalformedInputError, RankMismatchError)):
         build()
+
+
+@pytest.mark.parametrize("probe, size", [("symplectic form huge genus", 2 * 10**19),
+                                         ("exponent vector huge rank", 10**19),
+                                         ("curve extend huge genus", 2 * 10**19)])
+def test_size_past_maxsize_is_named(probe, size):
+    with pytest.raises(MalformedInputError, match=f"{size} is too large"):
+        SHAPE_PROBES[probe]()
 
 
 @pytest.mark.parametrize("build", ENTRY_PROBES.values(), ids=ENTRY_PROBES.keys())

@@ -6,7 +6,7 @@ from time import perf_counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fibcalc import invariants
+from fibcalc import invariants, matrices
 from fibcalc.errors import (AbelianizationError, BudgetExceededError, CatalogError,
                             MalformedInputError)
 from fibcalc.fibered import (Ambient, FiberedKnot, alexander_poly, catalog_knot, connected_sum,
@@ -261,6 +261,23 @@ def test_alexander_from_presentation_runs_no_fox_columns(monkeypatch):
                 and getattr(module, "_fox_columns", None) is fox_columns):
             monkeypatch.setattr(module, "_fox_columns", refuse)
     assert alexander_from_presentation(presentation) == alexander_poly(knot) == expected
+
+
+def test_char_poly_builds_no_matrix_product(monkeypatch):
+    """With `matrices._product` made to raise, a dense genus-6 knot still
+    gets its Alexander polynomial from its homology action, and the 12 x 12
+    abelianized Nielsen-conjugated free-group action its characteristic
+    polynomial: the power sums come from packed matrix-vector steps."""
+    expected, action, conjugated = _dense_conjugated_knot(random.Random(6), 6)
+    knot = FiberedKnot(Ambient.s3(), 6, SurfaceMonodromy(6, action))
+    free_action = abelianize(conjugated)
+
+    def refuse(rows, columns):
+        raise AssertionError("a characteristic polynomial ran a matrix product")
+
+    monkeypatch.setattr(matrices, "_product", refuse)
+    assert alexander_poly(knot) == expected
+    assert char_poly(free_action) == expected
 
 
 def test_alexander_from_presentation_builds_no_checked_constants(monkeypatch):

@@ -96,6 +96,44 @@ def test_char_poly_matches_sympy_up_to_18x18():
             {n - i: int(c) for i, c in enumerate(expected)})
 
 
+def _sympy_char_poly(rows) -> LaurentPoly:
+    """det(tI - A) by sympy, for a list of n rows."""
+    sympy = pytest.importorskip("sympy")
+    n = len(rows)
+    expected = sympy.Matrix(n, n, [x for row in rows for x in row]).charpoly(
+        sympy.Symbol("t")).all_coeffs()
+    return LaurentPoly.from_dict({n - i: int(c) for i, c in enumerate(expected)})
+
+
+def _sparse_rows(rng, n):
+    """A cycle of ones plus two entries in [-2, 2] per row: sparse, as
+    twisted actions are."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n] = 1
+        for _ in range(2):
+            rows[i][rng.randrange(n)] = rng.randint(-2, 2)
+    return rows
+
+
+def test_char_poly_matches_sympy_on_sparse_and_width_edge_matrices():
+    """The sizes that twisted actions reach, and the matrices whose power-sum
+    digits sit closest to the packing width bit_length(n r^n) + 2: all
+    entries +-c (A^j = (+-c)^j n^(j-1) J, every digit (cn)^j in size), the
+    sign alternating with j for -c; entries near +-10^40; a 1 x 1, the
+    0 x 0 and the zero matrix."""
+    rng = random.Random(48)
+    cases = [_sparse_rows(rng, n) for n in (24, 32, 48)]
+    cases += [[[c] * n for _ in range(n)] for n in (2, 5, 12) for c in (1, -1, 7, -7, 10**20)]
+    cases += [[[rng.choice((-1, 1)) * 10**40 + rng.randint(-9, 9) for _ in range(n)]
+               for _ in range(n)] for n in (1, 3, 6, 9)]
+    cases += [[[-10**40]], [[0]], [], [[0] * 7 for _ in range(7)]]
+    for rows in cases:
+        a = IntMatrix.from_rows(rows) if rows else IntMatrix.identity(0)
+        expected = _sympy_char_poly(rows)
+        assert char_poly(a).terms == _char_poly(a, a.rows).terms == expected.terms
+
+
 def _random_laurent(rng, zero_share=0.3):
     if rng.random() < zero_share:
         return LaurentPoly.zero()
@@ -181,10 +219,18 @@ def symplectic_actions(draw):
     return SurfaceMonodromy(genus, action).action
 
 
+# SL2 blocks with entries near 10^40, whose power-sum digits reach the packing width
+_NEAR_10_40 = [IntMatrix.from_rows(b) for b in ([[1, 10**40], [0, 1]], [[-1, 0], [0, -1]],
+                                                [[10**40 + 1, 10**40], [1, 1]])]
+
+
 @given(symplectic_actions())
 @example(IntMatrix.identity(0))  # genus 0: the 0 x 0 action has polynomial 1
-@example(IntMatrix.from_rows([[1, 1], [-1, 0]]))  # genus 1: no matrix product
+@example(IntMatrix.from_rows([[1, 1], [-1, 0]]))  # genus 1: one packed step
 @example(IntMatrix.from_rows([[1, 4], [0, 1]]))  # genus 1, repeated root 1
+@example(_NEAR_10_40[2])
+@example(block_diag(*_NEAR_10_40, _NEAR_10_40[2]))
+@example(_large_conjugate(random.Random(40), block_diag(*_NEAR_10_40), [1, -1] * 3, 300))
 @settings(max_examples=150, deadline=None)
 def test_symplectic_char_poly_is_the_general_char_poly_on_symplectic_actions(action):
     """Term for term, before normalization: the reciprocal route (g power
