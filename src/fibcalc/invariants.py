@@ -32,14 +32,21 @@ by a search of at most `HOM_NODE_BUDGET` nodes.
 A mapping torus F ⋊_f Z, the group of every fiber row of a script run,
 needs no presentation while Δ(1) is prime to the k of each split target:
 `_mapping_torus_invariants` reads H1 and the abelian and split counts off
-the action A of f on H1(F), from one Smith form of Aᵀ - I and one of
-I ⊗ M^s - Aᵀ ⊗ I per s ≠ 0, and walks no relator.
+the action A of f on H1(F) and χ(t) = det(tI - A), from the Smith forms of
+Aᵀ - I and of I ⊗ M^s - Aᵀ ⊗ I per s ≠ 0, and walks no relator.  The
+determinants decide most of them.  |χ(1)| = 1 makes A - I unimodular, so
+H1 = Z.  A block μI - Aᵀ of a target with M^s = (μ) (S3, D4) has
+determinant D = χ(μ), and if D ≠ 0 and no prime p | a has p² | D, its
+kernel over Z/a has order gcd(D, a), since d_i | d_(i+1) leaves each such
+p in at most one Smith entry (`_kernel_diagonal`).  The rule declines, and
+the Smith form runs, when |χ(1)| ≠ 1 for H1, when D = 0 or p² | D, and for
+every block of a target with M of size 2 or more (A4).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain, combinations, islice, permutations, product, repeat
 from math import gcd, prod
 from operator import add, lshift, mul, neg, sub
@@ -577,49 +584,73 @@ def _twisted_diagonals(presentation: GroupPresentation, k: int,
     return out
 
 
-def _mapping_torus_invariants(action: IntMatrix, delta: int, groups: tuple) -> tuple | None:
+def _kernel_diagonal(det: int, a: int, smith) -> tuple[int, ...]:
+    """A diagonal whose product of gcd(x, a) is the order of the kernel over
+    Z/a of a square integer matrix B with det B = `det`: (det,) when that
+    settles it, else `smith()`, B's Smith diagonal.  If det ≠ 0 and no prime
+    p | a has p² | det, then at most one Smith entry d_i of B is divisible
+    by each such p, as d_i | d_(i+1) and ∏ d_i = ±det, so ∏ gcd(d_i, a) =
+    gcd(det, a).  g = gcd(det, a²) keeps each such p² that divides det, and
+    det = 0 gives g = a², so testing g for the squares p² with p <= a
+    decides it without factoring det."""
+    g = gcd(det, a * a)
+    return (det,) if all(g % (p * p) for p in range(2, a + 1)) else smith()
+
+
+def _mapping_torus_invariants(action: IntMatrix, chi: LaurentPoly, groups: tuple) -> tuple | None:
     """(H1 factors, hom counts into each of `groups`) of the mapping torus
-    F ⋊_f Z of a free-group map f, from its abelianization `action` = A
-    alone, with no presentation and no Fox pass; `delta` is ±Δ(1), that is
-    ±det(I - A).  None, for the presentation route, if a target is neither
+    F ⋊_f Z of a free-group map f, from its abelianization `action` = A and
+    χ(t) = det(tI - A) = `chi` alone, with no presentation and no Fox pass;
+    χ(1) = ±Δ(1).  None, for the presentation route, if a target is neither
     abelian nor split (`FiniteGroupTable.split`), or splits with a k that
-    shares a factor with `delta`.
+    shares a factor with Δ(1).
 
     H1 is Z ⊕ coker(A - I): the Smith factors of Aᵀ - I, padded with one 0
     for t as `h1` pads them, give the abelian counts and the ψ = 0 term of a
-    split count as `count_homs` reads them off a presentation.  With Δ(1)
-    prime to k, a hom ψ to Z/k kills the fiber (its values there are killed
-    by Aᵀ - I, which is invertible mod k), so ψ(t) = s alone picks ψ.  As
-    t x_i t^-1 = f(x_i), a hom x_i -> d_i, t -> d c^s into (Z/a)^m ⋊ Z/k
-    needs M^s d_i = Σ_j A[j][i] d_j: (d_i) is in the kernel over Z/a of
-    I_n ⊗ M^s - Aᵀ ⊗ I_m, and d is free, which pads each diagonal with m
-    zeros.  One Smith form per s ≠ 0 serves every target with that (k, M):
-    S3 and D4 share theirs."""
+    split count as `count_homs` reads them off a presentation.  When
+    |χ(1)| = 1, A - I is unimodular and H1 = Z with no elimination.  With
+    Δ(1) prime to k, a hom ψ to Z/k kills the fiber (its values there are
+    killed by Aᵀ - I, which is invertible mod k), so ψ(t) = s alone picks ψ.
+    As t x_i t^-1 = f(x_i), a hom x_i -> d_i, t -> d c^s into
+    (Z/a)^m ⋊ Z/k needs M^s d_i = Σ_j A[j][i] d_j: (d_i) is in the kernel
+    over Z/a of I_n ⊗ M^s - Aᵀ ⊗ I_m, and d is free, which pads each
+    diagonal with m zeros.  For m = 1 (S3, D4) that block is μI - Aᵀ,
+    μ = M^s, of determinant χ(μ), which settles the kernel unless some
+    p | a has p² | χ(μ) (`_kernel_diagonal`); D4 always takes the shortcut
+    here, as χ(-1) ≡ χ(1) is odd.  Any other block gets one Smith form per
+    s ≠ 0, shared by every target with that (k, M): S3 and D4 share theirs."""
+    delta = chi.evaluate(1)
     if any(group.split is None or gcd(delta, group.split[1]) > 1
            for group in groups if not group.is_abelian):
         return None
     n = action.rows
     transposed = list(zip(*action.entries))
-    d = _smith([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(transposed)],
-               n, False)[0]
-    factors = _invariant_factors([d[i][i] for i in range(n)], n + 1)  # + t
+    if abs(delta) == 1:
+        factors = (0,)
+    else:
+        d = _smith([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(transposed)],
+                   n, False)[0]
+        factors = _invariant_factors([d[i][i] for i in range(n)], n + 1)  # + t
     diagonals, counts = {}, []
+
+    def twisted(k, m, s):  # the Smith diagonal of I_n ⊗ M^s - Aᵀ ⊗ I_m
+        if (k, m, s) not in diagonals:
+            power, dim = _powers(m, k)[s], len(m)
+            block = [[(power[p][q] if i == j else 0) - (x if p == q else 0)
+                      for j, x in enumerate(row) for q in range(dim)]
+                     for i, row in enumerate(transposed) for p in range(dim)]
+            d = _smith(block, n * dim, False)[0]
+            diagonals[k, m, s] = tuple(d[i][i] for i in range(n * dim))
+        return diagonals[k, m, s]
+
     for group in groups:
         if group.is_abelian:
             counts.append(_abelian_count(factors, group))
             continue
         a, k, m = group.split
-        dim = len(m)
-        if (k, m) not in diagonals:
-            out = []
-            for power in _powers(m, k)[1:]:
-                block = [[(power[p][q] if i == j else 0) - (x if p == q else 0)
-                          for j, x in enumerate(row) for q in range(dim)]
-                         for i, row in enumerate(transposed) for p in range(dim)]
-                d = _smith(block, n * dim, False)[0]
-                out.append(tuple(d[i][i] for i in range(n * dim)) + (0,) * dim)
-            diagonals[k, m] = tuple(out)
-        counts.append(_crossed_count(factors, diagonals[k, m], a, dim))
+        terms = [(_kernel_diagonal(chi.evaluate(m[0][0] ** s), a, partial(twisted, k, m, s))
+                  if len(m) == 1 else twisted(k, m, s)) + (0,) * len(m) for s in range(1, k)]
+        counts.append(_crossed_count(factors, terms, a, len(m)))
     return factors, tuple(counts)
 
 

@@ -59,7 +59,7 @@ from operator import lshift, mul
 from typing import Sequence
 
 from .errors import (MalformedInputError, RankMismatchError, _check_int, _check_sequence,
-                     _check_type, _unchecked, frozen)
+                     _check_size, _check_type, _unchecked, frozen)
 from .laurent import LaurentPoly
 
 
@@ -98,12 +98,15 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         _check_int(n, "matrix size")
+        _check_size(n, "matrix size")
         return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         _check_int(rows, "matrix rows")
         _check_int(cols, "matrix columns")
+        _check_size(rows, "matrix rows")
+        _check_size(cols, "matrix columns")
         return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
     def transpose(self) -> "IntMatrix":

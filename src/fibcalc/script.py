@@ -20,8 +20,8 @@ from .errors import (FibcalcError, ScriptError, _check_int, _check_optional_str,
                      frozen)
 from .fibered import FiberedKnot, catalog_knot, connected_sum, stallings_twist
 from .invariants import _mapping_torus_invariants, count_homs, finite_group, h1
-from .laurent import normalize_alexander
-from .matrices import IntMatrix, char_poly
+from .laurent import LaurentPoly, normalize_alexander
+from .matrices import char_poly
 from .mcg import CurveSpec, SurfaceMonodromy, curated_payload
 from .presentation import GroupPresentation, hnn_presentation
 from .ribbon_disk import FiberedDisk, disk_twist, half_spin, is_homotopy_ribbon
@@ -174,8 +174,9 @@ def _presentation_invariants(pres: GroupPresentation):
     return diag, counts
 
 
-def _alexander(action: IntMatrix) -> tuple[int, ...]:
-    return tuple(normalize_alexander(char_poly(action)).dense_coeffs())
+def _alexander(chi: LaurentPoly) -> tuple[int, ...]:
+    """The normalized Alexander coefficients of χ(t) = det(tI - A)."""
+    return tuple(normalize_alexander(chi).dense_coeffs())
 
 
 def _fiber_row(rows: dict, f: FreeGroupMap) -> tuple:
@@ -186,17 +187,22 @@ def _fiber_row(rows: dict, f: FreeGroupMap) -> tuple:
     spin's Gluck twist, its half-spin disk, that disk's disk twists and
     their doubles all have the one row of their shared f.
 
-    When ±Δ(1), the sum of the Alexander coefficients, is prime to the k of
-    every split group (odd, for S3 and D4), H1 and the counts come from A
-    alone (`_mapping_torus_invariants`).  Otherwise a hom to Z/k can be
-    nonzero on the fiber, and they come from the HNN presentation; generator
-    names only label it, so the handlebody names serve every object."""
+    χ(t) = det(tI - A) is computed once: the Alexander coefficients are
+    read off it, and it goes on to `_mapping_torus_invariants`.  When
+    ±Δ(1) = χ(1) is prime to the k of every split group (odd, for S3 and
+    D4), H1 and the counts come from A and χ alone, with no Smith form for
+    H1 when |χ(1)| = 1 and none for S3 or D4 when χ(-1) settles the kernel
+    (no p² | χ(-1) for a prime p | a: 9 ∤ χ(-1) for S3, always for D4).
+    Otherwise a hom to Z/k can be nonzero on the fiber, and they come from
+    the HNN presentation; generator names only label it, so the handlebody
+    names serve every object."""
     row = rows.get(f)
     if row is None:
         action = abelianize(f)
-        alex = _alexander(action)
+        chi = char_poly(action)
+        alex = _alexander(chi)
         groups = tuple(map(finite_group, REPORT_GROUPS))
-        found = _mapping_torus_invariants(action, sum(alex), groups)
+        found = _mapping_torus_invariants(action, chi, groups)
         if found is None:
             rest = _presentation_invariants(hnn_presentation(f, handlebody_names(f.rank)))
         else:
@@ -209,8 +215,11 @@ def build_report(obj: Any) -> InvariantReport:
     """The invariant report of a knot, disk, 2-knot, curve or surgery plan,
     computed afresh on every call; `execute` computes the rows it shares
     with other reports of the same run once.  A row comes from the fiber
-    map's homology action alone, or from its HNN presentation when Δ(1) is
-    even (see `_fiber_row`); both give the same bytes."""
+    map's homology action and its characteristic polynomial alone, which
+    decide H1 when |Δ(1)| = 1 and the S3 and D4 counts when no p² | Δ(-1)
+    for a prime p | a, with a Smith form otherwise; or from its HNN
+    presentation when Δ(1) is even (see `_fiber_row`).  Every route gives
+    the same bytes."""
     return _report(obj, {})
 
 
@@ -220,7 +229,7 @@ def _report(obj: Any, rows: dict) -> InvariantReport:
     if isinstance(obj, FiberedKnot):
         f = obj.monodromy.pi1_action
         if f is None:
-            alex, diag, counts = _alexander(obj.monodromy.action), None, None
+            alex, diag, counts = _alexander(char_poly(obj.monodromy.action)), None, None
         else:  # its abelianization is the action, as SurfaceMonodromy checks
             alex, diag, counts = _fiber_row(rows, f)
         notes = ()
@@ -237,7 +246,7 @@ def _report(obj: Any, rows: dict) -> InvariantReport:
             alex, diag, counts = _fiber_row(rows, f)
             notes = ()
         else:
-            alex, diag, counts = _alexander(abelianize(f)), None, None
+            alex, diag, counts = _alexander(char_poly(abelianize(f))), None, None
             notes = (f"fiber carries summand {obj.fiber.summand_label!r}",)
         return InvariantReport(
             kind="fibered_disk", label=obj.label, genus_or_rank=obj.monodromy.genus,

@@ -136,6 +136,9 @@ SHAPE_PROBES = {
     "symplectic form huge genus": lambda: symplectic_form(10**19),
     "exponent vector huge rank": lambda: FreeWord(10**19, ()).exponent_vector(),
     "curve extend huge genus": lambda: curated_payload("g1_a1").extend(10**19, 0),
+    "identity huge size": lambda: IntMatrix.identity(10**19),
+    "zeros huge columns": lambda: IntMatrix.zeros(1, 10**19),
+    "zeros huge rows": lambda: IntMatrix.zeros(10**19, 1),
 }
 
 # Entry points that take a library object: a wrong-typed argument is a
@@ -259,7 +262,10 @@ def test_malformed_shape_is_a_library_error(build):
 
 @pytest.mark.parametrize("probe, size", [("symplectic form huge genus", 2 * 10**19),
                                          ("exponent vector huge rank", 10**19),
-                                         ("curve extend huge genus", 2 * 10**19)])
+                                         ("curve extend huge genus", 2 * 10**19),
+                                         ("identity huge size", 10**19),
+                                         ("zeros huge columns", 10**19),
+                                         ("zeros huge rows", 10**19)])
 def test_size_past_maxsize_is_named(probe, size):
     with pytest.raises(MalformedInputError, match=f"{size} is too large"):
         SHAPE_PROBES[probe]()

@@ -24,6 +24,7 @@ from fibcalc.script import (Statement, SurgeryScript, build_report, execute, par
                             reports_to_json)
 from fibcalc.two_knot import spin
 from test_invariants import counted_smith
+from test_split_counts import _sum_of
 
 
 def test_parse_simple_script():
@@ -702,13 +703,16 @@ def test_run_checks_each_signature_once(tmp_path, capsys, monkeypatch):
     assert checked == verbs
 
 
-# Time-free work gates on the golden runs.  Each distinct fiber map of a
-# run costs one H1 Smith elimination and one more per hom ψ ≠ 0 into Z/2,
-# which S3 and D4 share.  `sum` has two maps with H1 = Z (1 + 1 each);
-# `stallings` twists at m = -1, H1 = Z^2 (1 + 3), and at m = 40,
-# H1 = Z + Z/41 (1 + 1).  Only a map whose Δ(1) is even needs its HNN
-# presentation: the twist at m = -1, where Δ(1) = 0.
-@pytest.mark.parametrize("name, eliminations", [("stallings", 6), ("sum", 4)])
+# Time-free work gates on the golden runs.  A fiber map whose Δ(1) is odd
+# builds no presentation, and its determinants decide what they can: H1 needs
+# the Smith form of Aᵀ - I only when |Δ(1)| ≠ 1, and the one hom ψ ≠ 0 into
+# Z/2, which S3 and D4 share, needs that of -I - Aᵀ only when 9 | Δ(-1) (for
+# S3; D4 never, as Δ(-1) is odd).  `sum` has K2 = trefoil_R # figure8 #
+# trefoil_L, with Δ(-1) = 45 (0 + 1), and the figure-8 disk twist (0 + 0).
+# `stallings` twists at m = 40, H1 = Z + Z/41 (1 + 0), and at m = -1, where
+# Δ(1) = 0 and the HNN presentation runs its H1 Smith form and three for the
+# homs onto Z/2 of H1 = Z^2 (4).
+@pytest.mark.parametrize("name, eliminations", [("stallings", 5), ("sum", 1)])
 def test_golden_run_smith_work_gate(name, eliminations, tmp_path, capsys, monkeypatch):
     smiths = counted_smith(monkeypatch)
     path = tmp_path / "script.fib"
@@ -726,6 +730,22 @@ def test_golden_run_presentation_work_gate(name, presentations, tmp_path, capsys
     path.write_text(GOLDEN_SCRIPTS[name])
     assert main(["run", str(path), "--json"]) == 0
     assert len(built) == presentations
+
+
+@pytest.mark.parametrize("summands, eliminations", [
+    ("figure8", 0), ("trefoil_R # figure8", 0), (" # ".join(["figure8"] * 6), 0),
+    ("trefoil_R # trefoil_L", 1), (" # ".join(["trefoil_R"] * 6), 1)])
+def test_fiber_row_smith_work_gate(summands, eliminations, monkeypatch):
+    """Δ(1) = ±1 gives H1 = Z with no elimination, and Δ(-1) = 5, 15 or 5^6
+    settles S3 and D4 with none; Δ(-1) = 9 or 3^6 leaves one Smith form of
+    -I - Aᵀ, for S3 alone.  The row is the presentation route's."""
+    f = _sum_of(summands.split(" # ")).monodromy.pi1_action
+    smiths = counted_smith(monkeypatch)
+    row = script._fiber_row({}, f)
+    assert len(smiths) == eliminations
+    monkeypatch.undo()
+    assert row[1:] == script._presentation_invariants(
+        script.hnn_presentation(f, script.handlebody_names(f.rank)))
 
 
 def test_one_report_runs_one_h1_elimination(monkeypatch):

@@ -7,7 +7,7 @@ route."""
 
 import random
 from itertools import combinations_with_replacement
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from time import perf_counter
 
 import pytest
@@ -15,9 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from fibcalc.fibered import catalog_knot, connected_sum, knot_group, stallings_twist
 from fibcalc.invariants import (HOM_NODE_BUDGET, FiniteGroupTable, _completed_search,
-                                _mapping_torus_invariants, _perm_group, count_homs,
-                                finite_group, h1)
-from fibcalc.matrices import IntMatrix
+                                _kernel_diagonal, _mapping_torus_invariants, _perm_group,
+                                count_homs, finite_group, h1)
+from fibcalc.matrices import IntMatrix, _smith, char_poly
 from fibcalc.mcg import SurfaceMonodromy, curated_payload
 from fibcalc.presentation import GroupPresentation, hnn_presentation
 from fibcalc.ribbon_disk import boundary_knot, disk_twist, exterior_presentation, half_spin
@@ -269,16 +269,34 @@ def _twist_products(draw, odd):
         word = draw(st.lists(st.tuples(st.sampled_from(_twist_curves(genus)), _EXPONENTS),
                              min_size=1, max_size=5))
         f = SurfaceMonodromy.from_twist_word(genus, word).pi1_action
-        if not odd or sum(_alexander(abelianize(f))) % 2:
+        if not odd or char_poly(abelianize(f)).evaluate(1) % 2:
             break
     return f
 
 
+def _sum_of(names):
+    knot = catalog_knot(names[0])
+    for name in names[1:]:
+        knot = connected_sum(knot, catalog_knot(name))
+    return knot
+
+
+# Sums of 4-6 genus-1 knots: figure-8 sums have Δ(-1) = 5^k, which the
+# determinant rule settles for S3 and D4; trefoil sums have Δ(-1) = 3^k,
+# 9 | Δ(-1), so S3 falls back to the Smith form of -I - Aᵀ.
+_LONG_SUMS = tuple((name,) * k for name in ("figure8", "trefoil_R") for k in (4, 5, 6)) + \
+    (("trefoil_R", "trefoil_L", "figure8", "figure8"),
+     ("figure8", "trefoil_L", "figure8", "trefoil_R", "figure8", "trefoil_L"))
+
+
 def _witnessed_fiber_maps():
-    """Fiber maps like a script's rows: catalog sums, half-spin and
-    disk-twist handlebody maps, and Stallings twists of the square knot."""
+    """Fiber maps like a script's rows: catalog sums, sums of 4-6 genus-1
+    knots, half-spin and disk-twist handlebody maps, and Stallings twists
+    of the square knot."""
     for a, b in combinations_with_replacement(CATALOG_KNOTS, 2):
         yield connected_sum(catalog_knot(a), catalog_knot(b)).monodromy.pi1_action
+    for names in _LONG_SUMS:
+        yield _sum_of(names).monodromy.pi1_action
     for name in ("trefoil_R", "trefoil_L", "figure8"):
         disk = half_spin(catalog_knot(name))
         yield disk.monodromy.pi1_action
@@ -298,20 +316,21 @@ def check_fiber_route(f) -> bool:
     must decline exactly when Δ(1) shares a factor with the k of a split
     group: 2 for S3 and D4, 3 for A4."""
     action = abelianize(f)
-    delta = sum(_alexander(action))
+    chi = char_poly(action)
+    delta = sum(_alexander(chi))
     assert abs(delta) == abs(IntMatrix.identity(f.rank).sub(action).det())
     presentation = hnn_presentation(f, handlebody_names(f.rank))
-    row = _mapping_torus_invariants(action, delta, tuple(map(finite_group, REPORT_GROUPS)))
+    row = _mapping_torus_invariants(action, chi, tuple(map(finite_group, REPORT_GROUPS)))
     assert (row is None) == (gcd(delta, 2) > 1)
     if row is not None:
         assert (row[0], tuple(zip(REPORT_GROUPS, row[1]))) == \
             _presentation_invariants(presentation)
     a4 = finite_group("A4")
-    found = _mapping_torus_invariants(action, delta, (a4,))
+    found = _mapping_torus_invariants(action, chi, (a4,))
     assert (found is None) == (gcd(delta, 3) > 1)
     if found is not None:
         assert found == (tuple(h1(presentation)), (count_homs(presentation, a4),))
-    assert _mapping_torus_invariants(action, 1, (finite_group("S4"),)) is None
+    assert _mapping_torus_invariants(action, chi, (finite_group("S4"),)) is None
     return row is not None
 
 
@@ -330,4 +349,78 @@ def test_fiber_route_of_the_trivial_fiber():
     """The unknot's fiber is a disk: the group is Z, with 6 homs to S3."""
     f = catalog_knot("unknot").monodromy.pi1_action
     assert f.rank == 0 and check_fiber_route(f)
-    assert _mapping_torus_invariants(abelianize(f), 1, (finite_group("S3"),)) == ((0,), (6,))
+    action = abelianize(f)
+    assert _mapping_torus_invariants(action, char_poly(action), (finite_group("S3"),)) == \
+        ((0,), (6,))
+
+
+ORACLE_MODULI = (2, 3, 4, 5, 8, 9, 12)
+
+
+def _prime_factors(a):
+    return [p for p in range(2, a + 1) if a % p == 0 and all(p % q for q in range(2, p))]
+
+
+def check_kernel_rule(block, det=None):
+    """`_kernel_diagonal` on a square block against its Smith diagonal, for
+    each modulus a in ORACLE_MODULI: the same kernel order ∏ gcd(d_i, a), and
+    a Smith form asked for exactly when det = 0 or p² | det for a prime p | a.
+    Returns the determinant, `det` or Bareiss's."""
+    n = len(block)
+    if det is None:
+        det = IntMatrix.from_rows(block).det()
+    d = _smith([list(row) for row in block], n, False)[0]
+    diagonal = tuple(d[i][i] for i in range(n))
+    assert abs(prod(diagonal)) == abs(det)
+    for a in ORACLE_MODULI:
+        asked = []
+        found = _kernel_diagonal(det, a, lambda: asked.append(a) or diagonal)
+        assert prod(gcd(x, a) for x in found) == prod(gcd(x, a) for x in diagonal)
+        assert bool(asked) == (det == 0 or any(det % (p * p) == 0 for p in _prime_factors(a)))
+    return det
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=300, deadline=None)
+def test_kernel_rule_matches_the_smith_form_on_random_blocks(block):
+    check_kernel_rule(block)
+
+
+# Blocks whose determinant is 0, ±1, squarefree, or divisible by 9 or 4;
+# each pair with one determinant differs in its Smith form: (3, 3) and
+# (1, 9), (2, 2) and (1, 4), so only those the rule declines can share it.
+_KERNEL_BLOCKS = {
+    "det 0": ([[1, 2], [2, 4]], 0),
+    "det 0, zero row": ([[1, 2, 3], [0, 0, 0], [4, 5, 7]], 0),
+    "det 0, 1 x 1": ([[0]], 0),
+    "det 1": ([[2, 1], [1, 1]], 1),
+    "det -1": ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], -1),
+    "det 30": ([[30]], 30),
+    "det 15": ([[2, 1], [1, 8]], 15),
+    "det -105": ([[3, 1, 0], [0, 5, 1], [0, 0, -7]], -105),
+    "det 9, Smith (3, 3)": ([[6, 3], [3, 3]], 9),
+    "det 9, Smith (1, 9)": ([[10, 9], [9, 9]], 9),
+    "det 81": ([[3, 1, 0], [0, 3, 1], [0, 0, 9]], 81),
+    "det 4, Smith (2, 2)": ([[4, 2], [2, 2]], 4),
+    "det 4, Smith (1, 4)": ([[5, 4], [4, 4]], 4),
+    "det 12": ([[2, 0, 0], [0, 2, 0], [0, 0, 3]], 12),
+    "det 36": ([[6, 0], [0, 6]], 36),
+}
+
+
+@pytest.mark.parametrize("block, det", _KERNEL_BLOCKS.values(), ids=_KERNEL_BLOCKS.keys())
+def test_kernel_rule_on_constructed_blocks(block, det):
+    assert check_kernel_rule(block) == det
+
+
+@pytest.mark.parametrize("mu", (-1, 2))
+def test_kernel_rule_on_the_blocks_of_fiber_maps(mu):
+    """The blocks μI - Aᵀ of the witnessed fiber maps, among them every
+    catalog sum, with det = χ(μ) as `_mapping_torus_invariants` reads it."""
+    for f in _witnessed_fiber_maps():
+        action = abelianize(f)
+        block = [[mu * (i == j) - x for j, x in enumerate(column)]
+                 for i, column in enumerate(zip(*action.entries))]
+        assert check_kernel_rule(block, char_poly(action).evaluate(mu)) == \
+            IntMatrix.from_rows(block).det()
