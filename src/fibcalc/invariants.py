@@ -29,18 +29,21 @@ are counted off H1, targets that split as (Z/a)^m ⋊ Z/k (S3, D4, A4) by
 the Fox matrix evaluated in the action of Z/k, and any other target (S4)
 by a search of at most `HOM_NODE_BUDGET` nodes.
 
-A mapping torus F ⋊_f Z, the group of every fiber row of a script run,
-needs no presentation while Δ(1) is prime to the k of each split target:
-`_mapping_torus_invariants` reads H1 and the abelian and split counts off
-the action A of f on H1(F) and χ(t) = det(tI - A), from the Smith forms of
-Aᵀ - I and of I ⊗ M^s - Aᵀ ⊗ I per s ≠ 0, and walks no relator.  The
-determinants decide most of them.  |χ(1)| = 1 makes A - I unimodular, so
-H1 = Z.  A block μI - Aᵀ of a target with M^s = (μ) (S3, D4) has
-determinant D = χ(μ), and if D ≠ 0 and no prime p | a has p² | D, its
-kernel over Z/a has order gcd(D, a), since d_i | d_(i+1) leaves each such
-p in at most one Smith entry (`_kernel_diagonal`).  The rule declines, and
-the Smith form runs, when |χ(1)| ≠ 1 for H1, when D = 0 or p² | D, and for
-every block of a target with M of size 2 or more (A4).
+A mapping torus F ⋊_f Z, the group of every fiber row of a script run, is
+counted by `_mapping_torus_invariants` for every target.  While Δ(1) is
+prime to the k of a split target, it reads H1 and the abelian and split
+counts off the action A of f on H1(F) and χ(t) = det(tI - A), from the
+Smith forms of Aᵀ - I and of I ⊗ M^s - Aᵀ ⊗ I per s ≠ 0, and walks no
+relator.  The determinants decide most of them.  |χ(1)| = 1 makes A - I
+unimodular, so H1 = Z.  A block μI - Aᵀ of a target with M^s = (μ) (S3,
+D4) has determinant D = χ(μ), and if D ≠ 0 and no prime p | a has p² | D,
+its kernel over Z/a has order gcd(D, a), since d_i | d_(i+1) leaves each
+such p in at most one Smith entry (`_kernel_diagonal`).  The rule
+declines, and the Smith form runs, when |χ(1)| ≠ 1 for H1, when D = 0 or
+p² | D, and for every block of a target with M of size 2 or more (A4).
+Any other target (a k sharing a factor with Δ(1), or one that does not
+split, as S4) is counted by `count_homs` on the HNN presentation of f,
+built once, whose H1 Smith form then also gives H1.
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ from .errors import (AbelianizationError, BudgetExceededError, CatalogError,
                      _unchecked, field, frozen)
 from .laurent import LaurentPoly, laurent_gcd, normalize_alexander
 from .matrices import IntMatrix, _from_digits, _matrix, _product, _smith
-from .presentation import GroupPresentation
-from .words import FreeWord
+from .presentation import GroupPresentation, hnn_presentation
+from .words import FreeGroupMap, FreeWord, handlebody_names
 
 # The most nodes a hom search may visit; only targets that do not split search.
 HOM_NODE_BUDGET = 10**8
@@ -597,13 +600,17 @@ def _kernel_diagonal(det: int, a: int, smith) -> tuple[int, ...]:
     return (det,) if all(g % (p * p) for p in range(2, a + 1)) else smith()
 
 
-def _mapping_torus_invariants(action: IntMatrix, chi: LaurentPoly, groups: tuple) -> tuple | None:
+def _mapping_torus_invariants(f: FreeGroupMap, action: IntMatrix, chi: LaurentPoly,
+                              groups: tuple) -> tuple:
     """(H1 factors, hom counts into each of `groups`) of the mapping torus
-    F ⋊_f Z of a free-group map f, from its abelianization `action` = A and
-    χ(t) = det(tI - A) = `chi` alone, with no presentation and no Fox pass;
-    χ(1) = ±Δ(1).  None, for the presentation route, if a target is neither
+    F ⋊_f Z of the free-group map `f`, with abelianization `action` = A and
+    χ(t) = det(tI - A) = `chi`; χ(1) = ±Δ(1).  A target that is neither
     abelian nor split (`FiniteGroupTable.split`), or splits with a k that
-    shares a factor with Δ(1).
+    shares a factor with Δ(1), is counted by `count_homs` on the HNN
+    presentation of f, built once and only then; its memoized H1 Smith form
+    then gives H1 too.  Generator names only label it, so the handlebody
+    names serve every f.  Every other count uses A and χ alone, with no
+    presentation and no Fox pass.
 
     H1 is Z ⊕ coker(A - I): the Smith factors of Aᵀ - I, padded with one 0
     for t as `h1` pads them, give the abelian counts and the ψ = 0 term of a
@@ -620,13 +627,15 @@ def _mapping_torus_invariants(action: IntMatrix, chi: LaurentPoly, groups: tuple
     here, as χ(-1) ≡ χ(1) is odd.  Any other block gets one Smith form per
     s ≠ 0, shared by every target with that (k, M): S3 and D4 share theirs."""
     delta = chi.evaluate(1)
-    if any(group.split is None or gcd(delta, group.split[1]) > 1
-           for group in groups if not group.is_abelian):
-        return None
+    presented = [not group.is_abelian and (group.split is None or gcd(delta, group.split[1]) > 1)
+                 for group in groups]
+    presentation = hnn_presentation(f, handlebody_names(f.rank)) if any(presented) else None
     n = action.rows
     transposed = list(zip(*action.entries))
     if abs(delta) == 1:
         factors = (0,)
+    elif presentation is not None:
+        factors = _smith_form(presentation)[0]
     else:
         d = _smith([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(transposed)],
                    n, False)[0]
@@ -643,14 +652,16 @@ def _mapping_torus_invariants(action: IntMatrix, chi: LaurentPoly, groups: tuple
             diagonals[k, m, s] = tuple(d[i][i] for i in range(n * dim))
         return diagonals[k, m, s]
 
-    for group in groups:
-        if group.is_abelian:
+    for group, by_presentation in zip(groups, presented):
+        if by_presentation:
+            counts.append(count_homs(presentation, group))
+        elif group.is_abelian:
             counts.append(_abelian_count(factors, group))
-            continue
-        a, k, m = group.split
-        terms = [(_kernel_diagonal(chi.evaluate(m[0][0] ** s), a, partial(twisted, k, m, s))
-                  if len(m) == 1 else twisted(k, m, s)) + (0,) * len(m) for s in range(1, k)]
-        counts.append(_crossed_count(factors, terms, a, len(m)))
+        else:
+            a, k, m = group.split
+            terms = [(_kernel_diagonal(chi.evaluate(m[0][0] ** s), a, partial(twisted, k, m, s))
+                      if len(m) == 1 else twisted(k, m, s)) + (0,) * len(m) for s in range(1, k)]
+            counts.append(_crossed_count(factors, terms, a, len(m)))
     return factors, tuple(counts)
 
 

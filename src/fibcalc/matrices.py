@@ -74,6 +74,7 @@ class IntMatrix:
             raise MalformedInputError("matrix dimensions must be integers")
         if self.rows < 0 or self.cols < 0:
             raise MalformedInputError("negative matrix dimension")
+        _check_size(self.cols, "matrix columns")
         if type(self.entries) not in (tuple, list) or len(self.entries) != self.rows:
             raise MalformedInputError("entries must be a tuple or a list of `rows` rows")
         fixed = []

@@ -19,15 +19,14 @@ from .errors import (FibcalcError, ScriptError, _check_int, _check_optional_str,
                      _check_sequence, _check_type, _int_text, _repr_text, _unchecked,
                      frozen)
 from .fibered import FiberedKnot, catalog_knot, connected_sum, stallings_twist
-from .invariants import _mapping_torus_invariants, count_homs, finite_group, h1
+from .invariants import _mapping_torus_invariants, finite_group
 from .laurent import LaurentPoly, normalize_alexander
 from .matrices import char_poly
 from .mcg import CurveSpec, SurfaceMonodromy, curated_payload
-from .presentation import GroupPresentation, hnn_presentation
 from .ribbon_disk import FiberedDisk, disk_twist, half_spin, is_homotopy_ribbon
 from .two_knot import (FiberedTwoKnot, SurgeryPlan, double_disk, gluck, spin,
                        torus_surgery_plan, torus_twist)
-from .words import FreeGroupMap, abelianize, handlebody_names
+from .words import FreeGroupMap, abelianize
 
 REPORT_GROUPS = ("Z2", "Z3", "Z5", "S3", "D4")
 
@@ -68,7 +67,7 @@ class SurgeryScript:
 
 
 _TOKEN = re.compile(r"\S+")
-_INTEGER = re.compile(r"[+-]?\d+")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_script(source: str) -> SurgeryScript:
@@ -165,15 +164,6 @@ def _twist_word_note(word) -> tuple[str, ...]:
                  for c, m in word)
 
 
-def _presentation_invariants(pres: GroupPresentation):
-    # One Smith form, kept in the presentation's memo, serves H1 and every
-    # count, and none searches: abelian groups go by H1, S3 and D4 by Fox calculus.
-    diag = tuple(h1(pres))
-    counts = tuple((name, count_homs(pres, finite_group(name)))
-                   for name in REPORT_GROUPS)
-    return diag, counts
-
-
 def _alexander(chi: LaurentPoly) -> tuple[int, ...]:
     """The normalized Alexander coefficients of χ(t) = det(tI - A)."""
     return tuple(normalize_alexander(chi).dense_coeffs())
@@ -188,38 +178,26 @@ def _fiber_row(rows: dict, f: FreeGroupMap) -> tuple:
     their doubles all have the one row of their shared f.
 
     χ(t) = det(tI - A) is computed once: the Alexander coefficients are
-    read off it, and it goes on to `_mapping_torus_invariants`.  When
-    ±Δ(1) = χ(1) is prime to the k of every split group (odd, for S3 and
-    D4), H1 and the counts come from A and χ alone, with no Smith form for
-    H1 when |χ(1)| = 1 and none for S3 or D4 when χ(-1) settles the kernel
-    (no p² | χ(-1) for a prime p | a: 9 ∤ χ(-1) for S3, always for D4).
-    Otherwise a hom to Z/k can be nonzero on the fiber, and they come from
-    the HNN presentation; generator names only label it, so the handlebody
-    names serve every object."""
+    read off it, and it goes with f and A to `_mapping_torus_invariants`,
+    which chooses the route of each count (see there)."""
     row = rows.get(f)
     if row is None:
         action = abelianize(f)
         chi = char_poly(action)
-        alex = _alexander(chi)
-        groups = tuple(map(finite_group, REPORT_GROUPS))
-        found = _mapping_torus_invariants(action, chi, groups)
-        if found is None:
-            rest = _presentation_invariants(hnn_presentation(f, handlebody_names(f.rank)))
-        else:
-            rest = found[0], tuple(zip(REPORT_GROUPS, found[1]))
-        rows[f] = row = (alex, *rest)
+        factors, counts = _mapping_torus_invariants(
+            f, action, chi, tuple(map(finite_group, REPORT_GROUPS)))
+        rows[f] = row = (_alexander(chi), factors, tuple(zip(REPORT_GROUPS, counts)))
     return row
 
 
 def build_report(obj: Any) -> InvariantReport:
     """The invariant report of a knot, disk, 2-knot, curve or surgery plan,
     computed afresh on every call; `execute` computes the rows it shares
-    with other reports of the same run once.  A row comes from the fiber
-    map's homology action and its characteristic polynomial alone, which
-    decide H1 when |Δ(1)| = 1 and the S3 and D4 counts when no p² | Δ(-1)
-    for a prime p | a, with a Smith form otherwise; or from its HNN
-    presentation when Δ(1) is even (see `_fiber_row`).  Every route gives
-    the same bytes."""
+    with other reports of the same run once.  A row is one call to
+    `invariants._mapping_torus_invariants` on the fiber map (see
+    `_fiber_row`), which reads what it can off the homology action and its
+    characteristic polynomial and counts the rest on the HNN presentation.
+    Every route gives the same bytes."""
     return _report(obj, {})
 
 
@@ -341,8 +319,8 @@ def execute(script: "SurgeryScript | str") -> list[InvariantReport]:
     produced so far are attached to the error as `.reports`).
 
     Each report equals `build_report` of its object, but the fiber rows
-    (`_fiber_row`) are kept for the whole run, so the invariants of each
-    distinct fiber map are computed once per call, however many of the
+    (`_fiber_row`) are kept for the whole run, so each distinct fiber map
+    gets one `_mapping_torus_invariants` call per run, however many of the
     objects built from it are reported.  Signatures are checked by
     `parse_script` for a text, here for a hand-built `SurgeryScript`."""
     parsed = isinstance(script, str)

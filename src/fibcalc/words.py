@@ -130,6 +130,7 @@ class FreeWord:
         `offset`."""
         _check_int(new_rank, "rank")
         _check_int(offset, "offset")
+        _check_size(new_rank, "rank")
         if offset < 0 or self.rank + offset > new_rank:
             raise RankMismatchError("shift does not fit in the target rank")
         return _word(new_rank, tuple(map(_shifter(self.rank, offset), self.letters)))
@@ -344,6 +345,7 @@ class FreeGroupMap:
         _check_int(rank, "rank")
         if rank < 0:
             raise MalformedInputError("negative rank")
+        _check_size(rank, "rank")
         gens = _generators(rank)
         return _map(rank, gens, gens)
 
@@ -372,6 +374,7 @@ class FreeGroupMap:
         """Act as before on a block of generators, identically elsewhere."""
         _check_int(new_rank, "rank")
         _check_int(offset, "offset")
+        _check_size(new_rank, "rank")
         if offset < 0 or offset + self.rank > new_rank:
             raise RankMismatchError("extension does not fit in the target rank")
         shift = _shifter(self.rank, offset)
@@ -477,6 +480,7 @@ def abelianize(f: FreeGroupMap) -> IntMatrix:
 
 def surface_names(genus: int) -> tuple[str, ...]:
     _check_genus(genus)
+    _check_size(2 * genus, "generator count")
     out: list[str] = []
     for i in range(1, genus + 1):
         out.extend((f"a{i}", f"b{i}"))
@@ -485,6 +489,7 @@ def surface_names(genus: int) -> tuple[str, ...]:
 
 def handlebody_names(genus: int) -> tuple[str, ...]:
     _check_genus(genus)
+    _check_size(genus, "generator count")
     return tuple(f"x{i}" for i in range(1, genus + 1))
 
 

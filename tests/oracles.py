@@ -2,17 +2,21 @@
 library inverts a symplectic action as -J A^T J, reads Lagrangian
 compatibility off the a-rows, takes Fox-route determinants of integers and
 runs a Smith elimination that skips work nobody reads; the general routines
-here are what those shortcuts are checked against.
-The two-bridge trefoil is a presentation that no construction builds."""
+here are what those shortcuts are checked against.  A fiber row read off
+the homology action is checked against H1 and the hom counts of the HNN
+presentation.  The two-bridge trefoil is a presentation that no
+construction builds."""
 
 from itertools import combinations
 
 from fibcalc.errors import AbelianizationError, MalformedInputError, RankMismatchError
-from fibcalc.invariants import _fox_columns, infinite_cyclic_exponents
+from fibcalc.invariants import (_fox_columns, count_homs, finite_group, h1,
+                                infinite_cyclic_exponents)
 from fibcalc.laurent import LaurentPoly, _collect, laurent_gcd, normalize_alexander
 from fibcalc.matrices import IntMatrix, laurent_det, smith_normal_form
 from fibcalc.mcg import transvection
 from fibcalc.presentation import GroupPresentation
+from fibcalc.script import REPORT_GROUPS
 from fibcalc.words import FreeWord
 
 
@@ -25,6 +29,14 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     if d != IntMatrix.identity(a.rows):
         raise MalformedInputError("matrix is not unimodular")
     return v.mul(u)
+
+
+def presentation_invariants(presentation: GroupPresentation, names=REPORT_GROUPS) -> tuple:
+    """(H1 factors, (name, hom count) for each group name) of a presentation,
+    by the public `h1` and `count_homs`: the presentation route of a fiber
+    row, with its memo serving H1 and every count."""
+    return (tuple(h1(presentation)),
+            tuple((name, count_homs(presentation, finite_group(name))) for name in names))
 
 
 def dense_symplectic(rng, genus: int) -> IntMatrix:

@@ -139,6 +139,13 @@ SHAPE_PROBES = {
     "identity huge size": lambda: IntMatrix.identity(10**19),
     "zeros huge columns": lambda: IntMatrix.zeros(1, 10**19),
     "zeros huge rows": lambda: IntMatrix.zeros(10**19, 1),
+    "matrix huge columns": lambda: IntMatrix(0, 10**19, ()),
+    "map identity huge rank": lambda: FreeGroupMap.identity(10**19),
+    "map extend huge rank": lambda: catalog_knot("trefoil_R").monodromy.pi1_action.extend(10**19),
+    "word shift huge rank": lambda: FreeWord(10**19, (1,)).shift(10**19 + 5, 3),
+    "surface names huge genus": lambda: surface_names(10**19),
+    "handlebody names huge genus": lambda: handlebody_names(10**19),
+    "monodromy identity huge genus": lambda: SurfaceMonodromy.identity(10**19),
 }
 
 # Entry points that take a library object: a wrong-typed argument is a
@@ -265,7 +272,14 @@ def test_malformed_shape_is_a_library_error(build):
                                          ("curve extend huge genus", 2 * 10**19),
                                          ("identity huge size", 10**19),
                                          ("zeros huge columns", 10**19),
-                                         ("zeros huge rows", 10**19)])
+                                         ("zeros huge rows", 10**19),
+                                         ("matrix huge columns", 10**19),
+                                         ("map identity huge rank", 10**19),
+                                         ("map extend huge rank", 10**19),
+                                         ("word shift huge rank", 10**19 + 5),
+                                         ("surface names huge genus", 2 * 10**19),
+                                         ("handlebody names huge genus", 10**19),
+                                         ("monodromy identity huge genus", 2 * 10**19)])
 def test_size_past_maxsize_is_named(probe, size):
     with pytest.raises(MalformedInputError, match=f"{size} is too large"):
         SHAPE_PROBES[probe]()

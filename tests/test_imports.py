@@ -2,7 +2,8 @@
 deletion does not leave a dead import behind.  `__init__` re-exports what it
 imports and is not checked.  Importing the library and its CLI leaves out
 `dataclasses` and `inspect`, whose import costs more than the rest of a
-cold start's imports."""
+cold start's imports, and loads no module from outside the standard
+library."""
 
 import ast
 import subprocess
@@ -32,9 +33,26 @@ def test_every_import_is_used(path):
     assert not unused, f"{path} imports names it does not use: {', '.join(unused)}"
 
 
+# Run in a fresh interpreter: forget the modules outside the standard library
+# that the site hooks loaded, import the library and its CLI, and print the
+# heavy modules loaded, then the top-level modules outside the standard library.
+_IMPORT_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+ours = sys.stdlib_module_names | {"__main__", "fibcalc"}
+for name in [n for n in sys.modules if n.partition(".")[0] not in ours]:
+    del sys.modules[name]
+import fibcalc, fibcalc.cli
+print(" ".join(sorted({"dataclasses", "inspect"} & set(sys.modules))))
+print(" ".join(sorted({n.partition(".")[0] for n in sys.modules} - ours)))
+"""
+
+
 def test_import_leaves_out_dataclasses_and_inspect():
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fibcalc, fibcalc.cli; "
-            "print(' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))))")
-    done = subprocess.run([sys.executable, "-I", "-c", code, str(_SOURCE.parent)],
+    """The library and its CLI load neither `dataclasses` nor `inspect`, and
+    no module from outside the standard library, so that sympy, which the
+    tests use, never becomes a dependency of the library."""
+    done = subprocess.run([sys.executable, "-I", "-c", _IMPORT_PROBE, str(_SOURCE.parent)],
                           capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.split() == []
+    heavy, foreign = done.stdout.split("\n")[:2]
+    assert (heavy.split(), foreign.split()) == ([], [])

@@ -14,15 +14,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fibcalc
-from fibcalc import cli, script, serialize, words
+from fibcalc import cli, invariants, script, serialize, words
 from fibcalc.cli import main
 from fibcalc.errors import ScriptError
 from fibcalc.fibered import catalog_knot, connected_sum, knot_group
 from fibcalc.mcg import CurveSpec, catalog_names, curated_payload
+from fibcalc.presentation import hnn_presentation
 from fibcalc.ribbon_disk import disk_twist, half_spin
 from fibcalc.script import (Statement, SurgeryScript, build_report, execute, parse_script,
                             reports_to_json)
 from fibcalc.two_knot import spin
+from fibcalc.words import handlebody_names
+from oracles import presentation_invariants
 from test_invariants import counted_smith
 from test_split_counts import _sum_of
 
@@ -52,6 +55,18 @@ def test_parse_errors_carry_location():
     assert err.value.line == 2
     with pytest.raises(ScriptError):
         parse_script("1bad = load unknot\n")
+
+
+@pytest.mark.parametrize("literal", ["\uff13", "\u0663", "1\u0663"],
+                         ids=["fullwidth", "arabic-indic", "mixed"])
+def test_integer_literals_are_ascii(literal):
+    """A non-ASCII digit (fullwidth ３, Arabic-Indic ٣) is not an integer
+    literal, though `int()` would read it as 3 while the statement's text
+    kept the original digit."""
+    with pytest.raises(ScriptError) as err:
+        parse_script(f"K = load trefoil_R\nD = halfspin K\nW = double D {literal}\n")
+    assert (err.value.line, err.value.column) == (3, 14)
+    assert str(err.value) == "argument 2 of 'double' must be an integer (line 3, col 14)"
 
 
 def test_parse_print_identity():
@@ -596,12 +611,12 @@ def test_run_computes_a_shared_fiber_maps_invariants_once(monkeypatch):
     Alexander polynomial and its H1 and hom counts once.  Δ(1) = 1 is odd,
     so the counts come from the homology action, with no presentation."""
     calls = {}
-    for name in ("char_poly", "hnn_presentation", "_presentation_invariants",
-                 "_mapping_torus_invariants"):
-        def counting(*args, _name=name, _function=getattr(script, name)):
+    for module, name in ((script, "char_poly"), (script, "_mapping_torus_invariants"),
+                         (invariants, "hnn_presentation")):
+        def counting(*args, _name=name, _function=getattr(module, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _function(*args)
-        monkeypatch.setattr(script, name, counting)
+        monkeypatch.setattr(module, name, counting)
     reports = execute(SHARED_MAP_SCRIPT)
     assert calls == {"char_poly": 1, "_mapping_torus_invariants": 1}
     assert [r.kind for r in reports] == ["fibered_knot"] + ["fibered_two_knot"] * 2 + \
@@ -724,8 +739,9 @@ def test_golden_run_smith_work_gate(name, eliminations, tmp_path, capsys, monkey
 @pytest.mark.parametrize("name, presentations", [("stallings", 1), ("sum", 0)])
 def test_golden_run_presentation_work_gate(name, presentations, tmp_path, capsys, monkeypatch):
     built = []
-    hnn = script.hnn_presentation
-    monkeypatch.setattr(script, "hnn_presentation", lambda *args: built.append(args) or hnn(*args))
+    hnn = invariants.hnn_presentation
+    monkeypatch.setattr(invariants, "hnn_presentation",
+                        lambda *args: built.append(args) or hnn(*args))
     path = tmp_path / "script.fib"
     path.write_text(GOLDEN_SCRIPTS[name])
     assert main(["run", str(path), "--json"]) == 0
@@ -744,8 +760,7 @@ def test_fiber_row_smith_work_gate(summands, eliminations, monkeypatch):
     row = script._fiber_row({}, f)
     assert len(smiths) == eliminations
     monkeypatch.undo()
-    assert row[1:] == script._presentation_invariants(
-        script.hnn_presentation(f, script.handlebody_names(f.rank)))
+    assert row[1:] == presentation_invariants(hnn_presentation(f, handlebody_names(f.rank)))
 
 
 def test_one_report_runs_one_h1_elimination(monkeypatch):
@@ -755,5 +770,5 @@ def test_one_report_runs_one_h1_elimination(monkeypatch):
     presentation = knot_group(_golden_objects()["knot"])
     n, r = presentation.n_generators, len(presentation.relators)
     smiths = counted_smith(monkeypatch)
-    script._presentation_invariants(presentation)
+    presentation_invariants(presentation)
     assert [(len(rows), columns) for rows, columns, _ in smiths] == [(n, r), (r, n)]

@@ -132,6 +132,15 @@ def test_ragged_matrix_path():
     assert "entries[1]" in str(err.value)
 
 
+def test_matrix_columns_past_maxsize_path():
+    """A zero-row matrix of 10**19 columns is refused where it is loaded, not
+    left for its transpose or product to fail."""
+    data = {"schema_version": 1,
+            "object": {"kind": "int_matrix", "rows": 0, "cols": 10**19, "entries": []}}
+    with pytest.raises(SchemaError, match=r"matrix columns 10{19} is too large at \$\.object"):
+        serialize.loads(json.dumps(data))
+
+
 def test_unknown_kind_and_missing_key():
     with pytest.raises(SchemaError):
         serialize.deserialize({"schema_version": 1, "object": {"kind": "mystery"}})

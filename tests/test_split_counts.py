@@ -1,9 +1,8 @@
 """Hom counts into split groups A ⋊ <c> (S3, D4, A4): the Fox route of
 `count_homs` against the search `_completed_search` and the brute-force
 oracle, on random presentations, on report presentations, on relabelled
-group tables and on sums of trefoils; and the fiber rows read off the
-homology action (`_mapping_torus_invariants`) against the presentation
-route."""
+group tables and on sums of trefoils; and the fiber rows of
+`_mapping_torus_invariants` against the presentation route."""
 
 import random
 from itertools import combinations_with_replacement
@@ -13,6 +12,7 @@ from time import perf_counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fibcalc import invariants
 from fibcalc.fibered import catalog_knot, connected_sum, knot_group, stallings_twist
 from fibcalc.invariants import (HOM_NODE_BUDGET, FiniteGroupTable, _completed_search,
                                 _kernel_diagonal, _mapping_torus_invariants, _perm_group,
@@ -21,9 +21,10 @@ from fibcalc.matrices import IntMatrix, _smith, char_poly
 from fibcalc.mcg import SurfaceMonodromy, curated_payload
 from fibcalc.presentation import GroupPresentation, hnn_presentation
 from fibcalc.ribbon_disk import boundary_knot, disk_twist, exterior_presentation, half_spin
-from fibcalc.script import REPORT_GROUPS, _alexander, _presentation_invariants
+from fibcalc.script import REPORT_GROUPS, _alexander
 from fibcalc.two_knot import double_disk, gluck, spin, two_knot_group
 from fibcalc.words import abelianize, handlebody_names
+from oracles import presentation_invariants
 from test_invariants import (CATALOG_KNOTS, _presentation, _report_presentations,
                              brute_force_count, letters)
 
@@ -310,28 +311,24 @@ def _witnessed_fiber_maps():
                                   m).monodromy.pi1_action
 
 
-def check_fiber_route(f) -> bool:
-    """The row of `_mapping_torus_invariants` against the HNN presentation's,
-    for the report groups and for A4; True if the report row applied.  It
-    must decline exactly when Δ(1) shares a factor with the k of a split
-    group: 2 for S3 and D4, 3 for A4."""
+# The groups of every fiber-route check: the report groups and A4, whose
+# k = 3 sends a row with 3 | Δ(1) to the presentation; S4, which does not
+# split, always goes there, and its search is checked on the witnessed maps.
+_ROUTE_GROUPS = REPORT_GROUPS + ("A4",)
+
+
+def check_fiber_route(f, names=_ROUTE_GROUPS) -> bool:
+    """The row of `_mapping_torus_invariants` for the groups `names` against
+    H1 and the counts of the HNN presentation; True if Δ(1) is odd, so that
+    the report groups take the homology route."""
     action = abelianize(f)
     chi = char_poly(action)
     delta = sum(_alexander(chi))
     assert abs(delta) == abs(IntMatrix.identity(f.rank).sub(action).det())
-    presentation = hnn_presentation(f, handlebody_names(f.rank))
-    row = _mapping_torus_invariants(action, chi, tuple(map(finite_group, REPORT_GROUPS)))
-    assert (row is None) == (gcd(delta, 2) > 1)
-    if row is not None:
-        assert (row[0], tuple(zip(REPORT_GROUPS, row[1]))) == \
-            _presentation_invariants(presentation)
-    a4 = finite_group("A4")
-    found = _mapping_torus_invariants(action, chi, (a4,))
-    assert (found is None) == (gcd(delta, 3) > 1)
-    if found is not None:
-        assert found == (tuple(h1(presentation)), (count_homs(presentation, a4),))
-    assert _mapping_torus_invariants(action, chi, (finite_group("S4"),)) is None
-    return row is not None
+    factors, counts = _mapping_torus_invariants(f, action, chi, tuple(map(finite_group, names)))
+    assert (factors, tuple(zip(names, counts))) == \
+        presentation_invariants(hnn_presentation(f, handlebody_names(f.rank)), names)
+    return delta % 2 == 1
 
 
 @given(st.booleans().flatmap(_twist_products))
@@ -341,17 +338,45 @@ def test_fiber_route_matches_the_presentation_route_on_twist_products(f):
 
 
 def test_fiber_route_matches_the_presentation_route_on_witnessed_maps():
-    applied = [check_fiber_route(f) for f in _witnessed_fiber_maps()]
-    assert any(applied) and not all(applied)  # both routes are exercised
+    odd = [check_fiber_route(f, _ROUTE_GROUPS + ("S4",)) for f in _witnessed_fiber_maps()]
+    assert any(odd) and not all(odd)  # both routes are exercised
 
 
 def test_fiber_route_of_the_trivial_fiber():
     """The unknot's fiber is a disk: the group is Z, with 6 homs to S3."""
     f = catalog_knot("unknot").monodromy.pi1_action
-    assert f.rank == 0 and check_fiber_route(f)
+    assert f.rank == 0 and check_fiber_route(f, _ROUTE_GROUPS + ("S4",))
     action = abelianize(f)
-    assert _mapping_torus_invariants(action, char_poly(action), (finite_group("S3"),)) == \
+    assert _mapping_torus_invariants(f, action, char_poly(action), (finite_group("S3"),)) == \
         ((0,), (6,))
+
+
+def _square_twist(m):
+    """The fiber map of the catalog square knot twisted m times along c1,
+    which is not of fiber framing zero in that basis: H1 is Z + Z/|m + 1|."""
+    return stallings_twist(catalog_knot("square_knot"),
+                           curated_payload("square_knot_stallings_c1"), m).monodromy.pi1_action
+
+
+@pytest.mark.parametrize("m, names, built", [
+    (None, REPORT_GROUPS, 0), (None, ("A4", "S4"), 1), (2, ("S3", "Z5"), 0),
+    (2, ("S3", "A4"), 1), (1, ("Z2", "A4"), 0), (1, REPORT_GROUPS, 1),
+    (1, _ROUTE_GROUPS + ("S4",), 1)])
+def test_fiber_route_builds_one_presentation_only_when_asked(m, names, built, monkeypatch):
+    """The HNN presentation is built at most once per call, and only for a
+    target that does not split (S4) or whose k shares a factor with Δ(1):
+    Δ(1) = ±3 at m = 2 sends A4 there, ±2 at m = 1 sends S3 and D4.  The
+    figure-8 fiber map (m = None) has Δ(1) = -1."""
+    f = catalog_knot("figure8").monodromy.pi1_action if m is None else _square_twist(m)
+    calls, hnn = [], invariants.hnn_presentation
+    monkeypatch.setattr(invariants, "hnn_presentation", lambda *a: calls.append(a) or hnn(*a))
+    action = abelianize(f)
+    chi = char_poly(action)
+    assert abs(chi.evaluate(1)) == {None: 1, 1: 2, 2: 3}[m]
+    _mapping_torus_invariants(f, action, chi, tuple(map(finite_group, names)))
+    assert len(calls) == built
+    monkeypatch.undo()
+    check_fiber_route(f, names)
 
 
 ORACLE_MODULI = (2, 3, 4, 5, 8, 9, 12)
