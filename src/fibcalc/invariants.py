@@ -249,28 +249,14 @@ def _invariant_factors(diagonal: list[int], generators: int) -> tuple[int, ...]:
 _ZERO, _ONE = _unchecked(LaurentPoly, ()), _unchecked(LaurentPoly, ((0, 1),))
 
 
-def alexander_from_presentation(presentation: GroupPresentation,
-                                assignment: tuple[int, ...] | None = None) -> LaurentPoly:
+def alexander_from_presentation(presentation: GroupPresentation) -> LaurentPoly:
     """Alexander polynomial from a presentation whose abelianization is Z:
-    abelianize the Fox matrix, delete the meridian column, and take the gcd
-    of the maximal minors."""
+    abelianize the Fox matrix at the exponents of `infinite_cyclic_exponents`,
+    delete the meridian column, and take the gcd of the maximal minors."""
     _check_type(presentation, GroupPresentation, "presentation")
     n = presentation.n_generators
-    if assignment is None:
-        exps = infinite_cyclic_exponents(presentation)
-    else:
-        if (type(assignment) not in (tuple, list) or len(assignment) != n
-                or any(type(x) is not int for x in assignment)):
-            raise MalformedInputError(
-                f"exponents must be a tuple or a list of {n} integers, not {assignment!r}")
-        exps = tuple(assignment)
-        for rel in presentation.relators:
-            vec = rel.exponent_vector()
-            if sum(e * v for e, v in zip(exps, vec)) != 0:
-                raise MalformedInputError("assignment does not kill all relators")
-        if gcd(*exps) != 1:
-            raise MalformedInputError("assignment must map onto the infinite cyclic group")
-    if n == 1:  # a relator that passed the checks above is the empty word
+    exps = infinite_cyclic_exponents(presentation)
+    if n == 1:  # H1 = Z leaves each relator exponent sum 0: the empty word
         return _ONE
     sizes = list(map(abs, exps))
     if 1 not in sizes:

@@ -1,27 +1,23 @@
-"""Univariate Laurent polynomials over the integers, with exact arithmetic.
+"""Univariate Laurent polynomials over the integers, as results.
 
 A polynomial is stored as a sorted tuple of (exponent, coefficient) pairs with
-no zero coefficients; the empty tuple is 0.  All arithmetic is exact (Python
-integers), which matters because Alexander coefficients grow quickly.
+no zero coefficients; the empty tuple is 0.  Coefficients are exact Python
+integers, which matters because Alexander coefficients grow quickly.
 
-The constructor (and `from_dict`, `const`, `t`, which call it) checks that
-the terms are pairs of exact integers with distinct exponents, and sorts
-them.  Arithmetic checks its operands' types and builds its results from the
-terms of checked polynomials without a second check, keeping them in that
-canonical form: sums and products drop cancelled terms and sort, `scale(0)`
-is zero, and `reverse` re-sorts.
+Each polynomial fibcalc computes is an Alexander polynomial or a minor on the
+way to one, read off an integer (`matrices._from_digits`, `_char_poly`) or
+loaded from JSON, so none is added, multiplied or powered.  The constructor
+(and `from_dict`) checks that the terms are pairs of exact integers with
+distinct exponents, and sorts them.  Negation and `shift`, the units that
+`normalize_alexander` applies, reuse checked terms without a second check.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .errors import (BudgetExceededError, MalformedInputError, _check_int, _check_type,
-                     _repr_text, _unchecked, frozen)
-
-# The bound on terms x bits per coefficient of a power's result, as `**`
-# estimates it: (1 + t)^2047, 2048 terms of up to 2048 bits, is at the bound.
-POWER_BIT_BUDGET = 2**22
+from .errors import (MalformedInputError, _check_int, _check_size, _check_type, _repr_text,
+                     _unchecked, frozen)
 
 
 @frozen
@@ -51,20 +47,12 @@ class LaurentPoly:
         return cls(tuple(coeffs.items()))
 
     @classmethod
-    def const(cls, c: int) -> "LaurentPoly":
-        return cls(((0, c),))
-
-    @classmethod
     def zero(cls) -> "LaurentPoly":
         return cls()
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls.const(1)
-
-    @classmethod
-    def t(cls, exponent: int = 1, coeff: int = 1) -> "LaurentPoly":
-        return cls(((exponent, coeff),))
+        return cls(((0, 1),))
 
     @property
     def is_zero(self) -> bool:
@@ -82,67 +70,13 @@ class LaurentPoly:
             raise MalformedInputError("zero polynomial has no degree")
         return self.terms[-1][0]
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        _check_type(other, LaurentPoly, "Laurent operand")
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, 0) + c
-        return _collect(acc)
-
     def __neg__(self) -> "LaurentPoly":
         return _unchecked(LaurentPoly, tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        _check_type(other, LaurentPoly, "Laurent operand")
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        _check_type(other, LaurentPoly, "Laurent operand")
-        acc: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return _collect(acc)
-
-    def scale(self, k: int) -> "LaurentPoly":
-        _check_int(k, "scale factor")
-        return _unchecked(LaurentPoly, tuple((e, c * k) for e, c in self.terms) if k else ())
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
         _check_int(k, "shift")
         return _unchecked(LaurentPoly, tuple((e + k, c) for e, c in self.terms))
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        """By repeated squaring, refused with BudgetExceededError before any
-        product when the result could pass POWER_BIT_BUDGET: p^n has at most
-        n * span + 1 terms, and as the sum of absolute coefficients is
-        submultiplicative, each coefficient has at most n * ceil(log2 of that
-        sum) + 1 bits."""
-        _check_int(n, "exponent")
-        if n < 0:
-            raise MalformedInputError("negative power of a Laurent polynomial")
-        if self.terms:
-            terms = n * (self.terms[-1][0] - self.terms[0][0]) + 1
-            bits = n * (sum(abs(c) for _, c in self.terms) - 1).bit_length() + 1
-            if terms * bits > POWER_BIT_BUDGET:
-                raise BudgetExceededError(
-                    f"power would have up to {terms} terms of up to {bits} bits, "
-                    f"more than the budget of {POWER_BIT_BUDGET} bits")
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
-    def reverse(self) -> "LaurentPoly":
-        """Exponent reversal t -> t^-1."""
-        return _unchecked(LaurentPoly, tuple((-e, c) for e, c in reversed(self.terms)))
 
     def evaluate(self, x: int) -> int:
         """Evaluate at a nonzero integer (negative exponents need x = +-1)."""
@@ -161,8 +95,10 @@ class LaurentPoly:
         """Coefficient list from min_exp upward (empty for 0)."""
         if self.is_zero:
             return []
-        lo, hi = self.min_exp, self.max_exp
-        out = [0] * (hi - lo + 1)
+        lo = self.min_exp
+        span = self.max_exp - lo + 1
+        _check_size(span, "degree span")
+        out = [0] * span
         for e, c in self.terms:
             out[e - lo] = c
         return out
@@ -180,11 +116,6 @@ class LaurentPoly:
             parts.append(("- " if c < 0 else "+ ") + mono)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-
-def _collect(acc: dict[int, int]) -> LaurentPoly:
-    """The polynomial of an exponent -> coefficient dict of exact integers."""
-    return _unchecked(LaurentPoly, tuple(sorted((e, c) for e, c in acc.items() if c)))
 
 
 def normalize_alexander(p: LaurentPoly) -> LaurentPoly:

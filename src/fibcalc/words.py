@@ -28,7 +28,7 @@ So `FreeWord`s are made only where the API hands one out: when a map's
 a tuple about 0.07 us, and the words of derived maps are mostly only
 substituted, abelianized or written out, which letters serve directly.
 `power` counts the letters each composition would write before writing them
-and refuses past `POWER_LETTER_BUDGET`; so does `FreeWord.__pow__`.
+and refuses past `POWER_LETTER_BUDGET`.
 
 `apply_map` and `compose` substitute through `_expand`, which writes each
 letter's image after cancelling it against the reduced output so far; its
@@ -105,15 +105,6 @@ class FreeWord:
     def inverse(self) -> "FreeWord":
         return _word(self.rank, tuple(map(neg, reversed(self.letters))))
 
-    def __pow__(self, n: int) -> "FreeWord":
-        _check_int(n, "exponent")
-        letters = len(self.letters) * abs(n)
-        if letters > POWER_LETTER_BUDGET:
-            raise BudgetExceededError(f"word power would write {letters} letters, "
-                                      f"more than the budget of {POWER_LETTER_BUDGET}")
-        base = self if n >= 0 else self.inverse()
-        return _word(self.rank, _reduce(base.letters * abs(n)) if letters else ())
-
     @property
     def is_identity(self) -> bool:
         return not self.letters
@@ -133,7 +124,7 @@ class FreeWord:
         _check_size(new_rank, "rank")
         if offset < 0 or self.rank + offset > new_rank:
             raise RankMismatchError("shift does not fit in the target rank")
-        return _word(new_rank, tuple(map(_shifter(self.rank, offset), self.letters)))
+        return _word(new_rank, tuple(x + offset if x > 0 else x - offset for x in self.letters))
 
     def __repr__(self):
         return f"FreeWord({self.rank}, {list(self.letters)})"
@@ -288,11 +279,11 @@ def _common_prefix(x: memoryview, i: int, y: bytes, j: int, m: int, width: int) 
     return lo // width
 
 
-# The most letters one composition inside `FreeGroupMap.power`, or one
-# `FreeWord` power, may write before cancelling, witness included.  Measured
-# peak memory of a power is 24-27 bytes per letter of its largest composition
-# for Stallings-twist payloads and 9-10 for figure-8 monodromy powers, so this
-# budget keeps a power under about 230 MB.  The figure-8 power phi^10 writes
+# The most letters one composition inside `FreeGroupMap.power` may write
+# before cancelling, witness included.  Measured peak memory of a power is
+# 24-27 bytes per letter of its largest composition for Stallings-twist
+# payloads and 9-10 for figure-8 monodromy powers, so this budget keeps a
+# power under about 230 MB.  The figure-8 power phi^10 writes
 # 57,314 letters in its largest composition.
 POWER_LETTER_BUDGET = 2**23
 

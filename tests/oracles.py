@@ -12,7 +12,7 @@ from itertools import combinations
 from fibcalc.errors import AbelianizationError, MalformedInputError, RankMismatchError
 from fibcalc.invariants import (_fox_columns, count_homs, finite_group, h1,
                                 infinite_cyclic_exponents)
-from fibcalc.laurent import LaurentPoly, _collect, laurent_gcd, normalize_alexander
+from fibcalc.laurent import LaurentPoly, laurent_gcd, normalize_alexander
 from fibcalc.matrices import IntMatrix, laurent_det, smith_normal_form
 from fibcalc.mcg import transvection
 from fibcalc.presentation import GroupPresentation
@@ -102,7 +102,18 @@ def fox_row(word: FreeWord, exponents) -> list[LaurentPoly]:
     """The abelianized Fox derivatives of a word by every generator, as
     Laurent polynomials: entry j is the image of fox_derivative(word, j + 1)
     under generator i -> t^exponents[i], read off `_fox_columns`."""
-    return [_collect(column) for column in _fox_columns(word.letters, exponents)]
+    return [LaurentPoly.from_dict(column) for column in _fox_columns(word.letters, exponents)]
+
+
+def laurent_product(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """The product of two Laurent polynomials, term by term: the reference
+    for the multiplicativity of Alexander polynomials (connected sums, block
+    sums), which the library never multiplies."""
+    acc: dict[int, int] = {}
+    for e1, c1 in p.terms:
+        for e2, c2 in q.terms:
+            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    return LaurentPoly.from_dict(acc)
 
 
 def alexander_by_grid(presentation: GroupPresentation, assignment=None) -> LaurentPoly:

@@ -74,7 +74,7 @@ def test_criterion_2_route_equivalence():
             via_char = alexander_poly(knot)
             via_fox = alexander_from_presentation(knot_group(knot))
             assert via_fox == via_char
-            assert normalize_alexander(via_char.reverse()) == via_char
+            assert via_char.dense_coeffs() == via_char.dense_coeffs()[::-1]
         for name in CATALOG_KNOTS:
             assert abs(alexander_poly(catalog_knot(name)).evaluate(1)) == 1
 

@@ -13,7 +13,7 @@ from fibcalc.invariants import h1
 from fibcalc.laurent import LaurentPoly, normalize_alexander
 from fibcalc.matrices import char_poly
 from fibcalc.mcg import CurveSpec, SurfaceMonodromy, catalog_names, curated_payload, symplectic_form
-from oracles import dense_symplectic, trefoil_two_bridge_presentation
+from oracles import dense_symplectic, laurent_product, trefoil_two_bridge_presentation
 
 
 def trefoil():
@@ -86,7 +86,7 @@ def test_connected_sum():
     assert connected_sum(k, uk).monodromy == k.monodromy
     sq = connected_sum(k, mirror_knot(k))
     assert sq.genus == 2
-    assert alexander_poly(sq) == alexander_poly(k) * alexander_poly(mirror_knot(k))
+    assert alexander_poly(sq) == laurent_product(alexander_poly(k), alexander_poly(mirror_knot(k)))
     assert sq.monodromy == catalog_knot("square_knot").monodromy
     moved = dual_knot_surgery_descriptor(k, 1)
     with pytest.raises(PreconditionError):
@@ -115,7 +115,7 @@ def test_two_bridge_presentation():
 def test_palindromic_alexander():
     for name in ("trefoil_R", "trefoil_L", "figure8", "square_knot", "granny_knot"):
         p = alexander_poly(catalog_knot(name))
-        assert normalize_alexander(p.reverse()) == p
+        assert p.dense_coeffs() == p.dense_coeffs()[::-1]
         assert abs(p.evaluate(1)) == 1
 
 
@@ -187,7 +187,7 @@ def test_alexander_poly_runs_no_char_poly(monkeypatch):
     factors = {"trefoil_R": [1, -1, 1], "trefoil_L": [1, -1, 1], "figure8": [1, -3, 1]}
     expected = LaurentPoly.one()
     for name in names:
-        expected = expected * LaurentPoly.from_dict(dict(enumerate(factors[name])))
+        expected = laurent_product(expected, LaurentPoly.from_dict(dict(enumerate(factors[name]))))
 
     def refuse(a):
         raise AssertionError("alexander_poly ran the general char_poly")

@@ -1,9 +1,9 @@
-"""Every name a module of the library imports is used in that module, so a
-deletion does not leave a dead import behind.  `__init__` re-exports what it
-imports and is not checked.  Importing the library and its CLI leaves out
-`dataclasses` and `inspect`, whose import costs more than the rest of a
-cold start's imports, and loads no module from outside the standard
-library."""
+"""Every name a module of the library or of the tests imports is used in
+that module, so a deletion does not leave a dead import behind.  `__init__`
+re-exports what it imports and is not checked.  Importing the library and
+its CLI leaves out `dataclasses` and `inspect`, whose import costs more than
+the rest of a cold start's imports, and loads no module from outside the
+standard library."""
 
 import ast
 import subprocess
@@ -12,7 +12,11 @@ from pathlib import Path
 
 import pytest
 
-_SOURCE = Path(__file__).resolve().parent.parent / "src" / "fibcalc"
+_TESTS = Path(__file__).resolve().parent
+_SOURCE = _TESTS.parent / "src" / "fibcalc"
+# Library modules by file name, test modules as tests/<file name>.
+_MODULES = {p.name: p for p in _SOURCE.glob("*.py") if p.name != "__init__.py"}
+_MODULES.update((f"tests/{p.name}", p) for p in _TESTS.glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -26,10 +30,9 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in _SOURCE.glob("*.py")
-                                        if p.name != "__init__.py"))
+@pytest.mark.parametrize("path", sorted(_MODULES))
 def test_every_import_is_used(path):
-    unused = _unused_imports(ast.parse((_SOURCE / path).read_text()))
+    unused = _unused_imports(ast.parse(_MODULES[path].read_text()))
     assert not unused, f"{path} imports names it does not use: {', '.join(unused)}"
 
 

@@ -772,3 +772,16 @@ def test_one_report_runs_one_h1_elimination(monkeypatch):
     smiths = counted_smith(monkeypatch)
     presentation_invariants(presentation)
     assert [(len(rows), columns) for rows, columns, _ in smiths] == [(n, r), (r, n)]
+
+
+def test_readme_surgery_script_runs_and_names_every_verb():
+    """The README's "Surgery scripts" example runs and reports a 2-knot and a
+    plan, and its "Verbs:" sentence names the verbs `script.execute`
+    knows, in the order of `_SIGNATURES`."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("### Surgery scripts"):]
+    start = section.index("```text\n") + len("```text\n")
+    example = section[start:section.index("```", start)]
+    verbs = section[section.index("Verbs: "):section.index("Parse errors")]
+    assert [report.kind for report in execute(example)] == ["fibered_two_knot", "surgery_plan"]
+    assert [entry.split()[0] for entry in verbs.split("`")[1::2]] == list(script._SIGNATURES)

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +142,29 @@ def test_shift_embedding():
     assert w.shift(4, 2) == FreeWord(4, (3, -4))
     with pytest.raises(RankMismatchError):
         w.shift(3, 2)
+
+
+# Run in a child interpreter that caps its own address space at 1 GB, so a
+# shift that built a table of 2 rank + 1 entries fails there with a
+# MemoryError, and never takes memory from the test process.
+_SHIFT_PROBE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+sys.path.insert(0, sys.argv[1])
+from fibcalc.words import FreeWord
+word = FreeWord(10**9, (1, -2))
+print(word.shift(10**9, 0).letters)
+print(word.shift(2 * 10**9, 10**9).letters)
+"""
+
+
+def test_shift_maps_only_the_word_letters():
+    """A word of rank 10^9 shifts in time and memory of its own length."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-I", "-c", _SHIFT_PROBE, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["(1, -2)", "(1000000001, -1000000002)"]
 
 
 def test_compose_rank_mismatch():
@@ -465,22 +491,3 @@ def test_stallings_twist_of_a_huge_count_is_over_budget(monkeypatch):
     curve = curated_payload("square_knot_stallings_c1")
     with pytest.raises(BudgetExceededError, match=r"would write \d+ letters"):
         stallings_twist(catalog_knot("square_knot"), curve, 10**12)
-
-
-def test_word_power_is_refused_over_the_letter_budget(monkeypatch):
-    """`** 10**12` once ended in a raw MemoryError and `** 10**30` in a raw
-    OverflowError; the power is refused before any letter is written."""
-    x = FreeWord(1, (1,))
-    for n in (10**12, 10**30, -10**30):
-        with pytest.raises(BudgetExceededError, match="word power would write"):
-            x ** n
-    monkeypatch.setattr(words, "POWER_LETTER_BUDGET", 30)
-    w = FreeWord(2, (1, 2, -1))  # its powers cancel to 2 + |n| letters
-    assert w ** 10 == FreeWord(2, (1,) + (2,) * 10 + (-1,))
-    assert w ** -10 == FreeWord(2, (1,) + (-2,) * 10 + (-1,))
-    with pytest.raises(BudgetExceededError, match="would write 33 letters.* budget of 30"):
-        w ** 11
-    with pytest.raises(BudgetExceededError, match="would write 33 letters"):
-        w ** -11
-    assert FreeWord(2, ()) ** 10**30 == FreeWord(2, ())
-    assert w ** 0 == FreeWord(2, ())
