@@ -19,9 +19,9 @@ from .mcg import (CompatibilityReport, CurveSpec, HandlebodyMonodromy,
                   intersection, is_symplectic, mirror, symplectic_form,
                   transvection, twist_monodromy)
 from .presentation import GroupPresentation, hnn_presentation
-from .invariants import (FiniteGroupTable, GroupRingElement, alexander_from_presentation,
-                         count_homs, finite_group, fox_derivative, fox_matrix,
-                         group_catalog_names, h1, infinite_cyclic_exponents)
+from .invariants import (FiniteGroupTable, alexander_from_presentation, count_homs,
+                         finite_group, fox_matrix, group_catalog_names, h1,
+                         infinite_cyclic_exponents)
 from .fibered import (Ambient, FiberedKnot, alexander_poly, catalog_knot,
                       connected_sum, distinctness_bound,
                       dual_knot_surgery_descriptor, knot_group, mirror_knot,

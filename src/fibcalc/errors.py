@@ -92,9 +92,10 @@ def frozen(cls):
     them with `object.__setattr__`, then calls `self.__post_init__()` if the
     class has one, looked up per call so that it can be swapped on the class.
     `==` returns NotImplemented for another class and, like `hash`, reads the
-    compared fields as a tuple; `repr` is `QualName(f=v!r, ...)`; setting or
-    deleting any attribute raises FrozenInstanceError.  A method the class
-    defines, the constructor included, is kept.
+    compared fields as a tuple; `repr` is `QualName(f=v!r, ...)`, or the
+    MalformedInputError of `_repr_text` for an integer too long to write;
+    setting or deleting any attribute raises FrozenInstanceError.  A method
+    the class defines, the constructor included, is kept.
 
     Why not `dataclasses`: it compiles six methods with `exec` for each class
     and imports `inspect` (with `ast`, `dis` and `tokenize`).  For fibcalc's
@@ -156,7 +157,7 @@ def _hash(self):
 def _repr(self):
     cls = self.__class__
     return f"{cls.__qualname__}(" + ", ".join(
-        f"{name}={getattr(self, name)!r}" for name in cls.__value_fields__) + ")"
+        f"{name}={_repr_text(getattr(self, name), name)}" for name in cls.__value_fields__) + ")"
 
 
 def _setattr(self, name, value):
@@ -202,11 +203,16 @@ def _int_text(value: int, what: str) -> str:
 
 
 def _repr_text(value, what: str) -> str:
-    """`repr(value)` of a value, or of a tuple or list of values, or the
-    MalformedInputError of `_int_text` for an integer in it too long to write."""
-    for x in value if type(value) in (tuple, list) else (value,):
+    """`repr(value)` of a value, or of tuples and lists of values nested to
+    any depth, or the MalformedInputError of `_int_text` for an integer in
+    it too long to write."""
+    stack = [value]
+    while stack:
+        x = stack.pop()
         if type(x) is int:
             _int_text(x, what)
+        elif type(x) in (tuple, list):
+            stack.extend(x)
     return repr(value)
 
 

@@ -2,6 +2,13 @@
 presentations, homology via Smith normal form, and exact counting of
 homomorphisms into small finite groups.
 
+Fox calculus comes in two forms.  `fox_matrix` gives the derivatives in the
+group ring Z[F], each a {word: +-1} dict read off the prefixes of its
+relator in one pass.  The invariants read only the abelianized derivatives,
+in Z[t, t^-1] or evaluated at an integer, counted without building a word
+(`_fox_columns`, `_fox_rows`); the tests check that the first, abelianized,
+gives the second.
+
 The Fox route to the Alexander polynomial builds no intermediate
 polynomial.  A letter x_i adds t^e to column i of its relator's row of the
 abelianized Fox matrix, e the exponent of the prefix before it, and x_i^-1
@@ -61,79 +68,32 @@ from .errors import (AbelianizationError, BudgetExceededError, CatalogError,
 from .laurent import LaurentPoly, laurent_gcd, normalize_alexander
 from .matrices import IntMatrix, _from_digits, _matrix, _product, _smith
 from .presentation import GroupPresentation, hnn_presentation
-from .words import FreeGroupMap, FreeWord, handlebody_names
+from .words import FreeGroupMap, FreeWord, _word, handlebody_names
 
 # The most nodes a hom search may visit; only targets that do not split search.
 HOM_NODE_BUDGET = 10**8
 
 
-class GroupRingElement:
-    """Formal integer combination of free-group words (an element of Z[F])."""
-
-    __slots__ = ("rank", "coeffs")
-
-    def __init__(self, rank: int, coeffs: dict[FreeWord, int] | None = None):
-        self.rank = rank
-        self.coeffs = {w: c for w, c in (coeffs or {}).items() if c != 0}
-
-    @classmethod
-    def zero(cls, rank: int) -> "GroupRingElement":
-        return cls(rank)
-
-    @classmethod
-    def of_word(cls, word: FreeWord, coeff: int = 1) -> "GroupRingElement":
-        return cls(word.rank, {word: coeff})
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        acc = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            acc[w] = acc.get(w, 0) + c
-        return GroupRingElement(self.rank, acc)
-
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(self.rank, {w: -c for w, c in self.coeffs.items()})
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + (-other)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, GroupRingElement) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        if self.is_zero:
-            return "0"
-        return " + ".join(f"{c}*{list(w.letters)}" for w, c in sorted(
-            self.coeffs.items(), key=lambda item: item[0].letters))
-
-
-def fox_derivative(word: FreeWord, index: int) -> GroupRingElement:
-    """Fox derivative with respect to the index-th generator:
-    d(uv) = du + u dv, d(x_j) = 1, d(x_j^-1) = -x_j^-1."""
-    _check_type(word, FreeWord, "word")
-    _check_int(index, "generator index")
-    if not 1 <= index <= word.rank:
-        raise MalformedInputError("generator index out of range")
-    total = GroupRingElement.zero(word.rank)
-    prefix = FreeWord.identity(word.rank)
-    for letter in word.letters:
-        if letter == index:
-            total = total + GroupRingElement.of_word(prefix)
-        elif letter == -index:
-            inv = FreeWord(word.rank, (-index,))
-            total = total - GroupRingElement.of_word(prefix * inv)
-        prefix = prefix * FreeWord(word.rank, (letter,))
-    return total
-
-
-def fox_matrix(presentation: GroupPresentation) -> list[list[GroupRingElement]]:
+def fox_matrix(presentation: GroupPresentation) -> list[list[dict[FreeWord, int]]]:
+    """The Fox derivatives (Fox 1953) of every relator r by every generator
+    x_j, entry (r, j) an element of Z[F] as {word: nonzero coefficient}.
+    The rules d(uv) = du + u dv, dx_j = 1 and dx_j^-1 = -x_j^-1 make one
+    pass over r's letters: x_j at position p adds +1 at the prefix
+    letters[:p], and x_j^-1 adds -1 at letters[:p+1].  Both prefixes are
+    reduced, because r is, and no prefix is reached twice in one column
+    (that would take x_j^-1 x_j in r), so every coefficient is +-1."""
     _check_type(presentation, GroupPresentation, "presentation")
-    n = presentation.n_generators
-    return [[fox_derivative(rel, j + 1) for j in range(n)]
-            for rel in presentation.relators]
+    rows = []
+    for relator in presentation.relators:
+        rank, letters = relator.rank, relator.letters
+        row: list[dict[FreeWord, int]] = [{} for _ in range(rank)]
+        for p, letter in enumerate(letters):
+            if letter > 0:
+                row[letter - 1][_word(rank, letters[:p])] = 1
+            else:
+                row[-letter - 1][_word(rank, letters[:p + 1])] = -1
+        rows.append(row)
+    return rows
 
 
 def _fox_columns(letters: tuple[int, ...], exponents: tuple[int, ...]) -> list[dict[int, int]]:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import (MalformedInputError, _check_int, _check_size, _check_type, _repr_text,
-                     _unchecked, frozen)
+from .errors import (MalformedInputError, _check_int, _check_size, _check_type, _int_text,
+                     _repr_text, _unchecked, frozen)
 
 
 @frozen
@@ -46,14 +46,6 @@ class LaurentPoly:
         _check_type(coeffs, dict, "coefficients")
         return cls(tuple(coeffs.items()))
 
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls(((0, 1),))
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -79,8 +71,12 @@ class LaurentPoly:
         return _unchecked(LaurentPoly, tuple((e + k, c) for e, c in self.terms))
 
     def evaluate(self, x: int) -> int:
-        """Evaluate at a nonzero integer (negative exponents need x = +-1)."""
+        """Evaluate at a nonzero integer (negative exponents need x = +-1).
+        x^e has about e (bit_length(|x|) - 1) bits, which no integer can
+        have past sys.maxsize."""
         _check_int(x, "argument")
+        if self.terms and abs(x) > 1:
+            _check_size(self.terms[-1][0] * (abs(x).bit_length() - 1), "power bit length")
         total = 0
         for e, c in self.terms:
             if e >= 0:
@@ -109,10 +105,10 @@ class LaurentPoly:
         parts = []
         for e, c in reversed(self.terms):
             if e == 0:
-                mono = str(abs(c))
+                mono = _int_text(abs(c), "coefficient")
             else:
-                head = "" if abs(c) == 1 else str(abs(c)) + "*"
-                mono = head + ("t" if e == 1 else f"t^{e}")
+                head = "" if abs(c) == 1 else _int_text(abs(c), "coefficient") + "*"
+                mono = head + ("t" if e == 1 else f"t^{_int_text(e, 'exponent')}")
             parts.append(("- " if c < 0 else "+ ") + mono)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
@@ -191,7 +187,7 @@ def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     _check_type(p, LaurentPoly, "polynomial")
     _check_type(q, LaurentPoly, "polynomial")
     if p.is_zero and q.is_zero:
-        return LaurentPoly.zero()
+        return LaurentPoly()
     if p.is_zero:
         return normalize_alexander(q)
     if q.is_zero:

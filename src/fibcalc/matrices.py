@@ -44,10 +44,10 @@ it rides in them; a column operation changes only the pivot row of the
 matrix; and a unit pivot, which divides everything, needs no scan for an
 entry it does not divide.  The `_smith` docstring says why each holds.
 
-The constructor (and `from_rows`, `identity`, `zeros`, which check their own
+The constructor (and `from_rows` and `identity`, which check their own
 arguments and call it) checks the shape and that every entry is an exact
 integer, and stores the entries as a tuple of tuples.  Arithmetic (`mul`,
-`add`, `neg`, `sub`, `transpose`, `block_diag`) and the D, U, V of
+`add`, `neg`, `transpose`, `block_diag`) and the D, U, V of
 `smith_normal_form` check their operands' types and build their results
 from checked entries without a second check, in the same tuple-of-tuples
 form.
@@ -102,14 +102,6 @@ class IntMatrix:
         _check_size(n, "matrix size")
         return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        _check_int(rows, "matrix rows")
-        _check_int(cols, "matrix columns")
-        _check_size(rows, "matrix rows")
-        _check_size(cols, "matrix columns")
-        return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
     def transpose(self) -> "IntMatrix":
         return _matrix(self.cols, self.rows, [[row[j] for row in self.entries]
                                               for j in range(self.cols)])
@@ -121,9 +113,6 @@ class IntMatrix:
         columns = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
         return _matrix(self.rows, other.cols, _product(self.entries, columns))
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return self.mul(other)
-
     def add(self, other: "IntMatrix") -> "IntMatrix":
         _check_type(other, IntMatrix, "matrix operand")
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -133,10 +122,6 @@ class IntMatrix:
 
     def neg(self) -> "IntMatrix":
         return _matrix(self.rows, self.cols, [[-a for a in row] for row in self.entries])
-
-    def sub(self, other: "IntMatrix") -> "IntMatrix":
-        _check_type(other, IntMatrix, "matrix operand")
-        return self.add(other.neg())
 
     def det(self) -> int:
         """Fraction-free (Bareiss 1968) determinant.  Each step replaces the
@@ -218,8 +203,9 @@ def laurent_det(grid: list[list[LaurentPoly]]) -> LaurentPoly:
     for row in grid:
         live = [p.min_exp for p in row if not p.is_zero]
         if not live:
-            return LaurentPoly.zero()
+            return LaurentPoly()
         low = min(live)
+        _check_size(max(p.max_exp for p in row if not p.is_zero) - low, "degree span")
         shift += low
         bound *= sum(abs(c) for p in row for _, c in p.terms)
         rows.append((low, row))

@@ -245,9 +245,6 @@ class SurgeryPlan:
             _check_type(entry, PlanEntry, "plan entry")
         object.__setattr__(self, "entries", tuple(self.entries))
 
-    def phase_entries(self, phase: int) -> tuple[PlanEntry, ...]:
-        return tuple(e for e in self.entries if e.phase == phase)
-
 
 def _twist_word_of(knot: FiberedKnot) -> tuple[tuple[CurveSpec, int], ...]:
     word = knot.monodromy.provenance

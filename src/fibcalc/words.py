@@ -23,8 +23,9 @@ witness; and powers are compositions.
 
 So `FreeWord`s are made only where the API hands one out: when a map's
 `images` or `inverse_images` are read, as the result of `apply_map`,
-`word_from_text` and `FreeWord` arithmetic, and as the relators of
-`presentation.hnn_presentation`.  A `FreeWord` costs about 1.2 us to make,
+`word_from_text`, `FreeWord` `*`, `inverse` and `shift`, as the relators of
+`presentation.hnn_presentation`, and as the prefixes that key
+`invariants.fox_matrix`.  A `FreeWord` costs about 1.2 us to make,
 a tuple about 0.07 us, and the words of derived maps are mostly only
 substituted, abelianized or written out, which letters serve directly.
 `power` counts the letters each composition would write before writing them
@@ -52,7 +53,7 @@ from operator import add, ne, neg
 from typing import Callable, Iterable, Sequence
 
 from .errors import (BudgetExceededError, MalformedInputError, RankMismatchError, _check_int,
-                     _check_sequence, _check_size, _check_type, _repr_text, frozen)
+                     _check_sequence, _check_size, _check_type, _int_text, _repr_text, frozen)
 from .matrices import IntMatrix, _matrix
 
 
@@ -92,10 +93,6 @@ class FreeWord:
     def __post_init__(self):
         _set(self, "letters", _letters(self.rank, self.letters))
 
-    @classmethod
-    def identity(cls, rank: int) -> "FreeWord":
-        return cls(rank, ())
-
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         _check_type(other, FreeWord, "word operand")
         if self.rank != other.rank:
@@ -104,10 +101,6 @@ class FreeWord:
 
     def inverse(self) -> "FreeWord":
         return _word(self.rank, tuple(map(neg, reversed(self.letters))))
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -127,7 +120,8 @@ class FreeWord:
         return _word(new_rank, tuple(x + offset if x > 0 else x - offset for x in self.letters))
 
     def __repr__(self):
-        return f"FreeWord({self.rank}, {list(self.letters)})"
+        letters = _repr_text(list(self.letters), "letter")
+        return f"FreeWord({_int_text(self.rank, 'rank')}, {letters})"
 
 
 def _word(rank: int, letters: tuple[int, ...]) -> FreeWord:

@@ -4,20 +4,22 @@ compatibility off the a-rows, takes Fox-route determinants of integers and
 runs a Smith elimination that skips work nobody reads; the general routines
 here are what those shortcuts are checked against.  A fiber row read off
 the homology action is checked against H1 and the hom counts of the HNN
-presentation.  The two-bridge trefoil is a presentation that no
+presentation.  Rows of the group-ring Fox matrix are checked against Fox's
+fundamental formula.  The two-bridge trefoil is a presentation that no
 construction builds."""
 
+from collections import Counter
 from itertools import combinations
 
 from fibcalc.errors import AbelianizationError, MalformedInputError, RankMismatchError
-from fibcalc.invariants import (_fox_columns, count_homs, finite_group, h1,
+from fibcalc.invariants import (_fox_columns, count_homs, finite_group, fox_matrix, h1,
                                 infinite_cyclic_exponents)
 from fibcalc.laurent import LaurentPoly, laurent_gcd, normalize_alexander
 from fibcalc.matrices import IntMatrix, laurent_det, smith_normal_form
 from fibcalc.mcg import transvection
 from fibcalc.presentation import GroupPresentation
 from fibcalc.script import REPORT_GROUPS
-from fibcalc.words import FreeWord
+from fibcalc.words import FreeWord, handlebody_names
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
@@ -98,10 +100,31 @@ def trefoil_two_bridge_presentation() -> GroupPresentation:
     return GroupPresentation(("u", "v"), (FreeWord(2, (1, 2, 1, -2, -1, -2)),))
 
 
+def fox_derivatives(word: FreeWord) -> list[dict[FreeWord, int]]:
+    """The Fox derivatives of a word by every generator, in Z[F]: the one
+    row of `fox_matrix` on the presentation <x_1, ..., x_n | word>."""
+    return fox_matrix(GroupPresentation(handlebody_names(word.rank), (word,)))[0]
+
+
+def fox_formula_gap(relator: FreeWord, row) -> dict[FreeWord, int]:
+    """sum_j (dr/dx_j)(x_j - 1) - (r - 1) in Z[F] for a row of `fox_matrix`,
+    as {word: nonzero coefficient}: empty exactly when Fox's fundamental
+    formula holds for the row."""
+    gap: Counter = Counter()
+    for j, entry in enumerate(row, 1):
+        xj = FreeWord(relator.rank, (j,))
+        for word, c in entry.items():
+            gap[word * xj] += c
+            gap[word] -= c
+    gap[relator] -= 1
+    gap[FreeWord(relator.rank, ())] += 1
+    return {word: c for word, c in gap.items() if c}
+
+
 def fox_row(word: FreeWord, exponents) -> list[LaurentPoly]:
     """The abelianized Fox derivatives of a word by every generator, as
-    Laurent polynomials: entry j is the image of fox_derivative(word, j + 1)
-    under generator i -> t^exponents[i], read off `_fox_columns`."""
+    Laurent polynomials: entry j is the image of its Fox derivative by
+    x_(j+1) under generator i -> t^exponents[i], read off `_fox_columns`."""
     return [LaurentPoly.from_dict(column) for column in _fox_columns(word.letters, exponents)]
 
 
@@ -124,7 +147,7 @@ def alexander_by_grid(presentation: GroupPresentation, assignment=None) -> Laure
     n = presentation.n_generators
     exps = infinite_cyclic_exponents(presentation) if assignment is None else tuple(assignment)
     if n == 1:  # a relator killed by the assignment is the empty word
-        return LaurentPoly.one()
+        return LaurentPoly(((0, 1),))
     meridian = next((j for j, e in enumerate(exps) if abs(e) == 1), None)
     if meridian is None:
         raise AbelianizationError("no generator maps onto t^(+-1)")
@@ -132,15 +155,15 @@ def alexander_by_grid(presentation: GroupPresentation, assignment=None) -> Laure
             for rel in presentation.relators]
     r, k = len(grid), n - 1
     if r < k:
-        return LaurentPoly.zero()
-    gcd_acc = LaurentPoly.zero()
+        return LaurentPoly()
+    gcd_acc = LaurentPoly()
     for rows in combinations(range(r), k):
         minor = laurent_det([grid[i] for i in rows])
         if not minor.is_zero:
             gcd_acc = laurent_gcd(gcd_acc, minor)
-            if gcd_acc == LaurentPoly.one():
+            if gcd_acc == LaurentPoly(((0, 1),)):
                 return gcd_acc
-    return LaurentPoly.zero() if gcd_acc.is_zero else normalize_alexander(gcd_acc)
+    return LaurentPoly() if gcd_acc.is_zero else normalize_alexander(gcd_acc)
 
 
 def smith_elimination(m: list[list[int]], cols: int, with_v: bool):
@@ -237,7 +260,7 @@ def substitute_by_products(images, word: FreeWord) -> FreeWord:
     """f(word) for the map f: x_i -> images[i-1], multiplied out one
     `FreeWord` at a time: what `apply_map` and `compose` substitute through
     letter tables."""
-    out = FreeWord.identity(word.rank)
+    out = FreeWord(word.rank, ())
     for letter in word.letters:
         image = images[abs(letter) - 1]
         out = out * (image if letter > 0 else image.inverse())

@@ -283,7 +283,8 @@ def general_cg_compatibility(action, quotient_action):
     if len([d for d in diag if d != 0]) != genus or any(d not in (0, 1) for d in diag):
         failures.append("rows do not span a rank-g primitive direct summand")
     j = symplectic_form(genus)
-    if lagrangian.mul(j).mul(lagrangian.transpose()) != IntMatrix.zeros(genus, genus):
+    zero = IntMatrix(genus, genus, ((0,) * genus,) * genus)
+    if lagrangian.mul(j).mul(lagrangian.transpose()) != zero:
         failures.append("span is not isotropic")
     stacked = IntMatrix.from_rows(list(quotient_basis.entries) + list(lagrangian.entries))
     if abs(stacked.det()) != 1:
@@ -367,7 +368,7 @@ def test_a_row_check_matches_the_general_check(case):
 
 
 def test_a_row_check_matches_the_general_check_on_shapes():
-    for action in (IntMatrix.identity(3), IntMatrix.zeros(2, 4), IntMatrix.identity(0)):
+    for action in (IntMatrix.identity(3), IntMatrix(2, 4, ((0,) * 4,) * 2), IntMatrix.identity(0)):
         for quotient in (IntMatrix.identity(0), IntMatrix.identity(1)):
             expected = outcome(general_cg_compatibility, action, quotient)
             assert outcome(cg_compatibility, action, quotient) == expected
@@ -398,7 +399,7 @@ def test_matrix_arithmetic_is_canonical(r, k, c, data):
     a, b = data.draw(matrices(r, k)), data.draw(matrices(r, k))
     m = data.draw(matrices(k, c))
     square = data.draw(matrices(r, r))
-    for result in (a.mul(m), a @ m, a.add(b), a.sub(b), a.sub(a), a.neg(), a.transpose(),
+    for result in (a.mul(m), a.add(b), a.add(a.neg()), a.neg(), a.transpose(),
                    matrix_power(square, data.draw(st.integers(0, 3))), block_diag(a, m),
                    block_diag(), *smith_normal_form(a)):
         recheck_matrix(result)

@@ -15,7 +15,7 @@ from fibcalc.fibered import (Ambient, FiberedKnot, alexander_poly, catalog_knot,
                              connected_sum, distinctness_bound, dual_knot_surgery_descriptor,
                              knot_group, mirror_knot, stallings_twist)
 from fibcalc.invariants import (FiniteGroupTable, alexander_from_presentation, count_homs,
-                                finite_group, fox_derivative, fox_matrix, h1,
+                                finite_group, fox_matrix, h1,
                                 infinite_cyclic_exponents)
 from fibcalc.laurent import LaurentPoly, laurent_gcd, normalize_alexander
 from fibcalc.matrices import IntMatrix, block_diag, char_poly, laurent_det, smith_normal_form
@@ -90,7 +90,6 @@ PROBES = {
     "plan float genus": lambda: SurgeryPlan(1.0, 1, ()),
     "group float order": lambda: FiniteGroupTable("x", 1.0, ((0,),), ("a",)),
     "transvection bool multiplier": lambda: transvection((1, 0), True),
-    "fox derivative float index": lambda: fox_derivative(FreeWord(2, (1, 2)), 1.0),
 }
 
 # 1 + t^(10^19): two terms, whose dense coefficient list no machine can hold.
@@ -137,8 +136,6 @@ SHAPE_PROBES = {
     "exponent vector huge rank": lambda: FreeWord(10**19, ()).exponent_vector(),
     "curve extend huge genus": lambda: curated_payload("g1_a1").extend(10**19, 0),
     "identity huge size": lambda: IntMatrix.identity(10**19),
-    "zeros huge columns": lambda: IntMatrix.zeros(1, 10**19),
-    "zeros huge rows": lambda: IntMatrix.zeros(10**19, 1),
     "matrix huge columns": lambda: IntMatrix(0, 10**19, ()),
     "map identity huge rank": lambda: FreeGroupMap.identity(10**19),
     "map extend huge rank": lambda: catalog_knot("trefoil_R").monodromy.pi1_action.extend(10**19),
@@ -201,13 +198,11 @@ ENTRY_PROBES = {
     "fox alexander string": lambda: alexander_from_presentation("x"),
     "cyclic exponents string": lambda: infinite_cyclic_exponents("x"),
     "fox matrix string": lambda: fox_matrix("x"),
-    "fox derivative string": lambda: fox_derivative("x", 1),
     "laurent bool shift": lambda: T.shift(True),
     "laurent float evaluate": lambda: ONE_MINUS_T.evaluate(1.5),
     "laurent bool evaluate": lambda: ONE_MINUS_T.evaluate(True),
     "matrix times string": lambda: IntMatrix.identity(1).mul("x"),
     "matrix plus string": lambda: IntMatrix.identity(1).add("x"),
-    "matrix minus string": lambda: IntMatrix.identity(1).sub("x"),
     "char poly string": lambda: char_poly("x"),
     "smith string": lambda: smith_normal_form("x"),
     "block string": lambda: block_diag(IntMatrix.identity(1), "x"),
@@ -269,8 +264,6 @@ def test_malformed_shape_is_a_library_error(build):
                                          ("exponent vector huge rank", 10**19),
                                          ("curve extend huge genus", 2 * 10**19),
                                          ("identity huge size", 10**19),
-                                         ("zeros huge columns", 10**19),
-                                         ("zeros huge rows", 10**19),
                                          ("matrix huge columns", 10**19),
                                          ("map identity huge rank", 10**19),
                                          ("map extend huge rank", 10**19),
@@ -357,6 +350,10 @@ LONG_INTEGER_PROBES = {
     "laurent term": (lambda: LaurentPoly(((_HUGE, 1, 2),)), 5001),
     "filling slope": (lambda: FillingDescriptor("Y", (_HUGE, 1.5)), 5001),
     "report of a curve": (lambda: build_report(CurveSpec(1, (_HUGE, 1))), 5001),
+    "laurent repr": (lambda: repr(LaurentPoly(((_HUGE, 1),))), 5001),
+    "matrix repr": (lambda: repr(IntMatrix(1, 1, ((_HUGE,),))), 5001),
+    "curve repr": (lambda: repr(CurveSpec(1, (_HUGE, 0))), 5001),
+    "word repr": (lambda: repr(FreeWord(_HUGE, ())), 5001),
 }
 
 

@@ -12,10 +12,9 @@ from fibcalc.errors import (AbelianizationError, BudgetExceededError, CatalogErr
                             MalformedInputError)
 from fibcalc.fibered import (Ambient, FiberedKnot, alexander_poly, catalog_knot, connected_sum,
                              knot_group)
-from fibcalc.invariants import (HOM_NODE_BUDGET, FiniteGroupTable, GroupRingElement,
-                                _completed_search, alexander_from_presentation, count_homs,
-                                finite_group, fox_derivative, fox_matrix,
-                                group_catalog_names, h1, infinite_cyclic_exponents)
+from fibcalc.invariants import (HOM_NODE_BUDGET, FiniteGroupTable, _completed_search,
+                                alexander_from_presentation, count_homs, finite_group,
+                                fox_matrix, group_catalog_names, h1, infinite_cyclic_exponents)
 from fibcalc.laurent import LaurentPoly, normalize_alexander
 from fibcalc.matrices import IntMatrix, char_poly, smith_normal_form
 from fibcalc.mcg import SurfaceMonodromy, symplectic_form, transvection
@@ -24,33 +23,30 @@ from fibcalc.ribbon_disk import exterior_presentation, half_spin
 from fibcalc.two_knot import double_disk, halving_family, spin, two_knot_group
 from fibcalc.words import (FreeGroupMap, FreeWord, abelianize, compose, handlebody_names,
                            surface_names)
-from oracles import (alexander_by_grid, fox_row, laurent_product, smith_elimination,
-                     trefoil_two_bridge_presentation)
+from oracles import (alexander_by_grid, fox_derivatives, fox_formula_gap, fox_row,
+                     laurent_product, smith_elimination, trefoil_two_bridge_presentation)
 
 
 def ring_to_laurent(element, exponents):
-    """Abelianize a group-ring element: each word becomes t^(e . its exponent
-    vector).  The oracle of `fox_row`, the `_fox_columns` pass that
-    abelianizes every Fox derivative of a word at once."""
+    """Abelianize a group-ring element {word: coefficient}: each word becomes
+    t^(e . its exponent vector).  The oracle of `fox_row`, the `_fox_columns`
+    pass that abelianizes every Fox derivative of a word at once."""
     acc = {}
-    for word, coeff in element.coeffs.items():
+    for word, coeff in element.items():
         e = sum(x * v for x, v in zip(exponents, word.exponent_vector()))
         acc[e] = acc.get(e, 0) + coeff
     return LaurentPoly.from_dict(acc)
 
 
 def test_fox_derivative_examples():
-    x1 = FreeWord(2, (1,))
-    assert fox_derivative(x1, 1) == GroupRingElement.of_word(FreeWord(2, ()))
-    assert fox_derivative(x1, 2).is_zero
-    assert fox_derivative(FreeWord(2, ()), 1).is_zero
+    assert fox_derivatives(FreeWord(2, (1,))) == [{FreeWord(2, ()): 1}, {}]
+    assert fox_derivatives(FreeWord(2, ())) == [{}, {}]
     # d(x1 x2 x1^-1)/dx1 = 1 - x1 x2 x1^-1
     w = FreeWord(2, (1, 2, -1))
-    expected = GroupRingElement.of_word(FreeWord(2, ())) - GroupRingElement.of_word(w)
-    assert fox_derivative(w, 1) == expected
+    assert fox_derivatives(w)[0] == {FreeWord(2, ()): 1, w: -1}
     # d(x1^-1)/dx1 = -x1^-1
-    assert fox_derivative(FreeWord(2, (-1,)), 1) == \
-        GroupRingElement.of_word(FreeWord(2, (-1,)), -1)
+    assert fox_derivatives(FreeWord(2, (-1,)))[0] == {FreeWord(2, (-1,)): -1}
+    assert fox_matrix(GroupPresentation(("x1", "x2"), ())) == []
 
 
 def letters(rank, max_len=10):
@@ -63,15 +59,7 @@ def letters(rank, max_len=10):
 def test_fox_fundamental_identity(seq):
     # sum_j dw/dx_j (x_j - 1) = w - 1 in the group ring
     w = FreeWord(3, tuple(seq))
-    total = GroupRingElement.zero(3)
-    one = FreeWord(3, ())
-    for j in range(1, 4):
-        d = fox_derivative(w, j)
-        xj = FreeWord(3, (j,))
-        total = total + GroupRingElement(
-            3, {word * xj: c for word, c in d.coeffs.items()}) - d
-    expected = GroupRingElement.of_word(w) - GroupRingElement.of_word(one)
-    assert total == expected
+    assert fox_formula_gap(w, fox_derivatives(w)) == {}
 
 
 @given(letters(3, max_len=30), st.tuples(*[st.integers(-3, 3)] * 3))
@@ -79,7 +67,48 @@ def test_fox_fundamental_identity(seq):
 def test_fox_row_matches_fox_derivative(seq, exponents):
     w = FreeWord(3, tuple(seq))
     assert fox_row(w, exponents) == \
-        [ring_to_laurent(fox_derivative(w, j), exponents) for j in (1, 2, 3)]
+        [ring_to_laurent(d, exponents) for d in fox_derivatives(w)]
+
+
+@st.composite
+def presentations_with_h1_z(draw):
+    """<x_1, ..., x_n | r_1, ..., r_m> with H1 = Z: r_i (i < n) is a
+    conjugate of x_i c_i, c_i a word in x_(i+1), ..., x_n, so the relation
+    matrix is unitriangular off the last column; the other relators are
+    conjugates of commutators, which abelianize to 0.  The relators come
+    shuffled."""
+    n = draw(st.integers(1, 4))
+
+    def word(low):  # a word in x_low, ..., x_n
+        letter = st.integers(low, n).flatmap(lambda i: st.sampled_from([i, -i]))
+        return st.lists(letter, max_size=5).map(lambda seq: FreeWord(n, seq))
+
+    relators = []
+    for i in range(1, n):
+        u, c = draw(word(1)), draw(word(i + 1))
+        relators.append(u * FreeWord(n, (i,)) * c * u.inverse())
+    for _ in range(draw(st.integers(0, 2))):
+        u, a, b = draw(word(1)), draw(word(1)), draw(word(1))
+        relators.append(u * a * b * a.inverse() * b.inverse() * u.inverse())
+    return GroupPresentation(handlebody_names(n), tuple(draw(st.permutations(relators))))
+
+
+@given(presentations_with_h1_z())
+@settings(max_examples=80, deadline=None)
+def test_fox_matrix_rows_satisfy_the_formula_and_abelianize_to_fox_row(presentation):
+    """Every row of `fox_matrix` on a multi-relator presentation satisfies
+    Fox's fundamental formula, and abelianized at `infinite_cyclic_exponents`
+    it is the `_fox_columns` pass over the same relator: the two Fox
+    calculi of the library agree on whole presentations."""
+    assert h1(presentation) == [0]
+    exps = infinite_cyclic_exponents(presentation)
+    rows = fox_matrix(presentation)
+    assert len(rows) == len(presentation.relators)
+    for relator, row in zip(presentation.relators, rows):
+        assert len(row) == presentation.n_generators
+        assert all(c in (1, -1) for entry in row for c in entry.values())
+        assert fox_formula_gap(relator, row) == {}
+        assert [ring_to_laurent(entry, exps) for entry in row] == fox_row(relator, exps)
 
 
 def test_infinite_cyclic_exponents():
@@ -92,11 +121,11 @@ def test_infinite_cyclic_exponents():
 
 
 def test_alexander_from_presentation_examples():
-    assert alexander_from_presentation(GroupPresentation(("t",), ())) == LaurentPoly.one()
+    assert alexander_from_presentation(GroupPresentation(("t",), ())) == LaurentPoly(((0, 1),))
     # a presentation of Z whose one relator is the empty word
     z = GroupPresentation(("t",), (FreeWord(1, ()),))
     assert h1(z) == [0]
-    assert alexander_from_presentation(z) == LaurentPoly.one()
+    assert alexander_from_presentation(z) == LaurentPoly(((0, 1),))
     p = knot_group(catalog_knot("trefoil_R"))
     assert alexander_from_presentation(p).dense_coeffs() == [1, -1, 1]
     assert alexander_from_presentation(trefoil_two_bridge_presentation()) \
@@ -282,19 +311,19 @@ def test_char_poly_builds_no_matrix_product(monkeypatch):
 
 
 def test_alexander_from_presentation_builds_no_checked_constants(monkeypatch):
-    """With `LaurentPoly.zero` and `LaurentPoly.one` made to raise, a genus-1
+    """With the checked `LaurentPoly` constructor made to raise, a genus-1
     and a dense genus-6 knot still get their Alexander polynomials from their
-    presentations: the route builds neither through the checked constructor."""
+    presentations: the route builds no constant, and no other polynomial,
+    through the checked constructor."""
     cases = []
     for genus in (1, 6):
         expected, _, conjugated = _dense_conjugated_knot(random.Random(genus), genus)
         cases.append((hnn_presentation(conjugated, surface_names(genus)), expected))
 
-    def refuse(cls):
-        raise AssertionError("alexander_from_presentation built a checked constant")
+    def refuse(self):
+        raise AssertionError("alexander_from_presentation built a checked polynomial")
 
-    for name in ("zero", "one"):
-        monkeypatch.setattr(LaurentPoly, name, classmethod(refuse))
+    monkeypatch.setattr(LaurentPoly, "__post_init__", refuse)
     for presentation, expected in cases:
         assert alexander_from_presentation(presentation) == expected
 
@@ -666,7 +695,7 @@ def _dense_conjugated_knot(rng, genus):
     knot = catalog_knot(names[0])
     for name in names[1:]:
         knot = connected_sum(knot, catalog_knot(name))
-    expected = LaurentPoly.one()
+    expected = LaurentPoly(((0, 1),))
     for name in names:
         expected = laurent_product(expected, LaurentPoly.from_dict(_FACTORS[name]))
     j = symplectic_form(genus)

@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +27,36 @@ def test_zero_and_storage():
     assert poly({0: 1, 2: -1}).terms == ((0, 1), (2, -1))
 
 
+_HUGE_POWER_PROBE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+sys.path.insert(0, sys.argv[1])
+from fibcalc.laurent import LaurentPoly
+from fibcalc.matrices import laurent_det
+p = LaurentPoly(((0, 1), (10**19, 1)))
+for call in (lambda: p.evaluate(2), lambda: laurent_det([[p]])):
+    try:
+        call()
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+print(p.evaluate(1), p.evaluate(-1))
+"""
+
+
+def test_sizes_past_maxsize_are_named_before_any_power_is_built():
+    """1 + t^(10^19) at 2, and as a 1 x 1 determinant, would need an
+    integer of more than sys.maxsize bits: each is a library error naming
+    the size, not a MemoryError, in a child process capped at 1 GB."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-I", "-c", _HUGE_POWER_PROBE, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:3] == [
+        "MalformedInputError power bit length 10000000000000000000 is too large",
+        "MalformedInputError degree span 10000000000000000000 is too large",
+        "2 2"]
+
+
 def test_evaluate():
     p = poly({-1: 2, 2: 5})
     assert p.evaluate(1) == 7
@@ -37,7 +70,7 @@ def test_normalize_examples():
     assert normalize_alexander(poly({3: -1, 2: 1})) == poly({1: 1, 0: -1})
     assert normalize_alexander(poly({0: 1})) == poly({0: 1})
     with pytest.raises(MalformedInputError):
-        normalize_alexander(LaurentPoly.zero())
+        normalize_alexander(LaurentPoly())
 
 
 def test_normalize_palindromic_input():
@@ -72,7 +105,7 @@ def test_gcd_simple():
     p = poly({0: -1, 2: 1})            # t^2 - 1
     q = poly({0: 1, 1: 2, 2: 1})       # (t+1)^2
     assert laurent_gcd(p, q) == poly({0: 1, 1: 1})
-    assert laurent_gcd(p, LaurentPoly.zero()) == normalize_alexander(p)
+    assert laurent_gcd(p, LaurentPoly()) == normalize_alexander(p)
 
 
 @given(polys, polys, polys)
@@ -101,7 +134,7 @@ def test_gcd_common_divisor_property(a, b, c):
 
 def test_dense_coeffs():
     assert poly({0: 1, 2: 3}).dense_coeffs() == [1, 0, 3]
-    assert LaurentPoly.zero().dense_coeffs() == []
+    assert LaurentPoly().dense_coeffs() == []
 
 
 # --------------------------------------------------------------------------
@@ -150,13 +183,13 @@ def bareiss_laurent_det(grid):
     lists, after moving each row's lowest exponent to 0."""
     n = len(grid)
     if n == 0:
-        return LaurentPoly.one()
+        return LaurentPoly(((0, 1),))
     shift = 0
     m = []
     for row in grid:
         live = [p.min_exp for p in row if not p.is_zero]
         if not live:
-            return LaurentPoly.zero()
+            return LaurentPoly()
         low = min(live)
         shift += low
         m.append([[] if p.is_zero else [0] * (p.min_exp - low) + p.dense_coeffs()
@@ -166,7 +199,7 @@ def bareiss_laurent_det(grid):
         if not m[k][k]:
             swap = next((i for i in range(k + 1, n) if m[i][k]), None)
             if swap is None:
-                return LaurentPoly.zero()
+                return LaurentPoly()
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         pivot_row, pivot = m[k], m[k][k]
@@ -209,7 +242,7 @@ def test_exact_div_inverts_multiplication(a, b):
     assert poly(dict(enumerate(quotient))) == poly(dict(enumerate(a)))
 
 
-ZERO = LaurentPoly.zero()
+ZERO = LaurentPoly()
 ENTRIES = st.one_of(
     st.just(ZERO),
     st.dictionaries(st.integers(-4, 4), st.integers(-10**9, 10**9),

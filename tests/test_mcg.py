@@ -66,8 +66,8 @@ def test_kernels_match_their_matrix_products(case):
     for c, m in twists:
         column = IntMatrix(n, 1, tuple((x,) for x in c))
         cctj = column.mul(column.transpose()).mul(j)
-        expected = IntMatrix.identity(n).sub(
-            IntMatrix.from_rows([[m * x for x in row] for row in cctj.entries]))
+        expected = IntMatrix.from_rows([[(i == k) - m * x for k, x in enumerate(row)]
+                                        for i, row in enumerate(cctj.entries)])
         assert transvection(c, m) == expected
         a = a.mul(expected)
     if n:

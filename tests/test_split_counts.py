@@ -324,7 +324,8 @@ def check_fiber_route(f, names=_ROUTE_GROUPS) -> bool:
     action = abelianize(f)
     chi = char_poly(action)
     delta = sum(_alexander(chi))
-    assert abs(delta) == abs(IntMatrix.identity(f.rank).sub(action).det())
+    assert abs(delta) == abs(IntMatrix.from_rows(
+        [[(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(action.entries)]).det())
     factors, counts = _mapping_torus_invariants(f, action, chi, tuple(map(finite_group, names)))
     assert (factors, tuple(zip(names, counts))) == \
         presentation_invariants(hnn_presentation(f, handlebody_names(f.rank)), names)

@@ -177,10 +177,10 @@ def test_plan_genus_increase():
     k3 = connected_sum(connected_sum(k1, k1), k1)
     assert k3.genus == 3
     plan = torus_surgery_plan(k1, k3)
-    stabilizers = plan.phase_entries(1)
+    stabilizers = [e for e in plan.entries if e.phase == 1]
     assert len(stabilizers) == 4  # 2 * (3 - 1)
     assert all(e.is_stabilization for e in stabilizers)
-    assert all(not e.is_stabilization for e in plan.phase_entries(2))
+    assert all(not e.is_stabilization for e in plan.entries if e.phase == 2)
     replayed = execute_plan(spin(k1), plan)
     assert same_two_knot_data(replayed, spin(k3))
 
